@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .simulation import (
     gain_sweep,
     simulate,
 )
-from .vi import estimate_mu_L
+from .vi import FBParams, contraction_constants, estimate_mu_L
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,6 +147,9 @@ def _resolve_certificates(setup: RunSetup, block: dict) -> tuple[float, float, d
     region = ctrl.gamma
     if block.get("box") is not None:
         region = Intersection([ctrl.gamma, block["box"]])
+    lower, upper = region.bounding_box()
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ConfigError("certify.box", "Gamma is unbounded; give a box to sample in")
     mu, L = estimate_mu_L(lambda eta: setup.plant.pi(ctrl.gain @ eta, w0),
                           region, ctrl.metric,
                           samples=block.get("samples", 2000), seed=setup.seed)
@@ -167,12 +169,7 @@ def cmd_sweep(args) -> int:
     else:
         mu, L = spec["mu"], spec["L"]
         cert_echo = {"mu": mu, "L": L}
-    scenario = setup.scenario
-    if "horizon" in spec or "schedule" in spec:
-        scenario = replace(scenario,
-                           horizon=spec.get("horizon", scenario.horizon),
-                           schedule=spec.get("schedule", scenario.schedule))
-    report = gain_sweep(scenario, spec["T_i"], spec["lambda"], mu, L)
+    report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["T_i", "lambda", "converged", "decay_rate",
@@ -209,9 +206,10 @@ def cmd_certify(args) -> int:
     print(f"L_hat   = {L:.6g}")
     ok = mu > 0.0
     if ok:
+        params = FBParams.certified(mu, L)
         window = 2.0 * mu / L ** 2
-        alpha = mu / L ** 2
-        c_fb = float(np.sqrt(1.0 - 2.0 * alpha * mu + alpha ** 2 * L ** 2))
+        alpha = params.alpha
+        c_fb, _ = contraction_constants(params)
         T_i_star = plant.T_s * L ** 2 / (2.0 * mu)
         print(f"step window (0, {window:.6g}); c_fb at alpha={alpha:.6g}: {c_fb:.6g}")
         print(f"T_i_star = {T_i_star:.6g} s (T_s = {plant.T_s:g} s, "
@@ -274,11 +272,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        # library-level validation surfaced outside the config builders
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SimulationError, NumericalError, ProjectionError, RuntimeError) as exc:
+    except (SimulationError, NumericalError, ProjectionError, RuntimeError,
+            ValueError) as exc:
+        # the config builders raise ConfigError, so a ValueError reaching this
+        # point comes from the numerics of the run
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -8,7 +8,7 @@ path of the offending key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +261,7 @@ def build_setup(cfg: dict) -> RunSetup:
             raise ConfigError("scenario.schedule",
                               f"disturbance at step {k} must have dimension {plant.n_w}")
 
-    sweep = _validate_sweep(cfg.get("sweep"), plant) if "sweep" in cfg else None
+    sweep = _validate_sweep(cfg.get("sweep"), scenario) if "sweep" in cfg else None
     certify = _validate_certify(cfg.get("certify")) if "certify" in cfg else None
     return RunSetup(plant, metric, constraint, controller, scenario,
                     sweep, certify, seed, cfg)
@@ -278,7 +278,10 @@ def _validate_box_block(spec, key: str) -> Box:
         raise ConfigError(key, str(exc)) from exc
 
 
-def _validate_sweep(spec, plant: PlantModel) -> dict:
+def _validate_sweep(spec, scenario: Scenario) -> dict:
+    """Sweep block; out["scenario"] is the run scenario with the sweep's
+    horizon and schedule overrides applied."""
+    plant = scenario.plant
     if not isinstance(spec, dict):
         raise ConfigError("sweep", "expected a sweep object")
     ti_raw = _get(spec, "T_i", "sweep")
@@ -314,6 +317,12 @@ def _validate_sweep(spec, plant: PlantModel) -> dict:
             if w.shape != (plant.n_w,):
                 raise ConfigError("sweep.schedule",
                                   f"disturbance at step {k} must have dimension {plant.n_w}")
+    try:
+        out["scenario"] = replace(scenario,
+                                  horizon=out.get("horizon", scenario.horizon),
+                                  schedule=out.get("schedule", scenario.schedule))
+    except ValueError as exc:
+        raise ConfigError("sweep", str(exc)) from exc
     return out
 
 

@@ -10,7 +10,8 @@ input constraints at every step and the integrator cannot wind up:
 
 The projection is evaluated lazily: when the forward step already lies in
 Gamma the update reduces to the classical integral law with per-step gain
-damping * T_s / T_i.
+damping * T_s / T_i.  _damped_projected_update applies the update to a
+batch of integrator states at once; DPIController.step is its batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .metric import Metric
-from .sets import MEMBERSHIP_TOL, ConvexSet, LinearPreimage
+from .sets import MEMBERSHIP_TOL, ConvexSet, LinearPreimage, _contains_rows
 
 __all__ = ["DPIController", "ClassicalIntegralController"]
 
@@ -35,6 +36,21 @@ def _validate_timing(T_s: float, T_i: float) -> None:
         raise ValueError("sampling period T_s must be positive")
     if not (T_i > 0.0 and np.isfinite(T_i)):
         raise ValueError("integral time T_i must be positive")
+
+
+def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
+                             e: np.ndarray, alpha: np.ndarray,
+                             damping: np.ndarray) -> np.ndarray:
+    """Next integrator states of G loops that share Gamma and the metric.
+
+    eta and e are (G, p); alpha = T_s / T_i and damping are (G,).  All rows
+    are tested against Gamma at once, and only the rows whose forward step
+    left Gamma are projected, one at a time.
+    """
+    target = eta - alpha[:, None] * e  # the forward step
+    for i in np.flatnonzero(~_contains_rows(gamma, target)):
+        target[i] = gamma.project(metric, target[i]).point
+    return (1.0 - damping[:, None]) * eta + damping[:, None] * target
 
 
 class DPIController:
@@ -100,12 +116,9 @@ class DPIController:
         if e.shape != (self.eta.size,):
             raise ValueError(f"error must have shape ({self.eta.size},)")
         u = self.gain @ self.eta
-        forward = self.eta - self.alpha * e
-        if self.gamma.contains(forward, MEMBERSHIP_TOL):
-            target = forward  # projection skipped: forward step already admissible
-        else:
-            target = self.gamma.project(self.metric, forward).point
-        self.eta = (1.0 - self.damping) * self.eta + self.damping * target
+        self.eta = _damped_projected_update(
+            self.gamma, self.metric, self.eta[None], e[None],
+            np.array([self.alpha]), np.array([self.damping]))[0]
         return u
 
     def clone(self) -> "DPIController":

@@ -7,6 +7,21 @@ import numpy as np
 __all__ = ["Metric"]
 
 
+def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x for x of shape (..., n), one row at a time.
+
+    Every row takes the same BLAS matrix-vector call as an unbatched M @ x,
+    so a batched result equals the unbatched one bit for bit (a matrix-matrix
+    product rounds differently).
+    """
+    return (M @ x[..., None])[..., 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x, each rounded exactly as np.linalg.norm(row)."""
+    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
 class Metric:
     """Positive definite weight matrix with the inner product and norm it induces.
 
@@ -55,9 +70,13 @@ class Metric:
     def inner(self, x, y) -> float:
         return float(self._vec(x) @ self.P @ self._vec(y))
 
-    def norm(self, x) -> float:
-        w = self._chol.T @ self._vec(x)
-        return float(np.sqrt(w @ w))
+    def norm(self, x):
+        """|x|_P; for a (..., dim) array, the array of its row norms."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.dim:
+            raise ValueError(f"expected vectors of dimension {self.dim}, got shape {x.shape}")
+        norms = _row_norms(_apply(self._chol.T, x))
+        return float(norms) if x.ndim == 1 else norms
 
     def whiten(self, x) -> np.ndarray:
         """Coordinates in which the weighted norm is the Euclidean norm."""

@@ -7,6 +7,10 @@ output e = h(x, u, w) together with the equilibrium maps
     pi(u, w)    steady-state error h(pi_x(u, w), u, w)
 
 pi is the operator the integral controller drives to a constrained zero.
+
+step, output and pi_x take (..., dim) arrays: a leading batch axis holds
+independent loops, one per row, and each row rounds exactly as it would
+alone.  A disturbance without the batch axis applies to every row.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import warnings
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .metric import Metric
+from .metric import Metric, _apply
 
 __all__ = [
     "NumericalError",
@@ -59,8 +63,8 @@ class PlantModel(abc.ABC):
 
     def _vec(self, x, dim: int, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (dim,):
-            raise ValueError(f"{name} must have shape ({dim},), got {x.shape}")
+        if x.ndim == 0 or x.shape[-1] != dim:
+            raise ValueError(f"{name} must have shape (..., {dim}), got {x.shape}")
         return x
 
 
@@ -111,7 +115,7 @@ class LTIPlant(PlantModel):
     def step(self, x, u, w=None) -> np.ndarray:
         x = self._vec(x, self.n, "x")
         u = self._vec(u, self.m, "u")
-        out = self.A @ x + self.B @ u + self.B_w @ self._w(w)
+        out = _apply(self.A, x) + _apply(self.B, u) + _apply(self.B_w, self._w(w))
         if not np.all(np.isfinite(out)):
             raise NumericalError("LTI state update is not finite")
         return out
@@ -119,12 +123,12 @@ class LTIPlant(PlantModel):
     def output(self, x, u, w=None) -> np.ndarray:
         x = self._vec(x, self.n, "x")
         u = self._vec(u, self.m, "u")
-        return self.C @ x + self.D @ u + self.D_w @ self._w(w)
+        return _apply(self.C, x) + _apply(self.D, u) + _apply(self.D_w, self._w(w))
 
     def pi_x(self, u, w=None) -> np.ndarray:
         u = self._vec(u, self.m, "u")
-        return np.linalg.solve(np.eye(self.n) - self.A,
-                               self.B @ u + self.B_w @ self._w(w))
+        rhs = _apply(self.B, u) + _apply(self.B_w, self._w(w))
+        return np.linalg.solve(np.eye(self.n) - self.A, rhs[..., None])[..., 0]
 
     def dc_gain(self) -> np.ndarray:
         """Static input-to-error gain C (I - A)^{-1} B + D."""
@@ -250,7 +254,7 @@ class FourTankPlant(PlantModel):
             [(1.0 - g1) / areas[3], 0.0],
         ])
         if self.h_nominal is not None:
-            drift = self._rate(self.h_nominal, self.u_nominal)
+            drift = self._rate(self.h_nominal, self._inflow @ self.u_nominal)
             if np.max(np.abs(drift)) > 1e-6:
                 raise ValueError("calibrated nominal point is not an equilibrium")
         self.n, self.m, self.p, self.n_w = 4, 2, 2, 2
@@ -263,47 +267,52 @@ class FourTankPlant(PlantModel):
         return np.array([[g1 / a[0], (1.0 - g2) / a[0]],
                          [(1.0 - g1) / a[1], g2 / a[1]]])
 
-    def _rate(self, h, u) -> np.ndarray:
+    def _rate(self, h, inflow) -> np.ndarray:
+        """Level rates for column vectors h and the pump term inflow = _inflow @ u."""
         # sqrt argument clamped at zero so transient undershoot cannot produce NaN
         v = np.sqrt(2.0 * self.g * np.maximum(h, 0.0))
-        return self._outflow @ v + self._inflow @ u
+        return self._outflow @ v + inflow
 
     def step(self, x, u, w=None) -> np.ndarray:
         h = self._vec(x, 4, "x")
         u = self._vec(u, 2, "u")
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(u))):
             raise NumericalError("tank step received non-finite values")
+        # column vectors: each row's rates take the matrix-vector product of
+        # an unbatched step; the pump term is constant over the substeps
+        h = h[..., None]
+        inflow = self._inflow @ u[..., None]
         dt = self.T_s / self.substeps
         for _ in range(self.substeps):
-            k1 = self._rate(h, u)
-            k2 = self._rate(h + 0.5 * dt * k1, u)
-            k3 = self._rate(h + 0.5 * dt * k2, u)
-            k4 = self._rate(h + dt * k3, u)
+            k1 = self._rate(h, inflow)
+            k2 = self._rate(h + 0.5 * dt * k1, inflow)
+            k3 = self._rate(h + 0.5 * dt * k2, inflow)
+            k4 = self._rate(h + dt * k3, inflow)
             h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             h = np.maximum(h, 0.0)  # levels cannot go negative
         if not np.all(np.isfinite(h)):
             raise NumericalError("tank step diverged to a non-finite state")
-        return h
+        return h[..., 0]
 
     def output(self, x, u, w) -> np.ndarray:
         h = self._vec(x, 4, "x")
         r = self._vec(w, 2, "w")
-        return h[:2] - r
+        return h[..., :2] - r
 
     def pi_x(self, u, w=None) -> np.ndarray:
         u = self._vec(u, 2, "u")
-        flows = self.flow_gain @ u
+        flows = _apply(self.flow_gain, u)
         if np.any(u < -1e-9) or np.any(flows < -1e-9):
             raise ValueError("equilibrium map needs nonnegative pump flows")
         a = self.outlet_areas
         g1, g2 = self.split_ratios
         two_g = 2.0 * self.g
-        return np.array([
-            flows[0] ** 2 / two_g,
-            flows[1] ** 2 / two_g,
-            ((1.0 - g2) * u[1] / a[2]) ** 2 / two_g,
-            ((1.0 - g1) * u[0] / a[3]) ** 2 / two_g,
-        ])
+        return np.stack([
+            flows[..., 0] ** 2 / two_g,
+            flows[..., 1] ** 2 / two_g,
+            ((1.0 - g2) * u[..., 1] / a[2]) ** 2 / two_g,
+            ((1.0 - g1) * u[..., 0] / a[3]) ** 2 / two_g,
+        ], axis=-1)
 
     # pi(u, w) = output(pi_x(u, w), u, w) from the base class:
     # componentwise (flow_gain @ u)^2 / (2 g) - w for the two lower tanks.

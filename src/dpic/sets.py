@@ -6,18 +6,23 @@ halfspaces under any metric, balls (radial shrink under isotropic metrics,
 a scalar root find otherwise) and polyhedral systems with few rows.
 Everything else runs Dykstra's alternating scheme over the component sets
 until the cycle gap falls below ITERATIVE_TOL.
+
+Halfspace rows and bounding boxes are computed on first use and cached;
+the sets are immutable once built.  margin takes a (..., dim) array of
+points as well as a single point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 import numpy as np
 from scipy.optimize import brentq, linprog
 
-from .metric import Metric
+from .metric import Metric, _apply, _row_norms
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -72,6 +77,38 @@ def _vec(x, dim: int) -> np.ndarray:
     return x
 
 
+def _points(x, dim: int) -> np.ndarray:
+    """One point of shape (dim,) or a batch of shape (..., dim)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != dim:
+        raise ValueError(f"expected points of dimension {dim}, got shape {x.shape}")
+    return x
+
+
+def _margins(values, x: np.ndarray):
+    """A float for a single point, the per-row array for a batch."""
+    return float(values) if x.ndim == 1 else values
+
+
+def _read_only(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    A.flags.writeable = False
+    b.flags.writeable = False
+    return A, b
+
+
+def _contains_rows(set_: "ConvexSet", x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Membership of every row of a (G, dim) array.
+
+    One test against the set's halfspace rows when it is polyhedral, else
+    set_.contains row by row.
+    """
+    rows = set_.halfspace_rows()
+    if rows is None:
+        return np.array([set_.contains(v, tol) for v in x], dtype=bool)
+    A, b = rows
+    return np.all(x @ A.T <= b + tol, axis=-1)
+
+
 class ConvexSet:
     """Base type: nonempty closed convex subset of R^dim."""
 
@@ -80,11 +117,12 @@ class ConvexSet:
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
 
-    def margin(self, x) -> float:
+    def margin(self, x):
         """Smallest slack over the defining inequalities, negative outside.
 
         Linear rows are normalized by their Euclidean row norm so the value
-        reads as a distance-like margin to the nearest boundary.
+        reads as a distance-like margin to the nearest boundary.  For a
+        (..., dim) batch, the array of the rows' margins.
         """
         raise NotImplementedError
 
@@ -125,17 +163,17 @@ class Box(ConvexSet):
         x = _vec(x, self.dim)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def margin(self, x) -> float:
-        x = _vec(x, self.dim)
-        slacks = [np.inf]
-        for i in range(self.dim):
-            if np.isfinite(self.lower[i]):
-                slacks.append(x[i] - self.lower[i])
-            if np.isfinite(self.upper[i]):
-                slacks.append(self.upper[i] - x[i])
-        return float(min(slacks))
+    def margin(self, x):
+        x = _points(x, self.dim)
+        # an infinite bound gives an infinite slack
+        slacks = np.concatenate([x - self.lower, self.upper - x], axis=-1)
+        return _margins(np.min(slacks, axis=-1), x)
 
     def halfspace_rows(self):
+        return self._rows
+
+    @cached_property
+    def _rows(self):
         rows, rhs = [], []
         for i in range(self.dim):
             if np.isfinite(self.upper[i]):
@@ -149,8 +187,8 @@ class Box(ConvexSet):
                 rows.append(e)
                 rhs.append(-self.lower[i])
         if not rows:
-            return np.zeros((0, self.dim)), np.zeros(0)
-        return np.array(rows), np.array(rhs)
+            return _read_only(np.zeros((0, self.dim)), np.zeros(0))
+        return _read_only(np.array(rows), np.array(rhs))
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -178,9 +216,10 @@ class Halfspace(ConvexSet):
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return bool(self.a @ _vec(x, self.dim) <= self.b + tol)
 
-    def margin(self, x) -> float:
-        x = _vec(x, self.dim)
-        return float((self.b - self.a @ x) / np.linalg.norm(self.a))
+    def margin(self, x):
+        x = _points(x, self.dim)
+        slack = self.b - _apply(self.a[None, :], x)[..., 0]
+        return _margins(slack / np.linalg.norm(self.a), x)
 
     def halfspace_rows(self):
         return self.a[None, :].copy(), np.array([self.b])
@@ -215,8 +254,9 @@ class Ball(ConvexSet):
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return bool(np.linalg.norm(_vec(x, self.dim) - self.center) <= self.radius + tol)
 
-    def margin(self, x) -> float:
-        return float(self.radius - np.linalg.norm(_vec(x, self.dim) - self.center))
+    def margin(self, x):
+        x = _points(x, self.dim)
+        return _margins(self.radius - _row_norms(x - self.center), x)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -251,23 +291,25 @@ class Polyhedron(ConvexSet):
         self.A = A
         self.b = b
         self.dim = int(A.shape[1])
-        self._bbox: tuple[np.ndarray, np.ndarray] | None = None
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return bool(np.all(self.A @ _vec(x, self.dim) <= self.b + tol))
 
-    def margin(self, x) -> float:
-        x = _vec(x, self.dim)
+    def margin(self, x):
+        x = _points(x, self.dim)
         norms = np.linalg.norm(self.A, axis=1)
-        return float(np.min((self.b - self.A @ x) / norms))
+        return _margins(np.min((self.b - _apply(self.A, x)) / norms, axis=-1), x)
 
     def halfspace_rows(self):
         return self.A.copy(), self.b.copy()
 
     def bounding_box(self):
-        if self._bbox is None:
-            self._bbox = _rows_bounding_box(self.A, self.b, self.dim)
-        return self._bbox[0].copy(), self._bbox[1].copy()
+        lower, upper = self._bbox
+        return lower.copy(), upper.copy()
+
+    @cached_property
+    def _bbox(self):
+        return _rows_bounding_box(self.A, self.b, self.dim)
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
@@ -295,16 +337,27 @@ class Intersection(ConvexSet):
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return all(s.contains(x, tol) for s in self.sets)
 
-    def margin(self, x) -> float:
-        return float(min(s.margin(x) for s in self.sets))
+    def margin(self, x):
+        x = _points(x, self.dim)
+        return _margins(np.minimum.reduce([s.margin(x) for s in self.sets]), x)
 
     def halfspace_rows(self):
+        return self._rows
+
+    @cached_property
+    def _rows(self):
         parts = [s.halfspace_rows() for s in self.sets]
         if any(p is None for p in parts):
             return None
-        return np.vstack([A for A, _ in parts]), np.concatenate([b for _, b in parts])
+        return _read_only(np.vstack([A for A, _ in parts]),
+                          np.concatenate([b for _, b in parts]))
 
     def bounding_box(self):
+        lower, upper = self._bbox
+        return lower.copy(), upper.copy()
+
+    @cached_property
+    def _bbox(self):
         lower = np.full(self.dim, -np.inf)
         upper = np.full(self.dim, np.inf)
         rows, rhs = [], []
@@ -356,16 +409,25 @@ class LinearPreimage(ConvexSet):
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.inner.contains(self.K @ _vec(x, self.dim), tol)
 
-    def margin(self, x) -> float:
-        return self.inner.margin(self.K @ _vec(x, self.dim))
+    def margin(self, x):
+        return self.inner.margin(_apply(self.K, _points(x, self.dim)))
 
     def halfspace_rows(self):
+        return self._rows
+
+    @cached_property
+    def _rows(self):
         part = self.inner.halfspace_rows()
         if part is None:
             return None
-        return part[0] @ self.K, part[1]
+        return _read_only(part[0] @ self.K, part[1])
 
     def bounding_box(self):
+        lower, upper = self._bbox
+        return lower.copy(), upper.copy()
+
+    @cached_property
+    def _bbox(self):
         rows = self.halfspace_rows()
         if rows is not None and rows[0].size:
             return _rows_bounding_box(rows[0], rows[1], self.dim)

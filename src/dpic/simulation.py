@@ -8,19 +8,25 @@ input computed from its pre-update state, then advances the plant:
 The record stores one row per step; vi_residual is the measured natural
 residual |eta_k - Proj_Gamma^P(eta_k - alpha e_k)|_P, computable from the
 logged eta and e columns alone.
+
+One loop serves both entry points: it advances G closed loops that share
+the plant, Gamma and the disturbance schedule in lockstep, one row each.
+simulate is its batch of one and gain_sweep its batch of one row per grid
+point.  Row by row the arithmetic is that of a batch of one, so a sweep row
+equals the solo run of its grid point bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .controller import ClassicalIntegralController, DPIController
-from .metric import Metric
+from .controller import ClassicalIntegralController, DPIController, _damped_projected_update
+from .metric import Metric, _apply, _row_norms
 from .plants import NumericalError, PlantModel
-from .sets import MEMBERSHIP_TOL, normal_cone_residual
+from .sets import _contains_rows, normal_cone_residual
 from .vi import FBParams, VIProblem, solve_vi
 
 __all__ = [
@@ -124,68 +130,121 @@ class SimRecord:
         return self.k * self.T_s
 
 
-def _measured_vi_residual(ctrl: DPIController, eta: np.ndarray, e: np.ndarray) -> float:
-    forward = eta - ctrl.alpha * e
-    if ctrl.gamma.contains(forward, MEMBERSHIP_TOL):
-        return ctrl.metric.norm(eta - forward)
-    projected = ctrl.gamma.project(ctrl.metric, forward).point
-    return ctrl.metric.norm(eta - projected)
+_STEP_ERRORS = (NumericalError, RuntimeError, ValueError)
+
+
+def _w_steps(scenario: Scenario) -> np.ndarray:
+    """The disturbance held at every step, one row per step."""
+    counts = [end - start for start, end in scenario.segment_bounds()]
+    return np.repeat(np.array([w for _, w in scenario.schedule]), counts, axis=0)
+
+
+def _step_failure(k: int, exc: Exception) -> SimulationError:
+    if isinstance(exc, SimulationError):
+        return exc
+    failure = SimulationError(f"step {k}: {exc}")
+    failure.__cause__ = exc
+    return failure
+
+
+def _lockstep(scenario: Scenario,
+              controllers: Sequence) -> list[SimRecord | SimulationError]:
+    """Run the scenario once per controller, all loops in lockstep.
+
+    The controllers share gain, Gamma and metric and differ in T_i, damping
+    and initial state.  Row g of every state and record array belongs to
+    controller g.  A step that raises is retried row by row; a row that
+    fails alone ends with its SimulationError and the others run on.
+    Returns a SimRecord (without segments) or a SimulationError per row.
+    """
+    plant = scenario.plant
+    base = controllers[0]
+    projected = isinstance(base, DPIController)
+    G, H = len(controllers), scenario.horizon
+    m, p = base.gain.shape
+    alpha = np.array([c.alpha for c in controllers])
+    damping = np.array([c.damping for c in controllers]) if projected else None
+    W = _w_steps(scenario)
+    xs = np.empty((G, H, plant.n))
+    us = np.empty((G, H, m))
+    es = np.empty((G, H, p))
+    etas = np.empty((G, H, p))
+    margins = np.empty((G, H))
+    residuals = np.empty((G, H))
+    x = np.tile(scenario.x0, (G, 1))
+    eta = np.array([c.eta for c in controllers])
+
+    def advance(k: int, rows: slice | list[int]) -> None:
+        """Step k of the given rows; writes nothing unless every check passes."""
+        x_k, eta_k, w = x[rows], eta[rows], W[k]
+        u = _apply(base.gain, eta_k)
+        e = plant.output(x_k, u, w)
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(x_k))):
+            raise NumericalError("state or error is not finite")
+        if projected:
+            if not np.all(_contains_rows(base.constraint, u)):
+                raise ConstraintViolationError(
+                    f"step {k}: projected controller emitted u outside C")
+            margin = base.constraint.margin(u)
+            eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
+                                                alpha[rows], damping[rows])
+            # eta_{k+1} - eta_k = damping * (backward point - eta_k), so the
+            # natural residual |eta_k - Proj(eta_k - alpha e_k)|_P is the
+            # state increment over damping; avoids a second projection.
+            residual = base.metric.norm(eta_next - eta_k) / damping[rows]
+        else:
+            eta_next = eta_k - alpha[rows, None] * e
+            margin = residual = np.nan
+        x_next = plant.step(x_k, u, w)
+        xs[rows, k], us[rows, k], es[rows, k], etas[rows, k] = x_k, u, e, eta_k
+        margins[rows, k], residuals[rows, k] = margin, residual
+        x[rows], eta[rows] = x_next, eta_next
+
+    failures: list[SimulationError | None] = [None] * G
+    live = list(range(G))
+    for k in range(H):
+        try:
+            # while no row has failed, a basic slice spares fancy-index copies
+            advance(k, slice(None) if len(live) == G else live)
+        except _STEP_ERRORS as exc:
+            if len(live) == 1:
+                failures[live[0]] = _step_failure(k, exc)
+            else:
+                for g in live:
+                    try:
+                        advance(k, [g])
+                    except _STEP_ERRORS as row_exc:
+                        failures[g] = _step_failure(k, row_exc)
+            live = [g for g in live if failures[g] is None]
+            if not live:
+                break
+    steps = np.arange(H)
+    return [failures[g] if failures[g] is not None else
+            SimRecord(plant.T_s, steps, xs[g], us[g], es[g], etas[g],
+                      margins[g], residuals[g])
+            for g in range(G)]
 
 
 def simulate(scenario: Scenario) -> SimRecord:
     """Run the loop over the full horizon; deterministic for a fixed scenario."""
-    plant = scenario.plant
     ctrl = scenario.controller.clone()
+    record = _lockstep(scenario, [ctrl])[0]
+    if isinstance(record, SimulationError):
+        raise record
     projected = isinstance(ctrl, DPIController)
-    H = scenario.horizon
-    xs = np.empty((H, plant.n))
-    us = np.empty((H, ctrl.gain.shape[0]))
-    es = np.empty((H, ctrl.gain.shape[1]))
-    etas = np.empty((H, ctrl.gain.shape[1]))
-    margins = np.full(H, np.nan)
-    residuals = np.full(H, np.nan)
-    x = scenario.x0.copy()
-    for k in range(H):
-        w = scenario.w_at(k)
-        try:
-            eta_k = ctrl.eta.copy()
-            u = ctrl.gain @ eta_k
-            e = plant.output(x, u, w)
-            if not (np.all(np.isfinite(e)) and np.all(np.isfinite(x))):
-                raise NumericalError("state or error is not finite")
-            if projected:
-                if not ctrl.constraint.contains(u, MEMBERSHIP_TOL):
-                    raise ConstraintViolationError(
-                        f"step {k}: projected controller emitted u outside C")
-                margins[k] = ctrl.constraint.margin(u)
-            emitted = ctrl.step(e)
-            if not np.array_equal(emitted, u):
-                raise SimulationError(f"step {k}: controller input is inconsistent")
-            if projected:
-                # eta_{k+1} - eta_k = damping * (backward point - eta_k), so the
-                # natural residual |eta_k - Proj(eta_k - alpha e_k)|_P is the
-                # state increment over damping; avoids a second projection.
-                residuals[k] = ctrl.metric.norm(ctrl.eta - eta_k) / ctrl.damping
-            xs[k], us[k], es[k], etas[k] = x, u, e, eta_k
-            x = plant.step(x, u, w)
-        except SimulationError:
-            raise
-        except (NumericalError, RuntimeError, ValueError) as exc:
-            raise SimulationError(f"step {k}: {exc}") from exc
-    record = SimRecord(plant.T_s, np.arange(H), xs, us, es, etas, margins, residuals)
     for index, (start, end) in enumerate(scenario.segment_bounds()):
         last = end - 1
         if projected:
             nc = normal_cone_residual(
-                ctrl.gamma, ctrl.metric, etas[last], -es[last],
+                ctrl.gamma, ctrl.metric, record.eta[last], -record.e[last],
                 samples=scenario.normal_cone_samples,
                 seed=scenario.seed + index)
         else:
             nc = np.nan
         record.segments.append(SegmentSummary(
             start, end, scenario.w_at(start),
-            tracking_error=float(np.linalg.norm(es[last])),
-            vi_residual=float(residuals[last]),
+            tracking_error=float(np.linalg.norm(record.e[last])),
+            vi_residual=float(record.vi_residual[last]),
             normal_cone_residual=float(nc)))
     return record
 
@@ -194,17 +253,12 @@ def change_of_coordinates(record: SimRecord, plant: PlantModel,
                           scenario: Scenario) -> np.ndarray:
     """Deviation xi_k = x_k - pi_x(u_k, w_k) of the state from the manifold
     of equilibria indexed by the current input and disturbance."""
-    H = record.x.shape[0]
-    xi = np.empty_like(record.x)
-    for k in range(H):
-        xi[k] = record.x[k] - plant.pi_x(record.u[k], scenario.w_at(k))
-    return xi
+    return record.x - plant.pi_x(record.u, _w_steps(scenario))
 
 
 def _composite_deviation(record: SimRecord, xi: np.ndarray, metric: Metric,
                          eta_bar: np.ndarray) -> np.ndarray:
-    return np.array([metric.norm(record.eta[k] - eta_bar) + np.linalg.norm(xi[k])
-                     for k in range(record.x.shape[0])])
+    return metric.norm(record.eta - eta_bar) + _row_norms(xi)
 
 
 def classify_convergence(record: SimRecord, xi: np.ndarray, metric: Metric,
@@ -213,13 +267,9 @@ def classify_convergence(record: SimRecord, xi: np.ndarray, metric: Metric,
     trailing window must fall below tol."""
     H = record.x.shape[0]
     start = max(0, H - max(2, int(np.ceil(CONVERGENCE_WINDOW * H))))
-    worst = 0.0
-    for k in range(start, H):
-        value = float(np.linalg.norm(xi[k]))
-        if k + 1 < H:
-            value += metric.norm(record.eta[k + 1] - record.eta[k])
-        worst = max(worst, value)
-    return worst < tol
+    tail = _row_norms(xi[start:])
+    tail[:-1] += metric.norm(np.diff(record.eta[start:], axis=0))
+    return bool(np.max(tail) < tol)
 
 
 def fit_decay_rate(deviation: np.ndarray, start: int, burn_in: int = 5,
@@ -301,23 +351,22 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
         raise RuntimeError("offline equilibrium solve did not converge")
     eta_bar = offline.eta
     last_start = scenario.schedule[-1][0]
+    grid = [(float(T_i), float(damping))
+            for T_i in T_i_values for damping in damping_values]
+    runs = _lockstep(scenario, [base.with_gains(T_i, damping) for T_i, damping in grid])
     points = []
-    for T_i in T_i_values:
-        for damping in damping_values:
-            run = replace(scenario, controller=base.with_gains(T_i, damping))
-            try:
-                record = simulate(run)
-                xi = change_of_coordinates(record, plant, run)
-            except SimulationError as exc:
-                points.append(SweepPoint(float(T_i), float(damping), False,
-                                         np.nan, np.nan, str(exc)))
-                continue
-            converged = classify_convergence(record, xi, base.metric)
-            rate = np.nan
-            if converged:
-                deviation = _composite_deviation(record, xi, base.metric, eta_bar)
-                rate = fit_decay_rate(deviation, last_start)
-            points.append(SweepPoint(float(T_i), float(damping), converged,
-                                     rate, float(record.vi_residual[-1])))
+    for (T_i, damping), record in zip(grid, runs):
+        if isinstance(record, SimulationError):
+            points.append(SweepPoint(T_i, damping, False, np.nan, np.nan, str(record)))
+            continue
+        # diagnostics one row at a time, so only one row's arrays are extra
+        xi = change_of_coordinates(record, plant, scenario)
+        converged = classify_convergence(record, xi, base.metric)
+        rate = np.nan
+        if converged:
+            deviation = _composite_deviation(record, xi, base.metric, eta_bar)
+            rate = fit_decay_rate(deviation, last_start)
+        points.append(SweepPoint(T_i, damping, converged, rate,
+                                 float(record.vi_residual[-1])))
     T_i_star = plant.T_s * L ** 2 / (2.0 * mu)
     return StabilityReport(points, T_i_star, float(mu), float(L), eta_bar)

@@ -96,10 +96,15 @@ def contraction_constants(params: FBParams) -> tuple[float, float]:
     """(c_fb, c_dfb) certified by the (mu, L) pair carried in params."""
     if params.mu is None:
         raise ValueError("contraction constants need the certificates mu and L")
-    # the radicand is >= (1 - alpha mu)^2 >= 0 but can round below zero
-    # at the optimal step when mu = L
-    radicand = 1.0 - 2.0 * params.alpha * params.mu + params.alpha ** 2 * params.L ** 2
-    c_fb = float(np.sqrt(max(0.0, radicand)))
+    # the radicand is >= (1 - alpha mu)^2 >= 0, and zero at the optimal step
+    # when mu = L.  Its terms are O(1), so its rounding error is a few ulp of
+    # the largest one; a radicand inside that error counts as zero, since its
+    # square root would turn rounding noise into a c_fb of order 1e-8
+    terms = (1.0, 2.0 * params.alpha * params.mu, params.alpha ** 2 * params.L ** 2)
+    radicand = terms[0] - terms[1] + terms[2]
+    if radicand <= 4.0 * np.finfo(float).eps * max(terms):
+        radicand = 0.0
+    c_fb = float(np.sqrt(radicand))
     c_dfb = 1.0 - params.damping * (1.0 - c_fb)
     return c_fb, c_dfb
 

@@ -140,8 +140,36 @@ def test_sweep_requires_sweep_block(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+def test_late_config_faults_exit_2(tmp_path, capsys):
+    cfg = preset_config("lti-demo")
+    cfg["sweep"]["horizon"] = 100
+    cfg["sweep"]["schedule"] = [[0, [0.5]], [150, [0.2]]]  # starts past the horizon
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "sweep" in capsys.readouterr().err
+    cfg = preset_config("lti-demo")
+    cfg["constraint"] = {"type": "box", "lower": [-1.0], "upper": [None]}
+    del cfg["certify"]  # no box to sample an unbounded Gamma in
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", path]) == EXIT_CONFIG
+    assert "certify.box" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # numerical failures (exit 3)
+
+def test_numerical_value_error_exit_3(tmp_path, capsys):
+    cfg = preset_config("four-tank")
+    # negative pump commands are admissible, and part of the sampling box
+    # maps to them, where the tank's equilibrium map raises ValueError
+    cfg["constraint"]["sets"][0]["lower"] = [-50.0, -50.0]
+    cfg["certify"]["box"] = {"lower": [40.0, 100.0], "upper": [60.0, 120.0]}
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "nonnegative pump flows" in err
+
 
 def test_simulation_failure_exit_code(tmp_path, capsys, monkeypatch):
     import dpic.cli as cli_mod
@@ -183,6 +211,13 @@ def test_certify_lti_demo(capsys):
     assert "mu_hat" in out and "L_hat" in out
     assert "T_i_star = 0.5" in out
     assert "static loop gain test: ok" in out
+
+
+def test_certify_reports_exact_zero_contraction(capsys):
+    # lti-demo has mu = L = 1; the sampled pair is off by an ulp, and the
+    # square root must not turn that rounding into c_fb ~ 1.5e-8
+    assert main(["certify", "--preset", "lti-demo"]) == EXIT_OK
+    assert "c_fb at alpha=1: 0\n" in capsys.readouterr().out
 
 
 def test_certify_failure_exit_code(tmp_path, capsys):

@@ -198,3 +198,21 @@ def test_classical_zero_error_fixed():
     c = ClassicalIntegralController(np.eye(1), T_s=1.0, T_i=2.0, eta0=[0.4])
     c.step(np.zeros(1))
     assert c.eta[0] == pytest.approx(0.4)
+
+
+def test_batched_update_equals_per_row_steps():
+    from dpic.controller import _damped_projected_update
+
+    box = Intersection([Box([0.0, 0.0], [45.0, 45.0]), Halfspace([1.0, 1.0], 85.0)])
+    K = np.array([[1.0, 0.5], [0.0, 2.0]])
+    rows = [make_dpi(gain=K, constraint=box, T_i=T_i, damping=d, eta0=eta0)
+            for T_i, d, eta0 in ((15.0, 0.95, [10.0, 5.0]), (2.0, 0.5, [30.0, 20.0]),
+                                 (30.0, 0.1, [1.0, 1.0]))]
+    E = np.array([[0.5, -0.2], [-20.0, -20.0], [3.0, 0.0]])  # row 1 leaves Gamma
+    batched = _damped_projected_update(
+        rows[0].gamma, I2, np.array([c.eta for c in rows]), E,
+        np.array([c.alpha for c in rows]), np.array([c.damping for c in rows]))
+    assert not rows[1].gamma.contains(rows[1].eta - rows[1].alpha * E[1])
+    for c, e in zip(rows, E):
+        c.step(e)
+    assert np.array_equal(batched, [c.eta for c in rows])

@@ -110,3 +110,17 @@ def test_flags():
     assert Metric.identity(2).is_identity
     assert Metric([[2.0, 0.0], [0.0, 1.0]]).is_diagonal
     assert not Metric([[2.0, 0.5], [0.5, 1.0]]).is_diagonal
+
+
+def test_batched_norm_equals_per_row_norm():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 3))
+    m = Metric(A @ A.T + np.eye(3))
+    rows = rng.standard_normal((6, 3))
+    batched = m.norm(rows)
+    assert batched.shape == (6,)
+    # each row rounds exactly as the single-vector call
+    assert np.array_equal(batched, [m.norm(r) for r in rows])
+    assert m.norm(rows.reshape(2, 3, 3)).shape == (2, 3)
+    with pytest.raises(ValueError):
+        m.norm(np.ones((2, 4)))

@@ -254,3 +254,49 @@ def test_level_clamp_keeps_levels_nonnegative():
         h = tank.step(h, np.zeros(2), None)
         assert np.all(h >= 0.0)
     assert np.allclose(h, np.zeros(4), atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# batch axis: every row equals the unbatched call bit for bit
+
+def _assert_rows_match(batched, per_row):
+    assert batched.shape == np.shape(per_row)
+    assert np.array_equal(batched, per_row)
+
+
+def test_lti_batched_calls_match_per_row_calls():
+    rng = np.random.default_rng(61)
+    plant = LTIPlant(A=[[0.5, 0.1, 0.0], [0.0, 0.3, 0.2], [0.1, 0.0, 0.4]],
+                     B=rng.standard_normal((3, 2)), C=rng.standard_normal((2, 3)),
+                     D=rng.standard_normal((2, 2)), B_w=rng.standard_normal((3, 2)),
+                     D_w=rng.standard_normal((2, 2)), T_s=1.0)
+    X, U, W = (rng.standard_normal((5, 3)), rng.standard_normal((5, 2)),
+               rng.standard_normal((5, 2)))
+    w = W[0]  # a disturbance without the batch axis applies to every row
+    _assert_rows_match(plant.step(X, U, w), [plant.step(x, u, w) for x, u in zip(X, U)])
+    _assert_rows_match(plant.output(X, U, W),
+                       [plant.output(x, u, v) for x, u, v in zip(X, U, W)])
+    _assert_rows_match(plant.pi_x(U, W), [plant.pi_x(u, v) for u, v in zip(U, W)])
+    bare = random_stable_lti(rng)  # no disturbance channel
+    _assert_rows_match(bare.step(X, U, None), [bare.step(x, u, None) for x, u in zip(X, U)])
+
+
+def test_tank_batched_calls_match_per_row_calls():
+    rng = np.random.default_rng(62)
+    plant = FourTankPlant()
+    H = plant.h_nominal + rng.uniform(-2.0, 4.0, size=(6, 4))
+    U = rng.uniform(5.0, 45.0, size=(6, 2))
+    w = np.array([12.0, 9.0])
+    _assert_rows_match(plant.step(H, U, w), [plant.step(h, u, w) for h, u in zip(H, U)])
+    _assert_rows_match(plant.output(H, U, w), [plant.output(h, u, w) for h, u in zip(H, U)])
+    _assert_rows_match(plant.pi_x(U, w), [plant.pi_x(u, w) for u in U])
+    # a leading batch axis of any depth
+    assert plant.step(H.reshape(2, 3, 4), U.reshape(2, 3, 2), w).shape == (2, 3, 4)
+
+
+def test_tank_batched_step_rejects_any_nonfinite_row():
+    plant = FourTankPlant()
+    H = np.tile(plant.h_nominal, (3, 1))
+    H[1, 2] = np.nan
+    with pytest.raises(NumericalError):
+        plant.step(H, np.tile(plant.u_nominal, (3, 1)), None)

@@ -386,3 +386,57 @@ def test_projection_residual_direction_is_normal():
     p = s.project(I2, x).point
     val = normal_cone_residual(s, I2, p, x - p, samples=1000, seed=38)
     assert val <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched margins and cached geometry
+
+def test_batched_margin_equals_per_point_margin():
+    rng = np.random.default_rng(36)
+    K = np.array([[2.0, 1.0], [0.5, 1.5]])
+    sets = (Box([0.0, -np.inf], [45.0, 45.0]), Halfspace([1.0, 2.0], 85.0),
+            Ball([1.0, 2.0], 5.0), Polyhedron(*polygon_rows()), input_polygon(),
+            LinearPreimage(K, input_polygon()))
+    points = rng.uniform(-20.0, 60.0, size=(7, 2))
+    for s in sets:
+        batched = s.margin(points)
+        assert batched.shape == (7,)
+        # each row rounds exactly as the single-point call
+        assert np.array_equal(batched, [s.margin(p) for p in points])
+        assert isinstance(s.margin(points[0]), float)
+
+
+def test_second_bounding_box_runs_no_lp(monkeypatch):
+    import dpic.sets as sets_mod
+
+    calls = []
+    real = sets_mod.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sets_mod, "linprog", counting)
+    K = np.array([[2.0, 1.0], [0.0, 1.0]])
+    for s in (input_polygon(), LinearPreimage(K, input_polygon())):
+        calls.clear()
+        lo, hi = s.bounding_box()
+        assert calls                      # the first call solves the LPs
+        calls.clear()
+        lo2, hi2 = s.bounding_box()
+        assert not calls
+        assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
+        lo2[0] = -1e9                     # a caller's copy, not the cache
+        assert np.array_equal(s.bounding_box()[0], lo)
+
+
+def test_cached_halfspace_rows_are_read_only():
+    K = np.array([[2.0, 1.0], [0.0, 1.0]])
+    for s in (Box([0.0, 0.0], [45.0, 45.0]), input_polygon(),
+              LinearPreimage(K, input_polygon())):
+        A, b = s.halfspace_rows()
+        assert s.halfspace_rows()[0] is A   # built once
+        with pytest.raises(ValueError):
+            A[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            b[0] = 7.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,21 @@ from dpic import (
     gain_sweep,
     simulate,
 )
-from dpic.simulation import _measured_vi_residual
+from dpic.sets import MEMBERSHIP_TOL
+from dpic.simulation import _lockstep
 
 I1 = Metric.identity(1)
 I2 = Metric.identity(2)
+
+
+def _measured_vi_residual(ctrl: DPIController, eta: np.ndarray, e: np.ndarray) -> float:
+    """Oracle for the logged residual: |eta - Proj_Gamma(eta - alpha e)|_P,
+    computed with a projection of its own."""
+    forward = eta - ctrl.alpha * e
+    if ctrl.gamma.contains(forward, MEMBERSHIP_TOL):
+        return ctrl.metric.norm(eta - forward)
+    projected = ctrl.gamma.project(ctrl.metric, forward).point
+    return ctrl.metric.norm(eta - projected)
 
 
 def scalar_scenario(horizon=100, schedule=None, T_i=2.0, damping=0.5,
@@ -311,3 +324,53 @@ def test_empirical_damping_star():
     report = StabilityReport(pts, 0.5, 1.0, 1.0, np.zeros(1))
     assert report.empirical_damping_star(5.0) == pytest.approx(0.5)
     assert report.empirical_damping_star(9.0) is None
+
+
+# ---------------------------------------------------------------------------
+# lockstep loop: rows of a batch against solo runs
+
+RECORD_COLUMNS = ("x", "u", "e", "eta", "constraint_margin", "vi_residual")
+
+
+def assert_same_run(row, solo):
+    for name in RECORD_COLUMNS:
+        assert np.array_equal(getattr(row, name), getattr(solo, name), equal_nan=True), name
+
+
+def test_lockstep_rows_equal_solo_runs():
+    # the last reference is infeasible, so rows take the projected path too
+    s = tank_scenario(horizon=300, schedule=[(0, np.array([10.0, 10.0])),
+                                             (20, np.array([16.0, 9.0])),
+                                             (150, np.array([18.0, 18.0]))])
+    ctrls = [s.controller.with_gains(T_i, damping)
+             for T_i, damping in ((5.0, 0.95), (15.0, 0.5), (30.0, 0.1))]
+    rows = _lockstep(s, ctrls)
+    assert min(np.min(r.constraint_margin) for r in rows) <= 1e-9  # saturated
+    for ctrl, row in zip(ctrls, rows):
+        # agreement is exact: each row takes the arithmetic of a batch of one
+        assert_same_run(row, simulate(replace(s, controller=ctrl)))
+
+
+def test_failing_row_mid_batch_leaves_other_rows_as_solo_runs():
+    class Fragile(LTIPlant):
+        def step(self, x, u, w):
+            # a fast integrator (small T_i) drives u over 0.9 within a few steps
+            if np.any(np.abs(u) > 0.9):
+                raise NumericalError("actuator model fault")
+            return super().step(x, u, w)
+
+    plant = Fragile(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]],
+                    T_s=1.0)
+    ctrl = DPIController([[1.0]], Box([-2.0], [2.0]), I1,
+                         T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
+    s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
+                 horizon=200, x0=np.array([0.0]))
+    ctrls = [ctrl.with_gains(50.0, 0.9), ctrl.with_gains(0.05, 0.9),
+             ctrl.with_gains(20.0, 0.5)]
+    slow, fast, medium = _lockstep(s, ctrls)
+    assert isinstance(fast, SimulationError)
+    with pytest.raises(SimulationError) as solo_failure:
+        simulate(replace(s, controller=ctrls[1]))
+    assert str(fast) == str(solo_failure.value)
+    assert_same_run(slow, simulate(replace(s, controller=ctrls[0])))
+    assert_same_run(medium, simulate(replace(s, controller=ctrls[2])))
