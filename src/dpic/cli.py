@@ -140,21 +140,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_certificates(setup: RunSetup, block: dict) -> tuple[float, float, dict]:
-    """(mu, L, echo) for a sweep or certify block, estimating if requested."""
+def _resolve_certificates(setup: RunSetup, block: dict, w: np.ndarray) -> tuple[float, float, dict]:
+    """(mu, L, echo) estimated for a sweep or certify block at disturbance w."""
     ctrl = setup.controller
-    w0 = setup.scenario.schedule[0][1]
     region = ctrl.gamma
     if block.get("box") is not None:
         region = Intersection([ctrl.gamma, block["box"]])
     lower, upper = region.bounding_box()
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ConfigError("certify.box", "Gamma is unbounded; give a box to sample in")
-    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(ctrl.gain @ eta, w0),
+    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(ctrl.gain @ eta, w),
                           region, ctrl.metric,
                           samples=block.get("samples", 2000), seed=setup.seed)
     echo = {"mu_hat": mu, "L_hat": L, "samples": block.get("samples", 2000),
-            "seed": setup.seed}
+            "seed": setup.seed, "w": w.tolist()}
     return mu, L, echo
 
 
@@ -165,7 +164,8 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     spec = setup.sweep
     if spec["estimate"]:
-        mu, L, cert_echo = _resolve_certificates(setup, spec)
+        # estimated where gain_sweep solves: at the sweep's final disturbance
+        mu, L, cert_echo = _resolve_certificates(setup, spec, spec["scenario"].schedule[-1][1])
     else:
         mu, L = spec["mu"], spec["L"]
         cert_echo = {"mu": mu, "L": L}
@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
 def cmd_certify(args) -> int:
     setup = _load_setup(args)
     block = setup.certify if setup.certify is not None else {"samples": 2000}
-    mu, L, _ = _resolve_certificates(setup, block)
+    mu, L, _ = _resolve_certificates(setup, block, setup.scenario.schedule[0][1])
     ctrl = setup.controller
     plant = setup.plant
     print(f"mu_hat  = {mu:.6g}")

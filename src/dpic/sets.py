@@ -1,11 +1,12 @@
 """Convex constraint sets with projections in a weighted metric.
 
-Projection is exact wherever a closed form or a small active-set
-enumeration applies: boxes under diagonal metrics (componentwise clamp),
-halfspaces under any metric, balls (radial shrink under isotropic metrics,
-a scalar root find otherwise) and polyhedral systems with few rows.
-Everything else runs Dykstra's alternating scheme over the component sets
-until the cycle gap falls below ITERATIVE_TOL.
+Every set with halfspace rows projects exactly: boxes under diagonal
+metrics by a componentwise clamp, halfspaces in closed form, and any other
+polyhedral set (box under a coupled metric, polyhedron, polyhedral
+intersection or preimage) as a least-distance program solved by NNLS.
+Balls take a radial shrink under isotropic metrics and a scalar root find
+otherwise.  Only an intersection with a non-polyhedral member runs
+Dykstra's alternating scheme, until the cycle gap falls below ITERATIVE_TOL.
 
 Halfspace rows and bounding boxes are computed on first use and cached;
 the sets are immutable once built.  margin takes a (..., dim) array of
@@ -16,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import comb
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq, linprog, nnls
 
 from .metric import Metric, _apply, _row_norms
 
@@ -45,12 +44,9 @@ MEMBERSHIP_TOL = 1e-9
 ITERATIVE_TOL = 1e-10
 ITERATIVE_MAX_ITER = 10_000
 
-# active-set enumeration is preferred to Dykstra up to this many subproblems
-_ENUMERATION_LIMIT = 2000
-
 
 class ProjectionError(RuntimeError):
-    """Iterative projection failed to reach the fixed-point tolerance."""
+    """Projection failed: the set is empty or Dykstra did not converge."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -61,8 +57,8 @@ class ProjectionError(RuntimeError):
 class ProjectionResult:
     """Projected point plus diagnostics of the scheme that produced it.
 
-    iterations and residual are 0 for exact (closed-form or enumerated)
-    projections; for Dykstra they hold the cycle count and final cycle gap.
+    iterations and residual are 0 for exact projections (closed form or
+    least-distance); for Dykstra they hold the cycle count and final cycle gap.
     """
 
     point: np.ndarray
@@ -453,48 +449,40 @@ class LinearPreimage(ConvexSet):
 # projection engines
 
 def _project_rows(A: np.ndarray, b: np.ndarray, metric: Metric, x: np.ndarray) -> ProjectionResult:
-    """Project onto {v : A v <= b} in the metric norm."""
-    if A.shape[0] == 0 or np.all(A @ x <= b):
-        return ProjectionResult(x.copy())
-    m, n = A.shape
-    if sum(comb(m, k) for k in range(1, n + 1)) <= _ENUMERATION_LIMIT:
-        return _project_rows_enumerated(A, b, metric, x)
-    components = [Halfspace(A[i], b[i]) for i in range(m)]
-    point, cycles, gap = _dykstra(components, metric, x)
-    return ProjectionResult(point, cycles, gap)
+    """Exact projection onto {v : A v <= b} in the metric norm.
 
-
-def _project_rows_enumerated(A, b, metric: Metric, x) -> ProjectionResult:
-    """Exact polyhedral projection by enumerating candidate active sets.
-
-    The optimum equals the equality-constrained projection onto the span of
-    some independent subset of at most dim active rows, so trying every
-    small subset and keeping the best feasible candidate is exact.
+    With P = L L^T and z = L^T (v - x) this is the least-distance program
+    min |z| s.t. A L^{-T} z <= b - A x, which NNLS solves through its dual
+    (Lawson & Hanson 1974, ch. 23).  The equality-constrained projection onto
+    the rows NNLS leaves active then puts the point on those facets to
+    rounding; the raw NNLS point is the fallback.
     """
-    m, n = A.shape
+    Ax = A @ x
+    if A.shape[0] == 0 or np.all(Ax <= b):
+        return ProjectionResult(x.copy())
+    n = A.shape[1]
+    # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
+    dual = np.vstack([-np.linalg.solve(metric._chol, A.T), Ax - b])
+    target = np.r_[np.zeros(n), 1.0]
+    u, rnorm = nnls(dual, target)
+    # a zero residual flags an empty set, but NNLS also reports one on some
+    # single-point sets; the row check below decides, with x as a dud raw point
+    r = dual @ u - target
+    raw = x - np.linalg.solve(metric._chol.T, r[:n] / r[n]) if rnorm > 0.0 else x
+    # polish: the equality-constrained projection onto the rows active in u
+    S = np.flatnonzero(u > 0.0)
     Pinv_AT = metric.solve(A.T)      # n x m
     G = A @ Pinv_AT                  # Gram matrix of the rows in the P^{-1} inner product
-    Ax = A @ x
+    try:
+        polished = x - Pinv_AT[:, S] @ np.linalg.solve(G[np.ix_(S, S)], Ax[S] - b[S])
+    except np.linalg.LinAlgError:
+        polished = raw
     scale = 1.0 + float(np.max(np.abs(b)))
-    candidates: list[tuple[float, np.ndarray]] = []
-    for k in range(1, n + 1):
-        for S in combinations(range(m), k):
-            idx = list(S)
-            try:
-                mult = np.linalg.solve(G[np.ix_(idx, idx)], Ax[idx] - b[idx])
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(mult)):
-                continue
-            point = x - Pinv_AT[:, idx] @ mult
-            violation = float(np.max(A @ point - b))
-            candidates.append((violation, point))
-    for tol in (1e-12 * scale, MEMBERSHIP_TOL * scale):
-        feasible = [p for v, p in candidates if v <= tol]
-        if feasible:
-            best = min(feasible, key=lambda p: metric.norm(x - p))
-            return ProjectionResult(best)
-    raise ProjectionError("active-set enumeration produced no feasible candidate")
+    for point, tol in ((polished, 1e-12), (raw, MEMBERSHIP_TOL)):
+        if np.max(A @ point - b) <= tol * scale:
+            return ProjectionResult(point)
+    raise ProjectionError("least-distance projection found no feasible point; "
+                          "the set may be empty")
 
 
 def _dykstra(components, metric: Metric, x0, tol: float = ITERATIVE_TOL,
@@ -575,6 +563,10 @@ def sample_points(set_: ConvexSet, count: int, rng=None, max_factor: int = 1000)
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError(
             "cannot sample from an unbounded set; intersect with a bounded Box first")
+    # the LP bounds of a flat set may cross by rounding; both mean no volume
+    flat = np.flatnonzero(upper - lower <= 0.0)
+    if flat.size:
+        raise ValueError(f"cannot sample: the set has zero width along coordinate {flat[0]}")
     rows = set_.halfspace_rows()
     points: list[np.ndarray] = []
     attempts = 0

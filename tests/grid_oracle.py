@@ -2,8 +2,11 @@
 library's own algorithms.
 
 Everything here is deliberately dumb: dense grids refined around the
-incumbent, no projections, no solvers.  Slow but unarguable.
+incumbent, or every candidate active set tried in turn; no iterative
+solvers.  Slow but unarguable.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -36,6 +39,45 @@ def grid_project(P, rows, x, lower, upper, stages=4, points=61):
         step = (hi - lo) / (points - 1)
         lo = best - step
         hi = best + step
+    return best
+
+
+def enumerate_project(P, rows, x):
+    """Exact minimizer of |x - v|_P over {v : A v <= b} by active-set enumeration.
+
+    The minimizer is the equality-constrained projection onto some
+    independent set of at most dim active rows, so trying every subset of
+    at most dim rows and keeping the nearest feasible candidate is exact.
+    All subsets of one size are solved as one stacked batch.
+    """
+    A, b = rows
+    P = np.asarray(P, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.all(A @ x <= b):
+        return x.copy()
+    m, dim = A.shape
+    Pinv_AT = np.linalg.solve(P, A.T)
+    G = A @ Pinv_AT
+    gap = A @ x - b
+    tol = 1e-12 * (1.0 + np.max(np.abs(b)))
+    best, best_dist2 = None, np.inf
+    for k in range(1, dim + 1):
+        S = np.array(list(combinations(range(m), k)))                 # (N, k)
+        G_S = G[S[:, :, None], S[:, None, :]]                          # (N, k, k)
+        # independent rows only: det(G_S) / prod(diag G_S) is 1 for orthogonal rows
+        diag = np.diagonal(G_S, axis1=1, axis2=2)
+        independent = np.linalg.det(G_S) > 1e-12 * np.prod(diag, axis=1)
+        S, G_S = S[independent], G_S[independent]
+        mult = np.linalg.solve(G_S, gap[S][..., None])[..., 0]         # (N, k)
+        v = x - np.einsum("nkj,nk->nj", Pinv_AT.T[S], mult)            # (N, dim)
+        v = v[np.max(v @ A.T - b, axis=1) <= tol]
+        if len(v):
+            d = x - v
+            dist2 = np.einsum("ni,ij,nj->n", d, P, d)
+            if dist2.min() < best_dist2:
+                best, best_dist2 = v[np.argmin(dist2)], dist2.min()
+    if best is None:
+        raise RuntimeError("enumeration oracle found no feasible candidate")
     return best
 
 

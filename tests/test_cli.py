@@ -171,6 +171,15 @@ def test_numerical_value_error_exit_3(tmp_path, capsys):
     assert "numerical failure" in err and "nonnegative pump flows" in err
 
 
+def test_certify_single_point_set_names_the_flat_coordinate(tmp_path, capsys):
+    cfg = preset_config("lti-demo")
+    cfg["constraint"] = {"type": "box", "lower": [0.0], "upper": [0.0]}
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "the set has zero width along coordinate 0" in err
+
+
 def test_simulation_failure_exit_code(tmp_path, capsys, monkeypatch):
     import dpic.cli as cli_mod
 
@@ -200,6 +209,19 @@ def test_sweep_lti_demo(tmp_path, capsys):
     # every tested damping converged at every T_i on this easy plant
     assert all(v == pytest.approx(0.95)
                for v in summary["empirical_lambda_star"].values())
+
+
+def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
+    # gain_sweep solves at the sweep's final w, not the run schedule's first
+    cfg = preset_config("lti-demo")
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
+                         "samples": 50, "box": {"lower": [-1.0], "upper": [1.0]},
+                         "horizon": 300, "schedule": [[0, [0.5]], [100, [0.8]]]})
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert summary["certificates"]["w"] == [0.8]
+    assert summary["certificates"]["mu_hat"] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

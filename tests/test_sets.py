@@ -14,7 +14,7 @@ from dpic import (
     sample_points,
 )
 
-from grid_oracle import grid_project, polygon_rows, random_spd
+from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
 
 I2 = Metric.identity(2)
 
@@ -171,6 +171,48 @@ def test_polygon_matches_grid_oracle_under_weighted_metric():
         assert np.allclose(p, oracle, atol=1e-3)
 
 
+def _random_polytope(rng, dim, rows):
+    """{v : A v <= b} with unit normals and offsets in [0.5, 1.5]; bounded."""
+    while True:
+        A = rng.standard_normal((rows, dim))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        b = rng.uniform(0.5, 1.5, size=rows)
+        poly = Polyhedron(A, b)
+        lower, upper = poly.bounding_box()
+        if np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)):
+            return poly
+
+
+@pytest.mark.parametrize("dim, rows, points", [(2, 6, 12), (3, 12, 8), (4, 20, 6),
+                                               (4, 40, 1)])
+def test_polyhedron_matches_enumeration_oracle(dim, rows, points):
+    # 40 rows in 4-D give 102 090 candidate active sets; the projection stays exact
+    rng = np.random.default_rng(100 + rows)
+    for _ in range(2):
+        poly = _random_polytope(rng, dim, rows)
+        P = random_spd(rng, dim)
+        m = Metric(P)
+        for _ in range(points):
+            x = rng.uniform(1.5, 4.0) * rng.standard_normal(dim)
+            res = poly.project(m, x)
+            oracle = enumerate_project(P, (poly.A, poly.b), x)
+            assert np.max(np.abs(res.point - oracle)) <= 1e-12
+            assert res.iterations == 0
+
+
+def test_single_point_polytope_projects_to_its_point():
+    # 8 rows through the origin that positively span R^4 leave only the
+    # origin; NNLS reports a zero residual on some of these projections.
+    # The rows meet at narrow angles, so a 1e-12 row slack allows ~1e-10.
+    rng = np.random.default_rng(52)
+    poly = Polyhedron(rng.standard_normal((8, 4)), np.zeros(8))
+    m = Metric(random_spd(rng, 4))
+    for _ in range(5):
+        p = poly.project(m, 5.0 * rng.standard_normal(4)).point
+        assert np.max(poly.A @ p) <= 1e-12
+        assert np.max(np.abs(p)) <= 1e-9
+
+
 def test_box_under_coupled_metric():
     # coupled P makes the clamp wrong; e.g. pulling x1 down drags x2 along
     m = Metric([[1.0, 0.9], [0.9, 1.0]])
@@ -249,9 +291,10 @@ def test_projection_dimension_mismatch():
 
 
 def test_disjoint_intersection_raises():
-    s = Intersection([Ball([0.0, 0.0], 1.0), Box([5.0, 5.0], [6.0, 6.0])])
-    with pytest.raises(ProjectionError):
-        s.project(I2, [3.0, 3.0])
+    for s in (Intersection([Ball([0.0, 0.0], 1.0), Box([5.0, 5.0], [6.0, 6.0])]),
+              Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 1.0], -1.0)])):
+        with pytest.raises(ProjectionError):
+            s.project(I2, [3.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +399,14 @@ def test_sampling_negligible_volume():
     b = np.array([1e-12, 1e-12, 1.0, 0.0, 1.0, 0.0])
     with pytest.raises(RuntimeError):
         sample_points(Polyhedron(A, b), 50, rng=0, max_factor=50)
+
+
+def test_sampling_single_point_set_rejected():
+    # the LP bounds of a point may cross by rounding; either way it has no width
+    K = np.array([[0.1, 0.0], [0.03, 0.07]])
+    s = LinearPreimage(K, Box([0.0, 0.0], [0.0, 0.0]))
+    with pytest.raises(ValueError, match="zero width along coordinate 0"):
+        sample_points(s, 10, rng=0)
 
 
 # ---------------------------------------------------------------------------
