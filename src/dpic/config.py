@@ -250,10 +250,7 @@ def build_setup(cfg: dict) -> RunSetup:
             schedule=_build_schedule(_get(scn_cfg, "schedule", "scenario"),
                                      "scenario.schedule"),
             horizon=_as_int(_get(scn_cfg, "horizon", "scenario"), "scenario.horizon", 1),
-            x0=_as_vector(_get(scn_cfg, "x0", "scenario"), "scenario.x0"),
-            seed=seed,
-            normal_cone_samples=_as_int(scn_cfg.get("normal_cone_samples", 2000),
-                                        "scenario.normal_cone_samples", 1))
+            x0=_as_vector(_get(scn_cfg, "x0", "scenario"), "scenario.x0"))
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from exc
     for k, w in scenario.schedule:

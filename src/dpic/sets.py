@@ -8,9 +8,17 @@ Balls take a radial shrink under isotropic metrics and a scalar root find
 otherwise.  Only an intersection with a non-polyhedral member runs
 Dykstra's alternating scheme, until the cycle gap falls below ITERATIVE_TOL.
 
-Halfspace rows and bounding boxes are computed on first use and cached;
-the sets are immutable once built.  margin takes a (..., dim) array of
-points as well as a single point.
+Every set has one support function, support(c) = max over v in the set of
+c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
+which the set is unbounded: a closed form for boxes and balls, the inner
+set's support for a linear preimage, one linear program on the halfspace
+rows otherwise.  An intersection with a non-polyhedral member takes the
+smallest member support, an upper bound.  The bounding box and the
+normal-cone residual are both read off the support function.
+
+Halfspace rows (read-only arrays) and bounding boxes are computed on first
+use and cached; the sets are immutable once built.  margin takes a
+(..., dim) array of points as well as a single point.
 """
 
 from __future__ import annotations
@@ -109,6 +117,7 @@ class ConvexSet:
     """Base type: nonempty closed convex subset of R^dim."""
 
     dim: int
+    _rows = None  # a polyhedral subclass caches its read-only (A, b) here
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
@@ -125,13 +134,37 @@ class ConvexSet:
     def project(self, metric: Metric, x) -> ProjectionResult:
         raise NotImplementedError
 
+    def support(self, c) -> float:
+        """max over v in the set of c.v; +inf if the set is unbounded along c.
+
+        One linear program on the halfspace rows unless a subclass has a
+        closed form.
+        """
+        rows = self.halfspace_rows()
+        if rows is None:
+            raise NotImplementedError(f"{type(self).__name__} has no support function")
+        return _rows_support(rows[0], rows[1], _vec(c, self.dim))
+
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned (lower, upper) enclosing the set; entries may be inf."""
-        raise NotImplementedError
+        """Axis-aligned (lower, upper) enclosing the set; entries may be inf.
+
+        Tight, (-support(-e_i), support(e_i)), wherever the support is exact.
+        """
+        lower, upper = self._bbox
+        return lower.copy(), upper.copy()
+
+    @cached_property
+    def _bbox(self):
+        units = np.eye(self.dim)
+        return (np.array([-self.support(-e) for e in units]),
+                np.array([self.support(e) for e in units]))
 
     def halfspace_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(A, b) with the set equal to {x : A x <= b}, or None if not polyhedral."""
-        return None
+        """(A, b) with the set equal to {x : A x <= b}, or None if not polyhedral.
+
+        Built once; the arrays are read-only.
+        """
+        return self._rows
 
     def _checked(self, metric: Metric, x) -> np.ndarray:
         if metric.dim != self.dim:
@@ -165,9 +198,6 @@ class Box(ConvexSet):
         slacks = np.concatenate([x - self.lower, self.upper - x], axis=-1)
         return _margins(np.min(slacks, axis=-1), x)
 
-    def halfspace_rows(self):
-        return self._rows
-
     @cached_property
     def _rows(self):
         rows, rhs = [], []
@@ -186,8 +216,11 @@ class Box(ConvexSet):
             return _read_only(np.zeros((0, self.dim)), np.zeros(0))
         return _read_only(np.array(rows), np.array(rhs))
 
-    def bounding_box(self):
-        return self.lower.copy(), self.upper.copy()
+    def support(self, c) -> float:
+        c = _vec(c, self.dim)
+        # only nonzero weights, so an infinite bound never meets a zero weight
+        up, down = c > 0.0, c < 0.0
+        return float(c[up] @ self.upper[up] + c[down] @ self.lower[down])
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
@@ -217,12 +250,9 @@ class Halfspace(ConvexSet):
         slack = self.b - _apply(self.a[None, :], x)[..., 0]
         return _margins(slack / np.linalg.norm(self.a), x)
 
-    def halfspace_rows(self):
-        return self.a[None, :].copy(), np.array([self.b])
-
-    def bounding_box(self):
-        A, b = self.halfspace_rows()
-        return _rows_bounding_box(A, b, self.dim)
+    @cached_property
+    def _rows(self):
+        return _read_only(self.a[None, :].copy(), np.array([self.b]))
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
@@ -254,8 +284,9 @@ class Ball(ConvexSet):
         x = _points(x, self.dim)
         return _margins(self.radius - _row_norms(x - self.center), x)
 
-    def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
+    def support(self, c) -> float:
+        c = _vec(c, self.dim)
+        return float(c @ self.center + self.radius * np.linalg.norm(c))
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
@@ -296,16 +327,9 @@ class Polyhedron(ConvexSet):
         norms = np.linalg.norm(self.A, axis=1)
         return _margins(np.min((self.b - _apply(self.A, x)) / norms, axis=-1), x)
 
-    def halfspace_rows(self):
-        return self.A.copy(), self.b.copy()
-
-    def bounding_box(self):
-        lower, upper = self._bbox
-        return lower.copy(), upper.copy()
-
     @cached_property
-    def _bbox(self):
-        return _rows_bounding_box(self.A, self.b, self.dim)
+    def _rows(self):
+        return _read_only(self.A.copy(), self.b.copy())
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
@@ -337,9 +361,6 @@ class Intersection(ConvexSet):
         x = _points(x, self.dim)
         return _margins(np.minimum.reduce([s.margin(x) for s in self.sets]), x)
 
-    def halfspace_rows(self):
-        return self._rows
-
     @cached_property
     def _rows(self):
         parts = [s.halfspace_rows() for s in self.sets]
@@ -348,27 +369,12 @@ class Intersection(ConvexSet):
         return _read_only(np.vstack([A for A, _ in parts]),
                           np.concatenate([b for _, b in parts]))
 
-    def bounding_box(self):
-        lower, upper = self._bbox
-        return lower.copy(), upper.copy()
-
-    @cached_property
-    def _bbox(self):
-        lower = np.full(self.dim, -np.inf)
-        upper = np.full(self.dim, np.inf)
-        rows, rhs = [], []
-        for s in self.sets:
-            lo, hi = s.bounding_box()
-            lower = np.maximum(lower, lo)
-            upper = np.minimum(upper, hi)
-            part = s.halfspace_rows()
-            if part is not None and part[0].size:
-                rows.append(part[0])
-                rhs.append(part[1])
-        if rows:
-            lower, upper = _rows_bounding_box(
-                np.vstack(rows), np.concatenate(rhs), self.dim, lower, upper)
-        return lower, upper
+    def support(self, c) -> float:
+        """Exact when every member is polyhedral; otherwise the smallest
+        member support, an upper bound."""
+        if self.halfspace_rows() is not None:
+            return super().support(c)
+        return min(s.support(c) for s in self.sets)
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
@@ -408,9 +414,6 @@ class LinearPreimage(ConvexSet):
     def margin(self, x):
         return self.inner.margin(_apply(self.K, _points(x, self.dim)))
 
-    def halfspace_rows(self):
-        return self._rows
-
     @cached_property
     def _rows(self):
         part = self.inner.halfspace_rows()
@@ -418,22 +421,9 @@ class LinearPreimage(ConvexSet):
             return None
         return _read_only(part[0] @ self.K, part[1])
 
-    def bounding_box(self):
-        lower, upper = self._bbox
-        return lower.copy(), upper.copy()
-
-    @cached_property
-    def _bbox(self):
-        rows = self.halfspace_rows()
-        if rows is not None and rows[0].size:
-            return _rows_bounding_box(rows[0], rows[1], self.dim)
-        lo, hi = self.inner.bounding_box()
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            return np.full(self.dim, -np.inf), np.full(self.dim, np.inf)
-        corners = np.array([[lo[i] if bit else hi[i] for i, bit in enumerate(bits)]
-                            for bits in np.ndindex(*(2,) * self.inner.dim)])
-        mapped = corners @ self._Kinv.T
-        return mapped.min(axis=0), mapped.max(axis=0)
+    def support(self, c) -> float:
+        # max over K x in S of c.x is max over y in S of (K^{-T} c).y
+        return self.inner.support(self._Kinv.T @ _vec(c, self.dim))
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
@@ -523,28 +513,24 @@ def _project_ball_general(center, radius, metric: Metric, x) -> ProjectionResult
     return ProjectionResult(point, iterations=int(info.iterations), residual=0.0)
 
 
-def _rows_bounding_box(A, b, dim, base_lower=None, base_upper=None):
-    """Coordinate bounds of {x : A x <= b} intersected with optional base bounds."""
-    lower = np.full(dim, -np.inf) if base_lower is None else np.asarray(base_lower, float).copy()
-    upper = np.full(dim, np.inf) if base_upper is None else np.asarray(base_upper, float).copy()
-    if A.shape[0] == 0:
-        return lower, upper
-    bounds = [(None if not np.isfinite(lo) else lo, None if not np.isfinite(hi) else hi)
-              for lo, hi in zip(lower, upper)]
-    for i in range(dim):
-        c = np.zeros(dim)
-        c[i] = 1.0
-        for sign in (1.0, -1.0):
-            res = linprog(sign * c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-            if res.status == 0:
-                if sign > 0:
-                    lower[i] = res.fun
-                else:
-                    upper[i] = -res.fun
-            elif res.status == 2:
-                raise ValueError("bounding box of an empty set requested")
-            # status 3: unbounded in this direction, keep the base bound
-    return lower, upper
+def _rows_support(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """max c.v over {v : A v <= b} by one linear program.
+
+    The LP runs on the unit direction and the value is scaled back: HiGHS
+    gives up (status 4) on objectives near 1e-12, which a settled segment's
+    error produces.
+    """
+    scale = float(np.linalg.norm(c))
+    if scale == 0.0:
+        return 0.0
+    res = linprog(-c / scale, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    if res.status == 0:
+        return -scale * res.fun
+    if res.status == 3:
+        return np.inf
+    if res.status == 2:
+        raise ValueError("support function of an empty set requested")
+    raise ValueError(f"support LP failed with status {res.status}: {res.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -567,39 +553,29 @@ def sample_points(set_: ConvexSet, count: int, rng=None, max_factor: int = 1000)
     flat = np.flatnonzero(upper - lower <= 0.0)
     if flat.size:
         raise ValueError(f"cannot sample: the set has zero width along coordinate {flat[0]}")
-    rows = set_.halfspace_rows()
     points: list[np.ndarray] = []
     attempts = 0
     batch = max(4 * count, 64)
     while len(points) < count:
         draws = rng.uniform(lower, upper, size=(batch, set_.dim))
-        if rows is not None:
-            A, b = rows
-            kept = draws[np.all(draws @ A.T <= b + MEMBERSHIP_TOL, axis=1)]
-            points.extend(kept[:count - len(points)])
-        else:
-            for row in draws:
-                if set_.contains(row):
-                    points.append(row)
-                    if len(points) == count:
-                        break
+        points.extend(draws[_contains_rows(set_, draws)][:count - len(points)])
         attempts += batch
         if attempts > max_factor * count:
             raise RuntimeError("rejection sampling failed; the set may have negligible volume")
     return np.array(points)
 
 
-def normal_cone_residual(set_: ConvexSet, metric: Metric, xbar, direction,
-                         samples: int = 1000, seed=0) -> float:
-    """max over sampled points v in the set of <direction, v - xbar>_P.
+def normal_cone_residual(set_: ConvexSet, metric: Metric, xbar, direction) -> float:
+    """max over v in the set of <direction, v - xbar>_P, exactly.
 
-    Nonpositive (up to sampling slack) exactly when -direction lies in the
-    normal cone at xbar, i.e. when xbar solves the variational inequality
-    whose operator value at xbar is -direction.
+    With c = P direction this is support(c) - c.xbar: nonnegative at every
+    member xbar up to rounding, zero exactly when -direction lies in the
+    normal cone at xbar (xbar then solves the variational inequality whose
+    operator value at xbar is -direction), and +inf when the set is
+    unbounded along c.
     """
     xbar = _vec(xbar, set_.dim)
     if not set_.contains(xbar):
         raise ValueError("xbar is not a member of the set")
-    pts = sample_points(set_, samples, rng=seed)
-    vals = (pts - xbar) @ (metric.P @ _vec(direction, set_.dim))
-    return float(np.max(vals))
+    c = metric.P @ _vec(direction, set_.dim)
+    return float(set_.support(c) - c @ xbar)

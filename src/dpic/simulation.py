@@ -67,8 +67,6 @@ class Scenario:
     schedule: Sequence[tuple[int, np.ndarray]]
     horizon: int
     x0: np.ndarray
-    seed: int = 0
-    normal_cone_samples: int = 2000
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -232,15 +230,10 @@ def simulate(scenario: Scenario) -> SimRecord:
     if isinstance(record, SimulationError):
         raise record
     projected = isinstance(ctrl, DPIController)
-    for index, (start, end) in enumerate(scenario.segment_bounds()):
+    for start, end in scenario.segment_bounds():
         last = end - 1
-        if projected:
-            nc = normal_cone_residual(
-                ctrl.gamma, ctrl.metric, record.eta[last], -record.e[last],
-                samples=scenario.normal_cone_samples,
-                seed=scenario.seed + index)
-        else:
-            nc = np.nan
+        nc = (normal_cone_residual(ctrl.gamma, ctrl.metric, record.eta[last], -record.e[last])
+              if projected else np.nan)
         record.segments.append(SegmentSummary(
             start, end, scenario.w_at(start),
             tracking_error=float(np.linalg.norm(record.e[last])),

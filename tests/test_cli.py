@@ -92,6 +92,31 @@ def test_seed_override(tmp_path):
     assert summary["seed"] == 7
 
 
+def test_simulate_does_not_depend_on_the_seed(tmp_path):
+    # the normal-cone residuals are exact; --seed only seeds sampled certificates
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["simulate", "--preset", "four-tank", "--seed", seed,
+                     "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary.pop("seed") == int(seed)
+        outputs.append(((out / "trajectory.csv").read_bytes(), summary))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
+
+
+def test_simulate_on_an_unbounded_gamma(tmp_path):
+    cfg = preset_config("lti-demo")
+    cfg["constraint"] = {"type": "box", "lower": [-1.0], "upper": [None]}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    # nonnegative to rounding, +inf where -e points along the open direction
+    for seg in summary["segments"]:
+        assert seg["normal_cone_residual"] >= -1e-9
+
+
 def test_out_directory_created(tmp_path):
     nested = tmp_path / "a" / "b"
     assert main(["simulate", "--preset", "lti-demo",

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dpic import (
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     Intersection,
     LinearPreimage,
@@ -13,6 +16,7 @@ from dpic import (
     normal_cone_residual,
     sample_points,
 )
+from dpic.sets import _rows_support
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
 
@@ -414,13 +418,13 @@ def test_sampling_single_point_set_rejected():
 
 def test_normal_cone_at_corner():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    val = normal_cone_residual(box, I2, [0.0, 0.0], [-1.0, -1.0], samples=500, seed=36)
-    assert val <= 0.0
+    val = normal_cone_residual(box, I2, [0.0, 0.0], [-1.0, -1.0])
+    assert val == 0.0
 
 
 def test_normal_cone_interior_is_trivial():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    val = normal_cone_residual(box, I2, [0.5, 0.5], [1.0, 0.0], samples=500, seed=37)
+    val = normal_cone_residual(box, I2, [0.5, 0.5], [1.0, 0.0])
     assert val > 0.0
 
 
@@ -430,13 +434,91 @@ def test_normal_cone_requires_membership():
 
 
 def test_projection_residual_direction_is_normal():
-    # x - proj(x) lies in the normal cone at proj(x), so the sampled
-    # residual of that direction is nonpositive
-    s = input_polygon()
-    x = np.array([60.0, 60.0])
-    p = s.project(I2, x).point
-    val = normal_cone_residual(s, I2, p, x - p, samples=1000, seed=38)
-    assert val <= 1e-9
+    # x - proj(x) lies in the normal cone at proj(x), so the exact residual
+    # of that direction is zero; a sampled one would read below zero.  On an
+    # unbounded set a rounding-level tilt of x - p toward a direction of
+    # recession makes the exact support of the computed direction +inf.
+    rng = np.random.default_rng(38)
+    for s in all_test_sets():
+        bounded = np.all(np.isfinite(np.concatenate(s.bounding_box())))
+        for m in metrics():
+            for _ in range(5):
+                x = 10.0 * rng.standard_normal(2)
+                p = s.project(m, x).point
+                val = normal_cone_residual(s, m, p, x - p)
+                tol = 1e-9 * (1.0 + np.linalg.norm(x))
+                assert val >= -tol, (s, m.P, x)
+                assert val <= tol or (val == np.inf and not bounded), (s, m.P, x)
+
+
+def test_normal_cone_residual_is_infinite_along_an_unbounded_direction():
+    s = Box([-1.0, -np.inf], [np.inf, 1.0])
+    assert normal_cone_residual(s, I2, [0.0, 0.0], [1.0, 0.0]) == np.inf
+    assert normal_cone_residual(s, I2, [0.0, 0.0], [0.0, 1.0]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# support functions
+
+def test_box_support_skips_infinite_bounds_under_zero_weights():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Box([0.0, -np.inf], [1.0, np.inf]).support([1.0, 0.0]) == 1.0
+
+
+def test_support_matches_the_rows_linear_program():
+    # every closed form and delegation agrees with the LP on the set's rows
+    rng = np.random.default_rng(39)
+    for s in all_test_sets():
+        rows = s.halfspace_rows()
+        if rows is None:
+            continue
+        for _ in range(5):
+            c = rng.standard_normal(2)
+            assert s.support(c) == pytest.approx(_rows_support(*rows, c), rel=1e-12, abs=1e-12)
+
+
+def test_support_of_a_tiny_direction_scales_the_unit_value():
+    # HiGHS gives up on an objective of size 1e-12; the LP runs on the unit
+    # direction instead
+    rng = np.random.default_rng(40)
+    poly = _random_polytope(rng, 4, 20)
+    for _ in range(5):
+        c = rng.standard_normal(4)
+        c /= np.linalg.norm(c)
+        assert poly.support(1e-12 * c) == pytest.approx(1e-12 * poly.support(c), rel=1e-12)
+    assert poly.support(np.zeros(4)) == 0.0
+
+
+def test_linear_preimage_of_a_ball_has_an_exact_bounding_box():
+    K = np.array([[1.0, 0.5], [0.0, 1.0]])
+    lo, hi = LinearPreimage(K, Ball([0.0, 0.0], 1.0)).bounding_box()
+    # {x : |K x| <= 1} reaches +-|row_i(K^{-1})| along coordinate i
+    radii = np.linalg.norm(np.linalg.inv(K), axis=1)
+    assert np.allclose(hi, radii, rtol=1e-15, atol=0.0)
+    assert np.allclose(lo, -radii, rtol=1e-15, atol=0.0)
+
+
+def test_non_polyhedral_intersection_support_is_the_smallest_member_support():
+    s = Intersection([Ball([0.0, 0.0], 1.0), Box([-2.0, -2.0], [0.5, 2.0])])
+    assert s.support([1.0, 0.0]) == 0.5
+    assert s.support([0.0, 1.0]) == 1.0
+    lo, hi = s.bounding_box()
+    assert np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [0.5, 1.0])
+
+
+def test_support_of_a_set_without_rows_or_closed_form_is_not_implemented():
+    class Disc(ConvexSet):
+        dim = 2
+
+    with pytest.raises(NotImplementedError, match="Disc has no support function"):
+        Disc().support([1.0, 0.0])
+
+
+def test_support_of_an_empty_row_set_raises():
+    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="empty set"):
+        _rows_support(A, np.array([-1.0, -1.0]), np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +565,8 @@ def test_second_bounding_box_runs_no_lp(monkeypatch):
 
 def test_cached_halfspace_rows_are_read_only():
     K = np.array([[2.0, 1.0], [0.0, 1.0]])
-    for s in (Box([0.0, 0.0], [45.0, 45.0]), input_polygon(),
+    for s in (Box([0.0, 0.0], [45.0, 45.0]), Halfspace([1.0, 2.0], 85.0),
+              Polyhedron(*polygon_rows()), input_polygon(),
               LinearPreimage(K, input_polygon())):
         A, b = s.halfspace_rows()
         assert s.halfspace_rows()[0] is A   # built once
