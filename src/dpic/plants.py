@@ -11,11 +11,21 @@ pi is the operator the integral controller drives to a constrained zero.
 step, output and pi_x take (..., dim) arrays: a leading batch axis holds
 independent loops, one per row, and each row rounds exactly as it would
 alone.  A disturbance without the batch axis applies to every row.
+
+FourTankPlant.step has two paths, picked by the input's row count.  A single
+loop (4 levels, 2 pump flows) runs its RK4 substeps in Python floats with
+math.sqrt, because numpy's per-call overhead on 4-vectors outweighs the
+arithmetic; a batch runs them on arrays.  Both take the same operations in
+the same order, so they round alike: the float path writes out the nonzero
+terms of the matrix-vector products in matmul's order (matmul adds the
+products without a fused multiply-add), clamps as np.maximum(h, 0.0) does,
+and raises NumericalError wherever the array path does.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import warnings
 
 import numpy as np
@@ -278,6 +288,10 @@ class FourTankPlant(PlantModel):
         u = self._vec(u, 2, "u")
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(u))):
             raise NumericalError("tank step received non-finite values")
+        if h.size == 4 and u.size == 2:
+            # one loop, in Python floats; its batch shape is all ones
+            levels = self._step_one(h.ravel().tolist(), u.ravel().tolist())
+            return np.array(levels).reshape((1,) * (max(h.ndim, u.ndim) - 1) + (4,))
         # column vectors: each row's rates take the matrix-vector product of
         # an unbatched step; the pump term is constant over the substeps
         h = h[..., None]
@@ -293,6 +307,51 @@ class FourTankPlant(PlantModel):
         if not np.all(np.isfinite(h)):
             raise NumericalError("tank step diverged to a non-finite state")
         return h[..., 0]
+
+    def _step_one(self, h: list[float], u: list[float]) -> list[float]:
+        """The RK4 substeps of step for one loop, in Python floats.
+
+        The outflow O v leaves out the products of O's zero coefficients,
+        which are exact zeros while every outlet velocity v is finite.  An
+        infinite one turns them into NaN on the array path, so it raises here
+        too.  Each clamp maps -0.0 to 0.0 and keeps NaN, as np.maximum does.
+        """
+        O = self._outflow.tolist()
+        o00, o02, o11, o13, o22, o33 = O[0][0], O[0][2], O[1][1], O[1][3], O[2][2], O[3][3]
+        u0, u1 = u
+        f0, f1, f2, f3 = (i0 * u0 + i1 * u1 for i0, i1 in self._inflow.tolist())
+        sqrt, two_g = math.sqrt, 2.0 * self.g
+
+        def rate(a0, a1, a2, a3):
+            """Level rates and the sum of the outlet velocities."""
+            v0 = sqrt(two_g * (0.0 if a0 <= 0.0 else a0))
+            v1 = sqrt(two_g * (0.0 if a1 <= 0.0 else a1))
+            v2 = sqrt(two_g * (0.0 if a2 <= 0.0 else a2))
+            v3 = sqrt(two_g * (0.0 if a3 <= 0.0 else a3))
+            return ((o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1,
+                    o22 * v2 + f2, o33 * v3 + f3, v0 + v1 + v2 + v3)
+
+        dt = self.T_s / self.substeps
+        dt2, dt6 = 0.5 * dt, dt / 6.0
+        h0, h1, h2, h3 = h
+        speeds = 0.0  # finite while every outlet velocity is
+        for _ in range(self.substeps):
+            a0, a1, a2, a3, va = rate(h0, h1, h2, h3)
+            b0, b1, b2, b3, vb = rate(h0 + dt2*a0, h1 + dt2*a1, h2 + dt2*a2, h3 + dt2*a3)
+            c0, c1, c2, c3, vc = rate(h0 + dt2*b0, h1 + dt2*b1, h2 + dt2*b2, h3 + dt2*b3)
+            d0, d1, d2, d3, vd = rate(h0 + dt*c0, h1 + dt*c1, h2 + dt*c2, h3 + dt*c3)
+            speeds += va + vb + vc + vd
+            h0 = h0 + dt6 * (((a0 + 2.0*b0) + 2.0*c0) + d0)
+            h1 = h1 + dt6 * (((a1 + 2.0*b1) + 2.0*c1) + d1)
+            h2 = h2 + dt6 * (((a2 + 2.0*b2) + 2.0*c2) + d2)
+            h3 = h3 + dt6 * (((a3 + 2.0*b3) + 2.0*c3) + d3)
+            h0 = 0.0 if h0 <= 0.0 else h0
+            h1 = 0.0 if h1 <= 0.0 else h1
+            h2 = 0.0 if h2 <= 0.0 else h2
+            h3 = 0.0 if h3 <= 0.0 else h3
+        if not all(map(math.isfinite, (speeds, h0, h1, h2, h3))):
+            raise NumericalError("tank step diverged to a non-finite state")
+        return [h0, h1, h2, h3]
 
     def output(self, x, u, w) -> np.ndarray:
         h = self._vec(x, 4, "x")

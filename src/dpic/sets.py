@@ -118,6 +118,7 @@ class ConvexSet:
 
     dim: int
     _rows = None  # a polyhedral subclass caches its read-only (A, b) here
+    _factors = None  # (metric, *_row_factors(metric)) of the last metric projected in
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
@@ -165,6 +166,20 @@ class ConvexSet:
         Built once; the arrays are read-only.
         """
         return self._rows
+
+    def _row_factors(self, metric: Metric):
+        """What _project_rows needs of the halfspace rows under metric alone.
+
+        -L^{-1} A^T, P^{-1} A^T, the Gram matrix A P^{-1} A^T and the
+        tolerance scale 1 + max|b|, kept for the last metric used.  The entry
+        holds that metric itself, so another metric never reads it.
+        """
+        if self._factors is None or self._factors[0] is not metric:
+            A, b = self.halfspace_rows()
+            Pinv_AT = metric.solve(A.T)
+            self._factors = (metric, -np.linalg.solve(metric._chol, A.T), Pinv_AT,
+                             A @ Pinv_AT, 1.0 + float(np.max(np.abs(b))))
+        return self._factors[1:]
 
     def _checked(self, metric: Metric, x) -> np.ndarray:
         if metric.dim != self.dim:
@@ -227,8 +242,7 @@ class Box(ConvexSet):
         if metric.is_diagonal:
             # weighted projection is separable under a diagonal metric
             return ProjectionResult(np.clip(x, self.lower, self.upper))
-        A, b = self.halfspace_rows()
-        return _project_rows(A, b, metric, x)
+        return _project_rows(self, metric, x)
 
 
 class Halfspace(ConvexSet):
@@ -236,9 +250,11 @@ class Halfspace(ConvexSet):
 
     def __init__(self, normal, offset):
         a = np.atleast_1d(np.asarray(normal, dtype=float))
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or np.linalg.norm(a) == 0.0:
+        norm = np.linalg.norm(a) if a.ndim == 1 else 0.0
+        if not (np.all(np.isfinite(a)) and norm > 0.0):
             raise ValueError("halfspace normal must be a finite nonzero vector")
         self.a = a
+        self._norm = norm
         self.b = float(offset)
         self.dim = int(a.size)
 
@@ -248,7 +264,7 @@ class Halfspace(ConvexSet):
     def margin(self, x):
         x = _points(x, self.dim)
         slack = self.b - _apply(self.a[None, :], x)[..., 0]
-        return _margins(slack / np.linalg.norm(self.a), x)
+        return _margins(slack / self._norm, x)
 
     @cached_property
     def _rows(self):
@@ -309,7 +325,8 @@ class Polyhedron(ConvexSet):
             raise ValueError("polyhedron rows and offsets have mismatched shapes")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("polyhedron data must be finite")
-        if np.any(np.linalg.norm(A, axis=1) == 0.0):
+        norms = np.linalg.norm(A, axis=1)
+        if np.any(norms == 0.0):
             raise ValueError("polyhedron has a zero row")
         res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
                       bounds=[(None, None)] * A.shape[1], method="highs")
@@ -317,6 +334,7 @@ class Polyhedron(ConvexSet):
             raise ValueError("polyhedron is empty")
         self.A = A
         self.b = b
+        self._norms = norms
         self.dim = int(A.shape[1])
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -324,8 +342,7 @@ class Polyhedron(ConvexSet):
 
     def margin(self, x):
         x = _points(x, self.dim)
-        norms = np.linalg.norm(self.A, axis=1)
-        return _margins(np.min((self.b - _apply(self.A, x)) / norms, axis=-1), x)
+        return _margins(np.min((self.b - _apply(self.A, x)) / self._norms, axis=-1), x)
 
     @cached_property
     def _rows(self):
@@ -333,7 +350,7 @@ class Polyhedron(ConvexSet):
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
-        return _project_rows(self.A, self.b, metric, x)
+        return _project_rows(self, metric, x)
 
 
 class Intersection(ConvexSet):
@@ -378,9 +395,8 @@ class Intersection(ConvexSet):
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
-        rows = self.halfspace_rows()
-        if rows is not None:
-            return _project_rows(rows[0], rows[1], metric, x)
+        if self.halfspace_rows() is not None:
+            return _project_rows(self, metric, x)
         point, cycles, gap = _dykstra(self.sets, metric, x)
         return ProjectionResult(point, cycles, gap)
 
@@ -427,9 +443,8 @@ class LinearPreimage(ConvexSet):
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
-        rows = self.halfspace_rows()
-        if rows is not None:
-            return _project_rows(rows[0], rows[1], metric, x)
+        if self.halfspace_rows() is not None:
+            return _project_rows(self, metric, x)
         inner_metric = Metric(self._Kinv.T @ metric.P @ self._Kinv)
         res = self.inner.project(inner_metric, self.K @ x)
         return ProjectionResult(self._Kinv @ res.point, res.iterations, res.residual)
@@ -438,8 +453,8 @@ class LinearPreimage(ConvexSet):
 # ---------------------------------------------------------------------------
 # projection engines
 
-def _project_rows(A: np.ndarray, b: np.ndarray, metric: Metric, x: np.ndarray) -> ProjectionResult:
-    """Exact projection onto {v : A v <= b} in the metric norm.
+def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionResult:
+    """Exact projection onto a set's halfspace rows {v : A v <= b} in the metric norm.
 
     With P = L L^T and z = L^T (v - x) this is the least-distance program
     min |z| s.t. A L^{-T} z <= b - A x, which NNLS solves through its dual
@@ -447,12 +462,14 @@ def _project_rows(A: np.ndarray, b: np.ndarray, metric: Metric, x: np.ndarray) -
     the rows NNLS leaves active then puts the point on those facets to
     rounding; the raw NNLS point is the fallback.
     """
+    A, b = set_.halfspace_rows()
     Ax = A @ x
     if A.shape[0] == 0 or np.all(Ax <= b):
         return ProjectionResult(x.copy())
     n = A.shape[1]
+    neg_whitened, Pinv_AT, gram, scale = set_._row_factors(metric)
     # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
-    dual = np.vstack([-np.linalg.solve(metric._chol, A.T), Ax - b])
+    dual = np.vstack([neg_whitened, Ax - b])
     target = np.r_[np.zeros(n), 1.0]
     u, rnorm = nnls(dual, target)
     # a zero residual flags an empty set, but NNLS also reports one on some
@@ -461,13 +478,10 @@ def _project_rows(A: np.ndarray, b: np.ndarray, metric: Metric, x: np.ndarray) -
     raw = x - np.linalg.solve(metric._chol.T, r[:n] / r[n]) if rnorm > 0.0 else x
     # polish: the equality-constrained projection onto the rows active in u
     S = np.flatnonzero(u > 0.0)
-    Pinv_AT = metric.solve(A.T)      # n x m
-    G = A @ Pinv_AT                  # Gram matrix of the rows in the P^{-1} inner product
     try:
-        polished = x - Pinv_AT[:, S] @ np.linalg.solve(G[np.ix_(S, S)], Ax[S] - b[S])
+        polished = x - Pinv_AT[:, S] @ np.linalg.solve(gram[np.ix_(S, S)], Ax[S] - b[S])
     except np.linalg.LinAlgError:
         polished = raw
-    scale = 1.0 + float(np.max(np.abs(b)))
     for point, tol in ((polished, 1e-12), (raw, MEMBERSHIP_TOL)):
         if np.max(A @ point - b) <= tol * scale:
             return ProjectionResult(point)

@@ -260,8 +260,9 @@ def test_level_clamp_keeps_levels_nonnegative():
 # batch axis: every row equals the unbatched call bit for bit
 
 def _assert_rows_match(batched, per_row):
-    assert batched.shape == np.shape(per_row)
-    assert np.array_equal(batched, per_row)
+    per_row = np.array(per_row)
+    assert batched.shape == per_row.shape
+    assert batched.tobytes() == per_row.tobytes()  # the signs of zeros too
 
 
 def test_lti_batched_calls_match_per_row_calls():
@@ -281,22 +282,53 @@ def test_lti_batched_calls_match_per_row_calls():
     _assert_rows_match(bare.step(X, U, None), [bare.step(x, u, None) for x, u in zip(X, U)])
 
 
+def _drained_tank_rows():
+    # tanks at 0 and just above, and a zero pump row: the RK4 stages
+    # undershoot zero and the levels end clamped at 0
+    H = np.array([[0.0, 0.0, 0.0, 0.0],
+                  [1e-6, 0.0, 2e-6, 0.0],
+                  [0.0, 1e-9, 0.0, 3e-7],
+                  [1e-3, 1e-3, 0.0, 0.0],
+                  [0.0, 0.0, 5.0, 5.0],
+                  [2.0, 1e-12, 0.0, 1e-4]])
+    U = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1e-3, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    return H, U
+
+
 def test_tank_batched_calls_match_per_row_calls():
     rng = np.random.default_rng(62)
     plant = FourTankPlant()
-    H = plant.h_nominal + rng.uniform(-2.0, 4.0, size=(6, 4))
-    U = rng.uniform(5.0, 45.0, size=(6, 2))
+    perturbed = (plant.h_nominal + rng.uniform(-2.0, 4.0, size=(6, 4)),
+                 rng.uniform(5.0, 45.0, size=(6, 2)))
     w = np.array([12.0, 9.0])
-    _assert_rows_match(plant.step(H, U, w), [plant.step(h, u, w) for h, u in zip(H, U)])
-    _assert_rows_match(plant.output(H, U, w), [plant.output(h, u, w) for h, u in zip(H, U)])
-    _assert_rows_match(plant.pi_x(U, w), [plant.pi_x(u, w) for u in U])
+    for H, U in (perturbed, _drained_tank_rows()):
+        # a single loop steps in Python floats, a batch in arrays
+        _assert_rows_match(plant.step(H, U, w), [plant.step(h, u, w) for h, u in zip(H, U)])
+        _assert_rows_match(plant.output(H, U, w), [plant.output(h, u, w) for h, u in zip(H, U)])
+        _assert_rows_match(plant.pi_x(U, w), [plant.pi_x(u, w) for u in U])
+        _assert_rows_match(plant.step(H[0], U[:3], w), [plant.step(H[0], u, w) for u in U[:3]])
+    # the output takes the broadcast batch shape of x and u
+    H, U = perturbed
+    assert plant.step(H[0], U[0], w).shape == (4,)
+    assert plant.step(H[:1], U[0], w).shape == (1, 4)
+    assert plant.step(H[0], U[:1], w).shape == (1, 4)
+    assert plant.step(H[0], U[:3], w).shape == (3, 4)
     # a leading batch axis of any depth
     assert plant.step(H.reshape(2, 3, 4), U.reshape(2, 3, 2), w).shape == (2, 3, 4)
 
 
 def test_tank_batched_step_rejects_any_nonfinite_row():
     plant = FourTankPlant()
-    H = np.tile(plant.h_nominal, (3, 1))
-    H[1, 2] = np.nan
-    with pytest.raises(NumericalError):
-        plant.step(H, np.tile(plant.u_nominal, (3, 1)), None)
+    U = np.tile(plant.u_nominal, (3, 1))
+    # a NaN level fails up front.  At 1e306, 2 g h overflows and an outlet
+    # velocity is infinite: the array path's zero coefficients turn it into
+    # NaN, while the one-row path leaves them out, and with one such tank
+    # would end with that tank clamped to a finite 0
+    for bad in ([10.0, 10.0, np.nan, 5.38], [1e306] * 4, [1e306, 10.0, 5.0, 5.0]):
+        H = np.tile(plant.h_nominal, (3, 1))
+        H[1] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                plant.step(H, U, None)
+            with pytest.raises(NumericalError):
+                plant.step(H[1], U[1], None)

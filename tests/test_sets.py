@@ -204,6 +204,20 @@ def test_polyhedron_matches_enumeration_oracle(dim, rows, points):
             assert res.iterations == 0
 
 
+def test_projection_takes_the_row_factors_of_its_own_metric():
+    # a set keeps the row factors of the last metric it projected in; each
+    # metric here is freed after its call, so a new one may reuse its id()
+    rng = np.random.default_rng(53)
+    poly = _random_polytope(rng, 3, 12)
+    x = np.array([4.0, -3.0, 2.5])
+    assert not poly.contains(x)
+    for _ in range(4):
+        P1, P2 = random_spd(rng, 3), random_spd(rng, 3)
+        expected = Polyhedron(poly.A, poly.b).project(Metric(P2), x).point
+        poly.project(Metric(P1), x)
+        assert poly.project(Metric(P2), x).point.tobytes() == expected.tobytes()
+
+
 def test_single_point_polytope_projects_to_its_point():
     # 8 rows through the origin that positively span R^4 leave only the
     # origin; NNLS reports a zero residual on some of these projections.
