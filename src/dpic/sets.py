@@ -16,6 +16,11 @@ rows otherwise.  An intersection with a non-polyhedral member takes the
 smallest member support, an upper bound.  The bounding box and the
 normal-cone residual are both read off the support function.
 
+Membership and margin of every polyhedral set come from one product with
+its cached halfspace rows and their row norms; a ball and a linear preimage
+answer in their own terms, the preimage in its inner (image) space, and an
+intersection holding either asks its members.
+
 Halfspace rows (read-only arrays) and bounding boxes are computed on first
 use and cached; the sets are immutable once built.  margin takes a
 (..., dim) array of points as well as a single point.
@@ -89,11 +94,6 @@ def _points(x, dim: int) -> np.ndarray:
     return x
 
 
-def _margins(values, x: np.ndarray):
-    """A float for a single point, the per-row array for a batch."""
-    return float(values) if x.ndim == 1 else values
-
-
 def _read_only(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A.flags.writeable = False
     b.flags.writeable = False
@@ -104,13 +104,13 @@ def _contains_rows(set_: "ConvexSet", x: np.ndarray, tol: float = MEMBERSHIP_TOL
     """Membership of every row of a (G, dim) array.
 
     One test against the set's halfspace rows when it is polyhedral, else
-    set_.contains row by row.
+    the set's own membership test.
     """
     rows = set_.halfspace_rows()
     if rows is None:
-        return np.array([set_.contains(v, tol) for v in x], dtype=bool)
+        return set_._membership(x, tol)[0]
     A, b = rows
-    return np.all(x @ A.T <= b + tol, axis=-1)
+    return (x @ A.T <= b + tol).all(axis=-1)
 
 
 class ConvexSet:
@@ -118,10 +118,12 @@ class ConvexSet:
 
     dim: int
     _rows = None  # a polyhedral subclass caches its read-only (A, b) here
+    _norms = None  # and their Euclidean norms, unless it measures otherwise
     _factors = None  # (metric, *_row_factors(metric)) of the last metric projected in
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        raise NotImplementedError
+        """Whether x satisfies every defining inequality to within tol."""
+        return bool(self._membership(_vec(x, self.dim), tol)[0])
 
     def margin(self, x):
         """Smallest slack over the defining inequalities, negative outside.
@@ -130,7 +132,26 @@ class ConvexSet:
         reads as a distance-like margin to the nearest boundary.  For a
         (..., dim) batch, the array of the rows' margins.
         """
-        raise NotImplementedError
+        x = _points(x, self.dim)
+        margin = self._membership(x, MEMBERSHIP_TOL)[1]
+        return float(margin) if x.ndim == 1 else margin
+
+    def _membership(self, x: np.ndarray, tol: float):
+        """(member, margin) of a point or of each row of a (..., dim) array.
+
+        One product with the halfspace rows gives both: A x <= b + tol on
+        every row, and the least slack (b - A x) over the row norms.
+        """
+        rows = self.halfspace_rows()
+        if rows is None:
+            raise NotImplementedError(f"{type(self).__name__} has no membership test")
+        A, b = rows
+        if not b.size:
+            # the whole space, as a box with only infinite bounds reads it:
+            # NaN is no member, and the margin is +inf at finite points only
+            return ~np.any(np.isnan(x), axis=-1), np.min(np.inf - np.abs(x), axis=-1)
+        Ax = _apply(A, x)
+        return (Ax <= b + tol).all(axis=-1), ((b - Ax) / self._norms).min(axis=-1)
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         raise NotImplementedError
@@ -170,15 +191,17 @@ class ConvexSet:
     def _row_factors(self, metric: Metric):
         """What _project_rows needs of the halfspace rows under metric alone.
 
-        -L^{-1} A^T, P^{-1} A^T, the Gram matrix A P^{-1} A^T and the
-        tolerance scale 1 + max|b|, kept for the last metric used.  The entry
-        holds that metric itself, so another metric never reads it.
+        -L^{-1} A^T, P^{-1} A^T, the Gram matrix A P^{-1} A^T, the
+        tolerance scale 1 + max|b| and the NNLS target (0, ..., 0, 1), kept
+        for the last metric used.  The entry holds that metric itself, so
+        another metric never reads it.
         """
         if self._factors is None or self._factors[0] is not metric:
             A, b = self.halfspace_rows()
             Pinv_AT = metric.solve(A.T)
             self._factors = (metric, -np.linalg.solve(metric._chol, A.T), Pinv_AT,
-                             A @ Pinv_AT, 1.0 + float(np.max(np.abs(b))))
+                             A @ Pinv_AT, 1.0 + float(np.max(np.abs(b))),
+                             np.r_[np.zeros(self.dim), 1.0])
         return self._factors[1:]
 
     def _checked(self, metric: Metric, x) -> np.ndarray:
@@ -203,33 +226,19 @@ class Box(ConvexSet):
         self.upper = upper
         self.dim = int(lower.size)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = _vec(x, self.dim)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
-    def margin(self, x):
-        x = _points(x, self.dim)
-        # an infinite bound gives an infinite slack
-        slacks = np.concatenate([x - self.lower, self.upper - x], axis=-1)
-        return _margins(np.min(slacks, axis=-1), x)
-
     @cached_property
     def _rows(self):
-        rows, rhs = [], []
-        for i in range(self.dim):
-            if np.isfinite(self.upper[i]):
-                e = np.zeros(self.dim)
-                e[i] = 1.0
-                rows.append(e)
-                rhs.append(self.upper[i])
-            if np.isfinite(self.lower[i]):
-                e = np.zeros(self.dim)
-                e[i] = -1.0
-                rows.append(e)
-                rhs.append(-self.lower[i])
-        if not rows:
-            return _read_only(np.zeros((0, self.dim)), np.zeros(0))
-        return _read_only(np.array(rows), np.array(rhs))
+        # e_0, -e_0, e_1, -e_1, ... over the finite bounds; 0.0 - v, not -v,
+        # keeps zeros +0.0, as x - lower's slack is at x = +0.0 on a zero bound
+        eye = np.eye(self.dim)
+        rows = np.stack([eye, 0.0 - eye], axis=1).reshape(-1, self.dim)
+        rhs = np.stack([self.upper, 0.0 - self.lower], axis=1).ravel()
+        finite = np.isfinite(rhs)
+        return _read_only(rows[finite], rhs[finite])
+
+    @cached_property
+    def _norms(self):
+        return np.ones(self._rows[1].size)
 
     def support(self, c) -> float:
         c = _vec(c, self.dim)
@@ -254,17 +263,9 @@ class Halfspace(ConvexSet):
         if not (np.all(np.isfinite(a)) and norm > 0.0):
             raise ValueError("halfspace normal must be a finite nonzero vector")
         self.a = a
-        self._norm = norm
+        self._norms = np.array([norm])
         self.b = float(offset)
         self.dim = int(a.size)
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(self.a @ _vec(x, self.dim) <= self.b + tol)
-
-    def margin(self, x):
-        x = _points(x, self.dim)
-        slack = self.b - _apply(self.a[None, :], x)[..., 0]
-        return _margins(slack / self._norm, x)
 
     @cached_property
     def _rows(self):
@@ -293,12 +294,9 @@ class Ball(ConvexSet):
         self.radius = r
         self.dim = int(c.size)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(np.linalg.norm(_vec(x, self.dim) - self.center) <= self.radius + tol)
-
-    def margin(self, x):
-        x = _points(x, self.dim)
-        return _margins(self.radius - _row_norms(x - self.center), x)
+    def _membership(self, x: np.ndarray, tol: float):
+        dist = _row_norms(x - self.center)
+        return dist <= self.radius + tol, self.radius - dist
 
     def support(self, c) -> float:
         c = _vec(c, self.dim)
@@ -337,13 +335,6 @@ class Polyhedron(ConvexSet):
         self._norms = norms
         self.dim = int(A.shape[1])
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(np.all(self.A @ _vec(x, self.dim) <= self.b + tol))
-
-    def margin(self, x):
-        x = _points(x, self.dim)
-        return _margins(np.min((self.b - _apply(self.A, x)) / self._norms, axis=-1), x)
-
     @cached_property
     def _rows(self):
         return _read_only(self.A.copy(), self.b.copy())
@@ -371,13 +362,6 @@ class Intersection(ConvexSet):
         self.sets = tuple(flat)
         self.dim = flat[0].dim
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return all(s.contains(x, tol) for s in self.sets)
-
-    def margin(self, x):
-        x = _points(x, self.dim)
-        return _margins(np.minimum.reduce([s.margin(x) for s in self.sets]), x)
-
     @cached_property
     def _rows(self):
         parts = [s.halfspace_rows() for s in self.sets]
@@ -385,6 +369,19 @@ class Intersection(ConvexSet):
             return None
         return _read_only(np.vstack([A for A, _ in parts]),
                           np.concatenate([b for _, b in parts]))
+
+    @cached_property
+    def _norms(self):
+        parts = [s._norms for s in self.sets]
+        return None if any(p is None for p in parts) else np.concatenate(parts)
+
+    def _membership(self, x: np.ndarray, tol: float):
+        if self._norms is not None:
+            return super()._membership(x, tol)
+        # a ball or a preimage member measures in its own terms
+        parts = [s._membership(x, tol) for s in self.sets]
+        return (np.logical_and.reduce([member for member, _ in parts]),
+                np.minimum.reduce([margin for _, margin in parts]))
 
     def support(self, c) -> float:
         """Exact when every member is polyhedral; otherwise the smallest
@@ -424,11 +421,8 @@ class LinearPreimage(ConvexSet):
         self.dim = int(K.shape[1])
         self._Kinv = np.linalg.inv(K)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.inner.contains(self.K @ _vec(x, self.dim), tol)
-
-    def margin(self, x):
-        return self.inner.margin(_apply(self.K, _points(x, self.dim)))
+    def _membership(self, x: np.ndarray, tol: float):
+        return self.inner._membership(_apply(self.K, x), tol)
 
     @cached_property
     def _rows(self):
@@ -460,31 +454,31 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
     min |z| s.t. A L^{-T} z <= b - A x, which NNLS solves through its dual
     (Lawson & Hanson 1974, ch. 23).  The equality-constrained projection onto
     the rows NNLS leaves active then puts the point on those facets to
-    rounding; the raw NNLS point is the fallback.
+    rounding; the raw NNLS point, built only if that fails, is the fallback.
     """
     A, b = set_.halfspace_rows()
     Ax = A @ x
-    if A.shape[0] == 0 or np.all(Ax <= b):
+    if A.shape[0] == 0 or (Ax <= b).all():
         return ProjectionResult(x.copy())
-    n = A.shape[1]
-    neg_whitened, Pinv_AT, gram, scale = set_._row_factors(metric)
+    neg_whitened, Pinv_AT, gram, scale, target = set_._row_factors(metric)
     # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
-    dual = np.vstack([neg_whitened, Ax - b])
-    target = np.r_[np.zeros(n), 1.0]
+    dual = np.concatenate([neg_whitened, (Ax - b)[None, :]])
     u, rnorm = nnls(dual, target)
-    # a zero residual flags an empty set, but NNLS also reports one on some
-    # single-point sets; the row check below decides, with x as a dud raw point
-    r = dual @ u - target
-    raw = x - np.linalg.solve(metric._chol.T, r[:n] / r[n]) if rnorm > 0.0 else x
     # polish: the equality-constrained projection onto the rows active in u
-    S = np.flatnonzero(u > 0.0)
+    S = (u > 0.0).nonzero()[0]
     try:
-        polished = x - Pinv_AT[:, S] @ np.linalg.solve(gram[np.ix_(S, S)], Ax[S] - b[S])
-    except np.linalg.LinAlgError:
-        polished = raw
-    for point, tol in ((polished, 1e-12), (raw, MEMBERSHIP_TOL)):
-        if np.max(A @ point - b) <= tol * scale:
+        point = x - Pinv_AT[:, S] @ np.linalg.solve(gram[S[:, None], S], Ax[S] - b[S])
+        if (A @ point - b).max() <= 1e-12 * scale:
             return ProjectionResult(point)
+    except np.linalg.LinAlgError:
+        pass
+    # a zero residual flags an empty set, but NNLS also reports one on some
+    # single-point sets; the row check decides, with x as a dud raw point
+    n = A.shape[1]
+    r = dual @ u - target
+    point = x - np.linalg.solve(metric._chol.T, r[:n] / r[n]) if rnorm > 0.0 else x
+    if (A @ point - b).max() <= MEMBERSHIP_TOL * scale:
+        return ProjectionResult(point)
     raise ProjectionError("least-distance projection found no feasible point; "
                           "the set may be empty")
 
@@ -532,7 +526,11 @@ def _rows_support(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
 
     The LP runs on the unit direction and the value is scaled back: HiGHS
     gives up (status 4) on objectives near 1e-12, which a settled segment's
-    error produces.
+    error produces.  Unboundedness is only as sharp as HiGHS' dual
+    feasibility tolerance, about 1e-7: a direction tilted toward a direction
+    of recession by less than that reads as bounded.  The rows of
+    Box([-inf, 0], [1, inf]) give 1.0 along (1, 1e-8), where Box.support's
+    closed form gives inf; both give inf from a tilt of 1e-6.
     """
     scale = float(np.linalg.norm(c))
     if scale == 0.0:

@@ -26,7 +26,7 @@ import numpy as np
 from .controller import ClassicalIntegralController, DPIController, _damped_projected_update
 from .metric import Metric, _apply, _row_norms
 from .plants import NumericalError, PlantModel
-from .sets import _contains_rows, normal_cone_residual
+from .sets import MEMBERSHIP_TOL, normal_cone_residual
 from .vi import FBParams, VIProblem, solve_vi
 
 __all__ = [
@@ -177,13 +177,14 @@ def _lockstep(scenario: Scenario,
         x_k, eta_k, w = x[rows], eta[rows], W[k]
         u = _apply(base.gain, eta_k)
         e = plant.output(x_k, u, w)
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(x_k))):
+        # a non-finite state shows in e or in plant.step
+        if not np.isfinite(e).all():
             raise NumericalError("state or error is not finite")
         if projected:
-            if not np.all(_contains_rows(base.constraint, u)):
+            member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
+            if not member.all():
                 raise ConstraintViolationError(
                     f"step {k}: projected controller emitted u outside C")
-            margin = base.constraint.margin(u)
             eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
                                                 alpha[rows], damping[rows])
             # eta_{k+1} - eta_k = damping * (backward point - eta_k), so the

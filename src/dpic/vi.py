@@ -174,16 +174,15 @@ def estimate_mu_L(operator, region: ConvexSet, metric: Metric,
     values = np.array([np.asarray(operator(p), dtype=float) for p in pts])
     if values.shape != pts.shape:
         raise ValueError("operator output dimension does not match the region")
-    mu_hat, L_hat = np.inf, 0.0
-    used = 0
-    for x, fx, y, fy in zip(pts[:samples], values[:samples],
-                            pts[samples:], values[samples:]):
-        dist = metric.norm(x - y)
-        if dist < 1e-12:
-            continue  # degenerate pair
-        used += 1
-        mu_hat = min(mu_hat, metric.inner(fx - fy, x - y) / dist ** 2)
-        L_hat = max(L_hat, metric.norm(fx - fy) / dist)
-    if used == 0:
+    d = pts[:samples] - pts[samples:]
+    dF = values[:samples] - values[samples:]
+    dist = metric.norm(d)
+    usable = ~(dist < 1e-12)  # degenerate pairs are skipped
+    if not np.any(usable):
         raise ValueError("no usable sample pairs; region may be a single point")
-    return float(mu_hat), float(L_hat)
+    d, dF, dist = d[usable], dF[usable], dist[usable]
+    # each pair takes the products of metric.inner; fmin and fmax skip a NaN
+    # quotient as the builtin min and max do
+    inner = ((dF[:, None, :] @ metric.P) @ d[:, :, None])[:, 0, 0]
+    return (float(np.fmin.reduce(inner / dist ** 2, initial=np.inf)),
+            float(np.fmax.reduce(metric.norm(dF) / dist, initial=0.0)))

@@ -19,6 +19,7 @@ from dpic import (
 from dpic.sets import _rows_support
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
+from membership_oracle import oracle_contains, oracle_margin
 
 I2 = Metric.identity(2)
 
@@ -229,6 +230,42 @@ def test_single_point_polytope_projects_to_its_point():
         p = poly.project(m, 5.0 * rng.standard_normal(4)).point
         assert np.max(poly.A @ p) <= 1e-12
         assert np.max(np.abs(p)) <= 1e-9
+
+
+def test_raw_nnls_point_serves_when_the_polish_fails(monkeypatch):
+    # make the polish's solve of its Gram block fail; the raw NNLS point,
+    # solved against the metric's Cholesky factor, must then serve
+    import dpic.sets as sets_mod
+
+    rng = np.random.default_rng(54)
+    P = random_spd(rng, 2)
+    m = Metric(P)
+    polygon = input_polygon()
+    empty = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 1.0], -1.0)])
+    for s in (polygon, empty):
+        s._row_factors(m)                 # solved before the fault is set
+    real, faults = np.linalg.solve, []
+
+    def failing_polish(a, rhs):
+        if not np.shares_memory(a, m._chol):
+            faults.append(1)
+            raise np.linalg.LinAlgError("singular Gram block")
+        return real(a, rhs)
+
+    monkeypatch.setattr(sets_mod.np.linalg, "solve", failing_polish)
+    A, b = polygon.halfspace_rows()
+    for _ in range(20):
+        x = rng.uniform(-20.0, 65.0, size=2)
+        if polygon.contains(x, 0.0):
+            continue
+        faults.clear()
+        p = polygon.project(m, x).point
+        assert faults                     # the polish did fail
+        assert np.max(A @ p - b) <= 1e-9 * (1.0 + np.max(np.abs(b)))
+        oracle = grid_project(P, polygon_rows(), x, [0.0, 0.0], [45.0, 45.0])
+        assert np.allclose(p, oracle, atol=1e-3)
+    with pytest.raises(ProjectionError):
+        empty.project(m, [3.0, 3.0])
 
 
 def test_box_under_coupled_metric():
@@ -551,6 +588,89 @@ def test_batched_margin_equals_per_point_margin():
         # each row rounds exactly as the single-point call
         assert np.array_equal(batched, [s.margin(p) for p in points])
         assert isinstance(s.margin(points[0]), float)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, NaN where the other is NaN, and the same sign of zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+def polyhedral_sets():
+    """One of each polyhedral class, including a box with an infinite bound
+    and one with no rows at all, and intersections whose stacked rows round
+    as their members' own (unit rows and a single general row)."""
+    K = np.array([[2.0, 1.0], [0.5, 1.5]])
+    return [Box([0.0, 0.0], [45.0, 45.0]), Box([-1.0, 0.5], [2.0, 3.0]),
+            Box([0.0, -np.inf], [45.0, 45.0]), Box([-np.inf, -np.inf], [np.inf, np.inf]),
+            Halfspace([1.0, 1.0], 85.0), Halfspace([0.3, -1.7], 0.2),
+            Polyhedron(*polygon_rows()), input_polygon(),
+            LinearPreimage(K, input_polygon()),
+            Intersection([LinearPreimage(K, Box([0.0, 0.0], [4.0, 4.0])),
+                          Halfspace([1.0, 2.0], 3.0)]),
+            Intersection([Box([-np.inf, -np.inf], [np.inf, np.inf]),
+                          Halfspace([0.3, -1.7], 0.2)])]
+
+
+def probe_points(rng, s):
+    lower, upper = (np.array([-1.0, -1.0]), np.array([46.0, 46.0])) \
+        if isinstance(s, Box) else (np.full(2, -4.0), np.full(2, 4.0))
+    return np.vstack([
+        rng.uniform(lower, upper, size=(40, 2)),
+        # on the bounds of the boxes, and NaN; not -0.0 on a zero bound, whose
+        # sign the row product drops where x - lower keeps it
+        [[0.0, 0.0], [45.0, 45.0], [0.0, 17.0], [17.0, 0.0], [45.0, 0.0],
+         [-1.0, 0.5], [2.0, 3.0], [np.nan, 0.0], [1.0, np.nan]]])
+
+
+def test_membership_and_margin_match_the_class_formulas():
+    rng = np.random.default_rng(37)
+    for s in polyhedral_sets():
+        points = probe_points(rng, s)
+        for x in points:
+            for tol in (0.0, 1e-9):
+                assert s.contains(x, tol) is oracle_contains(s, x, tol), (s, x, tol)
+            assert same_bits(s.margin(x), oracle_margin(s, x)), (s, x)
+        assert same_bits(s.margin(points), oracle_margin(s, points)), s
+        assert same_bits(s.margin(points.reshape(7, 7, 2)),
+                         oracle_margin(s, points.reshape(7, 7, 2))), s
+
+
+def test_stacked_rows_round_within_the_dot_product_bound():
+    # BLAS may round a row of a stacked matrix other than the same row alone,
+    # so an intersection of general rows agrees with its members' formulas to
+    # the error bound of the two dot products, 2 (n + 1) eps (|b| + |A||x|)
+    rng = np.random.default_rng(38)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        members = [Polyhedron(A, rng.uniform(0.5, 2.0, size=len(A)))
+                   for A in (rng.standard_normal((int(rng.integers(1, 6)), 2))
+                             for _ in range(3))]
+        s = Intersection(members + [Halfspace(rng.standard_normal(2), 1.0),
+                                    Box([-3.0, -2.0], [2.0, 3.0])])
+        A, b = s.halfspace_rows()
+        norms = np.linalg.norm(A, axis=1)
+        x = rng.uniform(-4.0, 4.0, size=(50, 2))
+        bound = 2 * 3 * eps * np.max((np.abs(b) + np.abs(x) @ np.abs(A).T) / norms, axis=-1)
+        assert np.all(np.abs(s.margin(x) - oracle_margin(s, x)) <= bound)
+        for v, band in zip(x, bound):
+            if np.min(np.abs((b + 1e-9 - A @ v) / norms)) > band:
+                assert s.contains(v) is oracle_contains(s, v)
+
+
+def test_the_whole_space_keeps_its_box_answers():
+    # Box with no finite bound has no rows; NaN is still no member
+    s = Box([-np.inf, -np.inf], [np.inf, np.inf])
+    points = np.array([[np.nan, 0.0], [0.5, 3.0], [np.inf, 0.0], [-np.inf, 2.0],
+                       [np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):  # inf - inf, in both formulas
+        assert [s.contains(x) for x in points] == [False, True, True, True, True]
+        assert [oracle_contains(s, x) for x in points] == [False, True, True, True, True]
+        assert same_bits(s.margin(points), oracle_margin(s, points))
+        assert np.isnan(s.margin([np.nan, 0.0])) and np.isnan(s.margin([np.inf, 0.0]))
+    assert s.margin([0.5, 3.0]) == np.inf
 
 
 def test_second_bounding_box_runs_no_lp(monkeypatch):

@@ -201,6 +201,26 @@ def test_plant_failure_reports_step_index():
         simulate(s)
 
 
+def test_non_finite_initial_state_fails_step_0():
+    # the loop checks e, not x: a NaN state shows in e (the observed tank
+    # levels, or C x with a zero column) or in plant.step (an upper tank)
+    lti = LTIPlant(A=[[0.5, 0.0], [0.0, 0.5]], B=[[0.5], [0.0]], C=[[1.0, 0.0]],
+                   B_w=[[0.0], [0.0]], D_w=[[-1.0]], T_s=1.0)
+    ctrl = DPIController([[1.0]], Box([-1.0], [1.0]), I1,
+                         T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
+    lti_scenario = Scenario(plant=lti, controller=ctrl, schedule=[(0, np.array([0.5]))],
+                            horizon=10, x0=np.array([0.0, np.nan]))
+    tank = tank_scenario(horizon=10)
+    scenarios = [lti_scenario, replace(lti_scenario, x0=np.array([np.nan, 0.0]))]
+    for level in (0, 2):
+        x0 = tank.plant.h_nominal.copy()
+        x0[level] = np.nan
+        scenarios.append(replace(tank, x0=x0))
+    for s in scenarios:
+        with pytest.raises(SimulationError, match=r"^step 0: "):
+            simulate(s)
+
+
 # ---------------------------------------------------------------------------
 # deviation coordinates
 
@@ -374,3 +394,29 @@ def test_failing_row_mid_batch_leaves_other_rows_as_solo_runs():
     assert str(fast) == str(solo_failure.value)
     assert_same_run(slow, simulate(replace(s, controller=ctrls[0])))
     assert_same_run(medium, simulate(replace(s, controller=ctrls[2])))
+
+
+def test_state_gone_non_finite_in_one_row_ends_that_row_alone():
+    class Unchecked(LTIPlant):
+        def step(self, x, u, w):
+            # a model with no finiteness check of its own: a fast integrator
+            # (small T_i) drives u over 0.9 and the state turns NaN
+            return np.where(np.abs(u) > 0.9, np.nan, super().step(x, u, w))
+
+    plant = Unchecked(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]],
+                      T_s=1.0)
+    ctrl = DPIController([[1.0]], Box([-2.0], [2.0]), I1,
+                         T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
+    s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
+                 horizon=200, x0=np.array([0.0]))
+    ctrls = [ctrl.with_gains(50.0, 0.9), ctrl.with_gains(0.05, 0.9),
+             ctrl.with_gains(20.0, 0.5)]
+    slow, fast, medium = _lockstep(s, ctrls)
+    assert isinstance(fast, SimulationError) and "not finite" in str(fast)
+    with pytest.raises(SimulationError) as solo_failure:
+        simulate(replace(s, controller=ctrls[1]))
+    assert str(fast) == str(solo_failure.value)
+    assert_same_run(slow, simulate(replace(s, controller=ctrls[0])))
+    assert_same_run(medium, simulate(replace(s, controller=ctrls[2])))
+    report = gain_sweep(s, [50.0, 0.05, 20.0], [0.9], mu=1.0, L=1.0)
+    assert [p.error is None for p in report.points] == [True, False, True]

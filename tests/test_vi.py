@@ -10,11 +10,13 @@ from dpic import (
     LinearPreimage,
     Metric,
     VIProblem,
+    build_setup,
     contraction_constants,
     estimate_mu_L,
     fb_damped_map,
     fb_map,
     natural_residual,
+    preset_config,
     sample_points,
     solve_vi,
 )
@@ -399,6 +401,43 @@ def test_estimate_tank_steady_map():
     # The one-sided bounds are exact; the approach to them is sampling-limited.
     assert 100.0 / g - 1e-9 <= mu <= 105.0 / g
     assert 170.0 / g <= L <= 180.0 / g + 1e-9
+
+
+def per_pair_mu_L(operator, region, metric, samples, seed):
+    """The secant extrema pair by pair in Python floats, as a reference."""
+    pts = sample_points(region, 2 * samples, rng=seed)
+    values = np.array([np.asarray(operator(p), dtype=float) for p in pts])
+    mu_hat, L_hat = np.inf, 0.0
+    for x, fx, y, fy in zip(pts[:samples], values[:samples],
+                            pts[samples:], values[samples:]):
+        dist = metric.norm(x - y)
+        if dist < 1e-12:
+            continue
+        mu_hat = min(mu_hat, metric.inner(fx - fy, x - y) / dist ** 2)
+        L_hat = max(L_hat, metric.norm(fx - fy) / dist)
+    return mu_hat, L_hat
+
+
+def test_estimate_equals_the_per_pair_loop_bit_for_bit():
+    setup = build_setup(preset_config("four-tank"))
+    ctrl = setup.controller
+    w0 = setup.scenario.schedule[0][1]
+    region = Intersection([ctrl.gamma, setup.sweep["box"]])
+    tank = lambda eta: setup.plant.pi(ctrl.gain @ eta, w0)  # noqa: E731
+    rng = np.random.default_rng(51)
+    M = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
+    box = Box([-1.0, -2.0], [2.0, 1.0])
+    # a square root that is NaN on part of the box: those pairs are skipped
+    root = lambda eta: np.sqrt(eta + 0.5)  # noqa: E731
+    cases = [(tank, region, ctrl.metric, 1000, setup.seed),
+             (tank, region, Metric(random_spd(rng, 2)), 300, 3),
+             (affine(M), box, Metric(random_spd(rng, 2)), 500, 4),
+             (root, box, Metric(random_spd(rng, 2)), 500, 5)]
+    with np.errstate(invalid="ignore"):
+        for operator, region, metric, samples, seed in cases:
+            got = estimate_mu_L(operator, region, metric, samples=samples, seed=seed)
+            want = per_pair_mu_L(operator, region, metric, samples, seed)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_estimate_rejects_degenerate_region():
