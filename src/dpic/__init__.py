@@ -1,9 +1,9 @@
 """Damped projected integral control of constrained sampled-data systems.
 
-Building blocks: weighted metrics, convex sets with exact or iterative
-projections, a forward-backward solver for strongly monotone variational
-inequalities, plant models with steady-state maps, the projected integral
-controller and a closed-loop simulation harness with gain sweeps.
+Building blocks: weighted metrics, convex sets with exact projections, a
+forward-backward solver for strongly monotone variational inequalities,
+plant models with steady-state maps, the projected integral controller and
+a closed-loop simulation harness with gain sweeps.
 """
 
 from .config import ConfigError, RunSetup, build_setup, load_config

@@ -91,8 +91,8 @@ def _as_vector(value, key: str) -> np.ndarray:
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, "expected a list of numbers") from exc
-    if out.ndim != 1 or out.size == 0:
-        raise ConfigError(key, "expected a nonempty flat list of numbers")
+    if out.ndim != 1 or out.size == 0 or not np.all(np.isfinite(out)):
+        raise ConfigError(key, "expected a nonempty flat list of finite numbers")
     return out
 
 
@@ -149,8 +149,10 @@ def _build_set(spec, key: str) -> ConvexSet:
             members = _get(spec, "sets", key)
             if not isinstance(members, list) or not members:
                 raise ConfigError(f"{key}.sets", "expected a nonempty list of sets")
-            return Intersection([_build_set(s, f"{key}.sets[{i}]")
-                                 for i, s in enumerate(members)])
+            intersection = Intersection([_build_set(s, f"{key}.sets[{i}]")
+                                         for i, s in enumerate(members)])
+            intersection._ball_and_rest  # raises past one ball, as projecting would
+            return intersection
         if kind == "linear_preimage":
             return LinearPreimage(_as_matrix(_get(spec, "K", key), f"{key}.K"),
                                   _build_set(_get(spec, "inner", key), f"{key}.inner"))

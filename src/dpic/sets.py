@@ -1,12 +1,12 @@
 """Convex constraint sets with projections in a weighted metric.
 
-Every set with halfspace rows projects exactly: boxes under diagonal
-metrics by a componentwise clamp, halfspaces in closed form, and any other
-polyhedral set (box under a coupled metric, polyhedron, polyhedral
-intersection or preimage) as a least-distance program solved by NNLS.
-Balls take a radial shrink under isotropic metrics and a scalar root find
-otherwise.  Only an intersection with a non-polyhedral member runs
-Dykstra's alternating scheme, until the cycle gap falls below ITERATIVE_TOL.
+Every projection is exact: boxes under diagonal metrics by a componentwise
+clamp, halfspaces in closed form, and any other polyhedral set (box under a
+coupled metric, polyhedron, polyhedral intersection or preimage) as a
+least-distance program solved by NNLS.  A ball takes a radial shrink under
+isotropic metrics; otherwise a ball, alone or intersected with polyhedral
+members, takes one root find for its multiplier.  No engine takes a second
+non-polyhedral member of an intersection, or one that is not a ball.
 
 Every set has one support function, support(c) = max over v in the set of
 c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
@@ -38,8 +38,6 @@ from .metric import Metric, _apply, _row_norms
 
 __all__ = [
     "MEMBERSHIP_TOL",
-    "ITERATIVE_TOL",
-    "ITERATIVE_MAX_ITER",
     "ProjectionError",
     "ProjectionResult",
     "ConvexSet",
@@ -54,25 +52,16 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
-ITERATIVE_TOL = 1e-10
-ITERATIVE_MAX_ITER = 10_000
 
 
 class ProjectionError(RuntimeError):
-    """Projection failed: the set is empty or Dykstra did not converge."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Projection failed: the set is empty."""
 
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Projected point plus diagnostics of the scheme that produced it.
-
-    iterations and residual are 0 for exact projections (closed form or
-    least-distance); for Dykstra they hold the cycle count and final cycle gap.
-    """
+    """Projected point; iterations counts the root finder's steps for a ball's
+    multiplier (0 if none was needed), and residual is 0: every projection is exact."""
 
     point: np.ndarray
     iterations: int = 0
@@ -303,14 +292,7 @@ class Ball(ConvexSet):
         return float(c @ self.center + self.radius * np.linalg.norm(c))
 
     def project(self, metric: Metric, x) -> ProjectionResult:
-        x = self._checked(metric, x)
-        d = x - self.center
-        dist = np.linalg.norm(d)
-        if dist <= self.radius:
-            return ProjectionResult(x)
-        if metric.isotropic_scale is not None:
-            return ProjectionResult(self.center + (self.radius / dist) * d)
-        return _project_ball_general(self.center, self.radius, metric, x)
+        return _project_ball(self, None, metric, self._checked(metric, x))
 
 
 class Polyhedron(ConvexSet):
@@ -390,12 +372,22 @@ class Intersection(ConvexSet):
             return super().support(c)
         return min(s.support(c) for s in self.sets)
 
+    @cached_property
+    def _ball_and_rest(self):
+        """(the Ball member, the intersection of the rest or None), or None if
+        every member is polyhedral; any other mix has no engine: ValueError."""
+        curved = [s for s in self.sets if s.halfspace_rows() is None]
+        if curved and (len(curved) > 1 or not isinstance(curved[0], Ball)):
+            raise ValueError("an intersection projects with at most one non-polyhedral "
+                             "member, and that member must be a ball")
+        rest = [s for s in self.sets if s not in curved]
+        return (curved[0], Intersection(rest) if rest else None) if curved else None
+
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
         if self.halfspace_rows() is not None:
             return _project_rows(self, metric, x)
-        point, cycles, gap = _dykstra(self.sets, metric, x)
-        return ProjectionResult(point, cycles, gap)
+        return _project_ball(*self._ball_and_rest, metric, x)
 
 
 class LinearPreimage(ConvexSet):
@@ -439,9 +431,8 @@ class LinearPreimage(ConvexSet):
         x = self._checked(metric, x)
         if self.halfspace_rows() is not None:
             return _project_rows(self, metric, x)
-        inner_metric = Metric(self._Kinv.T @ metric.P @ self._Kinv)
-        res = self.inner.project(inner_metric, self.K @ x)
-        return ProjectionResult(self._Kinv @ res.point, res.iterations, res.residual)
+        res = self.inner.project(Metric(self._Kinv.T @ metric.P @ self._Kinv), self.K @ x)
+        return ProjectionResult(self._Kinv @ res.point, res.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -483,42 +474,49 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
                           "the set may be empty")
 
 
-def _dykstra(components, metric: Metric, x0, tol: float = ITERATIVE_TOL,
-             max_iter: int = ITERATIVE_MAX_ITER):
-    """Dykstra's alternating projections in the metric inner product."""
-    x = np.asarray(x0, dtype=float).copy()
-    increments = [np.zeros_like(x) for _ in components]
-    gap = np.inf
-    for cycle in range(1, max_iter + 1):
-        x_prev = x
-        for i, s in enumerate(components):
-            y = s.project(metric, x + increments[i]).point
-            increments[i] = x + increments[i] - y
-            x = y
-        gap = metric.norm(x - x_prev)
-        if gap < tol and all(s.contains(x, MEMBERSHIP_TOL) for s in components):
-            return x, cycle, gap
-    raise ProjectionError(
-        f"Dykstra projection did not converge in {max_iter} cycles "
-        f"(cycle gap {gap:.3e}); the intersection may be empty", residual=gap)
+def _project_ball(ball: Ball, rest: ConvexSet | None, metric: Metric, x) -> ProjectionResult:
+    """Exact projection onto ball ∩ rest, rest polyhedral or None (the whole space).
 
+    For the ball's multiplier nu >= 0, v(nu) projects (P + nu I)^{-1} (P x + nu c)
+    onto rest in the metric P + nu I; |v(nu) - c| does not increase with nu
+    (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5), so one bracketed
+    root gives nu.  As nu grows v(nu) tends to p, the Euclidean projection of
+    c onto rest: the set is empty when |p - c| > r and the point p when = r.
+    """
+    c, r, P = ball.center, ball.radius, metric.P
+    point = x if rest is None else rest.project(metric, x).point
+    excess = float((point - c) @ (point - c)) - r ** 2
+    if excess <= 0.0:
+        return ProjectionResult(point)
+    if rest is None and metric.isotropic_scale is not None:  # a radial shrink
+        return ProjectionResult(c + (r / np.linalg.norm(x - c)) * (x - c))
+    if rest is not None:
+        nearest = rest.project(Metric.identity(ball.dim), c).point
+        dist = float(np.linalg.norm(nearest - c))
+        if dist > r + MEMBERSHIP_TOL:
+            raise ProjectionError("the ball misses the other members; the intersection is empty")
+        if dist >= r:
+            return ProjectionResult(nearest)
+    evals, evecs = np.linalg.eigh(P)  # one decomposition gives every (P + nu I)^{-1}
+    coef = evecs.T @ (P @ (x - c))
 
-def _project_ball_general(center, radius, metric: Metric, x) -> ProjectionResult:
-    # KKT: (P + mu I)(v - c) = P (x - c) with mu >= 0 chosen so |v - c| = radius
-    d = x - center
-    evals, evecs = np.linalg.eigh(metric.P)
-    coef = evecs.T @ (metric.P @ d)
+    def trial(nu):  # (|v(nu) - c|^2 - r^2, v(nu))
+        if nu == 0.0:
+            return excess, point
+        v = c + evecs @ (coef / (evals + nu))
+        if rest is not None:
+            v = rest.project(Metric(P + nu * np.eye(ball.dim)), v).point
+        return float((v - c) @ (v - c)) - r ** 2, v
 
-    def distance_gap(mu):
-        return float(np.sum((coef / (evals + mu)) ** 2)) - radius ** 2
-
-    hi = float(np.linalg.norm(metric.P @ d) / radius)  # |v - c| <= |P d| / (lmin + mu)
-    while distance_gap(hi) > 0.0:
+    # with no rest, |v(nu) - c| <= |P (x - c)| / (lmin + nu) < r already at the first hi
+    hi = max(float(np.linalg.norm(P @ (x - c))) / r, float(evals[-1]))
+    while trial(hi)[0] > 0.0:
+        if rest is not None and hi * np.finfo(float).eps > evals[-1]:
+            return ProjectionResult(nearest)  # P + nu I rounds to nu I: p is the point
         hi *= 2.0
-    mu, info = brentq(distance_gap, 0.0, hi, xtol=1e-13 * (1.0 + hi),
+    nu, info = brentq(lambda nu: trial(nu)[0], 0.0, hi, xtol=1e-13 * (1.0 + hi),
                       maxiter=200, full_output=True)
-    point = center + evecs @ (coef / (evals + mu))
-    return ProjectionResult(point, iterations=int(info.iterations), residual=0.0)
+    return ProjectionResult(trial(nu)[1], iterations=int(info.iterations))
 
 
 def _rows_support(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:

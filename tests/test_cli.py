@@ -181,6 +181,36 @@ def test_late_config_faults_exit_2(tmp_path, capsys):
     assert "certify.box" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, key, path, value", [
+    ("simulate", "scenario.x0", ("scenario", "x0"), [NAN]),
+    ("simulate", "scenario.schedule[1][1]", ("scenario", "schedule", 1, 1), [INF]),
+    ("simulate", "controller.eta0", ("controller", "eta0"), [-INF]),
+    ("simulate", "controller.u0", ("controller", "u0"), [NAN]),
+    ("sweep", "sweep.box.upper", ("sweep", "box", "upper"), ["inf"]),
+    ("certify", "certify.box.lower", ("certify", "box", "lower"), [-INF]),
+])
+def test_non_finite_config_vectors_exit_2(tmp_path, capsys, command, key, path, value):
+    # json reads NaN, Infinity and -Infinity, and the string "inf" converts to
+    # a float; on this unbounded Gamma a sweep box reaching to inf once
+    # surfaced as "certify.box: Gamma is unbounded"
+    cfg = preset_config("lti-demo")
+    cfg["constraint"] = {"type": "box", "lower": [-1.0], "upper": [None]}
+    cfg["sweep"].update(mu="estimate", L="estimate", box={"lower": [-1.0], "upper": [1.0]})
+    cfg["certify"]["box"] = {"lower": [-1.0], "upper": [1.0]}
+    if key == "controller.eta0":
+        del cfg["controller"]["u0"]
+    target = cfg
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    extra = [] if command == "certify" else ["--out", str(tmp_path)]
+    assert main([command, "--config", write_config(tmp_path, cfg)] + extra) == EXIT_CONFIG
+    assert f"{key}: expected a nonempty flat list of finite numbers" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # numerical failures (exit 3)
 
@@ -275,3 +305,44 @@ def test_certify_failure_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "empirical monotonicity failed" in out
     assert "static loop gain test: FAILED" in out
+
+
+# ---------------------------------------------------------------------------
+# a ball in Gamma
+
+def ball_gamma_config(members=None):
+    """lti-demo under Gamma = [-1, 1] ∩ [-0.5, 2] = [-0.5, 1], with a ball."""
+    cfg = preset_config("lti-demo")
+    cfg["constraint"] = {"type": "intersection", "sets": members or [
+        {"type": "ball", "center": [0.0], "radius": 1.0},
+        {"type": "box", "lower": [-0.5], "upper": [2.0]}]}
+    return cfg
+
+
+def test_certify_samples_a_ball_gamma_within_its_box(tmp_path):
+    cfg = ball_gamma_config()
+    cfg["certify"]["box"] = {"lower": [-2.0], "upper": [0.5]}
+    assert main(["certify", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+
+
+def test_sweep_estimates_and_projects_on_a_ball_gamma(tmp_path):
+    cfg = ball_gamma_config()
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
+                         "samples": 50, "box": {"lower": [-1.0], "upper": [1.0]},
+                         "horizon": 300, "schedule": [[0, [0.5]], [100, [2.0]]]})
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    rows = read_rows(tmp_path / "sweep.csv")
+    assert rows[0]["converged"] == "true"
+
+
+@pytest.mark.parametrize("second", [
+    {"type": "ball", "center": [0.5], "radius": 1.0},
+    {"type": "linear_preimage", "K": [[2.0]],
+     "inner": {"type": "ball", "center": [0.0], "radius": 1.0}},
+])
+def test_gamma_beyond_one_ball_is_a_config_error(tmp_path, capsys, second):
+    cfg = ball_gamma_config([{"type": "ball", "center": [0.0], "radius": 1.0}, second])
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "constraint: an intersection projects with at most one" in capsys.readouterr().err

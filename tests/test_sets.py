@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from dpic import (
     Ball,
@@ -16,7 +17,8 @@ from dpic import (
     normal_cone_residual,
     sample_points,
 )
-from dpic.sets import _rows_support
+from dpic.metric import _row_norms
+from dpic.sets import MEMBERSHIP_TOL, _rows_support
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
 from membership_oracle import oracle_contains, oracle_margin
@@ -353,10 +355,10 @@ def test_disjoint_intersection_raises():
 
 
 # ---------------------------------------------------------------------------
-# the iterative engine
+# a ball with polyhedral members
 
-def test_dykstra_ball_box_intersection():
-    # non-polyhedral member forces the alternating scheme
+def test_ball_box_intersection():
+    # the ball is active, so its multiplier takes a root find
     s = Intersection([Ball([0.0, 0.0], 1.0), Box([0.3, -2.0], [2.0, 2.0])])
     res = s.project(I2, [2.0, 1.5])
     assert res.iterations > 0
@@ -367,16 +369,125 @@ def test_dykstra_ball_box_intersection():
     assert np.max((nus - res.point) @ (np.array([2.0, 1.5]) - res.point)) <= 1e-8
 
 
-def test_dykstra_matches_enumeration_on_polyhedron():
-    # same polygon projected through the iterative engine by wrapping the
-    # rows as separate halfspaces with a ball so the combined-rows shortcut
+def test_ball_engine_matches_enumeration_on_polyhedron():
+    # same polygon projected through the ball engine by wrapping the rows
+    # as separate halfspaces with a ball so the combined-rows shortcut
     # cannot apply
     big_ball = Ball([20.0, 20.0], 200.0)  # inactive everywhere near the polygon
     s = Intersection([big_ball, Box([0.0, 0.0], [45.0, 45.0]), Halfspace([1.0, 1.0], 85.0)])
     for x in ([46.0, 44.0], [50.0, 44.0], [60.0, 10.0]):
         direct = input_polygon().project(I2, x).point
-        iterative = s.project(I2, x).point
-        assert np.allclose(direct, iterative, atol=1e-8)
+        with_ball = s.project(I2, x).point
+        assert np.allclose(direct, with_ball, atol=1e-8)
+
+
+def kkt_residuals(P, ball, A, b, x, v):
+    """Worst feasibility, complementary slackness and stationarity of v as
+    the projection of x onto ball ∩ {A v <= b} in the P norm, each relative,
+    plus the multipliers (rows, then the ball's) that NNLS fits to them.
+
+    Rows and the ball's outward normal are unit vectors, so every multiplier
+    and every slack reads on the scale of |P (x - v)| and of distances.
+    """
+    norms = np.linalg.norm(A, axis=1)
+    A, b = A / norms[:, None], b / norms
+    out = v - ball.center
+    radial = np.linalg.norm(out)
+    normals = np.vstack([A, out / radial])
+    slack = np.append(b - A @ v, ball.radius - radial)
+    scale = 1.0 + np.max(np.abs(b)) + ball.radius
+    active = slack <= 1e-9 * scale
+    g = P @ (x - v)
+    g_scale = max(np.linalg.norm(g), 1e-300)
+    mult = np.zeros(slack.size)
+    if active.any():
+        mult[active], _ = nnls(normals[active].T, g)
+    return (max(-slack.min(), 0.0) / scale,
+            np.max(mult * np.abs(slack)) / (g_scale * scale),
+            np.linalg.norm(g - normals.T @ mult) / g_scale,
+            mult)
+
+
+def ball_polygon_cases():
+    """P, ball, rows and x on which Dykstra's alternating scheme stops early:
+    at (1.479, 1.813) for case 0, and 0.26 off, objective 47.342, for case 1."""
+    return [
+        (np.array([[0.55, -0.09], [-0.09, 2.25]]), Ball([1.43, 1.31], 1.94),
+         np.array([[-0.71, -0.16], [0.06, -1.67], [0.32, -1.05]]),
+         np.array([-1.34, -1.74, -1.43]), np.array([11.96, -3.52])),
+        (np.array([[2.62, -0.03], [-0.03, 1.78]]), Ball([-1.44, -0.57], 0.76),
+         np.array([[1.5, -0.15], [1.03, -1.91], [0.82, 0.36], [-1.16, -1.72]]),
+         np.array([-2.35, -0.52, -1.54, 2.47]), np.array([1.88, 2.46])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_ball_polygon_projection_is_optimal(case):
+    P, ball, A, b, x = ball_polygon_cases()[case]
+    v = Intersection([ball, Polyhedron(A, b)]).project(Metric(P), x).point
+    feasibility, slackness, stationarity, mult = kkt_residuals(P, ball, A, b, x, v)
+    assert max(feasibility, slackness, stationarity) <= 1e-12
+    assert np.all(mult >= 0.0)
+    # at case 0's corner the row multiplier is 13 times the ball's
+    r = ball.radius
+    oracle = grid_project(P, (A, b), x, ball.center - r, ball.center + r,
+                          stages=10, points=121, window=20,
+                          member=lambda nodes: _row_norms(nodes - ball.center) <= r)
+    assert np.allclose(v, oracle, atol=1e-3)
+    assert (v - x) @ P @ (v - x) <= (oracle - x) @ P @ (oracle - x)
+    if case == 0:
+        assert np.allclose(v, [3.0953, 2.3052], atol=1e-4)
+    else:
+        assert (v - x) @ P @ (v - x) == pytest.approx(47.219, abs=1e-3)
+
+
+@pytest.mark.parametrize("weights", [np.eye(2), np.array([[2.0, 0.3], [0.3, 1.0]])])
+@pytest.mark.parametrize("member, point", [
+    (Halfspace([1.0, 0.0], -1.0), [-1.0, 0.0]),
+    (Box([1.0, -5.0], [5.0, 5.0]), [1.0, 0.0]),
+    (Halfspace([1.0, 1.0], -np.sqrt(2.0)), [-np.sqrt(0.5), -np.sqrt(0.5)]),
+])
+def test_a_tangent_set_projects_to_its_single_point(weights, member, point):
+    s = Intersection([Ball([0.0, 0.0], 1.0), member])
+    for x in ([3.0, 2.0], [-4.0, -0.5], [0.0, 0.0]):
+        p = s.project(Metric(weights), x).point
+        assert np.allclose(p, point, atol=1e-12)
+        assert s.contains(p, MEMBERSHIP_TOL)
+
+
+def test_ball_intersection_meets_kkt_under_random_metrics():
+    rng = np.random.default_rng(41)
+    ball_active = 0
+    for _ in range(150):
+        dim = int(rng.integers(2, 5))
+        P = random_spd(rng, dim)
+        ball = Ball(rng.standard_normal(dim), rng.uniform(0.5, 2.0))
+        A = rng.standard_normal((int(rng.integers(1, 6)), dim))
+        inside = ball.center + 0.5 * ball.radius * rng.uniform(-1.0, 1.0, dim) / np.sqrt(dim)
+        b = A @ inside + rng.uniform(0.0, 1.5, A.shape[0])
+        x = ball.center + 5.0 * rng.standard_normal(dim)
+        v = Intersection([ball, Polyhedron(A, b)]).project(Metric(P), x).point
+        feasibility, slackness, stationarity, mult = kkt_residuals(P, ball, A, b, x, v)
+        assert max(feasibility, slackness, stationarity) <= 1e-12
+        assert np.all(mult >= 0.0)  # the row multipliers and nu
+        ball_active += mult[-1] > 0.0
+    assert ball_active > 100  # the ball binds (nu > 0) in 124 of the 150
+
+
+def test_an_empty_ball_intersection_raises():
+    s = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -1.0 - 1e-6)])
+    with pytest.raises(ProjectionError, match="empty"):
+        s.project(Metric([[2.0, 0.3], [0.3, 1.0]]), [3.0, 2.0])
+
+
+def test_intersections_beyond_one_ball_fail_to_project_but_still_sample():
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    for s in (Intersection([Ball([0.0, 0.0], 1.0), Ball([0.5, 0.0], 1.0)]),
+              Intersection([LinearPreimage([[2.0, 0.0], [0.0, 1.0]], Ball([0.0, 0.0], 1.0)),
+                            box])):
+        assert len(sample_points(Intersection([s, box]), 5, rng=42)) == 5
+        with pytest.raises(ValueError, match="at most one non-polyhedral member"):
+            s.project(I2, [3.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
