@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunSetup, build_setup, load_config
+from .config import DEFAULT_SAMPLES, ConfigError, RunSetup, build_setup, load_config
 from .metric import Metric
 from .plants import LTIPlant, NumericalError, davison_check
 from .presets import PRESET_DESCRIPTIONS, preset_config, preset_names
@@ -32,7 +32,7 @@ from .simulation import (
     gain_sweep,
     simulate,
 )
-from .vi import FBParams, contraction_constants, estimate_mu_L
+from .vi import FBParams, contraction_constants, estimate_mu_L, low_gain_threshold, step_window
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,7 +63,10 @@ def _load_setup(args) -> RunSetup:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
     return out
 
 
@@ -151,8 +154,8 @@ def _resolve_certificates(setup: RunSetup, block: dict, w: np.ndarray) -> tuple[
         raise ConfigError("certify.box", "Gamma is unbounded; give a box to sample in")
     mu, L = estimate_mu_L(lambda eta: setup.plant.pi(ctrl.gain @ eta, w),
                           region, ctrl.metric,
-                          samples=block.get("samples", 2000), seed=setup.seed)
-    echo = {"mu_hat": mu, "L_hat": L, "samples": block.get("samples", 2000),
+                          samples=block["samples"], seed=setup.seed)
+    echo = {"mu_hat": mu, "L_hat": L, "samples": block["samples"],
             "seed": setup.seed, "w": w.tolist()}
     return mu, L, echo
 
@@ -198,7 +201,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     setup = _load_setup(args)
-    block = setup.certify if setup.certify is not None else {"samples": 2000}
+    block = setup.certify if setup.certify is not None else {"samples": DEFAULT_SAMPLES}
     mu, L, _ = _resolve_certificates(setup, block, setup.scenario.schedule[0][1])
     ctrl = setup.controller
     plant = setup.plant
@@ -207,13 +210,11 @@ def cmd_certify(args) -> int:
     ok = mu > 0.0
     if ok:
         params = FBParams.certified(mu, L)
-        window = 2.0 * mu / L ** 2
-        alpha = params.alpha
         c_fb, _ = contraction_constants(params)
-        T_i_star = plant.T_s * L ** 2 / (2.0 * mu)
-        print(f"step window (0, {window:.6g}); c_fb at alpha={alpha:.6g}: {c_fb:.6g}")
-        print(f"T_i_star = {T_i_star:.6g} s (T_s = {plant.T_s:g} s, "
-              f"controller T_i = {ctrl.T_i:g} s)")
+        print(f"step window (0, {step_window(mu, L):.6g}); "
+              f"c_fb at alpha={params.alpha:.6g}: {c_fb:.6g}")
+        print(f"T_i_star = {low_gain_threshold(plant.T_s, mu, L):.6g} s "
+              f"(T_s = {plant.T_s:g} s, controller T_i = {ctrl.T_i:g} s)")
     else:
         print("empirical monotonicity failed: mu_hat <= 0")
     if isinstance(plant, LTIPlant):

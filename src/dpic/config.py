@@ -21,6 +21,8 @@ from .simulation import Scenario
 
 __all__ = ["ConfigError", "RunSetup", "load_config", "build_setup"]
 
+DEFAULT_SAMPLES = 2000  # sample pairs of an estimated (mu, L)
+
 
 class ConfigError(Exception):
     """Invalid configuration; str(err) names the offending key."""
@@ -202,7 +204,7 @@ def _build_metric(spec, dim: int, key: str = "metric") -> Metric:
         raise ConfigError(key, str(exc)) from exc
 
 
-def _build_schedule(spec, key: str) -> list[tuple[int, np.ndarray]]:
+def _build_schedule(spec, key: str, n_w: int) -> list[tuple[int, np.ndarray]]:
     if not isinstance(spec, list) or not spec:
         raise ConfigError(key, "expected a nonempty list of [start_step, w] pairs")
     schedule = []
@@ -210,7 +212,10 @@ def _build_schedule(spec, key: str) -> list[tuple[int, np.ndarray]]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(f"{key}[{i}]", "expected a [start_step, w] pair")
         start = _as_int(entry[0], f"{key}[{i}][0]", minimum=0)
-        schedule.append((start, _as_vector(entry[1], f"{key}[{i}][1]")))
+        w = _as_vector(entry[1], f"{key}[{i}][1]")
+        if w.shape != (n_w,):
+            raise ConfigError(key, f"disturbance at step {start} must have dimension {n_w}")
+        schedule.append((start, w))
     return schedule
 
 
@@ -250,15 +255,11 @@ def build_setup(cfg: dict) -> RunSetup:
             plant=plant,
             controller=controller,
             schedule=_build_schedule(_get(scn_cfg, "schedule", "scenario"),
-                                     "scenario.schedule"),
+                                     "scenario.schedule", plant.n_w),
             horizon=_as_int(_get(scn_cfg, "horizon", "scenario"), "scenario.horizon", 1),
             x0=_as_vector(_get(scn_cfg, "x0", "scenario"), "scenario.x0"))
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from exc
-    for k, w in scenario.schedule:
-        if w.shape != (plant.n_w,):
-            raise ConfigError("scenario.schedule",
-                              f"disturbance at step {k} must have dimension {plant.n_w}")
 
     sweep = _validate_sweep(cfg.get("sweep"), scenario) if "sweep" in cfg else None
     certify = _validate_certify(cfg.get("certify")) if "certify" in cfg else None
@@ -280,7 +281,6 @@ def _validate_box_block(spec, key: str) -> Box:
 def _validate_sweep(spec, scenario: Scenario) -> dict:
     """Sweep block; out["scenario"] is the run scenario with the sweep's
     horizon and schedule overrides applied."""
-    plant = scenario.plant
     if not isinstance(spec, dict):
         raise ConfigError("sweep", "expected a sweep object")
     ti_raw = _get(spec, "T_i", "sweep")
@@ -300,7 +300,7 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
         raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'estimate'")
     if mu == "estimate":
         out["estimate"] = True
-        out["samples"] = _as_int(spec.get("samples", 2000), "sweep.samples", 2)
+        out["samples"] = _as_int(spec.get("samples", DEFAULT_SAMPLES), "sweep.samples", 2)
         out["box"] = _validate_box_block(_get(spec, "box", "sweep"), "sweep.box")
     else:
         out["estimate"] = False
@@ -311,11 +311,7 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
     if "horizon" in spec:
         out["horizon"] = _as_int(spec["horizon"], "sweep.horizon", 1)
     if "schedule" in spec:
-        out["schedule"] = _build_schedule(spec["schedule"], "sweep.schedule")
-        for k, w in out["schedule"]:
-            if w.shape != (plant.n_w,):
-                raise ConfigError("sweep.schedule",
-                                  f"disturbance at step {k} must have dimension {plant.n_w}")
+        out["schedule"] = _build_schedule(spec["schedule"], "sweep.schedule", scenario.plant.n_w)
     try:
         out["scenario"] = replace(scenario,
                                   horizon=out.get("horizon", scenario.horizon),
@@ -328,7 +324,7 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
 def _validate_certify(spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("certify", "expected a certify object")
-    out = {"samples": _as_int(spec.get("samples", 2000), "certify.samples", 2)}
+    out = {"samples": _as_int(spec.get("samples", DEFAULT_SAMPLES), "certify.samples", 2)}
     if "box" in spec:
         out["box"] = _validate_box_block(spec["box"], "certify.box")
     return out

@@ -1,4 +1,4 @@
-"""Integral controllers: damped projected and classical.
+"""The damped projected integral controller.
 
 The damped projected integral update keeps the integrator state eta inside
 Gamma = {eta : K eta in C}, so the emitted input u = K eta satisfies the
@@ -10,8 +10,9 @@ input constraints at every step and the integrator cannot wind up:
 
 The projection is evaluated lazily: when the forward step already lies in
 Gamma the update reduces to the classical integral law with per-step gain
-damping * T_s / T_i.  _damped_projected_update applies the update to a
-batch of integrator states at once; DPIController.step is its batch of one.
+damping * T_s / T_i, which ClassicalIntegralController steps for
+comparison.  _damped_projected_update applies the update to a batch of
+integrator states at once; DPIController.step is its batch of one.
 """
 
 from __future__ import annotations
@@ -64,17 +65,13 @@ class DPIController:
 
     def __init__(self, gain, constraint: ConvexSet, metric: Metric,
                  T_s: float, T_i: float, damping: float,
-                 eta0=None, u0=None, allow_undamped: bool = False):
+                 eta0=None, u0=None):
         K = _gain_matrix(gain)
         if K.shape[0] != constraint.dim:
             raise ValueError("gain output dimension does not match the constraint set")
         _validate_timing(T_s, T_i)
-        if allow_undamped:
-            if not 0.0 < damping <= 1.0:
-                raise ValueError("damping must lie in (0, 1]")
-        elif not 0.0 < damping < 1.0:
-            raise ValueError("damping must lie strictly in (0, 1); "
-                             "pass allow_undamped=True to experiment with damping = 1")
+        if not 0.0 < damping < 1.0:
+            raise ValueError("damping must lie strictly in (0, 1)")
         self.gain = K
         self.constraint = constraint
         self.metric = metric
@@ -84,7 +81,6 @@ class DPIController:
         self.T_s = float(T_s)
         self.T_i = float(T_i)
         self.damping = float(damping)
-        self.allow_undamped = bool(allow_undamped)
         if eta0 is not None and u0 is not None:
             raise ValueError("give eta0 or u0, not both")
         if eta0 is not None:
@@ -104,11 +100,6 @@ class DPIController:
         """Integral step size T_s / T_i."""
         return self.T_s / self.T_i
 
-    @property
-    def u(self) -> np.ndarray:
-        """Input the controller will emit at the current state."""
-        return self.gain @ self.eta
-
     def step(self, e) -> np.ndarray:
         """Advance the integrator on error e; returns the input computed
         from the state before the update."""
@@ -121,12 +112,6 @@ class DPIController:
             np.array([self.alpha]), np.array([self.damping]))[0]
         return u
 
-    def clone(self) -> "DPIController":
-        """Independent copy starting from this controller's current state."""
-        return DPIController(self.gain, self.constraint, self.metric,
-                             self.T_s, self.T_i, self.damping,
-                             eta0=self.eta, allow_undamped=self.allow_undamped)
-
     def with_gains(self, T_i: float | None = None,
                    damping: float | None = None) -> "DPIController":
         """Copy at the configured initial state with new integral gains."""
@@ -134,36 +119,23 @@ class DPIController:
                              self.T_s,
                              self.T_i if T_i is None else T_i,
                              self.damping if damping is None else damping,
-                             eta0=self._eta0, allow_undamped=self.allow_undamped)
+                             eta0=self._eta0)
 
 
 class ClassicalIntegralController:
-    """Unconstrained discrete integral law eta <- eta - (T_s / T_i) e."""
+    """Unconstrained discrete integral law eta <- eta - alpha e, alpha = T_s / T_i."""
 
     def __init__(self, gain, T_s: float, T_i: float, eta0):
         self.gain = _gain_matrix(gain)
         _validate_timing(T_s, T_i)
-        self.T_s = float(T_s)
-        self.T_i = float(T_i)
+        self.alpha = float(T_s) / float(T_i)
         eta = np.asarray(eta0, dtype=float)
         if eta.shape != (self.gain.shape[1],):
             raise ValueError("eta0 does not match the gain input dimension")
         self.eta = eta.copy()
-        self._eta0 = eta.copy()
-
-    @property
-    def alpha(self) -> float:
-        return self.T_s / self.T_i
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.gain @ self.eta
 
     def step(self, e) -> np.ndarray:
         e = np.asarray(e, dtype=float)
         u = self.gain @ self.eta
         self.eta = self.eta - self.alpha * e
         return u
-
-    def clone(self) -> "ClassicalIntegralController":
-        return ClassicalIntegralController(self.gain, self.T_s, self.T_i, self.eta)

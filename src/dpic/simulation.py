@@ -23,11 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import ClassicalIntegralController, DPIController, _damped_projected_update
+from .controller import DPIController, _damped_projected_update
 from .metric import Metric, _apply, _row_norms
 from .plants import NumericalError, PlantModel
 from .sets import MEMBERSHIP_TOL, normal_cone_residual
-from .vi import FBParams, VIProblem, solve_vi
+from .vi import FBParams, VIProblem, low_gain_threshold, solve_vi
 
 __all__ = [
     "SimulationError",
@@ -56,19 +56,21 @@ class ConstraintViolationError(SimulationError):
 
 @dataclass
 class Scenario:
-    """Plant, controller and a piecewise-constant disturbance schedule.
+    """Plant, projected controller and a piecewise-constant disturbance schedule.
 
     schedule is a list of (start_step, w) pairs with strictly increasing
     start steps, the first at step 0.
     """
 
     plant: PlantModel
-    controller: DPIController | ClassicalIntegralController
+    controller: DPIController
     schedule: Sequence[tuple[int, np.ndarray]]
     horizon: int
     x0: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.controller, DPIController):
+            raise ValueError("the closed loop needs a damped projected integral controller")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if not self.schedule:
@@ -150,18 +152,18 @@ def _lockstep(scenario: Scenario,
     """Run the scenario once per controller, all loops in lockstep.
 
     The controllers share gain, Gamma and metric and differ in T_i, damping
-    and initial state.  Row g of every state and record array belongs to
-    controller g.  A step that raises is retried row by row; a row that
-    fails alone ends with its SimulationError and the others run on.
-    Returns a SimRecord (without segments) or a SimulationError per row.
+    and initial state; row g of every array belongs to controller g.  Each
+    step checks u against C and takes the damped projected update.  A step
+    that raises is retried row by row; a row that fails alone ends with its
+    SimulationError and the others run on.  Returns a SimRecord (without
+    segments) or a SimulationError per row.
     """
     plant = scenario.plant
     base = controllers[0]
-    projected = isinstance(base, DPIController)
     G, H = len(controllers), scenario.horizon
     m, p = base.gain.shape
     alpha = np.array([c.alpha for c in controllers])
-    damping = np.array([c.damping for c in controllers]) if projected else None
+    damping = np.array([c.damping for c in controllers])
     W = _w_steps(scenario)
     xs = np.empty((G, H, plant.n))
     us = np.empty((G, H, m))
@@ -180,20 +182,16 @@ def _lockstep(scenario: Scenario,
         # a non-finite state shows in e or in plant.step
         if not np.isfinite(e).all():
             raise NumericalError("state or error is not finite")
-        if projected:
-            member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
-            if not member.all():
-                raise ConstraintViolationError(
-                    f"step {k}: projected controller emitted u outside C")
-            eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
-                                                alpha[rows], damping[rows])
-            # eta_{k+1} - eta_k = damping * (backward point - eta_k), so the
-            # natural residual |eta_k - Proj(eta_k - alpha e_k)|_P is the
-            # state increment over damping; avoids a second projection.
-            residual = base.metric.norm(eta_next - eta_k) / damping[rows]
-        else:
-            eta_next = eta_k - alpha[rows, None] * e
-            margin = residual = np.nan
+        member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
+        if not member.all():
+            raise ConstraintViolationError(
+                f"step {k}: projected controller emitted u outside C")
+        eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
+                                            alpha[rows], damping[rows])
+        # eta_{k+1} - eta_k = damping * (backward point - eta_k), so the
+        # natural residual |eta_k - Proj(eta_k - alpha e_k)|_P is the
+        # state increment over damping; avoids a second projection.
+        residual = base.metric.norm(eta_next - eta_k) / damping[rows]
         x_next = plant.step(x_k, u, w)
         xs[rows, k], us[rows, k], es[rows, k], etas[rows, k] = x_k, u, e, eta_k
         margins[rows, k], residuals[rows, k] = margin, residual
@@ -225,16 +223,17 @@ def _lockstep(scenario: Scenario,
 
 
 def simulate(scenario: Scenario) -> SimRecord:
-    """Run the loop over the full horizon; deterministic for a fixed scenario."""
-    ctrl = scenario.controller.clone()
+    """Run the loop over the full horizon; deterministic for a fixed scenario.
+    The controller is read, never advanced; its state must lie in Gamma."""
+    ctrl = scenario.controller
+    if not ctrl.gamma.contains(ctrl.eta, MEMBERSHIP_TOL):
+        raise ValueError("controller state eta is not a member of Gamma")
     record = _lockstep(scenario, [ctrl])[0]
     if isinstance(record, SimulationError):
         raise record
-    projected = isinstance(ctrl, DPIController)
     for start, end in scenario.segment_bounds():
         last = end - 1
-        nc = (normal_cone_residual(ctrl.gamma, ctrl.metric, record.eta[last], -record.e[last])
-              if projected else np.nan)
+        nc = normal_cone_residual(ctrl.gamma, ctrl.metric, record.eta[last], -record.e[last])
         record.segments.append(SegmentSummary(
             start, end, scenario.w_at(start),
             tracking_error=float(np.linalg.norm(record.e[last])),
@@ -331,8 +330,6 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
     ground-truth equilibrium eta_bar of the final segment.
     """
     base = scenario.controller
-    if not isinstance(base, DPIController):
-        raise ValueError("gain sweeps need a projected integral controller")
     if not (mu > 0.0 and L >= mu):
         raise ValueError("sweep certificates must satisfy 0 < mu <= L")
     plant = scenario.plant
@@ -362,5 +359,5 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
             rate = fit_decay_rate(deviation, last_start)
         points.append(SweepPoint(T_i, damping, converged, rate,
                                  float(record.vi_residual[-1])))
-    T_i_star = plant.T_s * L ** 2 / (2.0 * mu)
-    return StabilityReport(points, T_i_star, float(mu), float(L), eta_bar)
+    return StabilityReport(points, low_gain_threshold(plant.T_s, mu, L),
+                           float(mu), float(L), eta_bar)

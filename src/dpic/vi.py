@@ -28,6 +28,8 @@ __all__ = [
     "fb_map",
     "fb_damped_map",
     "natural_residual",
+    "step_window",
+    "low_gain_threshold",
     "contraction_constants",
     "solve_vi",
     "estimate_mu_L",
@@ -57,6 +59,16 @@ class VIProblem:
         return out
 
 
+def step_window(mu: float, L: float) -> float:
+    """Upper end of the certified step window (0, 2 mu / L^2)."""
+    return 2.0 * mu / L ** 2
+
+
+def low_gain_threshold(T_s: float, mu: float, L: float) -> float:
+    """Low-gain threshold T_i* = T_s L^2 / (2 mu) on the integral time."""
+    return T_s * L ** 2 / (2.0 * mu)
+
+
 @dataclass(frozen=True)
 class FBParams:
     """Step size, damping and optional monotonicity/Lipschitz certificates.
@@ -81,7 +93,7 @@ class FBParams:
         if self.mu is not None:
             if not 0.0 < self.mu <= self.L * (1.0 + 1e-12):
                 raise ValueError("certificates must satisfy 0 < mu <= L")
-            window = 2.0 * self.mu / self.L ** 2
+            window = step_window(self.mu, self.L)
             if self.alpha >= window:
                 raise ValueError(
                     f"alpha={self.alpha:g} outside the certified window (0, {window:g})")

@@ -124,6 +124,17 @@ def test_out_directory_created(tmp_path):
     assert (nested / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("below", [(), ("x",)], ids=["the-file", "inside-the-file"])
+def test_out_path_through_a_file_exits_2(tmp_path, capsys, command, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker.joinpath(*below)
+    assert main([command, "--preset", "lti-demo", "--out", str(out)]) == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 # ---------------------------------------------------------------------------
 # configuration errors (exit 2)
 

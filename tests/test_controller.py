@@ -105,14 +105,6 @@ def test_damping_bounds():
             make_dpi(damping=lam)
 
 
-def test_full_damping_with_escape_hatch():
-    c = make_dpi(damping=1.0, allow_undamped=True)
-    c.step(np.array([1.0, 0.0]))
-    assert np.allclose(c.eta, [-2.0 / 3.0, 0.0], atol=1e-15)  # pure projected step
-    with pytest.raises(ValueError):
-        make_dpi(damping=1.5, allow_undamped=True)
-
-
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -160,14 +152,6 @@ def test_timing_validated():
 
 # ---------------------------------------------------------------------------
 # copies
-
-def test_clone_is_independent():
-    c = make_dpi(eta0=[1.0, 1.0])
-    d = c.clone()
-    c.step(np.array([1.0, 1.0]))
-    assert np.allclose(d.eta, [1.0, 1.0])
-    assert not np.allclose(c.eta, d.eta)
-
 
 def test_with_gains_resets_to_initial_state():
     c = make_dpi(eta0=[1.0, 1.0])

@@ -120,24 +120,17 @@ def test_logged_residual_matches_direct_recomputation():
     s = tank_scenario(horizon=120, schedule=[(0, np.array([10.0, 10.0])),
                                              (5, np.array([18.0, 18.0]))])
     record = simulate(s)
-    ctrl = s.controller
     for k in (0, 5, 6, 30, 119):
-        probe = ctrl.clone()
-        probe.eta = record.eta[k].copy()
-        direct = _measured_vi_residual(probe, record.eta[k], record.e[k])
+        direct = _measured_vi_residual(s.controller, record.eta[k], record.e[k])
         assert record.vi_residual[k] == pytest.approx(direct, abs=1e-12)
 
 
-def test_classical_controller_logs_no_margin():
+def test_scenario_requires_projected_controller():
     plant = LTIPlant(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]], T_s=1.0)
     ctrl = ClassicalIntegralController([[1.0]], T_s=1.0, T_i=2.0, eta0=[0.0])
-    record = simulate(Scenario(plant=plant, controller=ctrl,
-                               schedule=[(0, np.array([0.5]))], horizon=60,
-                               x0=np.array([0.0])))
-    assert np.all(np.isnan(record.constraint_margin))
-    assert np.all(np.isnan(record.vi_residual))
-    assert np.isnan(record.segments[0].normal_cone_residual)
-    assert abs(record.e[-1, 0]) <= 1e-3
+    with pytest.raises(ValueError, match="projected"):
+        Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
+                 horizon=10, x0=np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +318,6 @@ def test_gain_sweep_marks_failures_and_continues():
     assert not fast.converged and fast.error is not None and "step" in fast.error
     assert slow.error is None
     assert np.isnan(fast.decay_rate)
-
-
-def test_gain_sweep_requires_projected_controller():
-    plant = LTIPlant(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]], T_s=1.0)
-    ctrl = ClassicalIntegralController([[1.0]], T_s=1.0, T_i=2.0, eta0=[0.0])
-    s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
-                 horizon=10, x0=np.array([0.0]))
-    with pytest.raises(ValueError):
-        gain_sweep(s, [2.0], [0.5], mu=1.0, L=1.0)
 
 
 def test_empirical_damping_star():
