@@ -320,6 +320,16 @@ def test_gain_sweep_marks_failures_and_continues():
     assert np.isnan(fast.decay_rate)
 
 
+def test_gain_sweep_requires_projected_controller():
+    # the scenario's own check rejects the controller before gain_sweep runs
+    plant = LTIPlant(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]], T_s=1.0)
+    ctrl = ClassicalIntegralController([[1.0]], T_s=1.0, T_i=2.0, eta0=[0.0])
+    with pytest.raises(ValueError, match="projected"):
+        s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
+                     horizon=10, x0=np.array([0.0]))
+        gain_sweep(s, [2.0], [0.5], mu=1.0, L=1.0)
+
+
 def test_empirical_damping_star():
     pts = [SweepPoint(5.0, 0.1, True, 0.9, 0.0),
            SweepPoint(5.0, 0.5, True, 0.9, 0.0),
