@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +62,19 @@ def _load_setup(args) -> RunSetup:
     return build_setup(cfg)
 
 
+@contextmanager
+def _writing_out():
+    """Report a fault in making --out or writing a file in it as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write the output: {exc}") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    try:
+    with _writing_out():
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
     return out
 
 
@@ -109,8 +117,6 @@ def cmd_simulate(args) -> int:
     xi = change_of_coordinates(record, setup.plant, setup.scenario)
     converged = classify_convergence(record, xi, setup.metric)
     plant = setup.plant
-    _write_trajectory(out / "trajectory.csv", record, plant.n,
-                      setup.controller.gain.shape[0], setup.controller.gain.shape[1])
     summary = {
         "seed": setup.seed,
         "horizon": setup.scenario.horizon,
@@ -135,7 +141,10 @@ def cmd_simulate(args) -> int:
             for seg in record.segments
         ],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    with _writing_out():
+        _write_trajectory(out / "trajectory.csv", record, plant.n,
+                          setup.controller.gain.shape[0], setup.controller.gain.shape[1])
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'trajectory.csv'} ({record.x.shape[0]} steps) "
           f"and {out / 'summary.json'}")
     print(f"converged: {converged}; final vi residual {record.vi_residual[-1]:.3e}; "
@@ -167,19 +176,12 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     spec = setup.sweep
     if spec["estimate"]:
-        # estimated where gain_sweep solves: at the sweep's final disturbance
+        # estimated at the final disturbance, where the sweep fits its decay rate
         mu, L, cert_echo = _resolve_certificates(setup, spec, spec["scenario"].schedule[-1][1])
     else:
         mu, L = spec["mu"], spec["L"]
         cert_echo = {"mu": mu, "L": L}
     report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T_i", "lambda", "converged", "decay_rate",
-                         "final_vi_residual"])
-        for p in report.points:
-            writer.writerow([_fmt(p.T_i), _fmt(p.damping), str(p.converged).lower(),
-                             _fmt(p.decay_rate), _fmt(p.final_vi_residual)])
     summary = {
         "seed": setup.seed,
         "T_i_star": report.T_i_star,
@@ -191,7 +193,15 @@ def cmd_sweep(args) -> int:
             _fmt(T_i): report.empirical_damping_star(T_i) for T_i in spec["T_i"]
         },
     }
-    (out / "sweep_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    with _writing_out():
+        with (out / "sweep.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["T_i", "lambda", "converged", "decay_rate",
+                             "final_vi_residual"])
+            for p in report.points:
+                writer.writerow([_fmt(p.T_i), _fmt(p.damping), str(p.converged).lower(),
+                                 _fmt(p.decay_rate), _fmt(p.final_vi_residual)])
+        (out / "sweep_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'sweep.csv'} ({len(report.points)} points) "
           f"and {out / 'sweep_summary.json'}")
     print(f"T_i_star = {report.T_i_star:.6g} s; "

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from dpic import Box, Metric, SimulationError, preset_config
+from dpic import Box, Metric, SimulationError, build_setup, preset_config
 from dpic.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from rate_oracle import linearized_loop_radius
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -125,14 +126,22 @@ def test_out_directory_created(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-@pytest.mark.parametrize("below", [(), ("x",)], ids=["the-file", "inside-the-file"])
+@pytest.mark.parametrize("below", [(), ("x",), ("artifact",)],
+                         ids=["the-file", "inside-the-file", "an-artifact-name"])
 def test_out_path_through_a_file_exits_2(tmp_path, capsys, command, below):
-    blocker = tmp_path / "taken"
-    blocker.write_text("")
-    out = blocker.joinpath(*below)
+    if below == ("artifact",):
+        # --out is a directory, but a directory takes the name of an artifact
+        artifact = {"simulate": "trajectory.csv", "sweep": "sweep_summary.json"}[command]
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+    else:
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker.joinpath(*below)
     assert main([command, "--preset", "lti-demo", "--out", str(out)]) == EXIT_CONFIG
     assert "--out" in capsys.readouterr().err
-    assert blocker.read_text() == ""
+    if below != ("artifact",):
+        assert blocker.read_text() == ""
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +284,18 @@ def test_sweep_lti_demo(tmp_path, capsys):
     # every tested damping converged at every T_i on this easy plant
     assert all(v == pytest.approx(0.95)
                for v in summary["empirical_lambda_star"].values())
+    # the reference is feasible, so each run settles at an interior point
+    # and decays at the spectral radius of the linearized loop
+    setup = build_setup(preset_config("lti-demo"))
+    for row in rows:
+        rho = linearized_loop_radius(setup.plant, setup.controller.gain,
+                                     float(row["T_i"]), float(row["lambda"]))
+        assert float(row["decay_rate"]) == pytest.approx(rho, abs=1e-3), row
 
 
 def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
-    # gain_sweep solves at the sweep's final w, not the run schedule's first
+    # estimated at the sweep's final w, where gain_sweep fits the decay
+    # rate, not at the run schedule's first
     cfg = preset_config("lti-demo")
     cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
                          "samples": 50, "box": {"lower": [-1.0], "upper": [1.0]},
