@@ -89,25 +89,30 @@ def _controller_echo(setup: RunSetup) -> dict:
     }
 
 
-def _write_trajectory(path: Path, record, n: int, m: int, p: int) -> None:
-    header = (["k", "t"]
-              + [f"x{i+1}" for i in range(n)]
-              + [f"u{i+1}" for i in range(m)]
-              + [f"e{i+1}" for i in range(p)]
-              + [f"eta{i+1}" for i in range(p)]
+def _write_artifacts(table: Path, write_table, summary_path: Path, summary: dict) -> None:
+    """Write the table, then the summary beside it.  A fault in either is a
+    config error, and a table written before the summary failed is removed."""
+    with _writing_out():
+        write_table(table)
+        try:
+            summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+        except OSError:
+            table.unlink(missing_ok=True)
+            raise
+
+
+def _write_trajectory(path: Path, record) -> None:
+    blocks = {"x": record.x, "u": record.u, "e": record.e, "eta": record.eta}
+    header = (["k", "t"] + [f"{name}{i+1}" for name, a in blocks.items() for i in range(a.shape[1])]
               + ["constraint_margin", "vi_residual"])
-    t = record.t
+    cols = np.column_stack([record.k, record.t, *blocks.values(),
+                            record.constraint_margin, record.vi_residual])
+    # "%.17g" spells every double as format(v, _FLOAT_FMT) does; k is exact.
+    # Rows convert one at a time, so no list of the whole table is held.
+    line = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(record.x.shape[0]):
-            row = ([str(int(record.k[k])), _fmt(t[k])]
-                   + [_fmt(v) for v in record.x[k]]
-                   + [_fmt(v) for v in record.u[k]]
-                   + [_fmt(v) for v in record.e[k]]
-                   + [_fmt(v) for v in record.eta[k]]
-                   + [_fmt(record.constraint_margin[k]), _fmt(record.vi_residual[k])])
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row.tolist()) for row in cols)
 
 
 def cmd_simulate(args) -> int:
@@ -116,7 +121,6 @@ def cmd_simulate(args) -> int:
     record = simulate(setup.scenario)
     xi = change_of_coordinates(record, setup.plant, setup.scenario)
     converged = classify_convergence(record, xi, setup.metric)
-    plant = setup.plant
     summary = {
         "seed": setup.seed,
         "horizon": setup.scenario.horizon,
@@ -129,22 +133,11 @@ def cmd_simulate(args) -> int:
             "constraint_margin": float(record.constraint_margin[-1]),
             "state_deviation": float(np.linalg.norm(xi[-1])),
         },
-        "segments": [
-            {
-                "start": seg.start,
-                "end": seg.end,
-                "w": seg.w.tolist(),
-                "tracking_error": seg.tracking_error,
-                "vi_residual": seg.vi_residual,
-                "normal_cone_residual": seg.normal_cone_residual,
-            }
-            for seg in record.segments
-        ],
+        # the SegmentSummary fields in their order: start, end, w, tracking_error, ...
+        "segments": [{**vars(seg), "w": seg.w.tolist()} for seg in record.segments],
     }
-    with _writing_out():
-        _write_trajectory(out / "trajectory.csv", record, plant.n,
-                          setup.controller.gain.shape[0], setup.controller.gain.shape[1])
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_artifacts(out / "trajectory.csv", lambda path: _write_trajectory(path, record),
+                     out / "summary.json", summary)
     print(f"wrote {out / 'trajectory.csv'} ({record.x.shape[0]} steps) "
           f"and {out / 'summary.json'}")
     print(f"converged: {converged}; final vi residual {record.vi_residual[-1]:.3e}; "
@@ -167,6 +160,15 @@ def _resolve_certificates(setup: RunSetup, block: dict, w: np.ndarray) -> tuple[
     echo = {"mu_hat": mu, "L_hat": L, "samples": block["samples"],
             "seed": setup.seed, "w": w.tolist()}
     return mu, L, echo
+
+
+def _write_sweep(path: Path, points) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["T_i", "lambda", "converged", "decay_rate", "final_vi_residual"])
+        for p in points:
+            writer.writerow([_fmt(p.T_i), _fmt(p.damping), str(p.converged).lower(),
+                             _fmt(p.decay_rate), _fmt(p.final_vi_residual)])
 
 
 def cmd_sweep(args) -> int:
@@ -193,15 +195,8 @@ def cmd_sweep(args) -> int:
             _fmt(T_i): report.empirical_damping_star(T_i) for T_i in spec["T_i"]
         },
     }
-    with _writing_out():
-        with (out / "sweep.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["T_i", "lambda", "converged", "decay_rate",
-                             "final_vi_residual"])
-            for p in report.points:
-                writer.writerow([_fmt(p.T_i), _fmt(p.damping), str(p.converged).lower(),
-                                 _fmt(p.decay_rate), _fmt(p.final_vi_residual)])
-        (out / "sweep_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_artifacts(out / "sweep.csv", lambda path: _write_sweep(path, report.points),
+                     out / "sweep_summary.json", summary)
     print(f"wrote {out / 'sweep.csv'} ({len(report.points)} points) "
           f"and {out / 'sweep_summary.json'}")
     print(f"T_i_star = {report.T_i_star:.6g} s; "

@@ -13,7 +13,9 @@ One loop serves both entry points: it advances G closed loops that share
 the plant, Gamma and the disturbance schedule in lockstep, one row each.
 simulate is its batch of one and gain_sweep its batch of one row per grid
 point.  Row by row the arithmetic is that of a batch of one, so a sweep row
-equals the solo run of its grid point bit for bit.
+equals the solo run of its grid point bit for bit.  The loop advances only
+what feeds back; the constraint margin, the residual and the check that u
+stayed in C come from each row's record after the loop.
 """
 
 from __future__ import annotations
@@ -155,10 +157,12 @@ def _lockstep(scenario: Scenario,
     """Run the scenario once per controller, all loops in lockstep.
 
     The controllers share gain, Gamma and metric and differ in T_i, damping
-    and initial state; row g of every array belongs to controller g.  Each
-    step checks u against C and takes the damped projected update.  A step
-    that raises is retried row by row; a row that fails alone ends with its
-    SimulationError and the others run on.  Returns a SimRecord (without
+    and initial state; row g of every array belongs to controller g.  A step
+    computes u = K eta and e, then the damped projected update and the plant
+    step; one that raises is retried row by row, and a row that fails alone
+    stops while the others run on.  Each row's margin, residual and u-in-C
+    check then come from its record; a row whose u left C fails at the first
+    such step, whatever it raised later.  Returns a SimRecord (without
     segments) or a SimulationError per row.
     """
     plant = scenario.plant
@@ -168,39 +172,29 @@ def _lockstep(scenario: Scenario,
     alpha = np.array([c.alpha for c in controllers])
     damping = np.array([c.damping for c in controllers])
     W = _w_steps(scenario)
-    xs = np.empty((G, H, plant.n))
+    # step k reads row k of the state and writes row k + 1
+    xs = np.empty((G, H + 1, plant.n))
+    etas = np.empty((G, H + 1, p))
     us = np.empty((G, H, m))
     es = np.empty((G, H, p))
-    etas = np.empty((G, H, p))
-    margins = np.empty((G, H))
-    residuals = np.empty((G, H))
-    x = np.tile(scenario.x0, (G, 1))
-    eta = np.array([c.eta for c in controllers])
+    xs[:, 0] = scenario.x0
+    etas[:, 0] = [c.eta for c in controllers]
 
     def advance(k: int, rows: slice | list[int]) -> None:
-        """Step k of the given rows; writes nothing unless every check passes."""
-        x_k, eta_k, w = x[rows], eta[rows], W[k]
+        """Step k of the given rows; writes nothing unless every row succeeds."""
+        x_k, eta_k, w = xs[rows, k], etas[rows, k], W[k]
         u = _apply(base.gain, eta_k)
         e = plant.output(x_k, u, w)
         # a non-finite state shows in e or in plant.step
         if not np.isfinite(e).all():
             raise NumericalError("state or error is not finite")
-        member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
-        if not member.all():
-            raise ConstraintViolationError(
-                f"step {k}: projected controller emitted u outside C")
         eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
                                             alpha[rows], damping[rows])
-        # eta_{k+1} - eta_k = damping * (backward point - eta_k), so the
-        # natural residual |eta_k - Proj(eta_k - alpha e_k)|_P is the
-        # state increment over damping; avoids a second projection.
-        residual = base.metric.norm(eta_next - eta_k) / damping[rows]
         x_next = plant.step(x_k, u, w)
-        xs[rows, k], us[rows, k], es[rows, k], etas[rows, k] = x_k, u, e, eta_k
-        margins[rows, k], residuals[rows, k] = margin, residual
-        x[rows], eta[rows] = x_next, eta_next
+        us[rows, k], es[rows, k] = u, e
+        xs[rows, k + 1], etas[rows, k + 1] = x_next, eta_next
 
-    failures: list[SimulationError | None] = [None] * G
+    failed: dict[int, tuple[int, SimulationError]] = {}  # row: (its step, failure)
     live = list(range(G))
     for k in range(H):
         try:
@@ -208,21 +202,32 @@ def _lockstep(scenario: Scenario,
             advance(k, slice(None) if len(live) == G else live)
         except _STEP_ERRORS as exc:
             if len(live) == 1:
-                failures[live[0]] = _step_failure(k, exc)
+                failed[live[0]] = k, _step_failure(k, exc)
             else:
                 for g in live:
                     try:
                         advance(k, [g])
                     except _STEP_ERRORS as row_exc:
-                        failures[g] = _step_failure(k, row_exc)
-            live = [g for g in live if failures[g] is None]
+                        failed[g] = k, _step_failure(k, row_exc)
+            live = [g for g in live if g not in failed]
             if not live:
                 break
-    steps = np.arange(H)
-    return [failures[g] if failures[g] is not None else
-            SimRecord(plant.T_s, steps, xs[g], us[g], es[g], etas[g],
-                      margins[g], residuals[g])
-            for g in range(G)]
+
+    def outcome(g: int) -> SimRecord | SimulationError:
+        steps, failure = failed.get(g, (H, None))
+        member, margin = base.constraint._membership(us[g, :steps], MEMBERSHIP_TOL)
+        if not member.all():
+            return ConstraintViolationError(
+                f"step {np.argmin(member)}: projected controller emitted u outside C")
+        if failure is not None:
+            return failure
+        # eta_{k+1} - eta_k = damping * (Proj(eta_k - alpha e_k) - eta_k), so the
+        # natural residual is the increment over damping, with no second projection
+        residual = base.metric.norm(np.diff(etas[g], axis=0)) / damping[g]
+        return SimRecord(plant.T_s, np.arange(H), xs[g, :H], us[g], es[g],
+                         etas[g, :H], margin, residual)
+
+    return [outcome(g) for g in range(G)]
 
 
 def simulate(scenario: Scenario) -> SimRecord:

@@ -1,0 +1,84 @@
+"""Per-step reference of the lockstep closed loop.
+
+Each step computes everything inside the step, as the loop once did: the
+input u = K eta, the error e, the u-in-C guard and the constraint margin
+from one membership call, the damped projected update, the natural residual
+from the state increment, and the plant step.  dpic.simulation._lockstep
+computes the margin, the residual and the guard from the record after the
+loop instead; its records must equal this one's bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dpic.controller import _damped_projected_update
+from dpic.metric import _apply
+from dpic.plants import NumericalError
+from dpic.sets import MEMBERSHIP_TOL
+from dpic.simulation import (
+    _STEP_ERRORS,
+    ConstraintViolationError,
+    SimRecord,
+    SimulationError,
+    _step_failure,
+)
+
+
+def oracle_lockstep(scenario, controllers) -> list[SimRecord | SimulationError]:
+    """The scenario once per controller, with the checks inside each step."""
+    plant = scenario.plant
+    base = controllers[0]
+    G, H = len(controllers), scenario.horizon
+    m, p = base.gain.shape
+    alpha = np.array([c.alpha for c in controllers])
+    damping = np.array([c.damping for c in controllers])
+    xs = np.empty((G, H, plant.n))
+    us = np.empty((G, H, m))
+    es = np.empty((G, H, p))
+    etas = np.empty((G, H, p))
+    margins = np.empty((G, H))
+    residuals = np.empty((G, H))
+    x = np.tile(scenario.x0, (G, 1))
+    eta = np.array([c.eta for c in controllers])
+
+    def advance(k, rows):
+        x_k, eta_k, w = x[rows], eta[rows], scenario.w_at(k)
+        u = _apply(base.gain, eta_k)
+        e = plant.output(x_k, u, w)
+        if not np.isfinite(e).all():
+            raise NumericalError("state or error is not finite")
+        member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
+        if not member.all():
+            raise ConstraintViolationError(
+                f"step {k}: projected controller emitted u outside C")
+        eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
+                                            alpha[rows], damping[rows])
+        residual = base.metric.norm(eta_next - eta_k) / damping[rows]
+        x_next = plant.step(x_k, u, w)
+        xs[rows, k], us[rows, k], es[rows, k], etas[rows, k] = x_k, u, e, eta_k
+        margins[rows, k], residuals[rows, k] = margin, residual
+        x[rows], eta[rows] = x_next, eta_next
+
+    failures: list[SimulationError | None] = [None] * G
+    live = list(range(G))
+    for k in range(H):
+        try:
+            advance(k, slice(None) if len(live) == G else live)
+        except _STEP_ERRORS as exc:
+            if len(live) == 1:
+                failures[live[0]] = _step_failure(k, exc)
+            else:
+                for g in live:
+                    try:
+                        advance(k, [g])
+                    except _STEP_ERRORS as row_exc:
+                        failures[g] = _step_failure(k, row_exc)
+            live = [g for g in live if failures[g] is None]
+            if not live:
+                break
+    steps = np.arange(H)
+    return [failures[g] if failures[g] is not None else
+            SimRecord(plant.T_s, steps, xs[g], us[g], es[g], etas[g],
+                      margins[g], residuals[g])
+            for g in range(G)]

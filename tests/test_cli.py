@@ -144,6 +144,54 @@ def test_out_path_through_a_file_exits_2(tmp_path, capsys, command, below):
         assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command, table, summary", [
+    ("simulate", "trajectory.csv", "summary.json"),
+    ("sweep", "sweep.csv", "sweep_summary.json"),
+])
+def test_failed_summary_write_removes_the_table(tmp_path, capsys, command, table, summary):
+    # the table is written first; a directory takes the summary's name
+    (tmp_path / summary).mkdir()
+    assert main([command, "--preset", "lti-demo", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [summary]
+
+
+def reference_trajectory_csv(path, record):
+    """trajectory.csv as csv.writer writes it with format(v, ".17g") per value."""
+    header = (["k", "t"] + [f"x{i+1}" for i in range(record.x.shape[1])]
+              + [f"u{i+1}" for i in range(record.u.shape[1])]
+              + [f"e{i+1}" for i in range(record.e.shape[1])]
+              + [f"eta{i+1}" for i in range(record.eta.shape[1])]
+              + ["constraint_margin", "vi_residual"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(record.k)):
+            values = ([record.t[k]] + list(record.x[k]) + list(record.u[k])
+                      + list(record.e[k]) + list(record.eta[k])
+                      + [record.constraint_margin[k], record.vi_residual[k]])
+            writer.writerow([str(int(record.k[k]))]
+                            + [format(float(v), ".17g") for v in values])
+
+
+def test_trajectory_writer_matches_the_csv_reference(tmp_path):
+    from dpic.cli import _write_trajectory
+    from dpic.simulation import SimRecord
+
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-310])
+    rng = np.random.default_rng(0)
+    H = 6
+    cells = rng.permutation(np.resize(odd, H * 10)).reshape(H, 10)
+    record = SimRecord(0.1, np.arange(H), cells[:, :3], cells[:, 3:5], cells[:, 5:7],
+                       cells[:, 7:9], cells[:, 9], odd[:H])
+    _write_trajectory(tmp_path / "fast.csv", record)
+    reference_trajectory_csv(tmp_path / "slow.csv", record)
+    data = (tmp_path / "fast.csv").read_bytes()
+    assert data == (tmp_path / "slow.csv").read_bytes()
+    for token in (b"nan", b",inf", b"-inf", b",-0\r\n", b"4.9406564584124654e-324", b"1e+300"):
+        assert token in data
+
+
 # ---------------------------------------------------------------------------
 # configuration errors (exit 2)
 

@@ -347,12 +347,16 @@ def test_empirical_damping_star():
 # ---------------------------------------------------------------------------
 # lockstep loop: rows of a batch against solo runs
 
-RECORD_COLUMNS = ("x", "u", "e", "eta", "constraint_margin", "vi_residual")
+RECORD_COLUMNS = ("k", "x", "u", "e", "eta", "constraint_margin", "vi_residual")
 
 
 def assert_same_run(row, solo):
+    """Every record array equal bit for bit, NaN and the sign of zero included."""
     for name in RECORD_COLUMNS:
-        assert np.array_equal(getattr(row, name), getattr(solo, name), equal_nan=True), name
+        a, b = getattr(row, name), getattr(solo, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 def test_lockstep_rows_equal_solo_runs():
@@ -418,3 +422,169 @@ def test_state_gone_non_finite_in_one_row_ends_that_row_alone():
     assert_same_run(medium, simulate(replace(s, controller=ctrls[2])))
     report = gain_sweep(s, [50.0, 0.05, 20.0], [0.9], mu=1.0, L=1.0)
     assert [p.error is None for p in report.points] == [True, False, True]
+
+
+# ---------------------------------------------------------------------------
+# the loop against its per-step reference: margin, residual and the u-in-C
+# guard come from the record after the loop, bit for bit as inside each step
+
+def _unit(rng, dim):
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def polytope_lti_scenario(segment=200, infeasible=True, seed=3):
+    """4-input LTI loop under a 20-row polytope in a non-diagonal metric.
+
+    x <- A x + B u and e = x - r with B = (I - A) G, so the steady-state
+    error is G u - r.  K = G^{-1} M with M = I + 0.3 N, |N|_2 = 1, makes the
+    steady-state operator M eta - r strongly monotone; P solves
+    M^T P + P M = I.  The input set is {u : a_i . u <= 1} for 20 random unit
+    normals.  The reference first asks for an input of norm 0.5, inside the
+    set, then (if infeasible) for one 2.5 along the first normal, outside
+    it; each holds for segment steps.  Returns the scenario and K.
+    """
+    from scipy.linalg import solve_continuous_lyapunov
+
+    from dpic import Polyhedron
+
+    dim = 4
+    rng = np.random.default_rng(seed)
+    G = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    N = rng.standard_normal((dim, dim))
+    M = np.eye(dim) + 0.3 * N / np.linalg.norm(N, 2)
+    K = np.linalg.solve(G, M)
+    P = solve_continuous_lyapunov(M.T, np.eye(dim))
+    normals = np.array([_unit(rng, dim) for _ in range(20)])
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    A = Q @ np.diag(rng.uniform(0.2, 0.5, dim)) @ Q.T
+    plant = LTIPlant(A=A, B=(np.eye(dim) - A) @ G, C=np.eye(dim), D=np.zeros((dim, dim)),
+                     B_w=np.zeros((dim, dim)), D_w=-np.eye(dim), T_s=1.0)
+    constraint = Polyhedron(normals, np.ones(20))
+    lower, upper = constraint.bounding_box()
+    assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+    ctrl = DPIController(K, constraint, Metric(0.5 * (P + P.T)), T_s=1.0, T_i=4.0,
+                         damping=0.5, u0=np.zeros(dim))
+    schedule = [(0, G @ (0.5 * _unit(rng, dim)))]  # every facet is at distance 1
+    if infeasible:
+        schedule.append((segment, G @ (2.5 * normals[0])))
+    return Scenario(plant=plant, controller=ctrl, schedule=schedule,
+                    horizon=segment * len(schedule), x0=np.zeros(dim)), K
+
+
+def test_polytope_lti_scenario_is_weighted_and_saturates():
+    s, _ = polytope_lti_scenario()
+    assert not s.controller.metric.is_diagonal
+    record = simulate(s)
+    assert np.min(record.constraint_margin[:200]) > 0.1
+    assert abs(record.constraint_margin[-1]) <= 1e-12  # settled on a facet
+
+
+@pytest.mark.parametrize("preset", ["four-tank", "lti-demo"])
+def test_simulate_preset_equals_the_per_step_loop(preset):
+    from dpic import build_setup, preset_config
+    from loop_oracle import oracle_lockstep
+
+    scenario = build_setup(preset_config(preset)).scenario
+    reference, = oracle_lockstep(scenario, [scenario.controller])
+    assert_same_run(simulate(scenario), reference)
+
+
+def test_polytope_lti_equals_the_per_step_loop():
+    from loop_oracle import oracle_lockstep
+
+    s, _ = polytope_lti_scenario()
+    reference, = oracle_lockstep(s, [s.controller])
+    assert_same_run(simulate(s), reference)
+
+
+def test_four_tank_sweep_rows_equal_the_per_step_loop():
+    from dpic import build_setup, preset_config
+    from loop_oracle import oracle_lockstep
+
+    spec = build_setup(preset_config("four-tank")).sweep
+    s = spec["scenario"]
+    ctrls = [s.controller.with_gains(T_i, damping)
+             for T_i in spec["T_i"][:2] for damping in spec["lambda"][:2]]
+    rows = _lockstep(s, ctrls)
+    for row, reference in zip(rows, oracle_lockstep(s, ctrls)):
+        assert_same_run(row, reference)
+
+
+def _pushing_update(monkeypatch, row, step, eta_out):
+    """Patch the loop's update so that row leaves its update at step with
+    eta_out, outside Gamma; calls are counted, one per step of a batch."""
+    import dpic.simulation as simulation
+
+    real = simulation._damped_projected_update
+    calls = []
+
+    def update(gamma, metric, eta, e, alpha, damping):
+        eta_next = real(gamma, metric, eta, e, alpha, damping)
+        if len(calls) == step:
+            eta_next[row] = eta_out
+        calls.append(len(eta))
+        return eta_next
+
+    monkeypatch.setattr(simulation, "_damped_projected_update", update)
+
+
+def test_u_outside_c_fails_the_row_at_the_next_step(monkeypatch):
+    s = scalar_scenario(horizon=60)
+    ctrls = [s.controller.with_gains(2.0, 0.5), s.controller.with_gains(5.0, 0.3)]
+    solo = simulate(replace(s, controller=ctrls[1]))
+    _pushing_update(monkeypatch, row=0, step=7, eta_out=[3.0])  # C = [-1, 1]
+    pushed, other = _lockstep(s, ctrls)
+    assert isinstance(pushed, ConstraintViolationError)
+    assert str(pushed) == "step 8: projected controller emitted u outside C"
+    assert_same_run(other, solo)
+
+
+def test_violation_wins_over_a_later_step_error(monkeypatch):
+    class Bounded(LTIPlant):
+        def step(self, x, u, w):
+            if np.any(np.abs(x) > 1.2):
+                raise NumericalError("level out of range")
+            return super().step(x, u, w)
+
+    plant = Bounded(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]], T_s=1.0)
+    s = replace(scalar_scenario(horizon=60), plant=plant)
+    _pushing_update(monkeypatch, row=0, step=7, eta_out=[3.0])
+    # u = 3 from step 8 drives x to 1.75 at step 9, where the plant raises
+    with pytest.raises(ConstraintViolationError, match="^step 8: "):
+        simulate(s)
+
+
+def test_a_step_that_raises_reports_its_own_error(monkeypatch):
+    class Capped(LTIPlant):
+        def step(self, x, u, w):
+            if np.any(np.abs(u) > 1.2):
+                raise NumericalError("input out of range")
+            return super().step(x, u, w)
+
+    plant = Capped(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]], T_s=1.0)
+    s = replace(scalar_scenario(horizon=60), plant=plant)
+    _pushing_update(monkeypatch, row=0, step=7, eta_out=[3.0])
+    # the step that emits u outside C raises and writes nothing
+    with pytest.raises(SimulationError, match="^step 8: input out of range") as failure:
+        simulate(s)
+    assert not isinstance(failure.value, ConstraintViolationError)
+
+
+def test_polytope_lti_sweep_rates_match_the_linearized_loop():
+    s, K = polytope_lti_scenario(segment=800, infeasible=False)
+    W = np.linalg.cholesky(s.controller.metric.P).T
+    Mw = W @ s.plant.dc_gain() @ K @ np.linalg.inv(W)
+    mu = float(np.min(np.linalg.eigvalsh(0.5 * (Mw + Mw.T))))
+    L = float(np.linalg.norm(Mw, 2))
+    report = gain_sweep(s, [1.0, 2.0, 4.0], [0.25, 0.5, 0.75], mu=mu, L=L)
+    assert report.T_i_star < 1.0  # the whole grid is in the low-gain regime
+    for p in report.points:
+        # the reference is feasible and no run leaves the interior of Gamma,
+        # so each run is the linear loop and settles at its rate rho
+        rho = linearized_loop_radius(s.plant, K, p.T_i, p.damping)
+        assert p.converged and rho < 1.0
+        # the fit starts 5 steps into the segment, where the loop's other
+        # modes (moduli within 0.06 of rho here) still bend log s_k; on this
+        # loop that costs up to 2.7e-3
+        assert abs(p.decay_rate - rho) <= 3e-3, (p.T_i, p.damping)
