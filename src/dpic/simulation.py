@@ -15,7 +15,10 @@ simulate is its batch of one and gain_sweep its batch of one row per grid
 point.  Row by row the arithmetic is that of a batch of one, so a sweep row
 equals the solo run of its grid point bit for bit.  The loop advances only
 what feeds back; the constraint margin, the residual and the check that u
-stayed in C come from each row's record after the loop.
+stayed in C come from each row's record after the loop.  A row whose step
+maps (x, eta) to itself bit for bit has settled: every later step of its
+disturbance segment repeats that step, so the loop copies it there and the
+row leaves the batch until the next segment starts.
 """
 
 from __future__ import annotations
@@ -160,10 +163,12 @@ def _lockstep(scenario: Scenario,
     and initial state; row g of every array belongs to controller g.  A step
     computes u = K eta and e, then the damped projected update and the plant
     step; one that raises is retried row by row, and a row that fails alone
-    stops while the others run on.  Each row's margin, residual and u-in-C
-    check then come from its record; a row whose u left C fails at the first
-    such step, whatever it raised later.  Returns a SimRecord (without
-    segments) or a SimulationError per row.
+    stops while the others run on.  A row that settles (its step left x and
+    eta unchanged, bit for bit) takes copies of that step up to the end of
+    the segment and rejoins at the next segment start.  Each row's margin,
+    residual and u-in-C check then come from its record; a row whose u left
+    C fails at the first such step, whatever it raised later.  Returns a
+    SimRecord (without segments) or a SimulationError per row.
     """
     plant = scenario.plant
     base = controllers[0]
@@ -180,8 +185,9 @@ def _lockstep(scenario: Scenario,
     xs[:, 0] = scenario.x0
     etas[:, 0] = [c.eta for c in controllers]
 
-    def advance(k: int, rows: slice | list[int]) -> None:
-        """Step k of the given rows; writes nothing unless every row succeeds."""
+    def advance(k: int, rows: slice | list[int] | np.ndarray) -> np.ndarray:
+        """Step k of the given rows; writes nothing unless every row succeeds.
+        Returns which rows it left where they were, bit for bit."""
         x_k, eta_k, w = xs[rows, k], etas[rows, k], W[k]
         u = _apply(base.gain, eta_k)
         e = plant.output(x_k, u, w)
@@ -193,25 +199,41 @@ def _lockstep(scenario: Scenario,
         x_next = plant.step(x_k, u, w)
         us[rows, k], es[rows, k] = u, e
         xs[rows, k + 1], etas[rows, k + 1] = x_next, eta_next
+        # bit patterns tell -0.0 from +0.0; eta rarely repeats, so it goes first
+        same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
+        if same.any():
+            same &= (np.asarray(x_next, float).view(np.int64) == x_k.view(np.int64)).all(axis=-1)
+        return same
 
     failed: dict[int, tuple[int, SimulationError]] = {}  # row: (its step, failure)
-    live = list(range(G))
-    for k in range(H):
-        try:
-            # while no row has failed, a basic slice spares fancy-index copies
-            advance(k, slice(None) if len(live) == G else live)
-        except _STEP_ERRORS as exc:
-            if len(live) == 1:
-                failed[live[0]] = k, _step_failure(k, exc)
-            else:
-                for g in live:
-                    try:
-                        advance(k, [g])
-                    except _STEP_ERRORS as row_exc:
-                        failed[g] = k, _step_failure(k, row_exc)
-            live = [g for g in live if g not in failed]
-            if not live:
+    for start, end in scenario.segment_bounds():
+        live = np.array([g for g in range(G) if g not in failed], dtype=int)  # settled rows rejoin
+        for k in range(start, end):
+            if not live.size:
                 break
+            try:
+                # while every row runs, a basic slice spares fancy-index copies
+                same = advance(k, slice(None) if live.size == G else live)
+            except _STEP_ERRORS as exc:
+                if live.size == 1:
+                    failed[int(live[0])] = k, _step_failure(k, exc)
+                else:
+                    for g in live.tolist():
+                        try:
+                            advance(k, [g])
+                        except _STEP_ERRORS as row_exc:
+                            failed[g] = k, _step_failure(k, row_exc)
+                live = np.array([g for g in live.tolist() if g not in failed], dtype=int)
+            else:
+                if same.any():
+                    # Step k is a pure function of (x_k, eta_k, w_k): plant.step,
+                    # plant.output and the update keep no state between calls (a
+                    # warm-started projection must keep it so).  w holds to the
+                    # segment end, so up to there a settled row repeats step k.
+                    for g in live[same].tolist():
+                        us[g, k + 1:end], es[g, k + 1:end] = us[g, k], es[g, k]
+                        xs[g, k + 2:end + 1], etas[g, k + 2:end + 1] = xs[g, k + 1], etas[g, k + 1]
+                    live = live[~same]
 
     def outcome(g: int) -> SimRecord | SimulationError:
         steps, failure = failed.get(g, (H, None))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpic import FourTankPlant, LTIPlant, NumericalError, davison_check
+from dpic.plants import FLOAT_PATH_MAX_ROWS
 
 
 def scalar_plant(**kw):
@@ -301,8 +302,11 @@ def test_tank_batched_calls_match_per_row_calls():
     perturbed = (plant.h_nominal + rng.uniform(-2.0, 4.0, size=(6, 4)),
                  rng.uniform(5.0, 45.0, size=(6, 2)))
     w = np.array([12.0, 9.0])
-    for H, U in (perturbed, _drained_tank_rows()):
-        # a single loop steps in Python floats, a batch in arrays
+    big = tuple(np.concatenate([a, b, a[:3]]) for a, b in zip(perturbed, _drained_tank_rows()))
+    assert len(big[0]) > FLOAT_PATH_MAX_ROWS >= len(perturbed[0])
+    for H, U in (perturbed, _drained_tank_rows(), big):
+        # a single loop steps in Python floats, and so does a batch of up to
+        # FLOAT_PATH_MAX_ROWS rows; the 15-row batch steps on arrays
         _assert_rows_match(plant.step(H, U, w), [plant.step(h, u, w) for h, u in zip(H, U)])
         _assert_rows_match(plant.output(H, U, w), [plant.output(h, u, w) for h, u in zip(H, U)])
         _assert_rows_match(plant.pi_x(U, w), [plant.pi_x(u, w) for u in U])
@@ -319,16 +323,19 @@ def test_tank_batched_calls_match_per_row_calls():
 
 def test_tank_batched_step_rejects_any_nonfinite_row():
     plant = FourTankPlant()
-    U = np.tile(plant.u_nominal, (3, 1))
     # a NaN level fails up front.  At 1e306, 2 g h overflows and an outlet
     # velocity is infinite: the array path's zero coefficients turn it into
-    # NaN, while the one-row path leaves them out, and with one such tank
-    # would end with that tank clamped to a finite 0
-    for bad in ([10.0, 10.0, np.nan, 5.38], [1e306] * 4, [1e306, 10.0, 5.0, 5.0]):
-        H = np.tile(plant.h_nominal, (3, 1))
-        H[1] = bad
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError):
-                plant.step(H, U, None)
-            with pytest.raises(NumericalError):
-                plant.step(H[1], U[1], None)
+    # NaN, while the float path leaves them out, and with one such tank
+    # would end with that tank clamped to a finite 0.  A 3-row batch takes
+    # the float path, a 15-row batch the array path
+    assert 3 <= FLOAT_PATH_MAX_ROWS < 15
+    for rows in (3, 15):
+        U = np.tile(plant.u_nominal, (rows, 1))
+        for bad in ([10.0, 10.0, np.nan, 5.38], [1e306] * 4, [1e306, 10.0, 5.0, 5.0]):
+            H = np.tile(plant.h_nominal, (rows, 1))
+            H[1] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError):
+                    plant.step(H, U, None)
+                with pytest.raises(NumericalError):
+                    plant.step(H[1], U[1], None)

@@ -480,14 +480,30 @@ def test_polytope_lti_scenario_is_weighted_and_saturates():
     assert abs(record.constraint_margin[-1]) <= 1e-12  # settled on a facet
 
 
+def _count_row_steps(monkeypatch, plant):
+    """Wrap plant.step to count the rows it steps; the one-item list returned
+    holds the count."""
+    count, real = [0], plant.step
+
+    def step(x, u, w=None):
+        count[0] += len(np.reshape(x, (-1, plant.n)))
+        return real(x, u, w)
+
+    monkeypatch.setattr(plant, "step", step)
+    return count
+
+
 @pytest.mark.parametrize("preset", ["four-tank", "lti-demo"])
-def test_simulate_preset_equals_the_per_step_loop(preset):
+def test_simulate_preset_equals_the_per_step_loop(preset, monkeypatch):
     from dpic import build_setup, preset_config
     from loop_oracle import oracle_lockstep
 
     scenario = build_setup(preset_config(preset)).scenario
     reference, = oracle_lockstep(scenario, [scenario.controller])
+    steps = _count_row_steps(monkeypatch, scenario.plant)
     assert_same_run(simulate(scenario), reference)
+    # the loop settles in each segment and copies the rest of it
+    assert steps[0] < scenario.horizon
 
 
 def test_polytope_lti_equals_the_per_step_loop():
@@ -498,17 +514,51 @@ def test_polytope_lti_equals_the_per_step_loop():
     assert_same_run(simulate(s), reference)
 
 
-def test_four_tank_sweep_rows_equal_the_per_step_loop():
+def test_four_tank_sweep_rows_equal_the_per_step_loop(monkeypatch):
     from dpic import build_setup, preset_config
     from loop_oracle import oracle_lockstep
 
     spec = build_setup(preset_config("four-tank")).sweep
     s = spec["scenario"]
+    # the preset's whole grid: 13 of its 15 rows settle at different steps,
+    # so the batch shrinks from the tank's array path to its float path, and
+    # (T_i 2, lambda 0.95) and (30, 0.1) never settle
     ctrls = [s.controller.with_gains(T_i, damping)
-             for T_i in spec["T_i"][:2] for damping in spec["lambda"][:2]]
+             for T_i in spec["T_i"] for damping in spec["lambda"]]
+    references = oracle_lockstep(s, ctrls)
+    steps = _count_row_steps(monkeypatch, s.plant)
     rows = _lockstep(s, ctrls)
-    for row, reference in zip(rows, oracle_lockstep(s, ctrls)):
+    assert steps[0] < len(ctrls) * s.horizon / 2
+    for row, reference in zip(rows, references):
         assert_same_run(row, reference)
+
+
+def test_a_state_that_flips_the_sign_of_zero_has_not_settled():
+    from dpic import PlantModel
+    from loop_oracle import oracle_lockstep
+
+    class Flip(PlantModel):
+        n, m, p, n_w, T_s = 1, 1, 1, 1, 1.0
+
+        def step(self, x, u, w):
+            return -x
+
+        def output(self, x, u, w):
+            return 0 * x + 0.0
+
+        def pi_x(self, u, w):
+            return np.zeros_like(u)
+
+    # x alternates between -0.0 and +0.0, which compare equal as floats,
+    # while e = +0.0 keeps eta at 0.0; the step map has no fixed point here
+    ctrl = DPIController([[1.0]], Box([-1.0], [1.0]), I1,
+                         T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
+    s = Scenario(plant=Flip(), controller=ctrl, schedule=[(0, np.array([0.0]))],
+                 horizon=20, x0=np.array([-0.0]))
+    record = simulate(s)
+    reference, = oracle_lockstep(s, [ctrl])
+    assert_same_run(record, reference)
+    assert np.signbit(record.x[::2]).all() and not np.signbit(record.x[1::2]).any()
 
 
 def _pushing_update(monkeypatch, row, step, eta_out):
