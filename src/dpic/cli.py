@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_SAMPLES, ConfigError, RunSetup, build_setup, load_config
-from .metric import Metric
+from .metric import Metric, _apply
 from .plants import LTIPlant, NumericalError, davison_check
 from .presets import PRESET_DESCRIPTIONS, preset_config, preset_names
 from .sets import Intersection, ProjectionError
@@ -154,7 +154,7 @@ def _resolve_certificates(setup: RunSetup, block: dict, w: np.ndarray) -> tuple[
     lower, upper = region.bounding_box()
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ConfigError("certify.box", "Gamma is unbounded; give a box to sample in")
-    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(ctrl.gain @ eta, w),
+    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w),
                           region, ctrl.metric,
                           samples=block["samples"], seed=setup.seed)
     echo = {"mu_hat": mu, "L_hat": L, "samples": block["samples"],

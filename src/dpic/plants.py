@@ -10,12 +10,15 @@ pi is the operator the integral controller drives to a constrained zero.
 
 step, output and pi_x take (..., dim) arrays: a leading batch axis holds
 independent loops, one per row, and each row rounds exactly as it would
-alone.  A disturbance without the batch axis applies to every row.
+alone.  A disturbance without the batch axis applies to every row.  So a
+sweep row equals its solo run, and vi.estimate_mu_L takes pi at all its
+sample points in one call.
 
 FourTankPlant.step has two paths, picked by the input's row count.  Up to
 FLOAT_PATH_MAX_ROWS loops (4 levels, 2 pump flows) run their RK4 substeps
-row by row in Python floats with math.sqrt, because numpy's per-call
-overhead on 4-vectors outweighs the arithmetic; more run them on arrays.
+row by row in Python floats with math.sqrt, the four stages written out
+with no call per stage, because numpy's per-call overhead on 4-vectors
+outweighs the arithmetic; more run them on arrays.
 Both take the same operations in the same order, so they round alike: the
 float path writes out the nonzero terms of the matrix-vector products in
 matmul's order (matmul adds the products without a fused multiply-add),
@@ -42,9 +45,10 @@ __all__ = [
     "davison_check",
 ]
 
-# FourTankPlant.step runs up to this many rows in Python floats, about 25 us
-# each, and more on arrays, about 230 us a batch of 15 (x86, numpy 2.4)
-FLOAT_PATH_MAX_ROWS = 8
+# FourTankPlant.step runs up to this many rows in Python floats, about 23 us
+# each, and more on arrays, about 230-260 us a batch of 8 to 15 rows; the
+# two meet near 10 rows (best of timeit, x86, Python 3.11, numpy 2.4)
+FLOAT_PATH_MAX_ROWS = 10
 
 
 class NumericalError(RuntimeError):
@@ -333,25 +337,44 @@ class FourTankPlant(PlantModel):
         u0, u1 = u
         f0, f1, f2, f3 = (i0 * u0 + i1 * u1 for i0, i1 in self._inflow_terms)
         sqrt, two_g = math.sqrt, 2.0 * self.g
-
-        def rate(a0, a1, a2, a3):
-            """Level rates and the sum of the outlet velocities."""
-            v0 = sqrt(two_g * (0.0 if a0 <= 0.0 else a0))
-            v1 = sqrt(two_g * (0.0 if a1 <= 0.0 else a1))
-            v2 = sqrt(two_g * (0.0 if a2 <= 0.0 else a2))
-            v3 = sqrt(two_g * (0.0 if a3 <= 0.0 else a3))
-            return ((o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1,
-                    o22 * v2 + f2, o33 * v3 + f3, v0 + v1 + v2 + v3)
-
         dt = self.T_s / self.substeps
         dt2, dt6 = 0.5 * dt, dt / 6.0
         h0, h1, h2, h3 = h
         speeds = 0.0  # finite while every outlet velocity is
+        # the four RK4 stages are written out, since a call per stage costs
+        # more than its arithmetic; t0..t3 hold a stage's levels
         for _ in range(self.substeps):
-            a0, a1, a2, a3, va = rate(h0, h1, h2, h3)
-            b0, b1, b2, b3, vb = rate(h0 + dt2*a0, h1 + dt2*a1, h2 + dt2*a2, h3 + dt2*a3)
-            c0, c1, c2, c3, vc = rate(h0 + dt2*b0, h1 + dt2*b1, h2 + dt2*b2, h3 + dt2*b3)
-            d0, d1, d2, d3, vd = rate(h0 + dt*c0, h1 + dt*c1, h2 + dt*c2, h3 + dt*c3)
+            v0 = sqrt(two_g * (0.0 if h0 <= 0.0 else h0))
+            v1 = sqrt(two_g * (0.0 if h1 <= 0.0 else h1))
+            v2 = sqrt(two_g * (0.0 if h2 <= 0.0 else h2))
+            v3 = sqrt(two_g * (0.0 if h3 <= 0.0 else h3))
+            a0, a1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+            a2, a3 = o22 * v2 + f2, o33 * v3 + f3
+            va = v0 + v1 + v2 + v3
+            t0, t1, t2, t3 = h0 + dt2*a0, h1 + dt2*a1, h2 + dt2*a2, h3 + dt2*a3
+            v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
+            v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
+            v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
+            v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
+            b0, b1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+            b2, b3 = o22 * v2 + f2, o33 * v3 + f3
+            vb = v0 + v1 + v2 + v3
+            t0, t1, t2, t3 = h0 + dt2*b0, h1 + dt2*b1, h2 + dt2*b2, h3 + dt2*b3
+            v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
+            v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
+            v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
+            v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
+            c0, c1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+            c2, c3 = o22 * v2 + f2, o33 * v3 + f3
+            vc = v0 + v1 + v2 + v3
+            t0, t1, t2, t3 = h0 + dt*c0, h1 + dt*c1, h2 + dt*c2, h3 + dt*c3
+            v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
+            v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
+            v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
+            v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
+            d0, d1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+            d2, d3 = o22 * v2 + f2, o33 * v3 + f3
+            vd = v0 + v1 + v2 + v3
             speeds += va + vb + vc + vd
             h0 = h0 + dt6 * (((a0 + 2.0*b0) + 2.0*c0) + d0)
             h1 = h1 + dt6 * (((a1 + 2.0*b1) + 2.0*c1) + d1)
@@ -378,12 +401,11 @@ class FourTankPlant(PlantModel):
         a = self.outlet_areas
         g1, g2 = self.split_ratios
         two_g = 2.0 * self.g
-        return np.stack([
-            flows[..., 0] ** 2 / two_g,
-            flows[..., 1] ** 2 / two_g,
-            ((1.0 - g2) * u[..., 1] / a[2]) ** 2 / two_g,
-            ((1.0 - g1) * u[..., 0] / a[3]) ** 2 / two_g,
-        ], axis=-1)
+        # outlet velocities at equilibrium, squared on an array: a single
+        # point's columns are numpy scalars, whose ** 2 rounds otherwise
+        v = np.stack([flows[..., 0], flows[..., 1],
+                      (1.0 - g2) * u[..., 1] / a[2], (1.0 - g1) * u[..., 0] / a[3]], axis=-1)
+        return v * v / two_g
 
     # pi(u, w) = output(pi_x(u, w), u, w) from the base class:
     # componentwise (flow_gain @ u)^2 / (2 g) - w for the two lower tanks.

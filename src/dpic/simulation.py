@@ -160,7 +160,7 @@ def _lockstep(scenario: Scenario,
     """Run the scenario once per controller, all loops in lockstep.
 
     The controllers share gain, Gamma and metric and differ in T_i, damping
-    and initial state; row g of every array belongs to controller g.  A step
+    and initial state; each array holds one row per controller.  A step
     computes u = K eta and e, then the damped projected update and the plant
     step; one that raises is retried row by row, and a row that fails alone
     stops while the others run on.  A row that settles (its step left x and
@@ -185,9 +185,10 @@ def _lockstep(scenario: Scenario,
     xs[:, 0] = scenario.x0
     etas[:, 0] = [c.eta for c in controllers]
 
-    def advance(k: int, rows: slice | list[int] | np.ndarray) -> np.ndarray:
-        """Step k of the given rows; writes nothing unless every row succeeds.
-        Returns which rows it left where they were, bit for bit."""
+    def advance(k: int, rows: slice) -> list[int]:
+        """Step k of the rows at the given positions; writes nothing unless
+        every row succeeds.  Returns the positions, counted from the slice
+        start, of the rows it left where they were, bit for bit."""
         x_k, eta_k, w = xs[rows, k], etas[rows, k], W[k]
         u = _apply(base.gain, eta_k)
         e = plant.output(x_k, u, w)
@@ -201,43 +202,64 @@ def _lockstep(scenario: Scenario,
         xs[rows, k + 1], etas[rows, k + 1] = x_next, eta_next
         # bit patterns tell -0.0 from +0.0; eta rarely repeats, so it goes first
         same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
-        if same.any():
-            same &= (np.asarray(x_next, float).view(np.int64) == x_k.view(np.int64)).all(axis=-1)
-        return same
+        if not same.any():
+            return []
+        same &= (np.asarray(x_next, float).view(np.int64) == x_k.view(np.int64)).all(axis=-1)
+        return np.flatnonzero(same).tolist()
+
+    # Rows move between positions, so that the live ones always form the
+    # leading block [0, n_live) and each step reads and writes basic slices:
+    # then come the settled rows, up to n_rows, then the failed ones.
+    order = np.arange(G)  # the row at each position
+
+    def swap(i: int, j: int) -> None:
+        """Exchange the rows at positions i and j, records included."""
+        if i != j:
+            for a in (xs, etas, us, es, alpha, damping, order):
+                a[[i, j]] = a[[j, i]]
 
     failed: dict[int, tuple[int, SimulationError]] = {}  # row: (its step, failure)
+    n_rows = G
     for start, end in scenario.segment_bounds():
-        live = np.array([g for g in range(G) if g not in failed], dtype=int)  # settled rows rejoin
+        n_live = n_rows  # settled rows rejoin
         for k in range(start, end):
-            if not live.size:
+            if not n_live:
                 break
             try:
-                # while every row runs, a basic slice spares fancy-index copies
-                same = advance(k, slice(None) if live.size == G else live)
+                settled = advance(k, slice(0, n_live))
             except _STEP_ERRORS as exc:
-                if live.size == 1:
-                    failed[int(live[0])] = k, _step_failure(k, exc)
+                if n_live == 1:
+                    errors = {0: exc}
                 else:
-                    for g in live.tolist():
+                    errors = {}
+                    for i in range(n_live):
                         try:
-                            advance(k, [g])
+                            advance(k, slice(i, i + 1))
                         except _STEP_ERRORS as row_exc:
-                            failed[g] = k, _step_failure(k, row_exc)
-                live = np.array([g for g in live.tolist() if g not in failed], dtype=int)
+                            errors[i] = row_exc
+                # from the last position down, so a swap moves no failing row
+                for i in sorted(errors, reverse=True):
+                    failed[int(order[i])] = k, _step_failure(k, errors[i])
+                    n_live, n_rows = n_live - 1, n_rows - 1
+                    swap(i, n_live)
+                    swap(n_live, n_rows)
             else:
-                if same.any():
-                    # Step k is a pure function of (x_k, eta_k, w_k): plant.step,
-                    # plant.output and the update keep no state between calls (a
-                    # warm-started projection must keep it so).  w holds to the
-                    # segment end, so up to there a settled row repeats step k.
-                    for g in live[same].tolist():
-                        us[g, k + 1:end], es[g, k + 1:end] = us[g, k], es[g, k]
-                        xs[g, k + 2:end + 1], etas[g, k + 2:end + 1] = xs[g, k + 1], etas[g, k + 1]
-                    live = live[~same]
+                # Step k is a pure function of (x_k, eta_k, w_k): plant.step,
+                # plant.output and the update keep no state between calls (a
+                # warm-started projection must keep it so).  w holds to the
+                # segment end, so up to there a settled row repeats step k.
+                for i in reversed(settled):  # from the last position down, as above
+                    us[i, k + 1:end], es[i, k + 1:end] = us[i, k], es[i, k]
+                    xs[i, k + 2:end + 1], etas[i, k + 2:end + 1] = xs[i, k + 1], etas[i, k + 1]
+                    n_live -= 1
+                    swap(i, n_live)
+
+    position = np.argsort(order)
 
     def outcome(g: int) -> SimRecord | SimulationError:
         steps, failure = failed.get(g, (H, None))
-        member, margin = base.constraint._membership(us[g, :steps], MEMBERSHIP_TOL)
+        i = position[g]
+        member, margin = base.constraint._membership(us[i, :steps], MEMBERSHIP_TOL)
         if not member.all():
             return ConstraintViolationError(
                 f"step {np.argmin(member)}: projected controller emitted u outside C")
@@ -245,9 +267,9 @@ def _lockstep(scenario: Scenario,
             return failure
         # eta_{k+1} - eta_k = damping * (Proj(eta_k - alpha e_k) - eta_k), so the
         # natural residual is the increment over damping, with no second projection
-        residual = base.metric.norm(np.diff(etas[g], axis=0)) / damping[g]
-        return SimRecord(plant.T_s, np.arange(H), xs[g, :H], us[g], es[g],
-                         etas[g, :H], margin, residual)
+        residual = base.metric.norm(np.diff(etas[i], axis=0)) / damping[i]
+        return SimRecord(plant.T_s, np.arange(H), xs[i, :H], us[i], es[i],
+                         etas[i, :H], margin, residual)
 
     return [outcome(g) for g in range(G)]
 

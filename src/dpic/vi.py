@@ -181,11 +181,17 @@ def estimate_mu_L(operator, region: ConvexSet, metric: Metric,
     and L_hat the largest |F(x)-F(y)|_P / |x-y|_P over random pairs in the
     region, so mu_hat >= true mu and L_hat <= true L over that region.
     The region must be bounded (intersect with a Box otherwise).
+
+    operator is called once, on all 2 * samples points as the rows of an
+    (N, p) array, and must return F of each row as the rows of an (N, p)
+    array; plant.pi(metric._apply(K, eta), w) does, each row rounded as
+    for that point alone.
     """
     pts = sample_points(region, 2 * samples, rng=seed)
-    values = np.array([np.asarray(operator(p), dtype=float) for p in pts])
+    values = np.asarray(operator(pts), dtype=float)
     if values.shape != pts.shape:
-        raise ValueError("operator output dimension does not match the region")
+        raise ValueError("operator must map each row of an (N, p) array to a row of "
+                         f"its output; got shape {values.shape} for {pts.shape}")
     d = pts[:samples] - pts[samples:]
     dF = values[:samples] - values[samples:]
     dist = metric.norm(d)

@@ -34,6 +34,7 @@ from dpic import (
     preset_config,
     simulate,
 )
+from dpic.metric import _apply
 from grid_oracle import grid_project, polygon_rows, polygon_vertices, random_spd
 
 
@@ -63,7 +64,7 @@ def tank_sweep():
     ctrl = setup.controller
     w0 = setup.scenario.schedule[0][1]
     region = Intersection([ctrl.gamma, spec["box"]])
-    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(ctrl.gain @ eta, w0),
+    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w0),
                           region, ctrl.metric,
                           samples=spec["samples"], seed=setup.seed)
     scenario = replace(setup.scenario, horizon=spec["horizon"],
@@ -224,7 +225,7 @@ def test_static_gain_certificate_consistency():
         n_ok += 1
         metric = Metric(P)
         mu_true = 1.0 / (2.0 * float(np.linalg.eigvalsh(P).max()))
-        mu_hat, _ = estimate_mu_L(lambda eta: plant.pi(K @ eta, None),
+        mu_hat, _ = estimate_mu_L(lambda eta: plant.pi(_apply(K, eta), None),
                                   Box(-np.ones(p), np.ones(p)), metric,
                                   samples=150, seed=case)
         # mu_hat >= mu_true > 0 in exact arithmetic; marginally stable

@@ -296,6 +296,17 @@ def _drained_tank_rows():
     return H, U
 
 
+def _mixed_tank_rows(rng, rows: int):
+    """Levels from 1e-12 to 1e3 with exact 0.0, -0.0, subnormal and 1e-12
+    levels mixed in, and pump flows of which about a fifth are zero."""
+    H = 10.0 ** rng.uniform(-12.0, 3.0, size=(rows, 4))
+    special = rng.random((rows, 4)) < 0.3
+    H[special] = rng.choice([0.0, -0.0, 5e-324, 2.5e-310, 1e-12], size=special.sum())
+    U = rng.uniform(0.0, 60.0, size=(rows, 2))
+    U[rng.random((rows, 2)) < 0.2] = 0.0
+    return H, U
+
+
 def test_tank_batched_calls_match_per_row_calls():
     rng = np.random.default_rng(62)
     plant = FourTankPlant()
@@ -303,10 +314,12 @@ def test_tank_batched_calls_match_per_row_calls():
                  rng.uniform(5.0, 45.0, size=(6, 2)))
     w = np.array([12.0, 9.0])
     big = tuple(np.concatenate([a, b, a[:3]]) for a, b in zip(perturbed, _drained_tank_rows()))
+    mixed = _mixed_tank_rows(rng, 2000)
     assert len(big[0]) > FLOAT_PATH_MAX_ROWS >= len(perturbed[0])
-    for H, U in (perturbed, _drained_tank_rows(), big):
+    assert np.signbit(mixed[0][mixed[0] == 0.0]).any()
+    for H, U in (perturbed, _drained_tank_rows(), big, mixed):
         # a single loop steps in Python floats, and so does a batch of up to
-        # FLOAT_PATH_MAX_ROWS rows; the 15-row batch steps on arrays
+        # FLOAT_PATH_MAX_ROWS rows; the 15- and 2000-row batches step on arrays
         _assert_rows_match(plant.step(H, U, w), [plant.step(h, u, w) for h, u in zip(H, U)])
         _assert_rows_match(plant.output(H, U, w), [plant.output(h, u, w) for h, u in zip(H, U)])
         _assert_rows_match(plant.pi_x(U, w), [plant.pi_x(u, w) for u in U])

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -374,28 +375,76 @@ def test_lockstep_rows_equal_solo_runs():
 
 
 def test_failing_row_mid_batch_leaves_other_rows_as_solo_runs():
+    batches = []
+
     class Fragile(LTIPlant):
         def step(self, x, u, w):
             # a fast integrator (small T_i) drives u over 0.9 within a few steps
             if np.any(np.abs(u) > 0.9):
                 raise NumericalError("actuator model fault")
+            batches.append(len(x))
             return super().step(x, u, w)
 
     plant = Fragile(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]],
                     T_s=1.0)
     ctrl = DPIController([[1.0]], Box([-2.0], [2.0]), I1,
                          T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
-    s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
-                 horizon=200, x0=np.array([0.0]))
     ctrls = [ctrl.with_gains(50.0, 0.9), ctrl.with_gains(0.05, 0.9),
              ctrl.with_gains(20.0, 0.5)]
-    slow, fast, medium = _lockstep(s, ctrls)
-    assert isinstance(fast, SimulationError)
+    one_segment = ([(0, np.array([0.5]))], 200)
+    # the medium row settles at step 1250, then rejoins at 1500 next to the
+    # slow row, past the position the failed fast row held
+    two_segments = ([(0, np.array([0.5])), (1500, np.array([-0.3]))], 2000)
+    for schedule, horizon in (one_segment, two_segments):
+        s = Scenario(plant=plant, controller=ctrl, schedule=schedule,
+                     horizon=horizon, x0=np.array([0.0]))
+        batches.clear()
+        slow, fast, medium = _lockstep(s, ctrls)
+        if len(schedule) == 2:
+            assert [size for size, _ in itertools.groupby(batches)][-2:] == [1, 2]
+        assert isinstance(fast, SimulationError)
+        with pytest.raises(SimulationError) as solo_failure:
+            simulate(replace(s, controller=ctrls[1]))
+        assert str(fast) == str(solo_failure.value)
+        assert_same_run(slow, simulate(replace(s, controller=ctrls[0])))
+        assert_same_run(medium, simulate(replace(s, controller=ctrls[2])))
+
+
+def test_row_failing_next_to_a_settled_row_stays_out_of_later_segments():
+    batches = []
+
+    class Fragile(LTIPlant):
+        def step(self, x, u, w):
+            if np.any(np.abs(u) > 0.9):
+                raise NumericalError("actuator model fault")
+            batches.append(len(x))
+            return super().step(x, u, w)
+
+    plant = Fragile(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]],
+                    T_s=1.0)
+
+    def controller(T_i, damping, eta0):
+        return DPIController([[1.0]], Box([-2.0], [2.0]), I1, T_s=1.0, T_i=T_i,
+                             damping=damping, eta0=[eta0])
+
+    # x0 and eta0 = 0.5 are the first segment's equilibrium, so that row
+    # settles at step 0 and swaps places with the last row.  The two
+    # overshooting rows then fail together at step 5, on both sides of the
+    # steady row, while the first is settled; only the settled and the steady
+    # row take the second segment
+    ctrls = [controller(5.0, 0.5, 0.5), controller(5.0, 0.5, 0.0),
+             controller(1.5, 0.9, -0.5), controller(1.5, 0.9, -0.5)]
+    s = Scenario(plant=plant, controller=ctrls[0], horizon=600, x0=np.array([0.5]),
+                 schedule=[(0, np.array([0.5])), (300, np.array([0.3]))])
+    settled, steady, *failing = _lockstep(s, ctrls)
+    assert batches[:6] == [4, 3, 3, 3, 3, 1] and batches[-1] == 2
     with pytest.raises(SimulationError) as solo_failure:
-        simulate(replace(s, controller=ctrls[1]))
-    assert str(fast) == str(solo_failure.value)
-    assert_same_run(slow, simulate(replace(s, controller=ctrls[0])))
-    assert_same_run(medium, simulate(replace(s, controller=ctrls[2])))
+        simulate(replace(s, controller=ctrls[2]))
+    for row in failing:
+        assert isinstance(row, SimulationError) and "step 5" in str(row)
+        assert str(row) == str(solo_failure.value)
+    assert_same_run(settled, simulate(replace(s, controller=ctrls[0])))
+    assert_same_run(steady, simulate(replace(s, controller=ctrls[1])))
 
 
 def test_state_gone_non_finite_in_one_row_ends_that_row_alone():

@@ -20,6 +20,7 @@ from dpic import (
     sample_points,
     solve_vi,
 )
+from dpic.metric import _apply
 
 from grid_oracle import grid_vi_solve, random_spd
 
@@ -33,7 +34,7 @@ UNIT = Box([0.0], [1.0])
 def affine(M, c=None):
     M = np.asarray(M, dtype=float)
     c = np.zeros(M.shape[0]) if c is None else np.asarray(c, dtype=float)
-    return lambda eta: M @ eta + c
+    return lambda eta: _apply(M, eta) + c  # one row or an (N, p) batch
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def test_estimate_tank_steady_map():
     g = 981.0
 
     def F(eta):
-        return np.array([eta[0] ** 2, eta[1] ** 2]) / (2.0 * g)
+        return np.stack([eta[..., 0] ** 2, eta[..., 1] ** 2], axis=-1) / (2.0 * g)
 
     box = Box([100.0, 100.0], [180.0, 180.0])
     mu, L = estimate_mu_L(F, box, I2, samples=4000, seed=49)
@@ -404,7 +405,8 @@ def test_estimate_tank_steady_map():
 
 
 def per_pair_mu_L(operator, region, metric, samples, seed):
-    """The secant extrema pair by pair in Python floats, as a reference."""
+    """The secant extrema pair by pair in Python floats, as a reference; it
+    calls the operator once per point, where estimate_mu_L calls it once."""
     pts = sample_points(region, 2 * samples, rng=seed)
     values = np.array([np.asarray(operator(p), dtype=float) for p in pts])
     mu_hat, L_hat = np.inf, 0.0
@@ -423,7 +425,7 @@ def test_estimate_equals_the_per_pair_loop_bit_for_bit():
     ctrl = setup.controller
     w0 = setup.scenario.schedule[0][1]
     region = Intersection([ctrl.gamma, setup.sweep["box"]])
-    tank = lambda eta: setup.plant.pi(ctrl.gain @ eta, w0)  # noqa: E731
+    tank = lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w0)  # noqa: E731
     rng = np.random.default_rng(51)
     M = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
     box = Box([-1.0, -2.0], [2.0, 1.0])
@@ -438,6 +440,14 @@ def test_estimate_equals_the_per_pair_loop_bit_for_bit():
             got = estimate_mu_L(operator, region, metric, samples=samples, seed=seed)
             want = per_pair_mu_L(operator, region, metric, samples, seed)
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_estimate_rejects_a_per_point_operator():
+    # indexing eta[0] reads the first sampled point, not the first coordinate
+    # of each: the output has the wrong shape and no (mu, L) comes back
+    F = lambda eta: np.array([eta[0] ** 2, eta[1] ** 2])  # noqa: E731
+    with pytest.raises(ValueError, match=r"each row of an \(N, p\) array"):
+        estimate_mu_L(F, Box([1.0, 1.0], [2.0, 2.0]), I2, samples=50, seed=52)
 
 
 def test_estimate_rejects_degenerate_region():
