@@ -49,9 +49,10 @@ def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
     left Gamma are projected, one at a time.
     """
     target = eta - alpha[:, None] * e  # the forward step
-    for i in np.flatnonzero(~_contains_rows(gamma, target)):
+    for i in (~_contains_rows(gamma, target)).nonzero()[0]:
         target[i] = gamma.project(metric, target[i]).point
-    return (1.0 - damping[:, None]) * eta + damping[:, None] * target
+    d = damping[:, None]
+    return (1.0 - d) * eta + d * target
 
 
 class DPIController:

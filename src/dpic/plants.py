@@ -139,7 +139,7 @@ class LTIPlant(PlantModel):
         x = self._vec(x, self.n, "x")
         u = self._vec(u, self.m, "u")
         out = _apply(self.A, x) + _apply(self.B, u) + _apply(self.B_w, self._w(w))
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericalError("LTI state update is not finite")
         return out
 
@@ -302,7 +302,7 @@ class FourTankPlant(PlantModel):
     def step(self, x, u, w=None) -> np.ndarray:
         h = self._vec(x, 4, "x")
         u = self._vec(u, 2, "u")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(u))):
+        if not (np.isfinite(h).all() and np.isfinite(u).all()):
             raise NumericalError("tank step received non-finite values")
         if h.shape[:-1] == u.shape[:-1] and h.size <= 4 * FLOAT_PATH_MAX_ROWS:
             # a small batch, row by row in Python floats
@@ -321,7 +321,7 @@ class FourTankPlant(PlantModel):
             k4 = self._rate(h + dt * k3, inflow)
             h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             h = np.maximum(h, 0.0)  # levels cannot go negative
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise NumericalError("tank step diverged to a non-finite state")
         return h[..., 0]
 

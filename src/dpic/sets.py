@@ -8,6 +8,10 @@ isotropic metrics; otherwise a ball, alone or intersected with polyhedral
 members, takes one root find for its multiplier.  No engine takes a second
 non-polyhedral member of an intersection, or one that is not a ball.
 
+A polyhedral projection first tries the active set of the set's last NNLS
+solve, and keeps that point only where the KKT conditions hold with
+WARM_MARGIN to spare: the cached set is a hint, never a bit.
+
 Every set has one support function, support(c) = max over v in the set of
 c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
 which the set is unbounded: a closed form for boxes and balls, the inner
@@ -52,6 +56,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+# relative KKT margin a cached active set must clear to skip the NNLS solve
+WARM_MARGIN = 1e-9
 
 
 class ProjectionError(RuntimeError):
@@ -109,6 +115,7 @@ class ConvexSet:
     _rows = None  # a polyhedral subclass caches its read-only (A, b) here
     _norms = None  # and their Euclidean norms, unless it measures otherwise
     _factors = None  # (metric, *_row_factors(metric)) of the last metric projected in
+    _active = None  # row indices NNLS left active in the last projection it solved
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         """Whether x satisfies every defining inequality to within tol."""
@@ -438,6 +445,14 @@ class LinearPreimage(ConvexSet):
 # ---------------------------------------------------------------------------
 # projection engines
 
+def _polish(x, Ax, b, Pinv_AT, gram, S):
+    """(point, multipliers) of the equality-constrained projection of x onto
+    the rows S; one row divides by its Gram entry, which rounds as solve does."""
+    r = Ax[S] - b[S]
+    lam = r / gram[S[0], S[0]] if S.size == 1 else np.linalg.solve(gram[S[:, None], S], r)
+    return x - Pinv_AT[:, S] @ lam, lam
+
+
 def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionResult:
     """Exact projection onto a set's halfspace rows {v : A v <= b} in the metric norm.
 
@@ -446,19 +461,40 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
     (Lawson & Hanson 1974, ch. 23).  The equality-constrained projection onto
     the rows NNLS leaves active then puts the point on those facets to
     rounding; the raw NNLS point, built only if that fails, is the fallback.
+
+    The active set of the last NNLS solve is tried first (a warm start, as in
+    online active-set QP: Ferreau, Bock & Diehl, IJRNC 18(8), 2008).  Its
+    point is kept only when the KKT conditions hold with WARM_MARGIN to
+    spare on both sides: every multiplier above WARM_MARGIN times the
+    largest, every other row short of its bound by WARM_MARGIN * scale, and
+    every row held to 1e-12 * scale.  Then NNLS leaves the same rows active
+    and the polish gives the same bits, so the cached set is a hint, never
+    a bit: it changes how fast a projection is found, not its result, and a
+    closed-loop step stays a function of its own inputs.
     """
     A, b = set_.halfspace_rows()
     Ax = A @ x
     if A.shape[0] == 0 or (Ax <= b).all():
         return ProjectionResult(x.copy())
     neg_whitened, Pinv_AT, gram, scale, target = set_._row_factors(metric)
+    if set_._active is not None:
+        try:
+            point, lam = _polish(x, Ax, b, Pinv_AT, gram, set_._active)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            slack = A @ point - b
+            if slack.max() <= 1e-12 * scale and lam.min() > WARM_MARGIN * lam.max():
+                slack[set_._active] = -np.inf
+                if slack.max() < -WARM_MARGIN * scale:
+                    return ProjectionResult(point)
     # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
     dual = np.concatenate([neg_whitened, (Ax - b)[None, :]])
     u, rnorm = nnls(dual, target)
-    # polish: the equality-constrained projection onto the rows active in u
     S = (u > 0.0).nonzero()[0]
+    set_._active = S if S.size else None
     try:
-        point = x - Pinv_AT[:, S] @ np.linalg.solve(gram[S[:, None], S], Ax[S] - b[S])
+        point = _polish(x, Ax, b, Pinv_AT, gram, S)[0]
         if (A @ point - b).max() <= 1e-12 * scale:
             return ProjectionResult(point)
     except np.linalg.LinAlgError:

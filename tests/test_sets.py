@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -235,8 +236,8 @@ def test_single_point_polytope_projects_to_its_point():
 
 
 def test_raw_nnls_point_serves_when_the_polish_fails(monkeypatch):
-    # make the polish's solve of its Gram block fail; the raw NNLS point,
-    # solved against the metric's Cholesky factor, must then serve
+    # make every polish fail, the warm try's and the cold one's; the raw NNLS
+    # point, solved against the metric's Cholesky factor, must then serve
     import dpic.sets as sets_mod
 
     rng = np.random.default_rng(54)
@@ -244,30 +245,117 @@ def test_raw_nnls_point_serves_when_the_polish_fails(monkeypatch):
     m = Metric(P)
     polygon = input_polygon()
     empty = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 1.0], -1.0)])
-    for s in (polygon, empty):
-        s._row_factors(m)                 # solved before the fault is set
-    real, faults = np.linalg.solve, []
+    faults = []
 
-    def failing_polish(a, rhs):
-        if not np.shares_memory(a, m._chol):
-            faults.append(1)
-            raise np.linalg.LinAlgError("singular Gram block")
-        return real(a, rhs)
+    def failing_polish(*args):
+        faults.append(1)
+        raise np.linalg.LinAlgError("singular Gram block")
 
-    monkeypatch.setattr(sets_mod.np.linalg, "solve", failing_polish)
+    monkeypatch.setattr(sets_mod, "_polish", failing_polish)
     A, b = polygon.halfspace_rows()
-    for _ in range(20):
-        x = rng.uniform(-20.0, 65.0, size=2)
-        if polygon.contains(x, 0.0):
-            continue
-        faults.clear()
-        p = polygon.project(m, x).point
-        assert faults                     # the polish did fail
-        assert np.max(A @ p - b) <= 1e-9 * (1.0 + np.max(np.abs(b)))
-        oracle = grid_project(P, polygon_rows(), x, [0.0, 0.0], [45.0, 45.0])
-        assert np.allclose(p, oracle, atol=1e-3)
+    # no cached active set, then a warm vertex {upper[0], halfspace} whose
+    # polish fails before the cold one does
+    for warm, polishes in ((None, 1), (np.array([0, 4]), 2)):
+        for _ in range(20):
+            x = rng.uniform(-20.0, 65.0, size=2)
+            if polygon.contains(x, 0.0):
+                continue
+            faults.clear()
+            polygon._active = warm
+            p = polygon.project(m, x).point
+            assert len(faults) == polishes   # every polish did fail
+            assert np.max(A @ p - b) <= 1e-9 * (1.0 + np.max(np.abs(b)))
+            oracle = grid_project(P, polygon_rows(), x, [0.0, 0.0], [45.0, 45.0])
+            assert np.allclose(p, oracle, atol=1e-3)
     with pytest.raises(ProjectionError):
         empty.project(m, [3.0, 3.0])
+
+
+def _vertex_edge_points(gamma, metric):
+    """Points whose projections land at or next to a vertex of gamma, where
+    a multiplier or a slack passes through zero.
+
+    Each vertex v meets faces i and j; x = v + t P^{-1} a_i lies on an edge
+    of v's normal cone (the multiplier of j is 0), and an offset of
+    eps (1 + |v|) along P^{-1} a_j moves x into the cone (eps > 0) or
+    past it onto face i alone (eps < 0).
+    """
+    A, b = gamma.halfspace_rows()
+    normals = metric.solve(A.T).T
+    scale = 1.0 + np.max(np.abs(b))
+    points = []
+    for i, j in itertools.permutations(range(len(b)), 2):
+        pair = A[[i, j]]
+        if abs(np.linalg.det(pair)) < 1e-12 * np.linalg.norm(pair) ** 2:
+            continue  # parallel faces meet nowhere
+        v = np.linalg.solve(pair, b[[i, j]])
+        if np.max(A @ v - b) > 1e-9 * scale:
+            continue
+        for t in (1e-3, 1.0, 30.0):
+            for eps in (0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-12, -1e-12):
+                offset = eps * (1.0 + np.linalg.norm(v)) * normals[j] / np.linalg.norm(normals[j])
+                points.append(v + t * normals[i] / np.linalg.norm(normals[i]) + offset)
+    return points
+
+
+def test_a_cached_active_set_never_changes_a_projection_bit():
+    # the active set of the last NNLS solve is a hint: every 1- and 2-row
+    # cached set, the parallel box rows upper[0] / lower[0] among them, must
+    # give the cold projection byte for byte, also where a multiplier or a
+    # slack of the answer is within rounding of zero
+    from dpic import build_setup, preset_config
+
+    setup = build_setup(preset_config("four-tank"))
+    tank = setup.controller.gamma
+    rng = np.random.default_rng(57)
+    poly = _random_polytope(rng, 3, 8)
+    poly_metric = Metric(random_spd(rng, 3))
+    P, ball, A, b, _ = ball_polygon_cases()[1]
+    capped = Intersection([ball, Polyhedron(A, b)])
+    # (set, metric, the polyhedral set whose cache the projection reads, points)
+    cases = [(tank, setup.metric, tank, _vertex_edge_points(tank, setup.metric)),
+             (poly, poly_metric, poly,
+              [rng.uniform(1.5, 4.0) * rng.standard_normal(3) for _ in range(40)]),
+             (capped, Metric(P), capped._ball_and_rest[1],
+              [ball.center + 4.0 * rng.standard_normal(2) for _ in range(15)])]
+    tried = 0
+    for s, metric, cache, points in cases:
+        rows = len(cache.halfspace_rows()[1])
+        hints = [np.array(S) for k in (1, 2) for S in itertools.combinations(range(rows), k)]
+        for x in points:
+            if s.contains(x, 0.0):
+                continue
+            cache._active = None
+            cold = s.project(metric, x)
+            for S in hints:
+                cache._active = S
+                warm = s.project(metric, x)
+                assert warm.point.tobytes() == cold.point.tobytes(), (x, S)
+                assert warm.iterations == cold.iterations
+                tried += 1
+    assert tried > 3000
+
+
+def test_four_tank_simulate_mostly_reuses_the_last_active_set(monkeypatch):
+    # 465 of the preset's steps project; all but a few keep the active set
+    # of the projection before them and skip the NNLS solve
+    import dpic.sets as sets_mod
+    from dpic import build_setup, preset_config, simulate
+
+    counts = {"nnls": 0, "project": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(sets_mod, "nnls", counted("nnls", sets_mod.nnls))
+    monkeypatch.setattr(sets_mod, "_project_rows",
+                        counted("project", sets_mod._project_rows))
+    simulate(build_setup(preset_config("four-tank")).scenario)
+    assert counts["project"] >= 400
+    assert counts["nnls"] <= 10
 
 
 def test_box_under_coupled_metric():
