@@ -14,22 +14,21 @@ alone.  A disturbance without the batch axis applies to every row.  So a
 sweep row equals its solo run, and vi.estimate_mu_L takes pi at all its
 sample points in one call.
 
-FourTankPlant.step has two paths, picked by the input's row count.  Up to
-FLOAT_PATH_MAX_ROWS loops (4 levels, 2 pump flows) run their RK4 substeps
-row by row in Python floats with math.sqrt, the four stages written out
-with no call per stage, because numpy's per-call overhead on 4-vectors
-outweighs the arithmetic; more run them on arrays.
-Both take the same operations in the same order, so they round alike: the
-float path writes out the nonzero terms of the matrix-vector products in
-matmul's order (matmul adds the products without a fused multiply-add),
-clamps as np.maximum(h, 0.0) does, and raises NumericalError wherever the
-array path does.
+FourTankPlant.step runs its RK4 substeps row by row in Python floats with
+math.sqrt, the four stages written out with no call per stage, because
+numpy's per-call overhead on 4-vectors (4 levels, 2 pump flows) outweighs
+the arithmetic.  It rounds as the same RK4 on arrays would: it writes out
+the nonzero terms of the rates' matrix-vector products in matmul's order
+(matmul adds the products without a fused multiply-add) and clamps as
+np.maximum(h, 0.0) does.  tests/tank_oracle.py keeps that array form, and
+the tests hold step to it bit for bit.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -45,10 +44,11 @@ __all__ = [
     "davison_check",
 ]
 
-# FourTankPlant.step runs up to this many rows in Python floats, about 23 us
-# each, and more on arrays, about 230-260 us a batch of 8 to 15 rows; the
-# two meet near 10 rows (best of timeit, x86, Python 3.11, numpy 2.4)
-FLOAT_PATH_MAX_ROWS = 10
+def _positive(values, count: int, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (count,) or not np.all((values > 0.0) & (values < np.inf)):
+        raise ValueError(f"{name} must be {count} finite positive values")
+    return values
 
 
 class NumericalError(RuntimeError):
@@ -123,8 +123,8 @@ class LTIPlant(PlantModel):
         rho = float(np.max(np.abs(np.linalg.eigvals(A))))
         if rho >= 1.0:
             raise ValueError(f"A is not Schur stable (spectral radius {rho:.6g} >= 1)")
-        if T_s <= 0.0:
-            raise ValueError("sampling period must be positive")
+        if not 0.0 < T_s < math.inf:
+            raise ValueError("sampling period must be finite and positive")
         self.A, self.B, self.C, self.D = A, B, C, D
         self.B_w, self.D_w = B_w, D_w
         self.n, self.m, self.p, self.n_w = n, m, p, n_w
@@ -223,24 +223,20 @@ class FourTankPlant(PlantModel):
                  nominal_levels=(10.0, 10.0, 5.38, 5.38),
                  nominal_input=(32.64, 32.64),
                  outlet_areas=None):
-        areas = np.asarray(tank_areas, dtype=float)
+        areas = _positive(tank_areas, 4, "tank_areas")
         gammas = np.asarray(split_ratios, dtype=float)
-        h_nom = np.asarray(nominal_levels, dtype=float)
-        u_nom = np.asarray(nominal_input, dtype=float)
-        if areas.shape != (4,) or np.any(areas <= 0.0):
-            raise ValueError("tank_areas must be four positive values")
-        if gammas.shape != (2,) or np.any(gammas <= 0.0) or np.any(gammas >= 1.0):
+        if gammas.shape != (2,) or not np.all((gammas > 0.0) & (gammas < 1.0)):
             raise ValueError("split_ratios must be two values in (0, 1)")
         if abs(gammas.sum() - 1.0) < 1e-9:
             raise ValueError("split ratios summing to 1 make the static map singular")
-        if g <= 0.0 or T_s <= 0.0 or substeps < 1:
-            raise ValueError("g and T_s must be positive, substeps at least 1")
-        g1, g2 = gammas
+        if not (0.0 < g < math.inf and 0.0 < T_s < math.inf):
+            raise ValueError("g and T_s must be finite and positive")
+        if not isinstance(substeps, numbers.Integral) or substeps < 1:
+            raise ValueError("substeps must be an integer of at least 1")
+        g1, g2 = gammas.tolist()
         if outlet_areas is None:
-            if h_nom.shape != (4,) or np.any(h_nom <= 0.0):
-                raise ValueError("nominal_levels must be four positive values")
-            if u_nom.shape != (2,) or np.any(u_nom <= 0.0):
-                raise ValueError("nominal_input must be two positive values")
+            h_nom = _positive(nominal_levels, 4, "nominal_levels")
+            u_nom = _positive(nominal_input, 2, "nominal_input")
             # outlet areas that balance each tank at the nominal point
             v = np.sqrt(2.0 * g * h_nom)
             outlet = np.array([
@@ -252,9 +248,7 @@ class FourTankPlant(PlantModel):
             self.h_nominal = h_nom.copy()
             self.u_nominal = u_nom.copy()
         else:
-            outlet = np.asarray(outlet_areas, dtype=float)
-            if outlet.shape != (4,) or np.any(outlet <= 0.0):
-                raise ValueError("outlet_areas must be four positive values")
+            outlet = _positive(outlet_areas, 4, "outlet_areas")
             self.h_nominal = None
             self.u_nominal = None
         self.tank_areas = areas
@@ -263,25 +257,22 @@ class FourTankPlant(PlantModel):
         self.g = float(g)
         self.T_s = float(T_s)
         self.substeps = int(substeps)
-        a = outlet
-        self._outflow = np.array([
-            [-a[0] / areas[0], 0.0, a[2] / areas[0], 0.0],
-            [0.0, -a[1] / areas[1], 0.0, a[3] / areas[1]],
-            [0.0, 0.0, -a[2] / areas[2], 0.0],
-            [0.0, 0.0, 0.0, -a[3] / areas[3]],
-        ])
-        self._inflow = np.array([
-            [g1 / areas[0], 0.0],
-            [0.0, g2 / areas[1]],
-            [0.0, (1.0 - g2) / areas[2]],
-            [(1.0 - g1) / areas[3], 0.0],
-        ])
-        # the float path's coefficients; it leaves out the outflow's zeros
-        self._outflow_terms = self._outflow[[0, 0, 1, 1, 2, 3], [0, 2, 1, 3, 2, 3]].tolist()
-        self._inflow_terms = self._inflow.tolist()
+        a0, a1, a2, a3 = outlet.tolist()
+        A0, A1, A2, A3 = areas.tolist()
+        # the level rates are h' = O sqrt(2 g h) + I u: O's six nonzero
+        # coefficients, and I's rows with their zeros, which matmul adds
+        # (-0.0 + 0.0 is 0.0)
+        self._outflow_terms = [-a0 / A0, a2 / A0, -a1 / A1, a3 / A1, -a2 / A2, -a3 / A3]
+        self._inflow_terms = [[g1 / A0, 0.0], [0.0, g2 / A1],
+                              [0.0, (1.0 - g2) / A2], [(1.0 - g1) / A3, 0.0]]
         if self.h_nominal is not None:
-            drift = self._rate(self.h_nominal, self._inflow @ self.u_nominal)
-            if np.max(np.abs(drift)) > 1e-6:
+            o00, o02, o11, o13, o22, o33 = self._outflow_terms
+            v0, v1, v2, v3 = (math.sqrt(2.0 * self.g * h) for h in self.h_nominal.tolist())
+            u0, u1 = self.u_nominal.tolist()
+            f0, f1, f2, f3 = [i0 * u0 + i1 * u1 for i0, i1 in self._inflow_terms]
+            drift = ((o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1,
+                     o22 * v2 + f2, o33 * v3 + f3)
+            if not all(abs(d) <= 1e-6 for d in drift):  # NaN drift fails too
                 raise ValueError("calibrated nominal point is not an equilibrium")
         self.n, self.m, self.p, self.n_w = 4, 2, 2, 2
 
@@ -293,100 +284,82 @@ class FourTankPlant(PlantModel):
         return np.array([[g1 / a[0], (1.0 - g2) / a[0]],
                          [(1.0 - g1) / a[1], g2 / a[1]]])
 
-    def _rate(self, h, inflow) -> np.ndarray:
-        """Level rates for column vectors h and the pump term inflow = _inflow @ u."""
-        # sqrt argument clamped at zero so transient undershoot cannot produce NaN
-        v = np.sqrt(2.0 * self.g * np.maximum(h, 0.0))
-        return self._outflow @ v + inflow
-
     def step(self, x, u, w=None) -> np.ndarray:
         h = self._vec(x, 4, "x")
         u = self._vec(u, 2, "u")
         if not (np.isfinite(h).all() and np.isfinite(u).all()):
             raise NumericalError("tank step received non-finite values")
-        if h.shape[:-1] == u.shape[:-1] and h.size <= 4 * FLOAT_PATH_MAX_ROWS:
-            # a small batch, row by row in Python floats
-            levels = [self._step_one(a, b) for a, b in
-                      zip(h.reshape(-1, 4).tolist(), u.reshape(-1, 2).tolist())]
-            return np.array(levels).reshape(h.shape)
-        # column vectors: each row's rates take the matrix-vector product of
-        # an unbatched step; the pump term is constant over the substeps
-        h = h[..., None]
-        inflow = self._inflow @ u[..., None]
-        dt = self.T_s / self.substeps
-        for _ in range(self.substeps):
-            k1 = self._rate(h, inflow)
-            k2 = self._rate(h + 0.5 * dt * k1, inflow)
-            k3 = self._rate(h + 0.5 * dt * k2, inflow)
-            k4 = self._rate(h + dt * k3, inflow)
-            h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            h = np.maximum(h, 0.0)  # levels cannot go negative
-        if not np.isfinite(h).all():
-            raise NumericalError("tank step diverged to a non-finite state")
-        return h[..., 0]
+        if h.shape[:-1] != u.shape[:-1]:
+            batch = np.broadcast_shapes(h.shape[:-1], u.shape[:-1])
+            h, u = np.broadcast_to(h, batch + (4,)), np.broadcast_to(u, batch + (2,))
+        levels = self._step_rows(h.reshape(-1, 4).tolist(), u.reshape(-1, 2).tolist())
+        return np.array(levels).reshape(h.shape)
 
-    def _step_one(self, h: list[float], u: list[float]) -> list[float]:
-        """The RK4 substeps of step for one row, in Python floats.
+    def _step_rows(self, H: list[list[float]], U: list[list[float]]) -> list[list[float]]:
+        """The RK4 substeps of step for each row of levels H and pump flows U.
 
         The outflow O v leaves out the products of O's zero coefficients,
         which are exact zeros while every outlet velocity v is finite.  An
-        infinite one turns them into NaN on the array path, so it raises here
-        too.  Each clamp maps -0.0 to 0.0 and keeps NaN, as np.maximum does.
+        infinite one turns them into NaN on arrays, so it raises here too.
+        Each clamp maps -0.0 to 0.0 and keeps NaN, as np.maximum does.
         """
         o00, o02, o11, o13, o22, o33 = self._outflow_terms
-        u0, u1 = u
-        f0, f1, f2, f3 = (i0 * u0 + i1 * u1 for i0, i1 in self._inflow_terms)
-        sqrt, two_g = math.sqrt, 2.0 * self.g
+        inflow = self._inflow_terms
+        sqrt, isfinite, two_g = math.sqrt, math.isfinite, 2.0 * self.g
         dt = self.T_s / self.substeps
         dt2, dt6 = 0.5 * dt, dt / 6.0
-        h0, h1, h2, h3 = h
-        speeds = 0.0  # finite while every outlet velocity is
-        # the four RK4 stages are written out, since a call per stage costs
-        # more than its arithmetic; t0..t3 hold a stage's levels
-        for _ in range(self.substeps):
-            v0 = sqrt(two_g * (0.0 if h0 <= 0.0 else h0))
-            v1 = sqrt(two_g * (0.0 if h1 <= 0.0 else h1))
-            v2 = sqrt(two_g * (0.0 if h2 <= 0.0 else h2))
-            v3 = sqrt(two_g * (0.0 if h3 <= 0.0 else h3))
-            a0, a1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
-            a2, a3 = o22 * v2 + f2, o33 * v3 + f3
-            va = v0 + v1 + v2 + v3
-            t0, t1, t2, t3 = h0 + dt2*a0, h1 + dt2*a1, h2 + dt2*a2, h3 + dt2*a3
-            v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
-            v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
-            v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
-            v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
-            b0, b1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
-            b2, b3 = o22 * v2 + f2, o33 * v3 + f3
-            vb = v0 + v1 + v2 + v3
-            t0, t1, t2, t3 = h0 + dt2*b0, h1 + dt2*b1, h2 + dt2*b2, h3 + dt2*b3
-            v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
-            v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
-            v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
-            v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
-            c0, c1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
-            c2, c3 = o22 * v2 + f2, o33 * v3 + f3
-            vc = v0 + v1 + v2 + v3
-            t0, t1, t2, t3 = h0 + dt*c0, h1 + dt*c1, h2 + dt*c2, h3 + dt*c3
-            v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
-            v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
-            v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
-            v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
-            d0, d1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
-            d2, d3 = o22 * v2 + f2, o33 * v3 + f3
-            vd = v0 + v1 + v2 + v3
-            speeds += va + vb + vc + vd
-            h0 = h0 + dt6 * (((a0 + 2.0*b0) + 2.0*c0) + d0)
-            h1 = h1 + dt6 * (((a1 + 2.0*b1) + 2.0*c1) + d1)
-            h2 = h2 + dt6 * (((a2 + 2.0*b2) + 2.0*c2) + d2)
-            h3 = h3 + dt6 * (((a3 + 2.0*b3) + 2.0*c3) + d3)
-            h0 = 0.0 if h0 <= 0.0 else h0
-            h1 = 0.0 if h1 <= 0.0 else h1
-            h2 = 0.0 if h2 <= 0.0 else h2
-            h3 = 0.0 if h3 <= 0.0 else h3
-        if not all(map(math.isfinite, (speeds, h0, h1, h2, h3))):
-            raise NumericalError("tank step diverged to a non-finite state")
-        return [h0, h1, h2, h3]
+        substeps = range(self.substeps)
+        levels = []
+        for (h0, h1, h2, h3), (u0, u1) in zip(H, U):
+            f0, f1, f2, f3 = [i0 * u0 + i1 * u1 for i0, i1 in inflow]
+            speeds = 0.0  # finite while every outlet velocity is
+            # the four RK4 stages are written out, since a call per stage
+            # costs more than its arithmetic; t0..t3 hold a stage's levels
+            for _ in substeps:
+                v0 = sqrt(two_g * (0.0 if h0 <= 0.0 else h0))
+                v1 = sqrt(two_g * (0.0 if h1 <= 0.0 else h1))
+                v2 = sqrt(two_g * (0.0 if h2 <= 0.0 else h2))
+                v3 = sqrt(two_g * (0.0 if h3 <= 0.0 else h3))
+                a0, a1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+                a2, a3 = o22 * v2 + f2, o33 * v3 + f3
+                va = v0 + v1 + v2 + v3
+                t0, t1, t2, t3 = h0 + dt2*a0, h1 + dt2*a1, h2 + dt2*a2, h3 + dt2*a3
+                v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
+                v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
+                v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
+                v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
+                b0, b1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+                b2, b3 = o22 * v2 + f2, o33 * v3 + f3
+                vb = v0 + v1 + v2 + v3
+                t0, t1, t2, t3 = h0 + dt2*b0, h1 + dt2*b1, h2 + dt2*b2, h3 + dt2*b3
+                v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
+                v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
+                v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
+                v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
+                c0, c1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+                c2, c3 = o22 * v2 + f2, o33 * v3 + f3
+                vc = v0 + v1 + v2 + v3
+                t0, t1, t2, t3 = h0 + dt*c0, h1 + dt*c1, h2 + dt*c2, h3 + dt*c3
+                v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
+                v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
+                v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
+                v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
+                d0, d1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
+                d2, d3 = o22 * v2 + f2, o33 * v3 + f3
+                vd = v0 + v1 + v2 + v3
+                speeds += va + vb + vc + vd
+                h0 = h0 + dt6 * (((a0 + 2.0*b0) + 2.0*c0) + d0)
+                h1 = h1 + dt6 * (((a1 + 2.0*b1) + 2.0*c1) + d1)
+                h2 = h2 + dt6 * (((a2 + 2.0*b2) + 2.0*c2) + d2)
+                h3 = h3 + dt6 * (((a3 + 2.0*b3) + 2.0*c3) + d3)
+                h0 = 0.0 if h0 <= 0.0 else h0
+                h1 = 0.0 if h1 <= 0.0 else h1
+                h2 = 0.0 if h2 <= 0.0 else h2
+                h3 = 0.0 if h3 <= 0.0 else h3
+            if not all(map(isfinite, (speeds, h0, h1, h2, h3))):
+                raise NumericalError("tank step diverged to a non-finite state")
+            levels.append([h0, h1, h2, h3])
+        return levels
 
     def output(self, x, u, w) -> np.ndarray:
         h = self._vec(x, 4, "x")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpic import FourTankPlant, LTIPlant, NumericalError, davison_check
-from dpic.plants import FLOAT_PATH_MAX_ROWS
+from tank_oracle import oracle_step
 
 
 def scalar_plant(**kw):
@@ -240,6 +240,24 @@ def test_degenerate_split_ratios_rejected():
         FourTankPlant(split_ratios=(0.6, 0.4))  # gamma1 + gamma2 = 1
 
 
+@pytest.mark.parametrize("plant, kwargs", [
+    (FourTankPlant, {"T_s": np.nan}),
+    (FourTankPlant, {"T_s": np.inf}),
+    (FourTankPlant, {"g": np.nan}),
+    (FourTankPlant, {"substeps": 2.5}),
+    (FourTankPlant, {"tank_areas": (28.0, np.nan, 28.0, 28.0)}),
+    (FourTankPlant, {"split_ratios": (0.7, np.nan)}),
+    (FourTankPlant, {"nominal_levels": (10.0, 10.0, np.nan, 5.38)}),
+    (FourTankPlant, {"outlet_areas": (0.07, 0.07, np.nan, 0.07)}),
+    # 2 g h overflows: the calibrated outlet areas are 0 and the drift NaN
+    (FourTankPlant, {"nominal_levels": (1e308,) * 4}),
+    (LTIPlant, {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "T_s": np.nan}),
+])
+def test_nonfinite_or_fractional_parameters_rejected(plant, kwargs):
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        plant(**kwargs)
+
+
 def test_flow_gain_matches_calibration():
     tank = FourTankPlant()
     # equilibrium: sqrt(2 g h_i) = (flow_gain @ u)_i for the lower tanks
@@ -315,15 +333,15 @@ def test_tank_batched_calls_match_per_row_calls():
     w = np.array([12.0, 9.0])
     big = tuple(np.concatenate([a, b, a[:3]]) for a, b in zip(perturbed, _drained_tank_rows()))
     mixed = _mixed_tank_rows(rng, 2000)
-    assert len(big[0]) > FLOAT_PATH_MAX_ROWS >= len(perturbed[0])
     assert np.signbit(mixed[0][mixed[0] == 0.0]).any()
     for H, U in (perturbed, _drained_tank_rows(), big, mixed):
-        # a single loop steps in Python floats, and so does a batch of up to
-        # FLOAT_PATH_MAX_ROWS rows; the 15- and 2000-row batches step on arrays
+        # the Python-float RK4 rounds as the matmul RK4 of tank_oracle does
+        _assert_rows_match(plant.step(H, U, w), oracle_step(plant, H, U))
         _assert_rows_match(plant.step(H, U, w), [plant.step(h, u, w) for h, u in zip(H, U)])
         _assert_rows_match(plant.output(H, U, w), [plant.output(h, u, w) for h, u in zip(H, U)])
         _assert_rows_match(plant.pi_x(U, w), [plant.pi_x(u, w) for u in U])
         _assert_rows_match(plant.step(H[0], U[:3], w), [plant.step(H[0], u, w) for u in U[:3]])
+        _assert_rows_match(plant.step(H[0], U[:3], w), oracle_step(plant, H[0], U[:3]))
     # the output takes the broadcast batch shape of x and u
     H, U = perturbed
     assert plant.step(H[0], U[0], w).shape == (4,)
@@ -337,11 +355,9 @@ def test_tank_batched_calls_match_per_row_calls():
 def test_tank_batched_step_rejects_any_nonfinite_row():
     plant = FourTankPlant()
     # a NaN level fails up front.  At 1e306, 2 g h overflows and an outlet
-    # velocity is infinite: the array path's zero coefficients turn it into
-    # NaN, while the float path leaves them out, and with one such tank
-    # would end with that tank clamped to a finite 0.  A 3-row batch takes
-    # the float path, a 15-row batch the array path
-    assert 3 <= FLOAT_PATH_MAX_ROWS < 15
+    # velocity is infinite: the oracle's zero coefficients turn it into
+    # NaN, while step leaves them out, and with one such tank would end
+    # with that tank clamped to a finite 0
     for rows in (3, 15):
         U = np.tile(plant.u_nominal, (rows, 1))
         for bad in ([10.0, 10.0, np.nan, 5.38], [1e306] * 4, [1e306, 10.0, 5.0, 5.0]):
@@ -350,5 +366,7 @@ def test_tank_batched_step_rejects_any_nonfinite_row():
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericalError):
                     plant.step(H, U, None)
+                with pytest.raises(NumericalError):
+                    oracle_step(plant, H, U)
                 with pytest.raises(NumericalError):
                     plant.step(H[1], U[1], None)

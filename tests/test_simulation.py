@@ -570,8 +570,8 @@ def test_four_tank_sweep_rows_equal_the_per_step_loop(monkeypatch):
     spec = build_setup(preset_config("four-tank")).sweep
     s = spec["scenario"]
     # the preset's whole grid: 13 of its 15 rows settle at different steps,
-    # so the batch shrinks from the tank's array path to its float path, and
-    # (T_i 2, lambda 0.95) and (30, 0.1) never settle
+    # so the batch shrinks from 15 rows to 2, and (T_i 2, lambda 0.95) and
+    # (30, 0.1) never settle
     ctrls = [s.controller.with_gains(T_i, damping)
              for T_i in spec["T_i"] for damping in spec["lambda"]]
     references = oracle_lockstep(s, ctrls)
