@@ -11,8 +11,8 @@ input constraints at every step and the integrator cannot wind up:
 The projection is evaluated lazily: when the forward step already lies in
 Gamma the update reduces to the classical integral law with per-step gain
 damping * T_s / T_i, which ClassicalIntegralController steps for
-comparison.  _damped_projected_update applies the update to a batch of
-integrator states at once; DPIController.step is its batch of one.
+comparison.  _damped_projected_update, the one copy of the update, steps a
+batch of integrator states, each row with its own T_s / T_i and damping.
 """
 
 from __future__ import annotations
@@ -32,11 +32,21 @@ def _gain_matrix(gain) -> np.ndarray:
     return K
 
 
-def _validate_timing(T_s: float, T_i: float) -> None:
+def _alpha(T_s: float, T_i: float) -> float:
+    """Integral step size alpha = T_s / T_i, once T_s and T_i pass their checks."""
     if not (T_s > 0.0 and np.isfinite(T_s)):
         raise ValueError("sampling period T_s must be positive")
     if not (T_i > 0.0 and np.isfinite(T_i)):
         raise ValueError("integral time T_i must be positive")
+    return float(T_s) / float(T_i)
+
+
+def _checked_alpha(T_s: float, T_i: float, damping: float) -> float:
+    """alpha of a damped projected loop, once T_s, T_i and damping pass their checks."""
+    alpha = _alpha(T_s, T_i)
+    if not 0.0 < damping < 1.0:
+        raise ValueError("damping must lie strictly in (0, 1)")
+    return alpha
 
 
 def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
@@ -61,7 +71,7 @@ class DPIController:
     constraint is the input set C; the integrator set Gamma is its preimage
     under the square invertible gain K.  The initial state comes from eta0,
     or from u0 via K^{-1} (projected into Gamma if needed), or defaults to
-    the projection of the origin.
+    the projection of the origin.  alpha = T_s / T_i is the integral step size.
     """
 
     def __init__(self, gain, constraint: ConvexSet, metric: Metric,
@@ -70,9 +80,7 @@ class DPIController:
         K = _gain_matrix(gain)
         if K.shape[0] != constraint.dim:
             raise ValueError("gain output dimension does not match the constraint set")
-        _validate_timing(T_s, T_i)
-        if not 0.0 < damping < 1.0:
-            raise ValueError("damping must lie strictly in (0, 1)")
+        self.alpha = _checked_alpha(T_s, T_i, damping)
         self.gain = K
         self.constraint = constraint
         self.metric = metric
@@ -94,12 +102,6 @@ class DPIController:
             eta = seed if self.gamma.contains(seed, MEMBERSHIP_TOL) else \
                 self.gamma.project(metric, seed).point
         self.eta = eta.copy()
-        self._eta0 = eta.copy()
-
-    @property
-    def alpha(self) -> float:
-        """Integral step size T_s / T_i."""
-        return self.T_s / self.T_i
 
     def step(self, e) -> np.ndarray:
         """Advance the integrator on error e; returns the input computed
@@ -113,23 +115,13 @@ class DPIController:
             np.array([self.alpha]), np.array([self.damping]))[0]
         return u
 
-    def with_gains(self, T_i: float | None = None,
-                   damping: float | None = None) -> "DPIController":
-        """Copy at the configured initial state with new integral gains."""
-        return DPIController(self.gain, self.constraint, self.metric,
-                             self.T_s,
-                             self.T_i if T_i is None else T_i,
-                             self.damping if damping is None else damping,
-                             eta0=self._eta0)
-
 
 class ClassicalIntegralController:
     """Unconstrained discrete integral law eta <- eta - alpha e, alpha = T_s / T_i."""
 
     def __init__(self, gain, T_s: float, T_i: float, eta0):
         self.gain = _gain_matrix(gain)
-        _validate_timing(T_s, T_i)
-        self.alpha = float(T_s) / float(T_i)
+        self.alpha = _alpha(T_s, T_i)
         eta = np.asarray(eta0, dtype=float)
         if eta.shape != (self.gain.shape[1],):
             raise ValueError("eta0 does not match the gain input dimension")

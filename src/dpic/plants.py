@@ -120,6 +120,9 @@ class LTIPlant(PlantModel):
             n_w = B_w.shape[1]
             if B_w.shape != (n, n_w) or D_w.shape != (p, n_w):
                 raise ValueError("B_w or D_w shape mismatch")
+        for name, M in (("A", A), ("B", B), ("C", C), ("D", D), ("B_w", B_w), ("D_w", D_w)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
         rho = float(np.max(np.abs(np.linalg.eigvals(A))))
         if rho >= 1.0:
             raise ValueError(f"A is not Schur stable (spectral radius {rho:.6g} >= 1)")
@@ -369,8 +372,8 @@ class FourTankPlant(PlantModel):
     def pi_x(self, u, w=None) -> np.ndarray:
         u = self._vec(u, 2, "u")
         flows = _apply(self.flow_gain, u)
-        if np.any(u < -1e-9) or np.any(flows < -1e-9):
-            raise ValueError("equilibrium map needs nonnegative pump flows")
+        if not np.isfinite(u).all() or np.any(u < -1e-9) or np.any(flows < -1e-9):
+            raise ValueError("equilibrium map needs finite nonnegative pump flows")
         a = self.outlet_areas
         g1, g2 = self.split_ratios
         two_g = 2.0 * self.g

@@ -303,7 +303,7 @@ class Ball(ConvexSet):
 
 
 class Polyhedron(ConvexSet):
-    """{x : A x <= b}; emptiness is rejected at construction by a feasibility solve."""
+    """{x : A x <= b}; construction rejects an empty one, where the origin has no projection."""
 
     def __init__(self, A, b):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -315,14 +315,14 @@ class Polyhedron(ConvexSet):
         norms = np.linalg.norm(A, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("polyhedron has a zero row")
-        res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
-                      bounds=[(None, None)] * A.shape[1], method="highs")
-        if res.status == 2:
-            raise ValueError("polyhedron is empty")
         self.A = A
         self.b = b
         self._norms = norms
         self.dim = int(A.shape[1])
+        try:
+            _project_rows(self, Metric.identity(self.dim), np.zeros(self.dim))
+        except ProjectionError:
+            raise ValueError("polyhedron is empty") from None
 
     @cached_property
     def _rows(self):
@@ -460,7 +460,7 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
     min |z| s.t. A L^{-T} z <= b - A x, which NNLS solves through its dual
     (Lawson & Hanson 1974, ch. 23).  The equality-constrained projection onto
     the rows NNLS leaves active then puts the point on those facets to
-    rounding; the raw NNLS point, built only if that fails, is the fallback.
+    rounding; failing that, the raw NNLS point or the polished one, checked loosely.
 
     The active set of the last NNLS solve is tried first (a warm start, as in
     online active-set QP: Ferreau, Bock & Diehl, IJRNC 18(8), 2008).  Its
@@ -493,19 +493,22 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
     u, rnorm = nnls(dual, target)
     S = (u > 0.0).nonzero()[0]
     set_._active = S if S.size else None
+    polished = None
     try:
-        point = _polish(x, Ax, b, Pinv_AT, gram, S)[0]
-        if (A @ point - b).max() <= 1e-12 * scale:
-            return ProjectionResult(point)
+        polished = _polish(x, Ax, b, Pinv_AT, gram, S)[0]
+        if (A @ polished - b).max() <= 1e-12 * scale:
+            return ProjectionResult(polished)
     except np.linalg.LinAlgError:
         pass
     # a zero residual flags an empty set, but NNLS also reports one on some
-    # single-point sets; the row check decides, with x as a dud raw point
+    # single-point sets; the row check decides, with x as a dud raw point, then
+    # the polished point, which rounding far from the origin can push past 1e-12
     n = A.shape[1]
     r = dual @ u - target
-    point = x - np.linalg.solve(metric._chol.T, r[:n] / r[n]) if rnorm > 0.0 else x
-    if (A @ point - b).max() <= MEMBERSHIP_TOL * scale:
-        return ProjectionResult(point)
+    raw = x - np.linalg.solve(metric._chol.T, r[:n] / r[n]) if rnorm > 0.0 else x
+    for point in (raw, polished):
+        if point is not None and (A @ point - b).max() <= MEMBERSHIP_TOL * scale:
+            return ProjectionResult(point)
     raise ProjectionError("least-distance projection found no feasible point; "
                           "the set may be empty")
 

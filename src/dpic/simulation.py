@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import DPIController, _damped_projected_update
+from .controller import DPIController, _checked_alpha, _damped_projected_update
 from .metric import Metric, _apply, _row_norms
 from .plants import NumericalError, PlantModel
 from .sets import MEMBERSHIP_TOL, normal_cone_residual
@@ -155,12 +155,13 @@ def _step_failure(k: int, exc: Exception) -> SimulationError:
     return failure
 
 
-def _lockstep(scenario: Scenario,
-              controllers: Sequence) -> list[SimRecord | SimulationError]:
-    """Run the scenario once per controller, all loops in lockstep.
+def _lockstep(scenario: Scenario, alpha: Sequence[float],
+              damping: Sequence[float]) -> list[SimRecord | SimulationError]:
+    """Run the scenario once per (alpha, damping) row, all loops in lockstep.
 
-    The controllers share gain, Gamma and metric and differ in T_i, damping
-    and initial state; each array holds one row per controller.  A step
+    Every row runs the scenario's controller (its gain, Gamma, metric and C)
+    from its state eta, with its own alpha = T_s / T_i and damping; each
+    array holds one row per loop.  A step
     computes u = K eta and e, then the damped projected update and the plant
     step; one that raises is retried row by row, and a row that fails alone
     stops while the others run on.  A row that settles (its step left x and
@@ -170,12 +171,13 @@ def _lockstep(scenario: Scenario,
     C fails at the first such step, whatever it raised later.  Returns a
     SimRecord (without segments) or a SimulationError per row.
     """
-    plant = scenario.plant
-    base = controllers[0]
-    G, H = len(controllers), scenario.horizon
+    plant, base = scenario.plant, scenario.controller
+    if not base.gamma.contains(base.eta, MEMBERSHIP_TOL):
+        raise ValueError("controller state eta is not a member of Gamma")
+    # copies: the rows' parameters move with their rows
+    alpha, damping = np.array(alpha, dtype=float), np.array(damping, dtype=float)
+    G, H = len(alpha), scenario.horizon
     m, p = base.gain.shape
-    alpha = np.array([c.alpha for c in controllers])
-    damping = np.array([c.damping for c in controllers])
     W = _w_steps(scenario)
     # step k reads row k of the state and writes row k + 1
     xs = np.empty((G, H + 1, plant.n))
@@ -183,7 +185,7 @@ def _lockstep(scenario: Scenario,
     us = np.empty((G, H, m))
     es = np.empty((G, H, p))
     xs[:, 0] = scenario.x0
-    etas[:, 0] = [c.eta for c in controllers]
+    etas[:, 0] = base.eta
 
     def advance(k: int, rows: slice) -> list[int]:
         """Step k of the rows at the given positions; writes nothing unless
@@ -278,9 +280,7 @@ def simulate(scenario: Scenario) -> SimRecord:
     """Run the loop over the full horizon; deterministic for a fixed scenario.
     The controller is read, never advanced; its state must lie in Gamma."""
     ctrl = scenario.controller
-    if not ctrl.gamma.contains(ctrl.eta, MEMBERSHIP_TOL):
-        raise ValueError("controller state eta is not a member of Gamma")
-    record = _lockstep(scenario, [ctrl])[0]
+    record = _lockstep(scenario, [ctrl.alpha], [ctrl.damping])[0]
     if isinstance(record, SimulationError):
         raise record
     for start, end in scenario.segment_bounds():
@@ -372,6 +372,8 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
                damping_values: Sequence[float], mu: float, L: float) -> StabilityReport:
     """Rerun the scenario over a (T_i, damping) grid and classify each run.
 
+    Every grid point starts from the controller's state, as simulate does,
+    and is checked as DPIController checks its own T_i and damping.
     mu and L certify the steady-state operator on the region the sweep
     explores and set only the reported threshold.  decay_rate fits a converged
     run's settling sequence over the last segment; for an LTI plant at an
@@ -384,7 +386,8 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
     last_start = scenario.schedule[-1][0]
     grid = [(float(T_i), float(damping))
             for T_i in T_i_values for damping in damping_values]
-    runs = _lockstep(scenario, [base.with_gains(T_i, damping) for T_i, damping in grid])
+    alpha = [_checked_alpha(base.T_s, T_i, damping) for T_i, damping in grid]
+    runs = _lockstep(scenario, alpha, [damping for _, damping in grid])
     points = []
     for (T_i, damping), record in zip(grid, runs):
         if isinstance(record, SimulationError):

@@ -8,7 +8,8 @@ for every v in Gamma.  The damped forward-backward map
 has the VI solutions as fixed points for any alpha > 0, and is a contraction
 with factor 1 - damping * (1 - c_fb), c_fb = sqrt(1 - 2 alpha mu + alpha^2 L^2),
 when F is mu-strongly monotone and L-Lipschitz in the P-metric and
-alpha < 2 mu / L^2.
+alpha < 2 mu / L^2.  The maps run the loop's own update on a batch of one, so a
+forward step within MEMBERSHIP_TOL of Gamma is kept, not projected, as in the loop.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .controller import _damped_projected_update
 from .metric import Metric
 from .sets import MEMBERSHIP_TOL, ConvexSet, sample_points
 
@@ -128,15 +130,21 @@ def _check_member(problem: VIProblem, eta) -> np.ndarray:
     return eta
 
 
+def _update(problem: VIProblem, alpha: float, damping: float, eta: np.ndarray) -> np.ndarray:
+    """The damped projected update of a member eta, as a batch of one."""
+    return _damped_projected_update(problem.constraint, problem.metric, eta[None],
+                                    problem.value(eta)[None], np.array([alpha]),
+                                    np.array([damping]))[0]
+
+
 def fb_map(problem: VIProblem, params: FBParams, eta) -> np.ndarray:
-    """Projected forward step Proj(eta - alpha F(eta))."""
-    eta = _check_member(problem, eta)
-    forward = eta - params.alpha * problem.value(eta)
-    return problem.constraint.project(problem.metric, forward).point
+    """Projected forward step Proj(eta - alpha F(eta)): the update at damping 1."""
+    return _update(problem, params.alpha, 1.0, _check_member(problem, eta))
+
 
 def fb_damped_map(problem: VIProblem, params: FBParams, eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    return (1.0 - params.damping) * eta + params.damping * fb_map(problem, params, eta)
+    """(1 - damping) eta + damping Proj(eta - alpha F(eta))."""
+    return _update(problem, params.alpha, params.damping, _check_member(problem, eta))
 
 
 def natural_residual(problem: VIProblem, params: FBParams, eta) -> float:
@@ -162,14 +170,15 @@ def solve_vi(problem: VIProblem, params: FBParams, eta0, tol: float = 1e-10,
     residuals = []
     best_eta, best_res = eta, np.inf
     for it in range(1, max_iter + 1):
-        target = fb_map(problem, params, eta)
-        res = problem.metric.norm(eta - target)
+        eta_next = _update(problem, params.alpha, params.damping, eta)
+        # the increment is damping times eta's step to Proj(eta - alpha F(eta))
+        res = problem.metric.norm(eta_next - eta) / params.damping
         residuals.append(res)
         if res < best_res:
             best_eta, best_res = eta, res
         if res < tol:
             return VISolution(eta, np.array(residuals), it, True)
-        eta = (1.0 - params.damping) * eta + params.damping * target
+        eta = eta_next
     return VISolution(best_eta, np.array(residuals), max_iter, False)
 
 

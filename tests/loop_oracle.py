@@ -25,14 +25,13 @@ from dpic.simulation import (
 )
 
 
-def oracle_lockstep(scenario, controllers) -> list[SimRecord | SimulationError]:
-    """The scenario once per controller, with the checks inside each step."""
-    plant = scenario.plant
-    base = controllers[0]
-    G, H = len(controllers), scenario.horizon
+def oracle_lockstep(scenario, alpha, damping) -> list[SimRecord | SimulationError]:
+    """The scenario once per (alpha, damping) row, with the checks inside
+    each step; every row starts from the scenario's controller state."""
+    plant, base = scenario.plant, scenario.controller
+    alpha, damping = np.array(alpha, dtype=float), np.array(damping, dtype=float)
+    G, H = len(alpha), scenario.horizon
     m, p = base.gain.shape
-    alpha = np.array([c.alpha for c in controllers])
-    damping = np.array([c.damping for c in controllers])
     xs = np.empty((G, H, plant.n))
     us = np.empty((G, H, m))
     es = np.empty((G, H, p))
@@ -40,7 +39,7 @@ def oracle_lockstep(scenario, controllers) -> list[SimRecord | SimulationError]:
     margins = np.empty((G, H))
     residuals = np.empty((G, H))
     x = np.tile(scenario.x0, (G, 1))
-    eta = np.array([c.eta for c in controllers])
+    eta = np.tile(base.eta, (G, 1))
 
     def advance(k, rows):
         x_k, eta_k, w = x[rows], eta[rows], scenario.w_at(k)

@@ -150,18 +150,6 @@ def test_timing_validated():
         make_dpi(T_i=-1.0)
 
 
-# ---------------------------------------------------------------------------
-# copies
-
-def test_with_gains_resets_to_initial_state():
-    c = make_dpi(eta0=[1.0, 1.0])
-    c.step(np.array([2.0, 2.0]))
-    d = c.with_gains(T_i=30.0, damping=0.5)
-    assert np.allclose(d.eta, [1.0, 1.0])
-    assert d.T_i == 30.0 and d.damping == 0.5
-    assert c.T_i == 15.0  # original untouched
-
-
 def test_alpha_property():
     assert make_dpi().alpha == pytest.approx(2.0 / 3.0)
     cc = ClassicalIntegralController(np.eye(2), T_s=1.0, T_i=4.0, eta0=[0.0, 0.0])

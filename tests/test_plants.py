@@ -227,6 +227,13 @@ def test_negative_flow_rejected():
         tank.pi_x(np.array([-5.0, 10.0]))
 
 
+@pytest.mark.parametrize("u", [[np.nan, 1.0], [1.0, np.inf], [np.inf, np.inf],
+                               [[10.0, 10.0], [np.nan, 10.0]]])
+def test_non_finite_flow_rejected(u):
+    with pytest.raises(ValueError, match="finite nonnegative pump flows"):
+        FourTankPlant().pi_x(np.array(u))
+
+
 def test_non_finite_state_raises():
     tank = FourTankPlant()
     with pytest.raises(NumericalError):
@@ -252,6 +259,12 @@ def test_degenerate_split_ratios_rejected():
     # 2 g h overflows: the calibrated outlet areas are 0 and the drift NaN
     (FourTankPlant, {"nominal_levels": (1e308,) * 4}),
     (LTIPlant, {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "T_s": np.nan}),
+    (LTIPlant, {"A": [[np.nan]], "B": [[1.0]], "C": [[1.0]]}),
+    (LTIPlant, {"A": [[0.5]], "B": [[np.nan]], "C": [[1.0]]}),
+    (LTIPlant, {"A": [[0.5]], "B": [[1.0]], "C": [[np.inf]]}),
+    (LTIPlant, {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[-np.inf]]}),
+    (LTIPlant, {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "B_w": [[np.nan]], "D_w": [[0.0]]}),
+    (LTIPlant, {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "B_w": [[0.0]], "D_w": [[np.inf]]}),
 ])
 def test_nonfinite_or_fractional_parameters_rejected(plant, kwargs):
     with np.errstate(over="ignore"), pytest.raises(ValueError):

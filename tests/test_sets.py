@@ -418,6 +418,28 @@ def test_empty_polyhedron_rejected():
         Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])
 
 
+def test_a_far_projection_onto_ill_scaled_rows_is_found():
+    # row norms from 1e-2 to 1e2, and the origin's projection lies about 4000
+    # away on rows 1, 2 and 3; rounding there leaves the polished point
+    # 2e-10 outside row 1, short of the 1e-12 * scale check, but well within
+    # MEMBERSHIP_TOL * scale, where the raw NNLS point is not
+    A = np.array([
+        [0.002667301176943254, 0.012444414780795643, 0.004275501393000956, 0.0008553129173619926],
+        [-65.6140307086978, 3.9198323060717044, 58.67188274555038, 2.7946543628997076],
+        [-16.73724986228286, 6.7257751570971385, -10.175548472926238, -1.5231794940857424],
+        [0.005536870792749539, -0.00019747824853486986, -0.002911715860743649,
+         -0.0010710960191937435]])
+    b = np.array([2.689800411951827, -1.271763476518729, -0.2174056849934776,
+                  -4.5684403030543965])
+    point = Polyhedron(A, b).project(Metric.identity(4), np.zeros(4)).point
+    assert np.max(A @ point - b) <= MEMBERSHIP_TOL * (1.0 + np.max(np.abs(b)))
+    # the equality-constrained projection onto rows 1-3, with positive multipliers
+    S = A[1:]
+    lam = np.linalg.solve(S @ S.T, -b[1:])
+    assert np.all(lam > 0.0)
+    assert np.allclose(point, -S.T @ lam, rtol=1e-9, atol=0.0)
+
+
 def test_singular_preimage_rejected():
     with pytest.raises(ValueError):
         LinearPreimage([[1.0, 1.0], [1.0, 1.0]], Box([0.0, 0.0], [1.0, 1.0]))

@@ -175,8 +175,11 @@ def test_w_held_between_changes():
 def test_infeasible_initial_controller_state_rejected():
     s = scalar_scenario()
     s.controller.eta = np.array([5.0])  # poke the state outside Gamma
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a member of Gamma"):
         simulate(s)
+    # a sweep starts from the same state
+    with pytest.raises(ValueError, match="not a member of Gamma"):
+        gain_sweep(s, [2.0], [0.5], mu=1.0, L=1.0)
 
 
 def test_plant_failure_reports_step_index():
@@ -335,6 +338,53 @@ def test_gain_sweep_requires_projected_controller():
         gain_sweep(s, [2.0], [0.5], mu=1.0, L=1.0)
 
 
+@pytest.mark.parametrize("T_i, damping, message", [
+    (0.0, 0.5, "integral time"), (-1.0, 0.5, "integral time"),
+    (np.inf, 0.5, "integral time"), (np.nan, 0.5, "integral time"),
+    (2.0, 0.0, "damping"), (2.0, 1.0, "damping"), (2.0, 1.5, "damping"),
+    (2.0, np.nan, "damping")])
+def test_gain_sweep_rejects_bad_gains(T_i, damping, message):
+    with pytest.raises(ValueError, match=message):
+        gain_sweep(scalar_scenario(horizon=10), [2.0, T_i], [0.5, damping],
+                   mu=1.0, L=1.0)
+
+
+def test_a_sweep_starts_where_simulate_starts(monkeypatch):
+    import dpic.simulation as simulation
+
+    s = scalar_scenario(horizon=300)
+    ctrl = s.controller
+    for e in (-0.5, -0.4, -0.3):
+        ctrl.step(np.array([e]))
+    solo = simulate(s)
+    rows, real = [], simulation._lockstep
+
+    def lockstep(*args):
+        rows.extend(real(*args))
+        return rows
+
+    monkeypatch.setattr(simulation, "_lockstep", lockstep)
+    report = gain_sweep(s, [ctrl.T_i], [ctrl.damping], mu=1.0, L=1.0)
+    row, = rows
+    assert_same_run(row, solo)
+    assert report.points[0].final_vi_residual == row.vi_residual[-1]
+
+
+def test_gain_sweep_builds_no_controller(monkeypatch):
+    from dpic import build_setup, preset_config
+
+    spec = build_setup(preset_config("four-tank")).sweep
+    built, real = [], DPIController.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DPIController, "__init__", init)
+    gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu=1.0, L=1.0)
+    assert built == []
+
+
 def test_empirical_damping_star():
     pts = [SweepPoint(5.0, 0.1, True, 0.9, 0.0),
            SweepPoint(5.0, 0.5, True, 0.9, 0.0),
@@ -360,14 +410,25 @@ def assert_same_run(row, solo):
         assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
+def retuned(ctrl, T_i, damping):
+    """ctrl with new integral gains, at ctrl's current state."""
+    return DPIController(ctrl.gain, ctrl.constraint, ctrl.metric, ctrl.T_s,
+                         T_i, damping, eta0=ctrl.eta)
+
+
+def gain_rows(ctrls):
+    """The (alpha, damping) rows that step the controllers in lockstep."""
+    return [c.alpha for c in ctrls], [c.damping for c in ctrls]
+
+
 def test_lockstep_rows_equal_solo_runs():
     # the last reference is infeasible, so rows take the projected path too
     s = tank_scenario(horizon=300, schedule=[(0, np.array([10.0, 10.0])),
                                              (20, np.array([16.0, 9.0])),
                                              (150, np.array([18.0, 18.0]))])
-    ctrls = [s.controller.with_gains(T_i, damping)
+    ctrls = [retuned(s.controller, T_i, damping)
              for T_i, damping in ((5.0, 0.95), (15.0, 0.5), (30.0, 0.1))]
-    rows = _lockstep(s, ctrls)
+    rows = _lockstep(s, *gain_rows(ctrls))
     assert min(np.min(r.constraint_margin) for r in rows) <= 1e-9  # saturated
     for ctrl, row in zip(ctrls, rows):
         # agreement is exact: each row takes the arithmetic of a batch of one
@@ -389,8 +450,8 @@ def test_failing_row_mid_batch_leaves_other_rows_as_solo_runs():
                     T_s=1.0)
     ctrl = DPIController([[1.0]], Box([-2.0], [2.0]), I1,
                          T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
-    ctrls = [ctrl.with_gains(50.0, 0.9), ctrl.with_gains(0.05, 0.9),
-             ctrl.with_gains(20.0, 0.5)]
+    ctrls = [retuned(ctrl, 50.0, 0.9), retuned(ctrl, 0.05, 0.9),
+             retuned(ctrl, 20.0, 0.5)]
     one_segment = ([(0, np.array([0.5]))], 200)
     # the medium row settles at step 1250, then rejoins at 1500 next to the
     # slow row, past the position the failed fast row held
@@ -399,7 +460,7 @@ def test_failing_row_mid_batch_leaves_other_rows_as_solo_runs():
         s = Scenario(plant=plant, controller=ctrl, schedule=schedule,
                      horizon=horizon, x0=np.array([0.0]))
         batches.clear()
-        slow, fast, medium = _lockstep(s, ctrls)
+        slow, fast, medium = _lockstep(s, *gain_rows(ctrls))
         if len(schedule) == 2:
             assert [size for size, _ in itertools.groupby(batches)][-2:] == [1, 2]
         assert isinstance(fast, SimulationError)
@@ -423,21 +484,22 @@ def test_row_failing_next_to_a_settled_row_stays_out_of_later_segments():
     plant = Fragile(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]],
                     T_s=1.0)
 
-    def controller(T_i, damping, eta0):
-        return DPIController([[1.0]], Box([-2.0], [2.0]), I1, T_s=1.0, T_i=T_i,
-                             damping=damping, eta0=[eta0])
-
-    # x0 and eta0 = 0.5 are the first segment's equilibrium, so that row
-    # settles at step 0 and swaps places with the last row.  The two
-    # overshooting rows then fail together at step 5, on both sides of the
-    # steady row, while the first is settled; only the settled and the steady
-    # row take the second segment
-    ctrls = [controller(5.0, 0.5, 0.5), controller(5.0, 0.5, 0.0),
-             controller(1.5, 0.9, -0.5), controller(1.5, 0.9, -0.5)]
-    s = Scenario(plant=plant, controller=ctrls[0], horizon=600, x0=np.array([0.5]),
-                 schedule=[(0, np.array([0.5])), (300, np.array([0.3]))])
-    settled, steady, *failing = _lockstep(s, ctrls)
-    assert batches[:6] == [4, 3, 3, 3, 3, 1] and batches[-1] == 2
+    # every row starts from x0 = eta0 = 0.5, the equilibrium of u = 0.5.  The
+    # first row's integral gain is too low to move eta by an ulp, so its
+    # first step maps (x, eta) to itself: it settles at step 0 and swaps
+    # places with the last row.  The two overshooting rows then fail together
+    # at step 5, on both sides of the steady row, while the first is settled;
+    # only the settled and the steady row take the second segment, where the
+    # settled row settles again at once
+    ctrl = DPIController([[1.0]], Box([-2.0], [2.0]), I1, T_s=1.0, T_i=5.0,
+                         damping=0.5, eta0=[0.5])
+    ctrls = [retuned(ctrl, 1e20, 0.5), ctrl, retuned(ctrl, 1.5, 0.5),
+             retuned(ctrl, 1.5, 0.5)]
+    s = Scenario(plant=plant, controller=ctrl, horizon=600, x0=np.array([0.5]),
+                 schedule=[(0, np.array([0.85])), (300, np.array([0.3]))])
+    settled, steady, *failing = _lockstep(s, *gain_rows(ctrls))
+    assert batches[:6] == [4, 3, 3, 3, 3, 1]
+    assert max(batches[6:]) == 2 and batches[6:].count(2) == 1
     with pytest.raises(SimulationError) as solo_failure:
         simulate(replace(s, controller=ctrls[2]))
     for row in failing:
@@ -460,9 +522,9 @@ def test_state_gone_non_finite_in_one_row_ends_that_row_alone():
                          T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
     s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
                  horizon=200, x0=np.array([0.0]))
-    ctrls = [ctrl.with_gains(50.0, 0.9), ctrl.with_gains(0.05, 0.9),
-             ctrl.with_gains(20.0, 0.5)]
-    slow, fast, medium = _lockstep(s, ctrls)
+    ctrls = [retuned(ctrl, 50.0, 0.9), retuned(ctrl, 0.05, 0.9),
+             retuned(ctrl, 20.0, 0.5)]
+    slow, fast, medium = _lockstep(s, *gain_rows(ctrls))
     assert isinstance(fast, SimulationError) and "not finite" in str(fast)
     with pytest.raises(SimulationError) as solo_failure:
         simulate(replace(s, controller=ctrls[1]))
@@ -548,7 +610,7 @@ def test_simulate_preset_equals_the_per_step_loop(preset, monkeypatch):
     from loop_oracle import oracle_lockstep
 
     scenario = build_setup(preset_config(preset)).scenario
-    reference, = oracle_lockstep(scenario, [scenario.controller])
+    reference, = oracle_lockstep(scenario, *gain_rows([scenario.controller]))
     steps = _count_row_steps(monkeypatch, scenario.plant)
     assert_same_run(simulate(scenario), reference)
     # the loop settles in each segment and copies the rest of it
@@ -559,7 +621,7 @@ def test_polytope_lti_equals_the_per_step_loop():
     from loop_oracle import oracle_lockstep
 
     s, _ = polytope_lti_scenario()
-    reference, = oracle_lockstep(s, [s.controller])
+    reference, = oracle_lockstep(s, *gain_rows([s.controller]))
     assert_same_run(simulate(s), reference)
 
 
@@ -572,12 +634,12 @@ def test_four_tank_sweep_rows_equal_the_per_step_loop(monkeypatch):
     # the preset's whole grid: 13 of its 15 rows settle at different steps,
     # so the batch shrinks from 15 rows to 2, and (T_i 2, lambda 0.95) and
     # (30, 0.1) never settle
-    ctrls = [s.controller.with_gains(T_i, damping)
-             for T_i in spec["T_i"] for damping in spec["lambda"]]
-    references = oracle_lockstep(s, ctrls)
+    alpha = [s.controller.T_s / T_i for T_i in spec["T_i"] for _ in spec["lambda"]]
+    damping = [damping for _ in spec["T_i"] for damping in spec["lambda"]]
+    references = oracle_lockstep(s, alpha, damping)
     steps = _count_row_steps(monkeypatch, s.plant)
-    rows = _lockstep(s, ctrls)
-    assert steps[0] < len(ctrls) * s.horizon / 2
+    rows = _lockstep(s, alpha, damping)
+    assert steps[0] < len(alpha) * s.horizon / 2
     for row, reference in zip(rows, references):
         assert_same_run(row, reference)
 
@@ -605,7 +667,7 @@ def test_a_state_that_flips_the_sign_of_zero_has_not_settled():
     s = Scenario(plant=Flip(), controller=ctrl, schedule=[(0, np.array([0.0]))],
                  horizon=20, x0=np.array([-0.0]))
     record = simulate(s)
-    reference, = oracle_lockstep(s, [ctrl])
+    reference, = oracle_lockstep(s, *gain_rows([ctrl]))
     assert_same_run(record, reference)
     assert np.signbit(record.x[::2]).all() and not np.signbit(record.x[1::2]).any()
 
@@ -630,10 +692,10 @@ def _pushing_update(monkeypatch, row, step, eta_out):
 
 def test_u_outside_c_fails_the_row_at_the_next_step(monkeypatch):
     s = scalar_scenario(horizon=60)
-    ctrls = [s.controller.with_gains(2.0, 0.5), s.controller.with_gains(5.0, 0.3)]
+    ctrls = [retuned(s.controller, 2.0, 0.5), retuned(s.controller, 5.0, 0.3)]
     solo = simulate(replace(s, controller=ctrls[1]))
     _pushing_update(monkeypatch, row=0, step=7, eta_out=[3.0])  # C = [-1, 1]
-    pushed, other = _lockstep(s, ctrls)
+    pushed, other = _lockstep(s, *gain_rows(ctrls))
     assert isinstance(pushed, ConstraintViolationError)
     assert str(pushed) == "step 8: projected controller emitted u outside C"
     assert_same_run(other, solo)
