@@ -29,10 +29,8 @@ from __future__ import annotations
 import abc
 import math
 import numbers
-import warnings
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .metric import Metric, _apply
 
@@ -42,7 +40,12 @@ __all__ = [
     "LTIPlant",
     "FourTankPlant",
     "davison_check",
+    "STATIC_GAIN_TOL",
 ]
+
+# the static-gain gate's relative margin: Re lambda_min(M) must exceed it times |M|_2
+STATIC_GAIN_TOL = 1e-12
+
 
 def _positive(values, count: int, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
@@ -164,36 +167,41 @@ class LTIPlant(PlantModel):
         return self.C @ np.linalg.solve(np.eye(self.n) - self.A, self.B_w) + self.D_w
 
 
+def _static_gain_margin(M) -> float:
+    """Re lambda_min(M) / |M|_2, the loop gain's spectral margin relative to its size."""
+    M = np.asarray(M, dtype=float)
+    scale = float(np.linalg.norm(M, 2))
+    return float(np.linalg.eigvals(M).real.min()) / scale if scale > 0.0 else 0.0
+
+
 def davison_check(plant: LTIPlant, K) -> tuple[bool, np.ndarray | None]:
     """Static loop gain test with a quadratic monotonicity certificate.
 
     The loop gain M = dc_gain @ K passes when every eigenvalue has a
     positive real part (i.e. -M is Hurwitz); exactly then M^T P + P M = I
     has a symmetric positive definite solution P, which makes the affine
-    steady-state operator strongly monotone in the P-metric.  The
-    eigenvalue gate runs first: a rank-deficient M leaves the equation
-    singular, and a perturbed "solution" of it would be meaningless.
-    Returns (ok, P) with P = None when the test fails.
+    steady-state operator strongly monotone in the P-metric.  The gate asks
+    for Re lambda_min(M) > STATIC_GAIN_TOL |M|_2, since a singular M can
+    carry zero eigenvalues that rounding puts just right of the axis; a
+    solution of the then singular equation would be meaningless.  P solves
+    (I kron M^T + M^T kron I) vec P = vec I, and the residual and
+    definiteness checks vet it.  Returns (ok, P) with P = None when the
+    test fails.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     M = plant.dc_gain() @ K
     if M.shape[0] != M.shape[1]:
         raise ValueError("dc_gain @ K must be square")
-    if not np.all(np.linalg.eigvals(M).real > 0.0):
+    if not _static_gain_margin(M) > STATIC_GAIN_TOL:
         return False, None
+    eye = np.eye(M.shape[0])
     try:
-        with warnings.catch_warnings():
-            # spectra arbitrarily close to the imaginary axis pass the gate
-            # and draw a near-singularity warning from the solver (category
-            # varies across scipy releases); the residual and definiteness
-            # checks below vet the result instead
-            warnings.simplefilter("ignore", RuntimeWarning)
-            P = solve_continuous_lyapunov(M.T, np.eye(M.shape[0]))
-    except (np.linalg.LinAlgError, ValueError):
+        P = np.linalg.solve(np.kron(eye, M.T) + np.kron(M.T, eye), eye.ravel()).reshape(M.shape)
+    except np.linalg.LinAlgError:
         return False, None
     if not np.all(np.isfinite(P)):
         return False, None
-    residual = np.linalg.norm(M.T @ P + P @ M - np.eye(M.shape[0]))
+    residual = np.linalg.norm(M.T @ P + P @ M - eye)
     if residual > 1e-6 * (1.0 + np.linalg.norm(P) * np.linalg.norm(M)):
         return False, None
     P = 0.5 * (P + P.T)

@@ -3,22 +3,27 @@
 Every projection is exact: boxes under diagonal metrics by a componentwise
 clamp, halfspaces in closed form, and any other polyhedral set (box under a
 coupled metric, polyhedron, polyhedral intersection or preimage) as a
-least-distance program solved by NNLS.  A ball takes a radial shrink under
-isotropic metrics; otherwise a ball, alone or intersected with polyhedral
-members, takes one root find for its multiplier.  No engine takes a second
-non-polyhedral member of an intersection, or one that is not a ball.
+least-distance program solved by a numpy Lawson-Hanson NNLS.  A ball takes
+a radial shrink under isotropic metrics; otherwise a ball, alone or
+intersected with polyhedral members, takes one root find for its
+multiplier.  No engine takes a second non-polyhedral member of an
+intersection, or one that is not a ball.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
 WARM_MARGIN to spare: the cached set is a hint, never a bit.
+
+The normal-cone residual is one more NNLS, on the outward normals of the
+constraints tight at the point.
 
 Every set has one support function, support(c) = max over v in the set of
 c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
 which the set is unbounded: a closed form for boxes and balls, the inner
 set's support for a linear preimage, one linear program on the halfspace
 rows otherwise.  An intersection with a non-polyhedral member takes the
-smallest member support, an upper bound.  The bounding box and the
-normal-cone residual are both read off the support function.
+smallest member support, an upper bound.  The bounding box is read off the
+support function.  scipy.optimize is imported by that linear program and by
+a ball's root find only, when they run.
 
 Membership and margin of every polyhedral set come from one product with
 its cached halfspace rows and their row norms; a ball and a linear preimage
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, linprog, nnls
 
 from .metric import Metric, _apply, _row_norms
 
@@ -162,6 +166,15 @@ class ConvexSet:
         if rows is None:
             raise NotImplementedError(f"{type(self).__name__} has no support function")
         return _rows_support(rows[0], rows[1], _vec(c, self.dim))
+
+    def _active_normals(self, x: np.ndarray) -> np.ndarray:
+        """Outward normals, one per row, of the constraints tight at x: the
+        halfspace rows whose normalized slack is within MEMBERSHIP_TOL."""
+        rows = self.halfspace_rows()
+        if rows is None:
+            raise NotImplementedError(f"{type(self).__name__} has no normal cone")
+        A, b = rows
+        return A[(b - A @ x) / self._norms <= MEMBERSHIP_TOL]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned (lower, upper) enclosing the set; entries may be inf.
@@ -298,6 +311,11 @@ class Ball(ConvexSet):
         c = _vec(c, self.dim)
         return float(c @ self.center + self.radius * np.linalg.norm(c))
 
+    def _active_normals(self, x: np.ndarray) -> np.ndarray:
+        out = x - self.center
+        tight = self.radius - np.linalg.norm(out) <= MEMBERSHIP_TOL
+        return out[None, :] if tight else np.empty((0, self.dim))
+
     def project(self, metric: Metric, x) -> ProjectionResult:
         return _project_ball(self, None, metric, self._checked(metric, x))
 
@@ -379,6 +397,9 @@ class Intersection(ConvexSet):
             return super().support(c)
         return min(s.support(c) for s in self.sets)
 
+    def _active_normals(self, x: np.ndarray) -> np.ndarray:
+        return np.vstack([s._active_normals(x) for s in self.sets])
+
     @cached_property
     def _ball_and_rest(self):
         """(the Ball member, the intersection of the rest or None), or None if
@@ -434,6 +455,10 @@ class LinearPreimage(ConvexSet):
         # max over K x in S of c.x is max over y in S of (K^{-T} c).y
         return self.inner.support(self._Kinv.T @ _vec(c, self.dim))
 
+    def _active_normals(self, x: np.ndarray) -> np.ndarray:
+        # the gradient of n.(K x) is K^T n
+        return self.inner._active_normals(self.K @ x) @ self.K
+
     def project(self, metric: Metric, x) -> ProjectionResult:
         x = self._checked(metric, x)
         if self.halfspace_rows() is not None:
@@ -444,6 +469,60 @@ class LinearPreimage(ConvexSet):
 
 # ---------------------------------------------------------------------------
 # projection engines
+
+def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """(u, |E u - f|) with u >= 0 minimizing |E u - f|, by Lawson and Hanson's
+    active-set method (Solving Least Squares Problems, 1974, ch. 23).
+
+    A column enters where the gradient E^T (f - E u) is largest, unless it is
+    dependent on the entered ones to rounding (their 0.01 test) or would enter
+    with a nonpositive coefficient; a coefficient that the least-squares step
+    drives to zero leaves.  As in scipy.optimize.nnls, 3 n inner steps at most,
+    and the residual is reported as 0 once the entered columns span E's rows;
+    also once they fit f to 10 eps |f|, where the gradient is rounding noise
+    that would cycle columns in and out.
+    """
+    rows, cols = E.shape
+    u, S, steps = np.zeros(cols), [], 0
+    floor = 10.0 * np.finfo(float).eps * float(np.linalg.norm(f))
+    while len(S) < min(rows, cols):
+        r = f - E @ u
+        if S and np.linalg.norm(r) <= floor:
+            return u, 0.0
+        w = E.T @ r
+        w[S] = 0.0
+        while True:
+            j = int(np.argmax(w))
+            if w[j] <= 0.0:
+                return u, float(np.linalg.norm(r))
+            Q, R = np.linalg.qr(E[:, S + [j]])
+            inside = float(np.linalg.norm(R[:-1, -1]))
+            if inside + 0.01 * abs(R[-1, -1]) > inside:
+                z = np.linalg.solve(R, Q.T @ f)
+                if z[-1] > 0.0:
+                    break
+            w[j] = 0.0
+        S.append(j)
+        while True:
+            steps += 1
+            if steps > 3 * cols:
+                raise RuntimeError("NNLS reached its 3n iteration limit")
+            if z.min() > 0.0:
+                break
+            # step from u toward z until the first coefficient reaches zero
+            v, out = u[S], z <= 0.0
+            ratio = v[out] / (v[out] - z[out])
+            v += ratio.min() * (z - v)
+            v[np.flatnonzero(out)[ratio.argmin()]] = 0.0
+            S = [i for i, vi in zip(S, v) if vi > 0.0]
+            u[:] = 0.0
+            u[S] = v[v > 0.0]
+            Q, R = np.linalg.qr(E[:, S])
+            z = np.linalg.solve(R, Q.T @ f)
+        u[:] = 0.0
+        u[S] = z
+    return u, 0.0 if len(S) == rows else float(np.linalg.norm(E @ u - f))
+
 
 def _polish(x, Ax, b, Pinv_AT, gram, S):
     """(point, multipliers) of the equality-constrained projection of x onto
@@ -490,7 +569,7 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
                     return ProjectionResult(point)
     # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
     dual = np.concatenate([neg_whitened, (Ax - b)[None, :]])
-    u, rnorm = nnls(dual, target)
+    u, rnorm = _nnls(dual, target)
     S = (u > 0.0).nonzero()[0]
     set_._active = S if S.size else None
     polished = None
@@ -522,6 +601,8 @@ def _project_ball(ball: Ball, rest: ConvexSet | None, metric: Metric, x) -> Proj
     root gives nu.  As nu grows v(nu) tends to p, the Euclidean projection of
     c onto rest: the set is empty when |p - c| > r and the point p when = r.
     """
+    from scipy.optimize import brentq
+
     c, r, P = ball.center, ball.radius, metric.P
     point = x if rest is None else rest.project(metric, x).point
     excess = float((point - c) @ (point - c)) - r ** 2
@@ -569,6 +650,8 @@ def _rows_support(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     Box([-inf, 0], [1, inf]) give 1.0 along (1, 1e-8), where Box.support's
     closed form gives inf; both give inf from a tilt of 1e-6.
     """
+    from scipy.optimize import linprog
+
     scale = float(np.linalg.norm(c))
     if scale == 0.0:
         return 0.0
@@ -615,16 +698,19 @@ def sample_points(set_: ConvexSet, count: int, rng=None, max_factor: int = 1000)
 
 
 def normal_cone_residual(set_: ConvexSet, metric: Metric, xbar, direction) -> float:
-    """max over v in the set of <direction, v - xbar>_P, exactly.
+    """P-distance from direction d to the normal cone of the set at xbar.
 
-    With c = P direction this is support(c) - c.xbar: nonnegative at every
-    member xbar up to rounding, zero exactly when -direction lies in the
-    normal cone at xbar (xbar then solves the variational inequality whose
-    operator value at xbar is -direction), and +inf when the set is
-    unbounded along c.
+    r = min over lambda >= 0 of |d - P^{-1} N^T lambda|_P, N the outward
+    normals of the constraints tight at xbar (Facchinei & Pang, Finite-
+    Dimensional Variational Inequalities, 2003, ch. 6): one NNLS on the
+    whitened columns L^{-1} N^T against L^T d, with P = L L^T.  Zero when d
+    lies in the cone (xbar then solves the variational inequality whose
+    operator value at xbar is -d), |d|_P at an interior point, and finite on
+    an unbounded set too.
     """
     xbar = _vec(xbar, set_.dim)
     if not set_.contains(xbar):
         raise ValueError("xbar is not a member of the set")
-    c = metric.P @ _vec(direction, set_.dim)
-    return float(set_.support(c) - c @ xbar)
+    normals = set_._active_normals(xbar)
+    return _nnls(np.linalg.solve(metric._chol, normals.T),
+                 metric.whiten(_vec(direction, set_.dim)))[1]

@@ -111,6 +111,11 @@ class Scenario:
 
 @dataclass
 class SegmentSummary:
+    """A schedule segment's state at its last step.  normal_cone_residual is
+    the P-distance from -e to the normal cone of Gamma at eta there
+    (sets.normal_cone_residual): 0 at a solution of the variational
+    inequality, finite on an unbounded Gamma."""
+
     start: int
     end: int  # exclusive
     w: np.ndarray

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import dpic
 from dpic import Box, Metric, SimulationError, build_setup, preset_config
 from dpic.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from rate_oracle import linearized_loop_radius
@@ -113,9 +118,11 @@ def test_simulate_on_an_unbounded_gamma(tmp_path):
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
-    # nonnegative to rounding, +inf where -e points along the open direction
+    # finite although Gamma is unbounded along -e: both segments settle at
+    # zero error, and the residual reads |e| there
     for seg in summary["segments"]:
-        assert seg["normal_cone_residual"] >= -1e-9
+        assert 0.0 <= seg["normal_cone_residual"] <= 1e-12
+        assert seg["normal_cone_residual"] == seg["tracking_error"]
 
 
 def test_out_directory_created(tmp_path):
@@ -380,7 +387,60 @@ def test_certify_failure_exit_code(tmp_path, capsys):
     assert main(["certify", "--config", path]) == EXIT_CERTIFICATION
     out = capsys.readouterr().out
     assert "empirical monotonicity failed" in out
-    assert "static loop gain test: FAILED" in out
+    assert "static loop gain test: FAILED\n" in out
+
+
+def test_certify_names_a_loop_gain_singular_to_rounding(tmp_path, capsys):
+    # one state feeding two errors: the 2x2 loop gain has rank 1
+    cfg = preset_config("lti-demo")
+    cfg["plant"].update({"B": [[1.0, 0.0]], "C": [[1.0], [0.0]], "D": [[0.0, 0.0], [0.0, 0.0]],
+                         "D_w": [[-1.0], [0.0]]})
+    cfg["constraint"] = {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    cfg["controller"].update({"K": [[1.0, 0.0], [0.0, 1.0]], "u0": [0.0, 0.0]})
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", path]) == EXIT_CERTIFICATION
+    assert ("static loop gain test: FAILED (loop gain singular to rounding)\n"
+            in capsys.readouterr().out)
+
+
+def test_simulate_and_certify_load_no_scipy(tmp_path):
+    # in a fresh interpreter: import dpic, simulate both presets and a
+    # 4-input LTI run under a 12-row polytope and a coupled metric, and
+    # certify lti-demo; only the sampler's bounding-box LP (four-tank
+    # certify and sweep) and a ball's root find may load scipy
+    rng = np.random.default_rng(3)
+    normals = rng.standard_normal((12, 4))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    cfg = {
+        "plant": {"type": "lti", "A": (0.5 * np.eye(4)).tolist(), "B": (0.5 * np.eye(4)).tolist(),
+                  "C": np.eye(4).tolist(), "D": np.zeros((4, 4)).tolist(),
+                  "B_w": np.zeros((4, 4)).tolist(), "D_w": (-np.eye(4)).tolist(), "T_s": 1.0},
+        "metric": [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0],
+                   [0.0, 0.2, 1.5, 0.4], [0.1, 0.0, 0.4, 1.0]],
+        "constraint": {"type": "polyhedron", "A": normals.tolist(), "b": [1.0] * 12},
+        "controller": {"K": np.eye(4).tolist(), "T_i": 2.0, "lambda": 0.5, "u0": [0.0] * 4},
+        "scenario": {"horizon": 200, "x0": [0.0] * 4,
+                     "schedule": [[0, [0.2, -0.1, 0.1, 0.3]], [100, [2.0, 1.5, -2.5, 1.0]]]},
+    }
+    path = write_config(tmp_path, cfg)
+    script = textwrap.dedent(f"""
+        import sys
+        import dpic
+        from dpic.cli import main
+        runs = [["simulate", "--preset", "four-tank", "--out", {str(tmp_path / "a")!r}],
+                ["simulate", "--preset", "lti-demo", "--out", {str(tmp_path / "b")!r}],
+                ["simulate", "--config", {path!r}, "--out", {str(tmp_path / "c")!r}],
+                ["certify", "--preset", "lti-demo"]]
+        codes = [main(argv) for argv in runs]
+        print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = os.path.dirname(os.path.dirname(dpic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout.splitlines()[-1]
+    assert out == "[0, 0, 0, 0] []"
+    summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+    assert summary["segments"][1]["tracking_error"] > 0.1  # the polytope binds
 
 
 # ---------------------------------------------------------------------------

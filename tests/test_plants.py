@@ -110,6 +110,23 @@ def test_davison_rejects_rank_deficient_loop_gain():
     assert P is None
 
 
+def test_davison_rejects_a_structurally_singular_loop_gain():
+    # one state feeding three errors: rank M <= 1, so two eigenvalues of the
+    # 3x3 loop gain are zero in exact arithmetic.  Rounding puts them right
+    # of the axis on some draws, where Re lambda > 0 alone would pass M; the
+    # gate's margin STATIC_GAIN_TOL |M|_2 rejects every draw
+    raw_passes = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        plant = LTIPlant(A=[[0.5]], B=rng.normal(size=(1, 3)), C=rng.normal(size=(3, 1)),
+                         T_s=1.0)
+        K = rng.normal(size=(3, 3))
+        M = plant.dc_gain() @ K
+        raw_passes += bool(np.all(np.linalg.eigvals(M).real > 0.0))
+        assert davison_check(plant, K) == (False, None)
+    assert raw_passes >= 1
+
+
 def test_davison_agrees_with_eigen_test():
     rng = np.random.default_rng(63)
     hits = {True: 0, False: 0}
