@@ -16,7 +16,8 @@ import numpy as np
 from .controller import DPIController
 from .metric import Metric
 from .plants import FourTankPlant, LTIPlant, PlantModel
-from .sets import Ball, Box, ConvexSet, Halfspace, Intersection, LinearPreimage, Polyhedron
+from .sets import (Ball, Box, ConvexSet, Halfspace, Intersection, LinearPreimage, Polyhedron,
+                   ProjectionError)
 from .simulation import Scenario
 
 __all__ = ["ConfigError", "RunSetup", "load_config", "build_setup"]
@@ -246,6 +247,8 @@ def build_setup(cfg: dict) -> RunSetup:
                                    eta0=eta0, u0=u0)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError("controller", str(exc)) from exc
+    except ProjectionError as exc:  # the initial projection finds Gamma empty
+        raise ConfigError("constraint", str(exc)) from exc
 
     scn_cfg = _get(cfg, "scenario", "")
     if not isinstance(scn_cfg, dict):

@@ -11,7 +11,8 @@ intersection, or one that is not a ball.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
-WARM_MARGIN to spare: the cached set is a hint, never a bit.
+WARM_MARGIN to spare: the cached set is a hint, never a bit.  A point v for
+x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row.
 
 The normal-cone residual is one more NNLS, on the outward normals of the
 constraints tight at the point.
@@ -37,6 +38,7 @@ use and cached; the sets are immutable once built.  margin takes a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,13 +105,13 @@ def _contains_rows(set_: "ConvexSet", x: np.ndarray, tol: float = MEMBERSHIP_TOL
     """Membership of every row of a (G, dim) array.
 
     One test against the set's halfspace rows when it is polyhedral, else
-    the set's own membership test.
+    the set's own membership test; _apply rounds each row as if it were alone.
     """
     rows = set_.halfspace_rows()
     if rows is None:
         return set_._membership(x, tol)[0]
     A, b = rows
-    return (x @ A.T <= b + tol).all(axis=-1)
+    return (_apply(A, x) <= b + tol).all(axis=-1)
 
 
 class ConvexSet:
@@ -200,16 +202,16 @@ class ConvexSet:
     def _row_factors(self, metric: Metric):
         """What _project_rows needs of the halfspace rows under metric alone.
 
-        -L^{-1} A^T, P^{-1} A^T, the Gram matrix A P^{-1} A^T, the
-        tolerance scale 1 + max|b| and the NNLS target (0, ..., 0, 1), kept
-        for the last metric used.  The entry holds that metric itself, so
-        another metric never reads it.
+        -L^{-1} A^T, P^{-1} A^T, the Gram matrix A P^{-1} A^T, the rows and b
+        and |b| over the row norms |a_i|, and the NNLS target (0, ..., 0, 1),
+        kept for the last metric used.  The entry holds that metric itself,
+        so another metric never reads it.
         """
         if self._factors is None or self._factors[0] is not metric:
             A, b = self.halfspace_rows()
-            Pinv_AT = metric.solve(A.T)
+            Pinv_AT, norms = metric.solve(A.T), np.linalg.norm(A, axis=1)
             self._factors = (metric, -np.linalg.solve(metric._chol, A.T), Pinv_AT,
-                             A @ Pinv_AT, 1.0 + float(np.max(np.abs(b))),
+                             A @ Pinv_AT, A / norms[:, None], b / norms, np.abs(b) / norms,
                              np.r_[np.zeros(self.dim), 1.0])
         return self._factors[1:]
 
@@ -524,70 +526,64 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
     return u, 0.0 if len(S) == rows else float(np.linalg.norm(E @ u - f))
 
 
-def _polish(x, Ax, b, Pinv_AT, gram, S):
-    """(point, multipliers) of the equality-constrained projection of x onto
-    the rows S; one row divides by its Gram entry, which rounds as solve does."""
-    r = Ax[S] - b[S]
-    lam = r / gram[S[0], S[0]] if S.size == 1 else np.linalg.solve(gram[S[:, None], S], r)
-    return x - Pinv_AT[:, S] @ lam, lam
-
-
 def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionResult:
     """Exact projection onto a set's halfspace rows {v : A v <= b} in the metric norm.
 
     With P = L L^T and z = L^T (v - x) this is the least-distance program
     min |z| s.t. A L^{-T} z <= b - A x, which NNLS solves through its dual
-    (Lawson & Hanson 1974, ch. 23).  The equality-constrained projection onto
-    the rows NNLS leaves active then puts the point on those facets to
-    rounding; failing that, the raw NNLS point or the polished one, checked loosely.
+    (Lawson & Hanson 1974, ch. 23); the point is the equality-constrained
+    projection onto the rows NNLS leaves active.  It is kept if a_i.v - b_i
+    <= 1e-12 s_i on every row, s_i = |b_i| + |a_i| (|x| + |v|) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): the polish
+    cancels a far x down to a near v, so it rounds with |x| too.  Where
+    rounding leaves active the wrong one of two nearly tight rows, a miss
+    under 1e-8 s_i is projected again from the point, under the same |x|;
+    any other miss finds the set empty.
 
     The active set of the last NNLS solve is tried first (a warm start, as in
-    online active-set QP: Ferreau, Bock & Diehl, IJRNC 18(8), 2008).  Its
-    point is kept only when the KKT conditions hold with WARM_MARGIN to
-    spare on both sides: every multiplier above WARM_MARGIN times the
-    largest, every other row short of its bound by WARM_MARGIN * scale, and
-    every row held to 1e-12 * scale.  Then NNLS leaves the same rows active
-    and the polish gives the same bits, so the cached set is a hint, never
-    a bit: it changes how fast a projection is found, not its result, and a
-    closed-loop step stays a function of its own inputs.
+    online active-set QP: Ferreau, Bock & Diehl, IJRNC 18(8), 2008), and kept
+    only if its point passes the rule, every multiplier is above WARM_MARGIN
+    times the largest and every other row is short of its bound by
+    WARM_MARGIN s_i: then NNLS leaves the same rows active and the polish
+    gives the same bits, so the cached set never changes a result.
     """
     A, b = set_.halfspace_rows()
-    Ax = A @ x
-    if A.shape[0] == 0 or (Ax <= b).all():
+    h = A @ x - b  # has the sign of A x - b, as a float difference does
+    if A.shape[0] == 0 or (h <= 0.0).all():
         return ProjectionResult(x.copy())
-    neg_whitened, Pinv_AT, gram, scale, target = set_._row_factors(metric)
+    neg_whitened, Pinv_AT, gram, unit_A, unit_b, unit_abs_b, target = set_._row_factors(metric)
+    x_norm = math.sqrt(x.dot(x)) or math.ulp(0.0)  # never 0, so no row reads 0 / 0
+
+    def polish(S):  # (point, multipliers, (A point - b) / s) of the projection onto rows S
+        r = h[S]  # one row divides by its Gram entry below, rounding as solve does
+        lam = r / gram[S[0], S[0]] if S.size == 1 else np.linalg.solve(gram[S[:, None], S], r)
+        v = x - Pinv_AT[:, S] @ lam
+        return v, lam, (unit_A @ v - unit_b) / (unit_abs_b + (x_norm + math.sqrt(v.dot(v))))
+
     if set_._active is not None:
         try:
-            point, lam = _polish(x, Ax, b, Pinv_AT, gram, set_._active)
+            point, lam, miss = polish(set_._active)
         except np.linalg.LinAlgError:
             pass
         else:
-            slack = A @ point - b
-            if slack.max() <= 1e-12 * scale and lam.min() > WARM_MARGIN * lam.max():
-                slack[set_._active] = -np.inf
-                if slack.max() < -WARM_MARGIN * scale:
+            if miss.max() <= 1e-12 and lam.min() > WARM_MARGIN * lam.max():
+                miss[set_._active] = -np.inf
+                if miss.max() < -WARM_MARGIN:
                     return ProjectionResult(point)
-    # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
-    dual = np.concatenate([neg_whitened, (Ax - b)[None, :]])
-    u, rnorm = _nnls(dual, target)
-    S = (u > 0.0).nonzero()[0]
-    set_._active = S if S.size else None
-    polished = None
-    try:
-        polished = _polish(x, Ax, b, Pinv_AT, gram, S)[0]
-        if (A @ polished - b).max() <= 1e-12 * scale:
-            return ProjectionResult(polished)
-    except np.linalg.LinAlgError:
-        pass
-    # a zero residual flags an empty set, but NNLS also reports one on some
-    # single-point sets; the row check decides, with x as a dud raw point, then
-    # the polished point, which rounding far from the origin can push past 1e-12
-    n = A.shape[1]
-    r = dual @ u - target
-    raw = x - np.linalg.solve(metric._chol.T, r[:n] / r[n]) if rnorm > 0.0 else x
-    for point in (raw, polished):
-        if point is not None and (A @ point - b).max() <= MEMBERSHIP_TOL * scale:
+    for _ in range(2):  # a near miss gets a second pass, from its polished point
+        # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
+        u = _nnls(np.concatenate([neg_whitened, h[None, :]]), target)[0]
+        S = (u > 0.0).nonzero()[0]
+        set_._active = S if S.size else None
+        try:
+            point, _, miss = polish(S)
+        except np.linalg.LinAlgError:
+            break
+        if miss.max() <= 1e-12:
             return ProjectionResult(point)
+        if not miss.max() <= 1e-8:
+            break
+        x, h = point, A @ point - b
     raise ProjectionError("least-distance projection found no feasible point; "
                           "the set may be empty")
 

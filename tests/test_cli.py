@@ -256,6 +256,24 @@ def test_late_config_faults_exit_2(tmp_path, capsys):
     assert "certify.box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("members", [
+    [{"type": "box", "lower": [-1.0], "upper": [0.0]},
+     {"type": "box", "lower": [0.5], "upper": [1.0]}],
+    [{"type": "box", "lower": [-1.0], "upper": [0.0]},
+     {"type": "halfspace", "a": [-1.0], "b": -0.5}],
+])
+def test_an_empty_constraint_exits_2(tmp_path, capsys, members):
+    # an intersection is not checked for emptiness when it is built; the
+    # controller's initial projection finds it empty, as a polyhedron's
+    # constructor does for the same rows
+    cfg = preset_config("lti-demo")
+    cfg["constraint"] = {"type": "intersection", "sets": members}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: constraint:"), err
+
+
 NAN, INF = float("nan"), float("inf")
 
 

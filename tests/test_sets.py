@@ -19,7 +19,7 @@ from dpic import (
     sample_points,
 )
 from dpic.metric import _row_norms
-from dpic.sets import MEMBERSHIP_TOL, _rows_support
+from dpic.sets import MEMBERSHIP_TOL, _contains_rows, _rows_support
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
 from membership_oracle import oracle_contains, oracle_margin
@@ -235,42 +235,6 @@ def test_single_point_polytope_projects_to_its_point():
         assert np.max(np.abs(p)) <= 1e-9
 
 
-def test_raw_nnls_point_serves_when_the_polish_fails(monkeypatch):
-    # make every polish fail, the warm try's and the cold one's; the raw NNLS
-    # point, solved against the metric's Cholesky factor, must then serve
-    import dpic.sets as sets_mod
-
-    rng = np.random.default_rng(54)
-    P = random_spd(rng, 2)
-    m = Metric(P)
-    polygon = input_polygon()
-    empty = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 1.0], -1.0)])
-    faults = []
-
-    def failing_polish(*args):
-        faults.append(1)
-        raise np.linalg.LinAlgError("singular Gram block")
-
-    monkeypatch.setattr(sets_mod, "_polish", failing_polish)
-    A, b = polygon.halfspace_rows()
-    # no cached active set, then a warm vertex {upper[0], halfspace} whose
-    # polish fails before the cold one does
-    for warm, polishes in ((None, 1), (np.array([0, 4]), 2)):
-        for _ in range(20):
-            x = rng.uniform(-20.0, 65.0, size=2)
-            if polygon.contains(x, 0.0):
-                continue
-            faults.clear()
-            polygon._active = warm
-            p = polygon.project(m, x).point
-            assert len(faults) == polishes   # every polish did fail
-            assert np.max(A @ p - b) <= 1e-9 * (1.0 + np.max(np.abs(b)))
-            oracle = grid_project(P, polygon_rows(), x, [0.0, 0.0], [45.0, 45.0])
-            assert np.allclose(p, oracle, atol=1e-3)
-    with pytest.raises(ProjectionError):
-        empty.project(m, [3.0, 3.0])
-
-
 def _vertex_edge_points(gamma, metric):
     """Points whose projections land at or next to a vertex of gamma, where
     a multiplier or a slack passes through zero.
@@ -336,6 +300,15 @@ def test_a_cached_active_set_never_changes_a_projection_bit():
     assert tried > 3000
 
 
+def test_a_warm_polish_at_the_origin_divides_no_zero_by_zero():
+    # the cached row x_0 <= 0 runs through the origin, and its polish from
+    # x = 0 is x itself: that row's rounding scale |b| + |a| (|x| + |v|) is 0
+    poly = Polyhedron([[1.0, 0.0], [0.0, -1.0]], [0.0, -1.0])
+    assert np.array_equal(poly.project(I2, [1.0, 5.0]).point, [0.0, 5.0])
+    assert poly._active.tolist() == [0]
+    assert np.array_equal(poly.project(I2, [0.0, 0.0]).point, [0.0, 1.0])
+
+
 def test_four_tank_simulate_mostly_reuses_the_last_active_set(monkeypatch):
     # 465 of the preset's steps project; all but a few keep the active set
     # of the projection before them and skip the NNLS solve
@@ -397,13 +370,10 @@ def test_numpy_nnls_matches_scipy_nnls(monkeypatch):
         for solver in (engine, nnls):
             monkeypatch.setattr(sets_mod, "_nnls", solver)
             s._active = None
-            # scipy's residual on a few empty duals has a zero last entry,
-            # which the raw point divides by before the row check rejects it
-            with np.errstate(divide="ignore", invalid="ignore"):
-                try:
-                    points.append(s.project(metric, x).point.tobytes())
-                except ProjectionError:
-                    points.append(None)
+            try:
+                points.append(s.project(metric, x).point.tobytes())
+            except ProjectionError:
+                points.append(None)
         assert points[0] == points[1], case
         if points[0] is None:
             counts["empty"] += 1
@@ -490,11 +460,106 @@ def test_empty_polyhedron_rejected():
         Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_a_far_empty_slab_is_rejected(gap):
+    # 1.5e6 + gap <= x_0 <= 1.5e6: a row's rounding scale |b_i| + |a_i| |v|
+    # is 3e6, so a gap of 1e-4 is 3e4 times the 1e-12 the rule allows; a
+    # scale of 1 + max|b| alone once let MEMBERSHIP_TOL * 1.5e6 = 1.5e-3 pass
+    A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    with pytest.raises(ValueError):
+        Polyhedron(A, [1.5e6, -1.5e6 - gap, 1.0, 1.0])
+    Polyhedron(A, [1.5e6, -1.5e6, 1.0, 1.0])  # the segment at gap 0 is kept
+
+
+def test_a_near_miss_is_projected_again_from_its_polished_point(monkeypatch):
+    # Chebyshev radius over 1 and rows of norm 5e-4 to 4e2; row 3 passes within
+    # 3e-7 of the origin's projection, about 1600 away.  Rounding leaves rows
+    # 1, 2 and 3 active instead of 1, 2 and 5, and that polish misses row 5
+    # by 9e-12 of its rounding scale.  A second NNLS, from the polished
+    # point, leaves rows 1, 2 and 5 active, whose projection is exact
+    import dpic.sets as sets_mod
+
+    A = np.array([
+        [-32.5510587552104, 19.9736096674337, -16.919917970913687],
+        [388.7900725050906, 126.95164660566711, 121.15384401645697],
+        [-0.6814424555321092, -1.0960228982989266, 0.8608085735140844],
+        [-0.08764289593949662, -0.21243367867363755, -0.1826771897243562],
+        [102.70015494078733, 20.79626633169628, -139.08945727716073],
+        [-0.2960726675248792, -0.05850563245665362, -0.14826782577548997],
+        [-0.0005453374390075362, -0.0011205493006941946, 0.0004468084428385781]])
+    b = np.array([82890.7109248362, 300464.04082496744, -1346.2285357090477,
+                  -436.3250331325141, 93680.88857699554, -197.68294657283207,
+                  -0.11848288858444701])
+    solves = []
+
+    def counted(E, f):
+        solves.append(1)
+        return nnls_engine(E, f)
+
+    nnls_engine = sets_mod._nnls
+    monkeypatch.setattr(sets_mod, "_nnls", counted)
+    poly = Polyhedron(A, b)  # whose emptiness test projects the origin
+    assert len(solves) == 2
+    assert poly._active.tolist() == [1, 2, 5]
+    point = poly.project(Metric.identity(3), np.zeros(3)).point
+    # the least-norm solution of rows 1, 2 and 5 held to equality, by SVD
+    exact = np.linalg.lstsq(A[[1, 2, 5]], b[[1, 2, 5]], rcond=None)[0]
+    assert np.max(np.abs(point - exact)) <= 1e-12 * np.linalg.norm(exact)
+
+
+def _chebyshev_radius(A, b):
+    """Radius r of the largest ball {|v - c| <= r} in {v : A v <= b}, capped at
+    1 so that the LP is bounded, and negative when the set is empty: then no
+    point is within -r of every facet."""
+    from scipy.optimize import linprog
+
+    dim = A.shape[1]
+    res = linprog(np.r_[np.zeros(dim), -1.0], A_ub=np.c_[A, np.linalg.norm(A, axis=1)],
+                  b_ub=b, bounds=[(None, None)] * dim + [(None, 1.0)], method="highs")
+    assert res.status == 0, res.message
+    return res.x[-1]
+
+
+def test_emptiness_verdicts_follow_the_chebyshev_radius():
+    # rows of norm 1e-3 to 1e3 at distances t_i from a center c with |c| up to
+    # about 1e3, so |b| reaches about 1e6; half of the rows sit at t_i = r with
+    # r of either sign, 1e-16 to 1 times the set's size, so most draws are
+    # slivers or near misses.  With the radius normalized by the set's scale,
+    # 1 + max |b_i| / |a_i|, every set above 1e-12 is kept and every set below
+    # -1e-11 is rejected; in between the verdict is rounding.  3000 draws from
+    # each of seeds 0-7 put that band inside [-7.2e-13, 1.4e-15].
+    rng = np.random.default_rng(90)
+    kept = rejected = 0
+    for _ in range(1000):
+        dim = int(rng.integers(2, 5))
+        rows = int(rng.integers(dim + 1, 13))
+        g = rng.standard_normal((rows, dim))
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        c = 10.0 ** rng.uniform(0.0, 3.0) * rng.standard_normal(dim)
+        size = 1.0 + np.linalg.norm(c)
+        r = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, 0.0) * size
+        t = np.where(rng.random(rows) < 0.5, r, r + rng.uniform(0.0, size, rows))
+        norms = 10.0 ** rng.uniform(-3.0, 3.0, rows)
+        A, b = norms[:, None] * g, norms * (g @ c + t)
+        rho = _chebyshev_radius(A, b) / (1.0 + np.max(np.abs(b) / norms))
+        if -1e-11 <= rho <= 1e-12:
+            continue
+        try:
+            Polyhedron(A, b)
+        except ValueError:
+            assert rho < 0.0, rho
+            rejected += 1
+        else:
+            assert rho > 0.0, rho
+            kept += 1
+    assert kept > 500 and rejected > 50
+
+
 def test_a_far_projection_onto_ill_scaled_rows_is_found():
     # row norms from 1e-2 to 1e2, and the origin's projection lies about 4000
     # away on rows 1, 2 and 3; rounding there leaves the polished point
-    # 2e-10 outside row 1, short of the 1e-12 * scale check, but well within
-    # MEMBERSHIP_TOL * scale, where the raw NNLS point is not
+    # 2e-10 outside row 1, which its row's rounding scale |b_1| + |a_1| |v|,
+    # about 3.5e5, holds within 1e-12 of
     A = np.array([
         [0.002667301176943254, 0.012444414780795643, 0.004275501393000956, 0.0008553129173619926],
         [-65.6140307086978, 3.9198323060717044, 58.67188274555038, 2.7946543628997076],
@@ -901,6 +966,33 @@ def test_batched_margin_equals_per_point_margin():
         # each row rounds exactly as the single-point call
         assert np.array_equal(batched, [s.margin(p) for p in points])
         assert isinstance(s.margin(points[0]), float)
+
+
+def test_a_batch_row_keeps_its_solo_membership():
+    # a (15, 2) x (2, 5) matrix product rounds about a third of its entries
+    # other than the row's own matrix-vector product; place b_j with nextafter
+    # so that point i sits on row j to MEMBERSHIP_TOL by its own product, and
+    # the batch that the point rides in must not reject it
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((5, 2))
+    X = 3.0 * rng.standard_normal((15, 2))
+    solo = np.array([A @ x for x in X])
+    placed = 0
+    for i, j in itertools.product(range(15), range(5)):
+        b = np.abs(solo).max(axis=0) + 1.0
+        b[j] = solo[i, j] - MEMBERSHIP_TOL
+        while b[j] + MEMBERSHIP_TOL < solo[i, j]:
+            b[j] = np.nextafter(b[j], np.inf)
+        while b[j] + MEMBERSHIP_TOL > solo[i, j]:
+            b[j] = np.nextafter(b[j], -np.inf)
+        if b[j] + MEMBERSHIP_TOL != solo[i, j]:
+            continue  # no offset rounds onto the product; none in this draw
+        poly = Polyhedron(A, b)
+        batch = _contains_rows(poly, X)
+        assert batch[i], (i, j)
+        assert np.array_equal(batch, [_contains_rows(poly, x[None])[0] for x in X])
+        placed += 1
+    assert placed >= 60
 
 
 def same_bits(a, b) -> bool:
