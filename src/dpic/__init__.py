@@ -43,6 +43,7 @@ from .vi import (
     VISolution,
     contraction_constants,
     estimate_mu_L,
+    exact_mu_L,
     fb_damped_map,
     fb_map,
     natural_residual,

@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_SAMPLES, ConfigError, RunSetup, build_setup, load_config
+from .config import ConfigError, RunSetup, build_setup, load_config
 from .metric import Metric, _apply
 from .plants import (STATIC_GAIN_TOL, LTIPlant, NumericalError, _static_gain_margin,
                      davison_check)
 from .presets import PRESET_DESCRIPTIONS, preset_config, preset_names
-from .sets import Intersection, ProjectionError
+from .sets import Box, Intersection, LinearPreimage, ProjectionError
 from .simulation import (
     Scenario,
     SimulationError,
@@ -34,7 +34,7 @@ from .simulation import (
     gain_sweep,
     simulate,
 )
-from .vi import FBParams, contraction_constants, estimate_mu_L, low_gain_threshold, step_window
+from .vi import FBParams, contraction_constants, exact_mu_L, low_gain_threshold, step_window
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,21 +146,40 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_certificates(setup: RunSetup, block: dict, w: np.ndarray) -> tuple[float, float, dict]:
-    """(mu, L, echo) estimated for a sweep or certify block at disturbance w."""
+def _certificate_box(setup: RunSetup, block: dict, key: str) -> Box | None:
+    """The box over which (mu, L) of a sweep or certify block hold.
+
+    A given box must match Gamma's dimension and meet Gamma.  A projection
+    onto K (Gamma ∩ box) = C ∩ K box decides that: C may hold a ball where
+    Gamma holds a ball's preimage, which no engine projects onto beside a
+    box.  An LTI plant's Jacobian is constant and needs no box; a
+    four-tank one varies with eta and needs a given box, since the corners
+    of Gamma's bounding box may leave the pump domain where Gamma does not.
+    """
     ctrl = setup.controller
-    region = ctrl.gamma
-    if block.get("box") is not None:
-        region = Intersection([ctrl.gamma, block["box"]])
-    lower, upper = region.bounding_box()
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ConfigError("certify.box", "Gamma is unbounded; give a box to sample in")
-    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w),
-                          region, ctrl.metric,
-                          samples=block["samples"], seed=setup.seed)
-    echo = {"mu_hat": mu, "L_hat": L, "samples": block["samples"],
-            "seed": setup.seed, "w": w.tolist()}
-    return mu, L, echo
+    box = block.get("box")
+    if box is not None:
+        if box.dim != ctrl.gamma.dim:
+            raise ConfigError(key, f"box has dimension {box.dim}, Gamma {ctrl.gamma.dim}")
+        image = LinearPreimage(np.linalg.inv(ctrl.gain), box)
+        try:
+            Intersection([ctrl.constraint, image]).project(Metric.identity(box.dim),
+                                                           ctrl.gain @ ctrl.eta)
+        except ProjectionError as exc:
+            raise ConfigError(key, "box does not meet Gamma") from exc
+    if isinstance(setup.plant, LTIPlant):
+        return None
+    if box is None:
+        raise ConfigError(key, "the plant's Jacobian varies with eta; give a box "
+                               "inside the pump domain to certify over")
+    return box
+
+
+def _exact_certificates(setup: RunSetup, block: dict, key: str) -> tuple[float, float]:
+    """(mu, L) of eta -> pi(K eta, w) from the plant's Jacobian, for any w."""
+    plant, K = setup.plant, setup.controller.gain
+    return exact_mu_L(lambda eta: plant.pi_jacobian(_apply(K, eta)) @ K,
+                      setup.controller.metric, _certificate_box(setup, block, key))
 
 
 def _write_sweep(path: Path, points) -> None:
@@ -179,16 +198,15 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     spec = setup.sweep
     if spec["estimate"]:
-        # estimated at the final disturbance, where the sweep fits its decay rate
-        mu, L, cert_echo = _resolve_certificates(setup, spec, spec["scenario"].schedule[-1][1])
+        mu, L = _exact_certificates(setup, spec, "sweep.box")
+        source = "exact"
     else:
-        mu, L = spec["mu"], spec["L"]
-        cert_echo = {"mu": mu, "L": L}
+        mu, L, source = spec["mu"], spec["L"], "given"
     report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
     summary = {
         "seed": setup.seed,
         "T_i_star": report.T_i_star,
-        "certificates": cert_echo,
+        "certificates": {"mu": mu, "L": L, "source": source},
         "grid": {"T_i": spec["T_i"], "lambda": spec["lambda"]},
         "converged_points": sum(p.converged for p in report.points),
         "total_points": len(report.points),
@@ -207,12 +225,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     setup = _load_setup(args)
-    block = setup.certify if setup.certify is not None else {"samples": DEFAULT_SAMPLES}
-    mu, L, _ = _resolve_certificates(setup, block, setup.scenario.schedule[0][1])
+    mu, L = _exact_certificates(setup, setup.certify or {}, "certify.box")
     ctrl = setup.controller
     plant = setup.plant
-    print(f"mu_hat  = {mu:.6g}")
-    print(f"L_hat   = {L:.6g}")
+    print(f"mu = {mu:.6g}")
+    print(f"L = {L:.6g}")
+    print("source: exact, from the plant's Jacobian")
     ok = mu > 0.0
     if ok:
         params = FBParams.certified(mu, L)
@@ -222,7 +240,7 @@ def cmd_certify(args) -> int:
         print(f"T_i_star = {low_gain_threshold(plant.T_s, mu, L):.6g} s "
               f"(T_s = {plant.T_s:g} s, controller T_i = {ctrl.T_i:g} s)")
     else:
-        print("empirical monotonicity failed: mu_hat <= 0")
+        print("monotonicity failed: mu <= 0")
     if isinstance(plant, LTIPlant):
         dav_ok, _ = davison_check(plant, ctrl.gain)
         verdict = "ok" if dav_ok else "FAILED"
@@ -252,7 +270,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", metavar="NAME",
                        help="built-in configuration (see 'dpic preset list')")
         p.add_argument("--seed", type=int, metavar="U64",
-                       help="override the configured sampling seed")
+                       help="override the configured seed, which the summaries "
+                            "echo and no output depends on")
         if with_out:
             p.add_argument("--out", metavar="DIR", default="out",
                            help="output directory (default: ./out)")
@@ -265,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_sweep, with_out=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cert = sub.add_parser("certify", help="empirical monotonicity and gain certificates")
+    p_cert = sub.add_parser("certify", help="exact monotonicity and gain certificates")
     add_common(p_cert, with_out=False)
     p_cert.set_defaults(func=cmd_certify)
 

@@ -22,8 +22,6 @@ from .simulation import Scenario
 
 __all__ = ["ConfigError", "RunSetup", "load_config", "build_setup"]
 
-DEFAULT_SAMPLES = 2000  # sample pairs of an estimated (mu, L)
-
 
 class ConfigError(Exception):
     """Invalid configuration; str(err) names the offending key."""
@@ -281,11 +279,18 @@ def _validate_box_block(spec, key: str) -> Box:
         raise ConfigError(key, str(exc)) from exc
 
 
+def _reject_samples(spec: dict, key: str) -> None:
+    if "samples" in spec:
+        raise ConfigError(f"{key}.samples",
+                          "(mu, L) are exact and sample nothing; remove this key")
+
+
 def _validate_sweep(spec, scenario: Scenario) -> dict:
     """Sweep block; out["scenario"] is the run scenario with the sweep's
     horizon and schedule overrides applied."""
     if not isinstance(spec, dict):
         raise ConfigError("sweep", "expected a sweep object")
+    _reject_samples(spec, "sweep")
     ti_raw = _get(spec, "T_i", "sweep")
     lam_raw = _get(spec, "lambda", "sweep")
     if not (isinstance(ti_raw, list) and ti_raw and isinstance(lam_raw, list) and lam_raw):
@@ -303,7 +308,6 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
         raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'estimate'")
     if mu == "estimate":
         out["estimate"] = True
-        out["samples"] = _as_int(spec.get("samples", DEFAULT_SAMPLES), "sweep.samples", 2)
         out["box"] = _validate_box_block(_get(spec, "box", "sweep"), "sweep.box")
     else:
         out["estimate"] = False
@@ -327,7 +331,5 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
 def _validate_certify(spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("certify", "expected a certify object")
-    out = {"samples": _as_int(spec.get("samples", DEFAULT_SAMPLES), "certify.samples", 2)}
-    if "box" in spec:
-        out["box"] = _validate_box_block(spec["box"], "certify.box")
-    return out
+    _reject_samples(spec, "certify")
+    return {"box": _validate_box_block(spec["box"], "certify.box")} if "box" in spec else {}

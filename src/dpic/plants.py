@@ -7,12 +7,14 @@ output e = h(x, u, w) together with the equilibrium maps
     pi(u, w)    steady-state error h(pi_x(u, w), u, w)
 
 pi is the operator the integral controller drives to a constrained zero.
+LTIPlant and FourTankPlant also give its Jacobian pi_jacobian(u) = d pi / d u,
+(..., p, m) and affine in u; w enters pi additively, so it takes no w.
 
 step, output and pi_x take (..., dim) arrays: a leading batch axis holds
 independent loops, one per row, and each row rounds exactly as it would
 alone.  A disturbance without the batch axis applies to every row.  So a
-sweep row equals its solo run, and vi.estimate_mu_L takes pi at all its
-sample points in one call.
+sweep row equals its solo run, and vi.exact_mu_L takes the Jacobian at
+all the vertices of a box in one call.
 
 FourTankPlant.step runs its RK4 substeps row by row in Python floats with
 math.sqrt, the four stages written out with no call per stage, because
@@ -158,6 +160,11 @@ class LTIPlant(PlantModel):
         u = self._vec(u, self.m, "u")
         rhs = _apply(self.B, u) + _apply(self.B_w, self._w(w))
         return np.linalg.solve(np.eye(self.n) - self.A, rhs[..., None])[..., 0]
+
+    def pi_jacobian(self, u) -> np.ndarray:
+        """The static gain, whatever u."""
+        u = self._vec(u, self.m, "u")
+        return np.broadcast_to(self.dc_gain(), u.shape[:-1] + (self.p, self.m))
 
     def dc_gain(self) -> np.ndarray:
         """Static input-to-error gain C (I - A)^{-1} B + D."""
@@ -377,11 +384,16 @@ class FourTankPlant(PlantModel):
         r = self._vec(w, 2, "w")
         return h[..., :2] - r
 
-    def pi_x(self, u, w=None) -> np.ndarray:
+    def _flows(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """(u, flow_gain u) once u passes the equilibrium map's domain check."""
         u = self._vec(u, 2, "u")
         flows = _apply(self.flow_gain, u)
         if not np.isfinite(u).all() or np.any(u < -1e-9) or np.any(flows < -1e-9):
             raise ValueError("equilibrium map needs finite nonnegative pump flows")
+        return u, flows
+
+    def pi_x(self, u, w=None) -> np.ndarray:
+        u, flows = self._flows(u)
         a = self.outlet_areas
         g1, g2 = self.split_ratios
         two_g = 2.0 * self.g
@@ -393,3 +405,8 @@ class FourTankPlant(PlantModel):
 
     # pi(u, w) = output(pi_x(u, w), u, w) from the base class:
     # componentwise (flow_gain @ u)^2 / (2 g) - w for the two lower tanks.
+
+    def pi_jacobian(self, u) -> np.ndarray:
+        """diag(flow_gain u) flow_gain / g, on the domain of pi_x."""
+        _, flows = self._flows(u)
+        return flows[..., :, None] * self.flow_gain / self.g

@@ -60,15 +60,11 @@ def _four_tank_config() -> dict:
             "lambda": [0.1, 0.5, 0.95],
             "mu": "estimate",
             "L": "estimate",
-            "samples": 2000,
             "box": {"lower": [100.0, 100.0], "upper": [185.0, 185.0]},
             "horizon": 4000,
             "schedule": [[0, [10.0, 10.0]], [50, [13.0, 11.0]]],
         },
-        "certify": {
-            "samples": 2000,
-            "box": {"lower": [100.0, 100.0], "upper": [185.0, 185.0]},
-        },
+        "certify": {"box": {"lower": [100.0, 100.0], "upper": [185.0, 185.0]}},
     }
 
 
@@ -102,7 +98,7 @@ def _lti_demo_config() -> dict:
             "horizon": 4500,
             "schedule": [[0, [0.5]]],
         },
-        "certify": {"samples": 2000},
+        "certify": {},
     }
 
 

@@ -8,12 +8,15 @@ for every v in Gamma.  The damped forward-backward map
 has the VI solutions as fixed points for any alpha > 0, and is a contraction
 with factor 1 - damping * (1 - c_fb), c_fb = sqrt(1 - 2 alpha mu + alpha^2 L^2),
 when F is mu-strongly monotone and L-Lipschitz in the P-metric and
-alpha < 2 mu / L^2.  The maps run the loop's own update on a batch of one, so a
-forward step within MEMBERSHIP_TOL of Gamma is kept, not projected, as in the loop.
+alpha < 2 mu / L^2.  exact_mu_L derives that pair from the operator's
+Jacobian; estimate_mu_L samples it.  The maps run the loop's own update on a
+batch of one, so a forward step within MEMBERSHIP_TOL of Gamma is kept, not
+projected, as in the loop.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .controller import _damped_projected_update
 from .metric import Metric
-from .sets import MEMBERSHIP_TOL, ConvexSet, sample_points
+from .sets import MEMBERSHIP_TOL, Box, ConvexSet, sample_points
 
 __all__ = [
     "VIProblem",
@@ -34,6 +37,7 @@ __all__ = [
     "low_gain_threshold",
     "contraction_constants",
     "solve_vi",
+    "exact_mu_L",
     "estimate_mu_L",
 ]
 
@@ -182,9 +186,40 @@ def solve_vi(problem: VIProblem, params: FBParams, eta0, tol: float = 1e-10,
     return VISolution(best_eta, np.array(residuals), max_iter, False)
 
 
+def exact_mu_L(jacobian, metric: Metric, box: Box | None = None) -> tuple[float, float]:
+    """Strong monotonicity mu and Lipschitz constant L of F on a box, in the metric.
+
+    jacobian maps the rows of an (N, p) array to the Jacobians dF/deta at
+    them, an (N, p, p) array, and must be affine in eta.  With W = chol(P)^T,
+    mu = min lambda_min(sym(W J W^{-1})) and L = max |W J W^{-1}|_2 over the
+    box.  lambda_min of the symmetric part is concave and the spectral norm
+    convex, so on an affine J both extremes lie at the box's 2^p vertices
+    (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 3.1.5, 3.2).
+    F(x) - F(y) is the mean of J along the segment times x - y, so for all
+    x, y in the box <F(x) - F(y), x - y>_P >= mu |x - y|_P^2 and
+    |F(x) - F(y)|_P <= L |x - y|_P.  Without a box J must be constant, and
+    is taken at the origin.
+    """
+    if box is None:
+        points = np.zeros((1, metric.dim))
+    else:
+        points = np.array(list(itertools.product(*zip(box.lower, box.upper))))
+    J = np.asarray(jacobian(points), dtype=float)
+    if J.shape != (len(points), metric.dim, metric.dim):
+        raise ValueError(f"jacobian must map {points.shape} points to "
+                         f"{(len(points), metric.dim, metric.dim)}; got {J.shape}")
+    W = metric._chol.T
+    M = W @ J @ np.linalg.inv(W)
+    mu = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))[:, 0].min()
+    return float(mu), float(np.linalg.norm(M, 2, axis=(-2, -1)).max())
+
+
 def estimate_mu_L(operator, region: ConvexSet, metric: Metric,
                   samples: int = 1000, seed=0) -> tuple[float, float]:
     """Empirical monotonicity and Lipschitz constants from sampled pairs.
+
+    A library function and a test oracle for exact_mu_L; the CLI derives
+    its certificates exactly.
 
     mu_hat is the smallest secant quotient <F(x)-F(y), x-y>_P / |x-y|_P^2
     and L_hat the largest |F(x)-F(y)|_P / |x-y|_P over random pairs in the

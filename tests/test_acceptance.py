@@ -34,8 +34,10 @@ from dpic import (
     preset_config,
     simulate,
 )
+from dpic.cli import _exact_certificates
 from dpic.metric import _apply
 from dpic.plants import STATIC_GAIN_TOL
+from dpic.vi import low_gain_threshold
 from grid_oracle import grid_project, polygon_rows, polygon_vertices, random_spd
 
 
@@ -59,21 +61,22 @@ def tank_run():
 
 @pytest.fixture(scope="module")
 def tank_sweep():
-    """Four-tank gain sweep with empirically certified (mu, L), timed."""
+    """Four-tank gain sweep at the exact (mu, L) of the sweep box, timed, and
+    the threshold T_i* of the pair sampled in that box as the CLI once did."""
     setup = build_setup(preset_config("four-tank"))
     spec = setup.sweep
     ctrl = setup.controller
+    mu, L = _exact_certificates(setup, spec, "sweep.box")
     w0 = setup.scenario.schedule[0][1]
     region = Intersection([ctrl.gamma, spec["box"]])
-    mu, L = estimate_mu_L(lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w0),
-                          region, ctrl.metric,
-                          samples=spec["samples"], seed=setup.seed)
+    mu_hat, L_hat = estimate_mu_L(lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w0),
+                                  region, ctrl.metric, samples=2000, seed=setup.seed)
     scenario = replace(setup.scenario, horizon=spec["horizon"],
                        schedule=spec["schedule"])
     t0 = time.perf_counter()
     report = gain_sweep(scenario, spec["T_i"], spec["lambda"], mu, L)
     elapsed = time.perf_counter() - t0
-    return report, elapsed
+    return report, elapsed, low_gain_threshold(setup.plant.T_s, mu_hat, L_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +248,25 @@ def test_static_gain_certificate_consistency():
 # 6. low-gain threshold: slow-enough certified settings always converge
 
 def test_low_gain_threshold_sweep(tank_sweep):
-    report, elapsed = tank_sweep
-    certified = [p for p in report.points
-                 if p.T_i >= 1.5 * report.T_i_star - 1e-12
-                 and p.damping <= 0.5 + 1e-12]
-    bad = [p for p in certified if not (p.converged and p.decay_rate < 1.0)]
-    worst_rate = max((p.decay_rate for p in certified), default=np.nan)
-    ok = (len(certified) >= 8 and not bad and elapsed < 60.0)
+    report, elapsed, sampled_star = tank_sweep
+
+    def certified(T_i_star):
+        return [p for p in report.points
+                if p.T_i >= 1.5 * T_i_star - 1e-12 and p.damping <= 0.5 + 1e-12]
+
+    # the sound threshold lies above the optimistic sampled one, and its
+    # 1.5 T_i* cut keeps the same grid points
+    points = certified(report.T_i_star)
+    bad = [p for p in points if not (p.converged and p.decay_rate < 1.0)]
+    worst_rate = max((p.decay_rate for p in points), default=np.nan)
+    ok = (report.T_i_star == pytest.approx(1.74439, abs=5e-6)
+          and sampled_star < report.T_i_star
+          and points == certified(sampled_star)
+          and len(points) == 8 and not bad and elapsed < 60.0)
     _report("low-gain convergence threshold", ok,
-            f"T_i_star {report.T_i_star:.4g} s; {len(certified)} certified "
-            f"points, {len(bad)} failures, worst rate {worst_rate:.4f}, "
-            f"{elapsed:.1f} s (60 s)")
+            f"T_i_star {report.T_i_star:.4g} s (sampled {sampled_star:.4g} s); "
+            f"{len(points)} certified points, {len(bad)} failures, worst rate "
+            f"{worst_rate:.4f}, {elapsed:.1f} s (60 s)")
 
 
 # ---------------------------------------------------------------------------

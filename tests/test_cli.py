@@ -248,12 +248,42 @@ def test_late_config_faults_exit_2(tmp_path, capsys):
     assert main(["sweep", "--config", path,
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "sweep" in capsys.readouterr().err
-    cfg = preset_config("lti-demo")
-    cfg["constraint"] = {"type": "box", "lower": [-1.0], "upper": [None]}
-    del cfg["certify"]  # no box to sample an unbounded Gamma in
-    path = write_config(tmp_path, cfg)
-    assert main(["certify", "--config", path]) == EXIT_CONFIG
-    assert "certify.box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constraint", [
+    None,
+    {"type": "box", "lower": [0.0, 0.0], "upper": [None, None]},
+], ids=["preset-gamma", "unbounded-gamma"])
+def test_a_four_tank_certify_needs_a_box(tmp_path, capsys, constraint):
+    # a four-tank Jacobian varies with eta.  The corners of the preset
+    # Gamma's bounding box leave the pump domain (min eta_1 = 0 and max
+    # eta_2 map to a negative u), so a bounded Gamma does not stand in for
+    # the box either
+    cfg = preset_config("four-tank")
+    if constraint is not None:
+        cfg["constraint"] = constraint
+    del cfg["certify"]
+    assert main(["certify", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: certify.box: the plant's Jacobian varies"), err
+
+
+@pytest.mark.parametrize("command, box", [
+    ("certify", {"lower": [100.0, 100.0, 100.0], "upper": [185.0, 185.0, 185.0]}),
+    ("sweep", {"lower": [100.0], "upper": [185.0]}),
+    ("certify", {"lower": [500.0, 500.0], "upper": [600.0, 600.0]}),
+    ("sweep", {"lower": [500.0, 500.0], "upper": [600.0, 600.0]}),
+], ids=["certify-3-entries", "sweep-1-entry", "certify-disjoint", "sweep-disjoint"])
+def test_a_bad_certificate_box_exits_2(tmp_path, capsys, command, box):
+    # a box of the wrong dimension, or one that misses Gamma, is a fault of
+    # the config, found before any Jacobian is taken
+    cfg = preset_config("four-tank")
+    cfg[command]["box"] = box
+    extra = [] if command == "certify" else ["--out", str(tmp_path)]
+    assert main([command, "--config", write_config(tmp_path, cfg)] + extra) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command}.box: "), err
+    assert ("dimension" in err) == (len(box["lower"]) != 2)
 
 
 @pytest.mark.parametrize("members", [
@@ -319,13 +349,15 @@ def test_numerical_value_error_exit_3(tmp_path, capsys):
     assert "numerical failure" in err and "nonnegative pump flows" in err
 
 
-def test_certify_single_point_set_names_the_flat_coordinate(tmp_path, capsys):
-    cfg = preset_config("lti-demo")
-    cfg["constraint"] = {"type": "box", "lower": [0.0], "upper": [0.0]}
-    path = write_config(tmp_path, cfg)
-    assert main(["certify", "--config", path]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "the set has zero width along coordinate 0" in err
+def test_certify_an_lti_plant_needs_no_box(tmp_path, capsys):
+    # an LTI Jacobian is constant, so Gamma's extent does not matter: an
+    # unbounded Gamma and a single point get lti-demo's exact pair
+    for upper in ([None], [0.0]):
+        cfg = preset_config("lti-demo")
+        cfg["constraint"] = {"type": "box", "lower": [0.0], "upper": upper}
+        assert main(["certify", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "mu = 1\nL = 1\n" in out and "T_i_star = 0.5 s" in out
 
 
 def test_simulation_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -353,7 +385,7 @@ def test_sweep_lti_demo(tmp_path, capsys):
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert summary["T_i_star"] == pytest.approx(0.5)  # T_s L^2 / (2 mu)
     assert summary["converged_points"] == 15
-    assert summary["certificates"] == {"mu": 1.0, "L": 1.0}
+    assert summary["certificates"] == {"mu": 1.0, "L": 1.0, "source": "given"}
     # every tested damping converged at every T_i on this easy plant
     assert all(v == pytest.approx(0.95)
                for v in summary["empirical_lambda_star"].values())
@@ -367,17 +399,17 @@ def test_sweep_lti_demo(tmp_path, capsys):
 
 
 def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
-    # estimated at the sweep's final w, where gain_sweep fits the decay
-    # rate, not at the run schedule's first
+    # the pair comes from the plant's Jacobian, which takes no w: a sweep
+    # that ends at another w than the run schedule gets the same exact pair
     cfg = preset_config("lti-demo")
     cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
-                         "samples": 50, "box": {"lower": [-1.0], "upper": [1.0]},
+                         "box": {"lower": [-1.0], "upper": [1.0]},
                          "horizon": 300, "schedule": [[0, [0.5]], [100, [0.8]]]})
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
-    assert summary["certificates"]["w"] == [0.8]
-    assert summary["certificates"]["mu_hat"] == pytest.approx(1.0)
+    assert summary["certificates"] == {"mu": 1.0, "L": 1.0, "source": "exact"}
+    assert summary["T_i_star"] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +418,14 @@ def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
 def test_certify_lti_demo(capsys):
     assert main(["certify", "--preset", "lti-demo"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "mu_hat" in out and "L_hat" in out
+    assert "mu = 1\nL = 1\nsource: exact, from the plant's Jacobian\n" in out
     assert "T_i_star = 0.5" in out
     assert "static loop gain test: ok" in out
 
 
 def test_certify_reports_exact_zero_contraction(capsys):
-    # lti-demo has mu = L = 1; the sampled pair is off by an ulp, and the
-    # square root must not turn that rounding into c_fb ~ 1.5e-8
+    # lti-demo has mu = L = 1, and the square root must not turn a rounding
+    # error in the radicand into c_fb ~ 1.5e-8
     assert main(["certify", "--preset", "lti-demo"]) == EXIT_OK
     assert "c_fb at alpha=1: 0\n" in capsys.readouterr().out
 
@@ -404,7 +436,7 @@ def test_certify_failure_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["certify", "--config", path]) == EXIT_CERTIFICATION
     out = capsys.readouterr().out
-    assert "empirical monotonicity failed" in out
+    assert "monotonicity failed: mu <= 0\n" in out
     assert "static loop gain test: FAILED\n" in out
 
 
@@ -423,9 +455,9 @@ def test_certify_names_a_loop_gain_singular_to_rounding(tmp_path, capsys):
 
 def test_simulate_and_certify_load_no_scipy(tmp_path):
     # in a fresh interpreter: import dpic, simulate both presets and a
-    # 4-input LTI run under a 12-row polytope and a coupled metric, and
-    # certify lti-demo; only the sampler's bounding-box LP (four-tank
-    # certify and sweep) and a ball's root find may load scipy
+    # 4-input LTI run under a 12-row polytope and a coupled metric, sweep
+    # four-tank on one grid point, and certify both presets; only a ball's
+    # root find may load scipy
     rng = np.random.default_rng(3)
     normals = rng.standard_normal((12, 4))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
@@ -441,6 +473,9 @@ def test_simulate_and_certify_load_no_scipy(tmp_path):
                      "schedule": [[0, [0.2, -0.1, 0.1, 0.3]], [100, [2.0, 1.5, -2.5, 1.0]]]},
     }
     path = write_config(tmp_path, cfg)
+    tank = preset_config("four-tank")
+    tank["sweep"].update({"T_i": [30.0], "lambda": [0.5]})
+    tank_path = write_config(tmp_path, tank, "tank.json")
     script = textwrap.dedent(f"""
         import sys
         import dpic
@@ -448,7 +483,9 @@ def test_simulate_and_certify_load_no_scipy(tmp_path):
         runs = [["simulate", "--preset", "four-tank", "--out", {str(tmp_path / "a")!r}],
                 ["simulate", "--preset", "lti-demo", "--out", {str(tmp_path / "b")!r}],
                 ["simulate", "--config", {path!r}, "--out", {str(tmp_path / "c")!r}],
-                ["certify", "--preset", "lti-demo"]]
+                ["sweep", "--config", {tank_path!r}, "--out", {str(tmp_path / "d")!r}],
+                ["certify", "--preset", "lti-demo"],
+                ["certify", "--preset", "four-tank"]]
         codes = [main(argv) for argv in runs]
         print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """)
@@ -456,7 +493,7 @@ def test_simulate_and_certify_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True).stdout.splitlines()[-1]
-    assert out == "[0, 0, 0, 0] []"
+    assert out == "[0, 0, 0, 0, 0, 0] []"
     summary = json.loads((tmp_path / "c" / "summary.json").read_text())
     assert summary["segments"][1]["tracking_error"] > 0.1  # the polytope binds
 
@@ -482,7 +519,7 @@ def test_certify_samples_a_ball_gamma_within_its_box(tmp_path):
 def test_sweep_estimates_and_projects_on_a_ball_gamma(tmp_path):
     cfg = ball_gamma_config()
     cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
-                         "samples": 50, "box": {"lower": [-1.0], "upper": [1.0]},
+                         "box": {"lower": [-1.0], "upper": [1.0]},
                          "horizon": 300, "schedule": [[0, [0.5]], [100, [2.0]]]})
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK

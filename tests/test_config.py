@@ -388,10 +388,16 @@ def test_valid_sweep_block_carried_through():
     assert setup.sweep["horizon"] == 300
 
 
-def test_certify_sample_floor():
+def test_samples_key_is_a_config_error():
+    # (mu, L) are exact, so a sample count would be read by nothing
     cfg = lti_base()
-    cfg["certify"] = {"samples": 1}
-    with pytest.raises(ConfigError, match="certify.samples"):
+    cfg["certify"] = {"samples": 2000}
+    with pytest.raises(ConfigError, match="certify.samples: .* sample nothing"):
+        build_setup(cfg)
+    cfg = lti_base()
+    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
+                    "samples": 2000}
+    with pytest.raises(ConfigError, match="sweep.samples"):
         build_setup(cfg)
 
 

@@ -238,6 +238,47 @@ def test_settling_is_geometric_after_burn_in():
     assert rate < 1.0
 
 
+def central_jacobian(pi, u, step):
+    """d pi / d u at u by central differences, column by column."""
+    cols = []
+    for j in range(u.size):
+        du = np.zeros(u.size)
+        du[j] = step
+        cols.append((pi(u + du) - pi(u - du)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+def test_pi_jacobian_matches_central_differences():
+    # pi is affine (LTI) or quadratic (tank) in u, so central differences
+    # are exact up to rounding
+    rng = np.random.default_rng(61)
+    tank = FourTankPlant()
+    w = np.array([12.0, 9.0])
+    for _ in range(20):
+        u = rng.uniform(5.0, 45.0, 2)
+        want = central_jacobian(lambda v: tank.pi(v, w), u, 1e-2)
+        assert np.allclose(tank.pi_jacobian(u), want, rtol=1e-8, atol=0.0)
+        plant = random_stable_lti(rng)
+        u = rng.standard_normal(2)
+        want = central_jacobian(lambda v: plant.pi(v, None), u, 1e-2)
+        assert np.allclose(plant.pi_jacobian(u), want, rtol=1e-8, atol=1e-12)
+
+
+def test_pi_jacobian_takes_batches():
+    rng = np.random.default_rng(62)
+    U = rng.uniform(5.0, 45.0, (6, 2))
+    for plant in (FourTankPlant(), random_stable_lti(rng)):
+        batch = plant.pi_jacobian(U)
+        assert batch.shape == (6, 2, 2)
+        for row, u in zip(batch, U):
+            assert np.array_equal(row, plant.pi_jacobian(u))
+
+
+def test_pi_jacobian_keeps_the_domain_of_pi_x():
+    with pytest.raises(ValueError, match="finite nonnegative pump flows"):
+        FourTankPlant().pi_jacobian(np.array([[10.0, 10.0], [-5.0, 10.0]]))
+
+
 def test_negative_flow_rejected():
     tank = FourTankPlant()
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 
 from dpic import (
     Box,
+    LTIPlant,
     FBParams,
     FourTankPlant,
     Halfspace,
@@ -13,6 +14,7 @@ from dpic import (
     build_setup,
     contraction_constants,
     estimate_mu_L,
+    exact_mu_L,
     fb_damped_map,
     fb_map,
     natural_residual,
@@ -20,7 +22,9 @@ from dpic import (
     sample_points,
     solve_vi,
 )
+from dpic.cli import _exact_certificates
 from dpic.metric import _apply
+from dpic.vi import low_gain_threshold
 
 from grid_oracle import grid_vi_solve, random_spd
 
@@ -448,6 +452,74 @@ def test_estimate_rejects_a_per_point_operator():
     F = lambda eta: np.array([eta[0] ** 2, eta[1] ** 2])  # noqa: E731
     with pytest.raises(ValueError, match=r"each row of an \(N, p\) array"):
         estimate_mu_L(F, Box([1.0, 1.0], [2.0, 2.0]), I2, samples=50, seed=52)
+
+
+def loop_jacobian(plant, K):
+    return lambda eta: plant.pi_jacobian(_apply(K, eta)) @ K
+
+
+def generalized_mu_L(M, P):
+    """mu and L of eta -> M eta in the P-metric from generalized eigenvalues:
+    sym(P M) v = mu P v, and M^T P M v = L^2 P v."""
+    S = 0.5 * (P @ M + M.T @ P)
+    mu = np.linalg.eigvals(np.linalg.solve(P, S)).real.min()
+    return mu, np.sqrt(np.linalg.eigvals(np.linalg.solve(P, M.T @ P @ M)).real.max())
+
+
+def test_exact_pair_of_the_presets():
+    # four-tank: K inverts the flow gain, so J = diag(eta) / g on the box
+    # [100, 185]^2; lti-demo: J = dc_gain K = 1
+    setup = build_setup(preset_config("four-tank"))
+    mu, L = _exact_certificates(setup, setup.certify, "certify.box")
+    g = setup.plant.g
+    assert mu == pytest.approx(100.0 / g, rel=1e-12)
+    assert L == pytest.approx(185.0 / g, rel=1e-12)
+    assert low_gain_threshold(setup.plant.T_s, mu, L) == pytest.approx(1.74439, abs=5e-6)
+    setup = build_setup(preset_config("lti-demo"))
+    assert _exact_certificates(setup, setup.certify, "certify.box") == (1.0, 1.0)
+
+
+def test_sampled_pair_lies_inside_the_exact_one_on_tank_boxes():
+    setup = build_setup(preset_config("four-tank"))
+    plant, K = setup.plant, setup.controller.gain
+    w = setup.scenario.schedule[0][1]
+    tank = lambda eta: plant.pi(_apply(K, eta), w)  # noqa: E731
+    rng = np.random.default_rng(53)
+    for case in range(12):
+        lower = rng.uniform(100.0, 150.0, 2)
+        box = Box(lower, lower + rng.uniform(1.0, 35.0, 2))
+        metric = I2 if case % 3 == 0 else Metric(random_spd(rng, 2))
+        mu, L = exact_mu_L(loop_jacobian(plant, K), metric, box)
+        mu_hat, L_hat = estimate_mu_L(tank, box, metric, samples=300, seed=case)
+        assert mu - mu_hat <= 1e-12 * abs(mu)
+        assert L_hat - L <= 1e-12 * L
+
+
+def test_exact_pair_of_lti_plants_under_coupled_metrics():
+    rng = np.random.default_rng(54)
+    for case in range(20):
+        n, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        A = rng.standard_normal((n, n))
+        A *= 0.8 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-9)
+        plant = LTIPlant(A=A, B=rng.standard_normal((n, p)), C=rng.standard_normal((p, n)),
+                         D=rng.standard_normal((p, p)), T_s=1.0)
+        K = rng.standard_normal((p, p))
+        P = random_spd(rng, p)
+        metric = Metric(P)
+        mu, L = exact_mu_L(loop_jacobian(plant, K), metric)
+        want_mu, want_L = generalized_mu_L(plant.dc_gain() @ K, P)
+        assert mu == pytest.approx(want_mu, rel=1e-9, abs=1e-12 * want_L)
+        assert L == pytest.approx(want_L, rel=1e-9)
+        mu_hat, L_hat = estimate_mu_L(lambda eta: plant.pi(_apply(K, eta), None),
+                                      Box(-np.ones(p), np.ones(p)), metric,
+                                      samples=200, seed=case)
+        assert mu - mu_hat <= 1e-12 * abs(mu)
+        assert L_hat - L <= 1e-12 * L
+
+
+def test_exact_pair_checks_the_jacobian_shape():
+    with pytest.raises(ValueError, match="jacobian must map"):
+        exact_mu_L(lambda eta: eta, I2, Box([0.0, 0.0], [1.0, 1.0]))
 
 
 def test_estimate_rejects_degenerate_region():
