@@ -20,11 +20,11 @@ constraints tight at the point.
 Every set has one support function, support(c) = max over v in the set of
 c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
 which the set is unbounded: a closed form for boxes and balls, the inner
-set's support for a linear preimage, one linear program on the halfspace
-rows otherwise.  An intersection with a non-polyhedral member takes the
-smallest member support, an upper bound.  The bounding box is read off the
-support function.  scipy.optimize is imported by that linear program and by
-a ball's root find only, when they run.
+set's support for a linear preimage, otherwise the exact value of the linear
+program on the halfspace rows from the same projection and NNLS.  An
+intersection with a non-polyhedral member takes the smallest member support,
+an upper bound.  The bounding box is read off the support function.
+scipy.optimize is imported by a ball's root find only, when it runs.
 
 Membership and margin of every polyhedral set come from one product with
 its cached halfspace rows and their row norms; a ball and a linear preimage
@@ -161,13 +161,44 @@ class ConvexSet:
     def support(self, c) -> float:
         """max over v in the set of c.v; +inf if the set is unbounded along c.
 
-        One linear program on the halfspace rows unless a subclass has a
-        closed form.
+        Exact on the halfspace rows unless a subclass has a closed form: u =
+        c/|c| is bounded iff one NNLS puts it in the rows' cone, and then w <-
+        Π(w + t u), t doubling from the projection v0 of the origin, solves the
+        linear program once t passes a finite threshold (Mangasarian & Meyer,
+        SIAM J. Control Optim. 17(6), 1979).  mu >= 0 with u = A_S^T mu on the
+        rows S active at w certifies it; the value is |c| (u.v0 + mu.(b - A v0)_S).
+        Until then w also steps along u - A_S^T mu to the next row, across an edge.
         """
         rows = self.halfspace_rows()
         if rows is None:
             raise NotImplementedError(f"{type(self).__name__} has no support function")
-        return _rows_support(rows[0], rows[1], _vec(c, self.dim))
+        c = _vec(c, self.dim)
+        scale = float(np.linalg.norm(c))
+        if scale == 0.0:
+            return 0.0
+        A, b = rows
+        identity, u = Metric.identity(self.dim), c / scale
+        try:  # on copies of the rows, so the set's own caches are left alone
+            v0 = Polyhedron(A, b).project(identity, np.zeros(self.dim)).point
+        except ValueError:
+            raise ValueError("support function of an empty set requested") from None
+        if _nnls(A.T, u)[1] > 0.0:
+            return np.inf
+        shifted, w, t = Polyhedron(A, b - A @ v0), np.zeros(self.dim), 1.0
+        for _ in range(64):
+            x, t = w + t * u, 2.0 * t
+            w = shifted.project(identity, x).point
+            S = shifted._active  # the rows of the last NNLS solve: stale if w is x
+            if S is not None and not np.array_equal(w, x):
+                mu, residual = _nnls(A[S].T, u)
+                if residual == 0.0:
+                    return scale * float(u @ v0 + mu @ shifted.b[S])
+                ascent = u - mu @ A[S]  # a_i.ascent <= 0 on S, and u.ascent > 0
+                rate = A @ ascent
+                rate[S] = 0.0
+                if (ahead := rate > 0.0).any():
+                    w = w + (np.maximum(shifted.b - A @ w, 0.0)[ahead] / rate[ahead]).min() * ascent
+        raise RuntimeError("support function found no optimal face in 64 doublings")
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         """Outward normals, one per row, of the constraints tight at x: the
@@ -635,32 +666,6 @@ def _project_ball(ball: Ball, rest: ConvexSet | None, metric: Metric, x) -> Proj
     return ProjectionResult(trial(nu)[1], iterations=int(info.iterations))
 
 
-def _rows_support(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """max c.v over {v : A v <= b} by one linear program.
-
-    The LP runs on the unit direction and the value is scaled back: HiGHS
-    gives up (status 4) on objectives near 1e-12, which a settled segment's
-    error produces.  Unboundedness is only as sharp as HiGHS' dual
-    feasibility tolerance, about 1e-7: a direction tilted toward a direction
-    of recession by less than that reads as bounded.  The rows of
-    Box([-inf, 0], [1, inf]) give 1.0 along (1, 1e-8), where Box.support's
-    closed form gives inf; both give inf from a tilt of 1e-6.
-    """
-    from scipy.optimize import linprog
-
-    scale = float(np.linalg.norm(c))
-    if scale == 0.0:
-        return 0.0
-    res = linprog(-c / scale, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
-    if res.status == 0:
-        return -scale * res.fun
-    if res.status == 3:
-        return np.inf
-    if res.status == 2:
-        raise ValueError("support function of an empty set requested")
-    raise ValueError(f"support LP failed with status {res.status}: {res.message}")
-
-
 # ---------------------------------------------------------------------------
 # sampling and normal-cone diagnostics
 
@@ -677,7 +682,7 @@ def sample_points(set_: ConvexSet, count: int, rng=None, max_factor: int = 1000)
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError(
             "cannot sample from an unbounded set; intersect with a bounded Box first")
-    # the LP bounds of a flat set may cross by rounding; both mean no volume
+    # the bounds of a flat set may cross by rounding; both mean no volume
     flat = np.flatnonzero(upper - lower <= 0.0)
     if flat.size:
         raise ValueError(f"cannot sample: the set has zero width along coordinate {flat[0]}")

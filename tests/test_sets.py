@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+import dpic
 from dpic import (
     Ball,
     Box,
@@ -19,9 +24,10 @@ from dpic import (
     sample_points,
 )
 from dpic.metric import _row_norms
-from dpic.sets import MEMBERSHIP_TOL, _contains_rows, _rows_support
+from dpic.sets import MEMBERSHIP_TOL, _contains_rows
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
+from lp_oracle import rows_support
 from membership_oracle import oracle_contains, oracle_margin
 
 I2 = Metric.identity(2)
@@ -896,7 +902,8 @@ def test_box_support_skips_infinite_bounds_under_zero_weights():
 
 
 def test_support_matches_the_rows_linear_program():
-    # every closed form and delegation agrees with the LP on the set's rows
+    # every closed form, delegation and the numpy engine agree with HiGHS on
+    # the set's rows
     rng = np.random.default_rng(39)
     for s in all_test_sets():
         rows = s.halfspace_rows()
@@ -904,19 +911,98 @@ def test_support_matches_the_rows_linear_program():
             continue
         for _ in range(5):
             c = rng.standard_normal(2)
-            assert s.support(c) == pytest.approx(_rows_support(*rows, c), rel=1e-12, abs=1e-12)
+            assert s.support(c) == pytest.approx(rows_support(*rows, c), rel=1e-12, abs=1e-12)
 
 
 def test_support_of_a_tiny_direction_scales_the_unit_value():
-    # HiGHS gives up on an objective of size 1e-12; the LP runs on the unit
-    # direction instead
+    # an objective of size 1e-12, on which HiGHS gives up unless the LP runs
+    # on the unit direction
     rng = np.random.default_rng(40)
     poly = _random_polytope(rng, 4, 20)
     for _ in range(5):
         c = rng.standard_normal(4)
         c /= np.linalg.norm(c)
-        assert poly.support(1e-12 * c) == pytest.approx(1e-12 * poly.support(c), rel=1e-12)
+        reference = 1e-12 * rows_support(poly.A, poly.b, c)
+        assert poly.support(1e-12 * c) == pytest.approx(reference, rel=1e-12)
+        assert rows_support(poly.A, poly.b, 1e-12 * c) == pytest.approx(reference, rel=1e-12)
     assert poly.support(np.zeros(4)) == 0.0
+
+
+def test_support_along_a_near_recession_direction_is_infinite():
+    # the cone test reads a tilt of 1e-12 toward the direction of recession
+    # e_1 as the closed form does; a linear program within HiGHS' dual
+    # tolerance of about 1e-7 read 1.0 from the rows
+    box = Box([-np.inf, 0.0], [1.0, np.inf])
+    rows = Polyhedron(*box.halfspace_rows())
+    for tilt in (1e-8, 1e-12):
+        assert box.support([1.0, tilt]) == np.inf
+        assert rows.support([1.0, tilt]) == np.inf
+    assert rows.support([1.0, 0.0]) == 1.0
+    assert rows.support([1.0, -1e-12]) == 1.0
+
+
+def test_support_matches_highs_on_ill_scaled_far_polyhedra():
+    # 2-5 dimensions, up to 40 rows with norms 1e-3 to 1e3 around a member up
+    # to 1e5 from the origin, three directions of norm 1e-3 to 1e3 each; the
+    # unbounded verdicts agree, and the values to 1e-12 of |HiGHS| + |c| |center|
+    rng = np.random.default_rng(41)
+    infinite = finite = rejected = 0
+    for _ in range(150):
+        dim = int(rng.integers(2, 6))
+        rows = int(rng.integers(1, 41))
+        g = rng.standard_normal((rows, dim))
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        center = 10.0 ** rng.uniform(0.0, 5.0) * rng.standard_normal(dim) / np.sqrt(dim)
+        t = 10.0 ** rng.uniform(-2.0, 3.0) * rng.uniform(0.01, 1.0, rows)
+        norms = 10.0 ** rng.uniform(-3.0, 3.0, rows)
+        A, b = norms[:, None] * g, norms * (g @ center + t)
+        try:
+            poly = Polyhedron(A, b)
+        except ValueError:
+            # nonempty by construction, but the least-distance dual is unscaled:
+            # from the far origin NNLS may find no point (draw 131 here, 16 rows
+            # of norms 2e-3 to 9e2 about 8e4 away); support reads the same engine
+            rejected += 1
+            continue
+        for _ in range(3):
+            c = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(dim)
+            try:
+                expected = rows_support(A, b, c)
+            except ValueError:  # HiGHS calls the set empty; the engine does not
+                break
+            got = poly.support(c)
+            if np.isinf(expected):
+                assert got == np.inf
+                infinite += 1
+            else:
+                bound = 1e-12 * (abs(expected) + np.linalg.norm(c) * np.linalg.norm(center))
+                assert abs(got - expected) <= bound, (got, expected)
+                finite += 1
+    assert finite > 200 and infinite > 50 and rejected <= 1
+
+
+def test_bounding_boxes_and_sampled_moduli_load_no_scipy():
+    # in a fresh interpreter: the support engine behind bounding_box, and with
+    # it sample_points and estimate_mu_L over a polytope, run on numpy alone
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from dpic import Metric, Polyhedron, estimate_mu_L, sample_points
+        rng = np.random.default_rng(5)
+        normals = rng.standard_normal((12, 3))
+        poly = Polyhedron(normals / np.linalg.norm(normals, axis=1)[:, None], np.ones(12))
+        lower, upper = poly.bounding_box()
+        assert np.isfinite(lower).all() and np.isfinite(upper).all()
+        assert sample_points(poly, 50, rng=1).shape == (50, 3)
+        mu, L = estimate_mu_L(lambda eta: 2.0 * eta, poly, Metric.identity(3), samples=50)
+        assert abs(mu - 2.0) < 1e-12 and abs(L - 2.0) < 1e-12
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = os.path.dirname(os.path.dirname(dpic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout.splitlines()[-1]
+    assert out == "[]"
 
 
 def test_linear_preimage_of_a_ball_has_an_exact_bounding_box():
@@ -945,9 +1031,12 @@ def test_support_of_a_set_without_rows_or_closed_form_is_not_implemented():
 
 
 def test_support_of_an_empty_row_set_raises():
-    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    # two disjoint halfspaces: their intersection is built, it has no member
+    empty = Intersection([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
     with pytest.raises(ValueError, match="empty set"):
-        _rows_support(A, np.array([-1.0, -1.0]), np.array([1.0, 0.0]))
+        empty.support([1.0, 0.0])
+    with pytest.raises(ValueError, match="empty set"):
+        empty.bounding_box()
 
 
 # ---------------------------------------------------------------------------
@@ -1079,16 +1168,17 @@ def test_the_whole_space_keeps_its_box_answers():
 
 
 def test_second_bounding_box_runs_no_lp(monkeypatch):
-    import scipy.optimize
+    # the support engine's linear programs are NNLS solves; the box is cached
+    import dpic.sets as sets_mod
 
     calls = []
-    real = scipy.optimize.linprog
+    real = sets_mod._nnls
 
-    def counting(*args, **kwargs):
+    def counting(E, f):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(E, f)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    monkeypatch.setattr(sets_mod, "_nnls", counting)
     K = np.array([[2.0, 1.0], [0.0, 1.0]])
     for s in (input_polygon(), LinearPreimage(K, input_polygon())):
         calls.clear()
