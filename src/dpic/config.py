@@ -59,11 +59,9 @@ class RunSetup:
     raw: dict
 
 
-def _get(cfg: dict, key: str, path: str, required: bool = True, default=None):
+def _get(cfg: dict, key: str, path: str):
     if key not in cfg:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-        return default
+        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
     return cfg[key]
 
 
@@ -268,13 +266,16 @@ def build_setup(cfg: dict) -> RunSetup:
                     sweep, certify, seed, cfg)
 
 
-def _validate_box_block(spec, key: str) -> Box:
+def _optional_box(block: dict, key: str) -> dict:
+    if "box" not in block:
+        return {}
+    spec, key = block["box"], f"{key}.box"
     if not isinstance(spec, dict):
         raise ConfigError(key, "expected an object with 'lower' and 'upper'")
     lower = _as_vector(_get(spec, "lower", key), f"{key}.lower")
     upper = _as_vector(_get(spec, "upper", key), f"{key}.upper")
     try:
-        return Box(lower, upper)
+        return {"box": Box(lower, upper)}
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
 
@@ -308,7 +309,7 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
         raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'estimate'")
     if mu == "estimate":
         out["estimate"] = True
-        out["box"] = _validate_box_block(_get(spec, "box", "sweep"), "sweep.box")
+        out.update(_optional_box(spec, "sweep"))
     else:
         out["estimate"] = False
         out["mu"] = _as_float(mu, "sweep.mu", positive=True)
@@ -332,4 +333,4 @@ def _validate_certify(spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("certify", "expected a certify object")
     _reject_samples(spec, "certify")
-    return {"box": _validate_box_block(spec["box"], "certify.box")} if "box" in spec else {}
+    return _optional_box(spec, "certify")

@@ -1,13 +1,12 @@
 """Convex constraint sets with projections in a weighted metric.
 
 Every projection is exact: boxes under diagonal metrics by a componentwise
-clamp, halfspaces in closed form, and any other polyhedral set (box under a
-coupled metric, polyhedron, polyhedral intersection or preimage) as a
-least-distance program solved by a numpy Lawson-Hanson NNLS.  A ball takes
-a radial shrink under isotropic metrics; otherwise a ball, alone or
-intersected with polyhedral members, takes one root find for its
-multiplier.  No engine takes a second non-polyhedral member of an
-intersection, or one that is not a ball.
+clamp, and any other polyhedral set (halfspace, box under a coupled metric,
+polyhedron, polyhedral intersection or preimage) as a least-distance program
+solved by a numpy Lawson-Hanson NNLS.  A ball takes a radial shrink under
+isotropic metrics; otherwise a ball, alone or intersected with polyhedral
+members, takes one root find for its multiplier.  No engine takes a second
+non-polyhedral member of an intersection, or one that is not a ball.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
@@ -24,7 +23,6 @@ set's support for a linear preimage, otherwise the exact value of the linear
 program on the halfspace rows from the same projection and NNLS.  An
 intersection with a non-polyhedral member takes the smallest member support,
 an upper bound.  The bounding box is read off the support function.
-scipy.optimize is imported by a ball's root find only, when it runs.
 
 Membership and margin of every polyhedral set come from one product with
 its cached halfspace rows and their row norms; a ball and a linear preimage
@@ -156,7 +154,10 @@ class ConvexSet:
         return (Ax <= b + tol).all(axis=-1), ((b - Ax) / self._norms).min(axis=-1)
 
     def project(self, metric: Metric, x) -> ProjectionResult:
-        raise NotImplementedError
+        """Exact projection of x in the metric norm; on the halfspace rows by default."""
+        if self.halfspace_rows() is None:
+            raise NotImplementedError(f"{type(self).__name__} has no projection")
+        return _project_rows(self, metric, self._checked(metric, x))
 
     def support(self, c) -> float:
         """max over v in the set of c.v; +inf if the set is unbounded along c.
@@ -313,14 +314,6 @@ class Halfspace(ConvexSet):
     def _rows(self):
         return _read_only(self.a[None, :].copy(), np.array([self.b]))
 
-    def project(self, metric: Metric, x) -> ProjectionResult:
-        x = self._checked(metric, x)
-        gap = float(self.a @ x - self.b)
-        if gap <= 0.0:
-            return ProjectionResult(x)
-        d = metric.solve(self.a)  # P^{-1} a
-        return ProjectionResult(x - (gap / float(self.a @ d)) * d)
-
 
 class Ball(ConvexSet):
     """Euclidean ball {x : |x - center| <= radius}."""
@@ -378,10 +371,6 @@ class Polyhedron(ConvexSet):
     @cached_property
     def _rows(self):
         return _read_only(self.A.copy(), self.b.copy())
-
-    def project(self, metric: Metric, x) -> ProjectionResult:
-        x = self._checked(metric, x)
-        return _project_rows(self, metric, x)
 
 
 class Intersection(ConvexSet):
@@ -445,10 +434,9 @@ class Intersection(ConvexSet):
         return (curved[0], Intersection(rest) if rest else None) if curved else None
 
     def project(self, metric: Metric, x) -> ProjectionResult:
-        x = self._checked(metric, x)
         if self.halfspace_rows() is not None:
-            return _project_rows(self, metric, x)
-        return _project_ball(*self._ball_and_rest, metric, x)
+            return super().project(metric, x)
+        return _project_ball(*self._ball_and_rest, metric, self._checked(metric, x))
 
 
 class LinearPreimage(ConvexSet):
@@ -627,9 +615,10 @@ def _project_ball(ball: Ball, rest: ConvexSet | None, metric: Metric, x) -> Proj
     (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5), so one bracketed
     root gives nu.  As nu grows v(nu) tends to p, the Euclidean projection of
     c onto rest: the set is empty when |p - c| > r and the point p when = r.
+    False position with the Illinois rule (Dowell & Jarratt, BIT 11, 1971) finds
+    the root of 1/r - 1/|v(nu) - c|, nearly linear in nu (Hebden 1973; More &
+    Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).
     """
-    from scipy.optimize import brentq
-
     c, r, P = ball.center, ball.radius, metric.P
     point = x if rest is None else rest.project(metric, x).point
     excess = float((point - c) @ (point - c)) - r ** 2
@@ -647,23 +636,32 @@ def _project_ball(ball: Ball, rest: ConvexSet | None, metric: Metric, x) -> Proj
     evals, evecs = np.linalg.eigh(P)  # one decomposition gives every (P + nu I)^{-1}
     coef = evecs.T @ (P @ (x - c))
 
-    def trial(nu):  # (|v(nu) - c|^2 - r^2, v(nu))
-        if nu == 0.0:
-            return excess, point
+    def trial(nu):  # (1/r - 1/|v(nu) - c|, v(nu)); a v(nu) on the center reads as inside
         v = c + evecs @ (coef / (evals + nu))
         if rest is not None:
             v = rest.project(Metric(P + nu * np.eye(ball.dim)), v).point
-        return float((v - c) @ (v - c)) - r ** 2, v
+        dist = math.sqrt(float((v - c) @ (v - c)))
+        return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 
     # with no rest, |v(nu) - c| <= |P (x - c)| / (lmin + nu) < r already at the first hi
     hi = max(float(np.linalg.norm(P @ (x - c))) / r, float(evals[-1]))
-    while trial(hi)[0] > 0.0:
+    while (high := trial(hi))[0] > 0.0:
         if rest is not None and hi * np.finfo(float).eps > evals[-1]:
             return ProjectionResult(nearest)  # P + nu I rounds to nu I: p is the point
         hi *= 2.0
-    nu, info = brentq(lambda nu: trial(nu)[0], 0.0, hi, xtol=1e-13 * (1.0 + hi),
-                      maxiter=200, full_output=True)
-    return ProjectionResult(trial(nu)[1], iterations=int(info.iterations))
+    g_lo, tol = 1.0 / r - 1.0 / float(np.linalg.norm(point - c)), 1e-13 * (1.0 + hi)
+    ends, last = [[0.0, g_lo, point], [hi, *high]], None  # (nu, g, v) outside, then inside
+    for k in range(200):
+        (lo, g_lo, _), (hi, g_hi, v_hi) = ends
+        if g_hi == 0.0 or hi - lo <= tol:
+            return ProjectionResult(v_hi, iterations=k)
+        nu = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        g, v = trial(nu)
+        j = int(g <= 0.0)  # the end that nu replaces
+        if j == last:  # the Illinois rule: an end kept twice running has its value halved
+            ends[1 - j][1] /= 2.0
+        ends[j], last = [nu, g, v], j
+    raise RuntimeError("the ball's multiplier was not found in 200 steps")
 
 
 # ---------------------------------------------------------------------------

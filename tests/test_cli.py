@@ -412,6 +412,26 @@ def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
     assert summary["T_i_star"] == 0.5
 
 
+def test_an_lti_sweep_estimates_without_a_box(tmp_path):
+    # an LTI Jacobian is constant, so the exact pair needs no box, as in certify
+    cfg = preset_config("lti-demo")
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate"})
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert summary["certificates"] == {"mu": 1.0, "L": 1.0, "source": "exact"}
+
+
+def test_a_four_tank_sweep_estimate_needs_a_box(tmp_path, capsys):
+    cfg = preset_config("four-tank")
+    del cfg["sweep"]["box"]
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep.box: the plant's Jacobian varies"), err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -454,10 +474,10 @@ def test_certify_names_a_loop_gain_singular_to_rounding(tmp_path, capsys):
 
 
 def test_simulate_and_certify_load_no_scipy(tmp_path):
-    # in a fresh interpreter: import dpic, simulate both presets and a
-    # 4-input LTI run under a 12-row polytope and a coupled metric, sweep
-    # four-tank on one grid point, and certify both presets; only a ball's
-    # root find may load scipy
+    # in a fresh interpreter that fails every scipy import: import dpic,
+    # simulate both presets and a 4-input LTI run under a 12-row polytope and
+    # a coupled metric, sweep lti-demo and four-tank (on one grid point), certify
+    # both presets, and simulate, sweep and certify under a ball ∩ box Gamma
     rng = np.random.default_rng(3)
     normals = rng.standard_normal((12, 4))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
@@ -476,26 +496,33 @@ def test_simulate_and_certify_load_no_scipy(tmp_path):
     tank = preset_config("four-tank")
     tank["sweep"].update({"T_i": [30.0], "lambda": [0.5]})
     tank_path = write_config(tmp_path, tank, "tank.json")
+    ball_path = write_config(tmp_path, ball_gamma_sweep_config(), "ball.json")
     script = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None
         import dpic
         from dpic.cli import main
         runs = [["simulate", "--preset", "four-tank", "--out", {str(tmp_path / "a")!r}],
                 ["simulate", "--preset", "lti-demo", "--out", {str(tmp_path / "b")!r}],
                 ["simulate", "--config", {path!r}, "--out", {str(tmp_path / "c")!r}],
-                ["sweep", "--config", {tank_path!r}, "--out", {str(tmp_path / "d")!r}],
+                ["sweep", "--preset", "lti-demo", "--out", {str(tmp_path / "d")!r}],
+                ["sweep", "--config", {tank_path!r}, "--out", {str(tmp_path / "e")!r}],
                 ["certify", "--preset", "lti-demo"],
-                ["certify", "--preset", "four-tank"]]
-        codes = [main(argv) for argv in runs]
-        print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+                ["certify", "--preset", "four-tank"],
+                ["simulate", "--config", {ball_path!r}, "--out", {str(tmp_path / "f")!r}],
+                ["sweep", "--config", {ball_path!r}, "--out", {str(tmp_path / "g")!r}],
+                ["certify", "--config", {ball_path!r}]]
+        print([main(argv) for argv in runs])
     """)
     src = os.path.dirname(os.path.dirname(dpic.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True).stdout.splitlines()[-1]
-    assert out == "[0, 0, 0, 0, 0, 0] []"
+    assert out == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
     summary = json.loads((tmp_path / "c" / "summary.json").read_text())
     assert summary["segments"][1]["tracking_error"] > 0.1  # the polytope binds
+    summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+    assert summary["segments"][1]["tracking_error"] > 0.1  # the ball binds at u = 1
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +543,18 @@ def test_certify_samples_a_ball_gamma_within_its_box(tmp_path):
     assert main(["certify", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
 
 
-def test_sweep_estimates_and_projects_on_a_ball_gamma(tmp_path):
+def ball_gamma_sweep_config():
+    """ball_gamma_config() with one sweep point that estimates (mu, L) and
+    ends at a disturbance that drives the input onto the ball."""
     cfg = ball_gamma_config()
     cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
                          "box": {"lower": [-1.0], "upper": [1.0]},
                          "horizon": 300, "schedule": [[0, [0.5]], [100, [2.0]]]})
-    path = write_config(tmp_path, cfg)
+    return cfg
+
+
+def test_sweep_estimates_and_projects_on_a_ball_gamma(tmp_path):
+    path = write_config(tmp_path, ball_gamma_sweep_config())
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
     rows = read_rows(tmp_path / "sweep.csv")
     assert rows[0]["converged"] == "true"

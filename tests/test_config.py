@@ -349,14 +349,6 @@ def test_sweep_mixed_estimate_rejected():
         build_setup(cfg)
 
 
-def test_sweep_estimate_requires_box():
-    cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5],
-                    "mu": "estimate", "L": "estimate"}
-    with pytest.raises(ConfigError, match="sweep.box"):
-        build_setup(cfg)
-
-
 def test_sweep_L_below_mu_rejected():
     cfg = lti_base()
     cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": 2.0, "L": 1.0}

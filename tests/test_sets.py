@@ -727,6 +727,15 @@ def test_ball_intersection_meets_kkt_under_random_metrics():
     assert ball_active > 100  # the ball binds (nu > 0) in 124 of the 150
 
 
+def test_a_root_finding_trial_on_the_ball_center_reads_as_inside():
+    # at 1e16 the spacing of doubles is 2, so every trial point within 1 of
+    # the center rounds onto it: |v - c| = 0 is inside, not a division by zero
+    c = np.array([1e16, 1e16])
+    res = Ball(c, 1.0).project(Metric([[2.0, 0.3], [0.3, 1.0]]), c + [8.0, 4.0])
+    assert res.iterations > 0
+    assert Ball(c, 1.0).contains(res.point, 0.0)
+
+
 def test_an_empty_ball_intersection_raises():
     s = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -1.0 - 1e-6)])
     with pytest.raises(ProjectionError, match="empty"):
@@ -982,12 +991,14 @@ def test_support_matches_highs_on_ill_scaled_far_polyhedra():
 
 
 def test_bounding_boxes_and_sampled_moduli_load_no_scipy():
-    # in a fresh interpreter: the support engine behind bounding_box, and with
-    # it sample_points and estimate_mu_L over a polytope, run on numpy alone
+    # in a fresh interpreter that fails every scipy import: the support engine
+    # behind bounding_box, and with it sample_points and estimate_mu_L over a
+    # polytope, and the ball's root find under a coupled metric run on numpy alone
     script = textwrap.dedent("""
         import sys
+        sys.modules["scipy"] = None
         import numpy as np
-        from dpic import Metric, Polyhedron, estimate_mu_L, sample_points
+        from dpic import Ball, Box, Intersection, Metric, Polyhedron, estimate_mu_L, sample_points
         rng = np.random.default_rng(5)
         normals = rng.standard_normal((12, 3))
         poly = Polyhedron(normals / np.linalg.norm(normals, axis=1)[:, None], np.ones(12))
@@ -996,13 +1007,16 @@ def test_bounding_boxes_and_sampled_moduli_load_no_scipy():
         assert sample_points(poly, 50, rng=1).shape == (50, 3)
         mu, L = estimate_mu_L(lambda eta: 2.0 * eta, poly, Metric.identity(3), samples=50)
         assert abs(mu - 2.0) < 1e-12 and abs(L - 2.0) < 1e-12
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        res = Intersection([Ball([0.0, 0.0], 1.0), Box([0.3, -2.0], [2.0, 2.0])]).project(
+            Metric([[2.0, 0.3], [0.3, 1.0]]), [2.0, 1.5])
+        assert res.iterations > 0 and abs(np.linalg.norm(res.point) - 1.0) < 1e-12
+        print("ok")
     """)
     src = os.path.dirname(os.path.dirname(dpic.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True).stdout.splitlines()[-1]
-    assert out == "[]"
+    assert out == "ok"
 
 
 def test_linear_preimage_of_a_ball_has_an_exact_bounding_box():
