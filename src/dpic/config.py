@@ -307,9 +307,9 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
     L = _get(spec, "L", "sweep")
     if (mu == "estimate") != (L == "estimate"):
         raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'estimate'")
+    out.update(_optional_box(spec, "sweep"))
     if mu == "estimate":
         out["estimate"] = True
-        out.update(_optional_box(spec, "sweep"))
     else:
         out["estimate"] = False
         out["mu"] = _as_float(mu, "sweep.mu", positive=True)

@@ -59,8 +59,9 @@ def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
     left Gamma are projected, one at a time.
     """
     target = eta - alpha[:, None] * e  # the forward step
-    for i in (~_contains_rows(gamma, target)).nonzero()[0]:
-        target[i] = gamma.project(metric, target[i]).point
+    if not (inside := _contains_rows(gamma, target)).all():
+        for i in (~inside).nonzero()[0]:
+            target[i] = gamma.project(metric, target[i]).point
     d = damping[:, None]
     return (1.0 - d) * eta + d * target
 

@@ -17,13 +17,13 @@ sweep row equals its solo run, and vi.exact_mu_L takes the Jacobian at
 all the vertices of a box in one call.
 
 FourTankPlant.step runs its RK4 substeps row by row in Python floats with
-math.sqrt, the four stages written out with no call per stage, because
-numpy's per-call overhead on 4-vectors (4 levels, 2 pump flows) outweighs
-the arithmetic.  It rounds as the same RK4 on arrays would: it writes out
-the nonzero terms of the rates' matrix-vector products in matmul's order
-(matmul adds the products without a fused multiply-add) and clamps as
-np.maximum(h, 0.0) does.  tests/tank_oracle.py keeps that array form, and
-the tests hold step to it bit for bit.
+math.sqrt, the four stages written out, since numpy's per-call overhead on
+4-vectors (4 levels, 2 pump flows) outweighs the arithmetic.  It rounds as
+the same RK4 on arrays would: the nonzero terms of the rates' products in
+matmul's order (no fused multiply-add), clamps as np.maximum(h, 0.0), and
+raises where that does, with its overflow test on the clamp's rare branch.
+tests/tank_oracle.py keeps that array form, and the tests hold step to it
+bit for bit, raises included.
 """
 
 from __future__ import annotations
@@ -305,8 +305,6 @@ class FourTankPlant(PlantModel):
     def step(self, x, u, w=None) -> np.ndarray:
         h = self._vec(x, 4, "x")
         u = self._vec(u, 2, "u")
-        if not (np.isfinite(h).all() and np.isfinite(u).all()):
-            raise NumericalError("tank step received non-finite values")
         if h.shape[:-1] != u.shape[:-1]:
             batch = np.broadcast_shapes(h.shape[:-1], u.shape[:-1])
             h, u = np.broadcast_to(h, batch + (4,)), np.broadcast_to(u, batch + (2,))
@@ -318,19 +316,23 @@ class FourTankPlant(PlantModel):
 
         The outflow O v leaves out the products of O's zero coefficients,
         which are exact zeros while every outlet velocity v is finite.  An
-        infinite one turns them into NaN on arrays, so it raises here too.
-        Each clamp maps -0.0 to 0.0 and keeps NaN, as np.maximum does.
+        infinite v turns them into NaN on arrays; here it makes its tank's
+        rate -inf or NaN, so a clamp from -inf raises if a sqrt argument of
+        its substep is +inf.  Clamps map -0.0 to 0.0 and keep NaN, as np.maximum does.
         """
         o00, o02, o11, o13, o22, o33 = self._outflow_terms
-        inflow = self._inflow_terms
-        sqrt, isfinite, two_g = math.sqrt, math.isfinite, 2.0 * self.g
+        (i00, i01), (i10, i11), (i20, i21), (i30, i31) = self._inflow_terms
+        sqrt, isfinite, two_g, inf = math.sqrt, math.isfinite, 2.0 * self.g, math.inf
         dt = self.T_s / self.substeps
         dt2, dt6 = 0.5 * dt, dt / 6.0
         substeps = range(self.substeps)
         levels = []
         for (h0, h1, h2, h3), (u0, u1) in zip(H, U):
-            f0, f1, f2, f3 = [i0 * u0 + i1 * u1 for i0, i1 in inflow]
-            speeds = 0.0  # finite while every outlet velocity is
+            if not (isfinite(h0) and isfinite(h1) and isfinite(h2) and isfinite(h3)
+                    and isfinite(u0) and isfinite(u1)):
+                raise NumericalError("tank step received non-finite values")
+            f0, f1 = i00 * u0 + i01 * u1, i10 * u0 + i11 * u1
+            f2, f3 = i20 * u0 + i21 * u1, i30 * u0 + i31 * u1
             # the four RK4 stages are written out, since a call per stage
             # costs more than its arithmetic; t0..t3 hold a stage's levels
             for _ in substeps:
@@ -340,41 +342,43 @@ class FourTankPlant(PlantModel):
                 v3 = sqrt(two_g * (0.0 if h3 <= 0.0 else h3))
                 a0, a1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
                 a2, a3 = o22 * v2 + f2, o33 * v3 + f3
-                va = v0 + v1 + v2 + v3
-                t0, t1, t2, t3 = h0 + dt2*a0, h1 + dt2*a1, h2 + dt2*a2, h3 + dt2*a3
+                t0 = h0 + dt2*a0; t1 = h1 + dt2*a1; t2 = h2 + dt2*a2; t3 = h3 + dt2*a3
                 v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
                 v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
                 v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
                 v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
                 b0, b1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
                 b2, b3 = o22 * v2 + f2, o33 * v3 + f3
-                vb = v0 + v1 + v2 + v3
-                t0, t1, t2, t3 = h0 + dt2*b0, h1 + dt2*b1, h2 + dt2*b2, h3 + dt2*b3
+                t0 = h0 + dt2*b0; t1 = h1 + dt2*b1; t2 = h2 + dt2*b2; t3 = h3 + dt2*b3
                 v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
                 v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
                 v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
                 v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
                 c0, c1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
                 c2, c3 = o22 * v2 + f2, o33 * v3 + f3
-                vc = v0 + v1 + v2 + v3
-                t0, t1, t2, t3 = h0 + dt*c0, h1 + dt*c1, h2 + dt*c2, h3 + dt*c3
+                t0 = h0 + dt*c0; t1 = h1 + dt*c1; t2 = h2 + dt*c2; t3 = h3 + dt*c3
                 v0 = sqrt(two_g * (0.0 if t0 <= 0.0 else t0))
                 v1 = sqrt(two_g * (0.0 if t1 <= 0.0 else t1))
                 v2 = sqrt(two_g * (0.0 if t2 <= 0.0 else t2))
                 v3 = sqrt(two_g * (0.0 if t3 <= 0.0 else t3))
                 d0, d1 = (o00 * v0 + o02 * v2) + f0, (o11 * v1 + o13 * v3) + f1
                 d2, d3 = o22 * v2 + f2, o33 * v3 + f3
-                vd = v0 + v1 + v2 + v3
-                speeds += va + vb + vc + vd
-                h0 = h0 + dt6 * (((a0 + 2.0*b0) + 2.0*c0) + d0)
-                h1 = h1 + dt6 * (((a1 + 2.0*b1) + 2.0*c1) + d1)
-                h2 = h2 + dt6 * (((a2 + 2.0*b2) + 2.0*c2) + d2)
-                h3 = h3 + dt6 * (((a3 + 2.0*b3) + 2.0*c3) + d3)
-                h0 = 0.0 if h0 <= 0.0 else h0
-                h1 = 0.0 if h1 <= 0.0 else h1
-                h2 = 0.0 if h2 <= 0.0 else h2
-                h3 = 0.0 if h3 <= 0.0 else h3
-            if not all(map(isfinite, (speeds, h0, h1, h2, h3))):
+                n0 = h0 + dt6 * (((a0 + 2.0*b0) + 2.0*c0) + d0)
+                n1 = h1 + dt6 * (((a1 + 2.0*b1) + 2.0*c1) + d1)
+                n2 = h2 + dt6 * (((a2 + 2.0*b2) + 2.0*c2) + d2)
+                n3 = h3 + dt6 * (((a3 + 2.0*b3) + 2.0*c3) + d3)
+                if n0 <= 0.0 or n1 <= 0.0 or n2 <= 0.0 or n3 <= 0.0:
+                    if -inf in (n0, n1, n2, n3) and two_g * max(
+                            h0, h1, h2, h3, h0 + dt2*a0, h1 + dt2*a1, h2 + dt2*a2, h3 + dt2*a3,
+                            h0 + dt2*b0, h1 + dt2*b1, h2 + dt2*b2, h3 + dt2*b3,
+                            h0 + dt*c0, h1 + dt*c1, h2 + dt*c2, h3 + dt*c3) == inf:
+                        raise NumericalError("tank step diverged to a non-finite state")
+                    n0 = 0.0 if n0 <= 0.0 else n0
+                    n1 = 0.0 if n1 <= 0.0 else n1
+                    n2 = 0.0 if n2 <= 0.0 else n2
+                    n3 = 0.0 if n3 <= 0.0 else n3
+                h0 = n0; h1 = n1; h2 = n2; h3 = n3
+            if not (isfinite(h0) and isfinite(h1) and isfinite(h2) and isfinite(h3)):
                 raise NumericalError("tank step diverged to a non-finite state")
             levels.append([h0, h1, h2, h3])
         return levels

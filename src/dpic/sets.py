@@ -20,9 +20,10 @@ Every set has one support function, support(c) = max over v in the set of
 c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
 which the set is unbounded: a closed form for boxes and balls, the inner
 set's support for a linear preimage, otherwise the exact value of the linear
-program on the halfspace rows from the same projection and NNLS.  An
-intersection with a non-polyhedral member takes the smallest member support,
-an upper bound.  The bounding box is read off the support function.
+program on the halfspace rows by the same NNLS, from the member a Polyhedron
+of the rows keeps.  An intersection with a non-polyhedral member takes the
+smallest member support, an upper bound.  The bounding box is read off the
+support function.
 
 Membership and margin of every polyhedral set come from one product with
 its cached halfspace rows and their row norms; a ball and a linear preimage
@@ -66,6 +67,10 @@ WARM_MARGIN = 1e-9
 
 class ProjectionError(RuntimeError):
     """Projection failed: the set is empty."""
+
+    def __init__(self, message: str, point: np.ndarray | None = None):
+        super().__init__(message)
+        self.point = point  # the least-distance engine's last polished point, if any
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ class ConvexSet:
         A, b = rows
         identity, u = Metric.identity(self.dim), c / scale
         try:  # on copies of the rows, so the set's own caches are left alone
-            v0 = Polyhedron(A, b).project(identity, np.zeros(self.dim)).point
+            v0 = Polyhedron(A, b)._member
         except ValueError:
             raise ValueError("support function of an empty set requested") from None
         if _nnls(A.T, u)[1] > 0.0:
@@ -347,9 +352,11 @@ class Ball(ConvexSet):
 
 
 class Polyhedron(ConvexSet):
-    """{x : A x <= b}; construction rejects an empty one, where the origin has no projection."""
+    """{x : A x <= b}; construction keeps a member, the origin's projection, or rejects
+    an empty set.  Where that fails with a polished point p, as it may far from the
+    origin, the member is p plus the origin's projection onto the rows b - A p."""
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, *, _shifted: bool = False):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
@@ -364,9 +371,11 @@ class Polyhedron(ConvexSet):
         self._norms = norms
         self.dim = int(A.shape[1])
         try:
-            _project_rows(self, Metric.identity(self.dim), np.zeros(self.dim))
-        except ProjectionError:
-            raise ValueError("polyhedron is empty") from None
+            self._member = _project_rows(self, Metric.identity(self.dim), np.zeros(self.dim)).point
+        except ProjectionError as exc:
+            if exc.point is None or _shifted:
+                raise ValueError("polyhedron is empty") from None
+            self._member = exc.point + Polyhedron(A, b - A @ exc.point, _shifted=True)._member
 
     @cached_property
     def _rows(self):
@@ -589,6 +598,7 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
                 miss[set_._active] = -np.inf
                 if miss.max() < -WARM_MARGIN:
                     return ProjectionResult(point)
+    point = None
     for _ in range(2):  # a near miss gets a second pass, from its polished point
         # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
         u = _nnls(np.concatenate([neg_whitened, h[None, :]]), target)[0]
@@ -604,7 +614,7 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
             break
         x, h = point, A @ point - b
     raise ProjectionError("least-distance projection found no feasible point; "
-                          "the set may be empty")
+                          "the set may be empty", point)
 
 
 def _project_ball(ball: Ball, rest: ConvexSet | None, metric: Metric, x) -> ProjectionResult:

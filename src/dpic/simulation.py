@@ -211,7 +211,7 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
         same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
         if not same.any():
             return []
-        same &= (np.asarray(x_next, float).view(np.int64) == x_k.view(np.int64)).all(axis=-1)
+        same &= (xs[rows, k + 1].view(np.int64) == x_k.view(np.int64)).all(axis=-1)
         return np.flatnonzero(same).tolist()
 
     # Rows move between positions, so that the live ones always form the

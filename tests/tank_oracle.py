@@ -18,6 +18,20 @@ from dpic import NumericalError
 
 def oracle_step(plant, x, u) -> np.ndarray:
     """FourTankPlant.step(x, u) on arrays; x and u broadcast over their batch axes."""
+    h = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not (np.isfinite(h).all() and np.isfinite(u).all()):
+        raise NumericalError("tank step received non-finite values")
+    h = oracle_levels(plant, h, u)
+    if not np.isfinite(h).all():
+        raise NumericalError("tank step diverged to a non-finite state")
+    return h
+
+
+def oracle_levels(plant, x, u) -> np.ndarray:
+    """The levels of oracle_step without its checks.  From finite x and u, a
+    row on which oracle_step raises ends with a non-finite level, and every
+    other row ends as oracle_step returns it."""
     areas = plant.tank_areas
     a = plant.outlet_areas
     g1, g2 = plant.split_ratios
@@ -35,8 +49,6 @@ def oracle_step(plant, x, u) -> np.ndarray:
     ])
     h = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if not (np.isfinite(h).all() and np.isfinite(u).all()):
-        raise NumericalError("tank step received non-finite values")
 
     def rate(h, inflow):
         # sqrt argument clamped at zero so transient undershoot cannot produce NaN
@@ -55,6 +67,4 @@ def oracle_step(plant, x, u) -> np.ndarray:
         k4 = rate(h + dt * k3, inflow)
         h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         h = np.maximum(h, 0.0)  # levels cannot go negative
-    if not np.isfinite(h).all():
-        raise NumericalError("tank step diverged to a non-finite state")
     return h[..., 0]

@@ -286,6 +286,17 @@ def test_a_bad_certificate_box_exits_2(tmp_path, capsys, command, box):
     assert ("dimension" in err) == (len(box["lower"]) != 2)
 
 
+@pytest.mark.parametrize("box", [{"lower": "junk"}, [0.0, 1.0], {"lower": [1.0], "upper": [0.0]}])
+def test_a_malformed_sweep_box_exits_2_when_mu_and_L_are_given(tmp_path, capsys, box):
+    # the box is read whether or not the sweep takes (mu, L) from it
+    cfg = preset_config("lti-demo")
+    cfg["sweep"]["box"] = box
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep.box"), err
+
+
 @pytest.mark.parametrize("members", [
     [{"type": "box", "lower": [-1.0], "upper": [0.0]},
      {"type": "box", "lower": [0.5], "upper": [1.0]}],

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from dpic import FourTankPlant, LTIPlant, NumericalError, davison_check
-from tank_oracle import oracle_step
+from tank_oracle import oracle_levels, oracle_step
 
 
 def scalar_plant(**kw):
@@ -441,3 +443,44 @@ def test_tank_batched_step_rejects_any_nonfinite_row():
                     oracle_step(plant, H, U)
                 with pytest.raises(NumericalError):
                     plant.step(H[1], U[1], None)
+
+
+def _extreme_tank_rows(rng, plant, rows: int):
+    """Levels near the point where 2 g h overflows and up to 1e308, normal
+    ones, -0.0, 5e-324 and negative ones; pump flows of either sign up to
+    1.6e308, a fifth of them 0."""
+    edge = sys.float_info.max / (2.0 * plant.g)
+    kind = rng.integers(0, 5, size=(rows, 4))
+    H = np.select([kind == 0, kind == 1, kind == 2, kind == 3], [
+        edge * (1.0 + rng.uniform(-1e-3, 1e-3, (rows, 4))),
+        10.0 ** rng.uniform(300.0, 308.0, (rows, 4)),
+        10.0 ** rng.uniform(-3.0, 3.0, (rows, 4)),
+        rng.choice([-0.0, 5e-324, -1.0, -1e300], size=(rows, 4)),
+    ], -(10.0 ** rng.uniform(-3.0, 300.0, (rows, 4))))
+    U = rng.choice([-1.0, 1.0], (rows, 2)) * 10.0 ** rng.uniform(-2.0, np.log10(1.6e308), (rows, 2))
+    U[rng.random((rows, 2)) < 0.2] = 0.0
+    return H, U
+
+
+@pytest.mark.parametrize("kwargs, rows", [
+    ({}, 4000),
+    ({"tank_areas": (1.0,) * 4}, 3000),
+    ({"tank_areas": (1e-3,) * 4}, 3000),
+    ({"T_s": 1e6, "substeps": 1}, 3000),
+])
+def test_tank_step_raises_exactly_where_the_oracle_does(kwargs, rows):
+    # step tests for an infinite outlet velocity only when a level would
+    # clamp from -inf; the oracle's zero coefficients turn one into NaN.
+    # Overflowing levels, inflows and stage sums must not tell them apart
+    plant = FourTankPlant(**kwargs)
+    H, U = _extreme_tank_rows(np.random.default_rng(2103), plant, rows)
+    with np.errstate(all="ignore"):
+        expected = oracle_levels(plant, H, U)
+    oracle_raises = ~np.isfinite(expected).all(axis=-1)
+    assert 0 < oracle_raises.sum() < rows
+    for h, u, raises, levels in zip(H, U, oracle_raises, expected):
+        if raises:
+            with pytest.raises(NumericalError):
+                plant.step(h, u, None)
+        else:
+            assert plant.step(h, u, None).tobytes() == levels.tobytes()

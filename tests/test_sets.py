@@ -561,6 +561,62 @@ def test_emptiness_verdicts_follow_the_chebyshev_radius():
     assert kept > 500 and rejected > 50
 
 
+def test_far_emptiness_verdicts_follow_the_chebyshev_radius():
+    # members up to 1e5 from the origin, 3-40 rows of norms 1e-3 to 1e3, and
+    # half of the rows at distance r of either sign, 1e-16 to 1 times the
+    # set's size of 1e-2 to 1e3.  Far from the origin the least-distance
+    # dual's last row dwarfs the others, and the origin's projection failed
+    # on 7 of these nonempty sets, whose normalized radii reached 2.8e-7;
+    # the retry from its polished point keeps them, and no empty set
+    rng = np.random.default_rng(0)
+    kept = rejected = 0
+    for _ in range(1000):
+        dim = int(rng.integers(2, 6))
+        rows = int(rng.integers(dim + 1, 41))
+        g = rng.standard_normal((rows, dim))
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        c = 10.0 ** rng.uniform(0.0, 5.0) * rng.standard_normal(dim) / np.sqrt(dim)
+        size = 10.0 ** rng.uniform(-2.0, 3.0)
+        r = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, 0.0) * size
+        t = np.where(rng.random(rows) < 0.5, r, r + rng.uniform(0.0, size, rows))
+        norms = 10.0 ** rng.uniform(-3.0, 3.0, rows)
+        A, b = norms[:, None] * g, norms * (g @ c + t)
+        rho = _chebyshev_radius(A, b) / (1.0 + np.max(np.abs(b) / norms))
+        if -1e-11 <= rho <= 1e-12:
+            continue
+        try:
+            poly = Polyhedron(A, b)
+        except ValueError:
+            assert rho < 0.0, rho
+            rejected += 1
+        else:
+            assert rho > 0.0, rho
+            assert (A @ poly._member - b <= MEMBERSHIP_TOL * (1.0 + np.abs(b))).all()
+            kept += 1
+    assert kept > 400 and rejected > 150
+
+
+def test_the_member_is_the_origins_projection_wherever_that_is_found():
+    # the retry runs only where the origin's projection fails: on the rows of
+    # _ldp_cases seeds 71-90, a Polyhedron keeps that projection bit for bit
+    # and rejects exactly where it fails, and projects every point as the rows do
+    empty = 0
+    for seed in range(71, 91):
+        for s, metric, x in _ldp_cases(np.random.default_rng(seed), 60):
+            A, b = s.halfspace_rows()
+            try:
+                origin = s.project(Metric.identity(s.dim), np.zeros(s.dim)).point
+            except ProjectionError:
+                with pytest.raises(ValueError, match="empty"):
+                    Polyhedron(A, b)
+                empty += 1
+                continue
+            poly = Polyhedron(A, b)
+            assert poly._member.tobytes() == origin.tobytes()
+            assert poly.project(metric, x).point.tobytes() == s.project(metric, x).point.tobytes()
+    assert empty > 100
+
+
 def test_a_far_projection_onto_ill_scaled_rows_is_found():
     # row norms from 1e-2 to 1e2, and the origin's projection lies about 4000
     # away on rows 1, 2 and 3; rounding there leaves the polished point
@@ -968,9 +1024,9 @@ def test_support_matches_highs_on_ill_scaled_far_polyhedra():
         try:
             poly = Polyhedron(A, b)
         except ValueError:
-            # nonempty by construction, but the least-distance dual is unscaled:
-            # from the far origin NNLS may find no point (draw 131 here, 16 rows
-            # of norms 2e-3 to 9e2 about 8e4 away); support reads the same engine
+            # nonempty by construction; from the far origin NNLS once found no
+            # point (draw 131 here, 16 rows of norms 2e-3 to 9e2 about 8e4
+            # away), and the retry from its polished point finds one
             rejected += 1
             continue
         for _ in range(3):
@@ -987,7 +1043,7 @@ def test_support_matches_highs_on_ill_scaled_far_polyhedra():
                 bound = 1e-12 * (abs(expected) + np.linalg.norm(c) * np.linalg.norm(center))
                 assert abs(got - expected) <= bound, (got, expected)
                 finite += 1
-    assert finite > 200 and infinite > 50 and rejected <= 1
+    assert finite > 200 and infinite > 50 and rejected == 0
 
 
 def test_bounding_boxes_and_sampled_moduli_load_no_scipy():
