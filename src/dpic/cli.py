@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunSetup, build_setup, load_config
-from .metric import Metric, _apply
+from .metric import _apply
 from .plants import (STATIC_GAIN_TOL, LTIPlant, NumericalError, _static_gain_margin,
                      davison_check)
 from .presets import PRESET_DESCRIPTIONS, preset_config, preset_names
-from .sets import Box, Intersection, LinearPreimage, ProjectionError
+from .sets import Box, Intersection, ProjectionError
 from .simulation import (
     Scenario,
     SimulationError,
@@ -149,22 +149,19 @@ def cmd_simulate(args) -> int:
 def _certificate_box(setup: RunSetup, block: dict, key: str) -> Box | None:
     """The box over which (mu, L) of a sweep or certify block hold.
 
-    A given box must match Gamma's dimension and meet Gamma.  A projection
-    onto K (Gamma ∩ box) = C ∩ K box decides that: C may hold a ball where
-    Gamma holds a ball's preimage, which no engine projects onto beside a
-    box.  An LTI plant's Jacobian is constant and needs no box; a
-    four-tank one varies with eta and needs a given box, since the corners
-    of Gamma's bounding box may leave the pump domain where Gamma does not.
+    A given box must match Gamma's dimension and meet Gamma, which one
+    projection onto Gamma ∩ box decides.  An LTI plant's Jacobian is
+    constant and needs no box; a four-tank one varies with eta and needs a
+    given box, since the corners of Gamma's bounding box may leave the pump
+    domain where Gamma does not.
     """
     ctrl = setup.controller
     box = block.get("box")
     if box is not None:
         if box.dim != ctrl.gamma.dim:
             raise ConfigError(key, f"box has dimension {box.dim}, Gamma {ctrl.gamma.dim}")
-        image = LinearPreimage(np.linalg.inv(ctrl.gain), box)
         try:
-            Intersection([ctrl.constraint, image]).project(Metric.identity(box.dim),
-                                                           ctrl.gain @ ctrl.eta)
+            Intersection([ctrl.gamma, box]).project(ctrl.metric, ctrl.eta)
         except ProjectionError as exc:
             raise ConfigError(key, "box does not meet Gamma") from exc
     if isinstance(setup.plant, LTIPlant):

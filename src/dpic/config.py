@@ -150,7 +150,7 @@ def _build_set(spec, key: str) -> ConvexSet:
                 raise ConfigError(f"{key}.sets", "expected a nonempty list of sets")
             intersection = Intersection([_build_set(s, f"{key}.sets[{i}]")
                                          for i, s in enumerate(members)])
-            intersection._ball_and_rest  # raises past one ball, as projecting would
+            intersection._curved_and_rest  # raises past one curved member, as projecting would
             return intersection
         if kind == "linear_preimage":
             return LinearPreimage(_as_matrix(_get(spec, "K", key), f"{key}.K"),

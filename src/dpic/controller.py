@@ -108,8 +108,8 @@ class DPIController:
         """Advance the integrator on error e; returns the input computed
         from the state before the update."""
         e = np.asarray(e, dtype=float)
-        if e.shape != (self.eta.size,):
-            raise ValueError(f"error must have shape ({self.eta.size},)")
+        if e.shape != (self.eta.size,) or not np.isfinite(e).all():
+            raise ValueError(f"error must be finite, of shape ({self.eta.size},); got {e}")
         u = self.gain @ self.eta
         self.eta = _damped_projected_update(
             self.gamma, self.metric, self.eta[None], e[None],

@@ -53,14 +53,6 @@ class Metric:
     def identity(cls, dim: int) -> "Metric":
         return cls(np.eye(int(dim)))
 
-    @property
-    def isotropic_scale(self) -> float | None:
-        """Scale c when P == c*I, otherwise None."""
-        if not self.is_diagonal:
-            return None
-        d = np.diag(self.P)
-        return float(d[0]) if np.all(d == d[0]) else None
-
     def _vec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):

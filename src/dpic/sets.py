@@ -3,10 +3,10 @@
 Every projection is exact: boxes under diagonal metrics by a componentwise
 clamp, and any other polyhedral set (halfspace, box under a coupled metric,
 polyhedron, polyhedral intersection or preimage) as a least-distance program
-solved by a numpy Lawson-Hanson NNLS.  A ball takes a radial shrink under
-isotropic metrics; otherwise a ball, alone or intersected with polyhedral
-members, takes one root find for its multiplier.  No engine takes a second
-non-polyhedral member of an intersection, or one that is not a ball.
+solved by a numpy Lawson-Hanson NNLS.  A set with one curved member, a ball
+or a linear preimage of one, beside any polyhedral ones projects in its own
+space by one root find for that member's multiplier, or by a radial shrink
+where the metric is round; no engine takes a second curved member.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
@@ -20,10 +20,9 @@ Every set has one support function, support(c) = max over v in the set of
 c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
 which the set is unbounded: a closed form for boxes and balls, the inner
 set's support for a linear preimage, otherwise the exact value of the linear
-program on the halfspace rows by the same NNLS, from the member a Polyhedron
-of the rows keeps.  An intersection with a non-polyhedral member takes the
-smallest member support, an upper bound.  The bounding box is read off the
-support function.
+program on the halfspace rows by the same NNLS, from a member the set keeps.
+An intersection with a non-polyhedral member takes the smallest member
+support, an upper bound.  The bounding box is read off the support function.
 
 Membership and margin of every polyhedral set come from one product with
 its cached halfspace rows and their row norms; a ball and a linear preimage
@@ -75,8 +74,8 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Projected point; iterations counts the root finder's steps for a ball's
-    multiplier (0 if none was needed), and residual is 0: every projection is exact."""
+    """Projected point; iterations counts the root finder's steps for a curved
+    member's multiplier (0 if none was needed), and residual is 0: every projection is exact."""
 
     point: np.ndarray
     iterations: int = 0
@@ -159,10 +158,25 @@ class ConvexSet:
         return (Ax <= b + tol).all(axis=-1), ((b - Ax) / self._norms).min(axis=-1)
 
     def project(self, metric: Metric, x) -> ProjectionResult:
-        """Exact projection of x in the metric norm; on the halfspace rows by default."""
+        """Exact projection of x in the metric norm, by _project_rows or _project_curved."""
+        x = self._checked(metric, x)
+        if self.halfspace_rows() is not None:
+            return _project_rows(self, metric, x)
+        return _project_curved(*self._curved_and_rest, metric, x)
+
+    def _split(self) -> tuple[list, list]:
+        """(ellipsoids (M, M^{-1}, d, r) = {v : |M v - d| <= r}, polyhedral sets) intersecting to it."""
         if self.halfspace_rows() is None:
             raise NotImplementedError(f"{type(self).__name__} has no projection")
-        return _project_rows(self, metric, self._checked(metric, x))
+        return [], [self]
+
+    @cached_property
+    def _curved_and_rest(self):
+        """(the one curved member, the rest's Intersection or None), or None if polyhedral."""
+        curved, flat = self._split()
+        if len(curved) > 1:
+            raise ValueError("an intersection projects with at most one non-polyhedral member")
+        return (curved[0], Intersection(flat) if flat else None) if curved else None
 
     def support(self, c) -> float:
         """max over v in the set of c.v; +inf if the set is unbounded along c.
@@ -183,11 +197,7 @@ class ConvexSet:
         if scale == 0.0:
             return 0.0
         A, b = rows
-        identity, u = Metric.identity(self.dim), c / scale
-        try:  # on copies of the rows, so the set's own caches are left alone
-            v0 = Polyhedron(A, b)._member
-        except ValueError:
-            raise ValueError("support function of an empty set requested") from None
+        identity, u, v0 = Metric.identity(self.dim), c / scale, self._member
         if _nnls(A.T, u)[1] > 0.0:
             return np.inf
         shifted, w, t = Polyhedron(A, b - A @ v0), np.zeros(self.dim), 1.0
@@ -205,6 +215,14 @@ class ConvexSet:
                 if (ahead := rate > 0.0).any():
                     w = w + (np.maximum(shifted.b - A @ w, 0.0)[ahead] / rate[ahead]).min() * ascent
         raise RuntimeError("support function found no optimal face in 64 doublings")
+
+    @cached_property
+    def _member(self) -> np.ndarray:
+        """A point, from a Polyhedron of copies of the rows; a Polyhedron keeps its own."""
+        try:
+            return Polyhedron(*self.halfspace_rows())._member
+        except ValueError:
+            raise ValueError("support function of an empty set requested") from None
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         """Outward normals, one per row, of the constraints tight at x: the
@@ -295,11 +313,10 @@ class Box(ConvexSet):
         return float(c[up] @ self.upper[up] + c[down] @ self.lower[down])
 
     def project(self, metric: Metric, x) -> ProjectionResult:
-        x = self._checked(metric, x)
-        if metric.is_diagonal:
-            # weighted projection is separable under a diagonal metric
-            return ProjectionResult(np.clip(x, self.lower, self.upper))
-        return _project_rows(self, metric, x)
+        if not metric.is_diagonal:
+            return super().project(metric, x)
+        # weighted projection is separable under a diagonal metric
+        return ProjectionResult(np.clip(self._checked(metric, x), self.lower, self.upper))
 
 
 class Halfspace(ConvexSet):
@@ -347,8 +364,10 @@ class Ball(ConvexSet):
         tight = self.radius - np.linalg.norm(out) <= MEMBERSHIP_TOL
         return out[None, :] if tight else np.empty((0, self.dim))
 
-    def project(self, metric: Metric, x) -> ProjectionResult:
-        return _project_ball(self, None, metric, self._checked(metric, x))
+    def _split(self):
+        return [(np.eye(self.dim), np.eye(self.dim), self.center, self.radius)], []
+
+    project = ConvexSet.project  # in the class's own namespace, where per-class tracing looks
 
 
 class Polyhedron(ConvexSet):
@@ -431,29 +450,18 @@ class Intersection(ConvexSet):
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         return np.vstack([s._active_normals(x) for s in self.sets])
 
-    @cached_property
-    def _ball_and_rest(self):
-        """(the Ball member, the intersection of the rest or None), or None if
-        every member is polyhedral; any other mix has no engine: ValueError."""
-        curved = [s for s in self.sets if s.halfspace_rows() is None]
-        if curved and (len(curved) > 1 or not isinstance(curved[0], Ball)):
-            raise ValueError("an intersection projects with at most one non-polyhedral "
-                             "member, and that member must be a ball")
-        rest = [s for s in self.sets if s not in curved]
-        return (curved[0], Intersection(rest) if rest else None) if curved else None
+    def _split(self):
+        return tuple(sum(parts, []) for parts in zip(*(s._split() for s in self.sets)))
 
-    def project(self, metric: Metric, x) -> ProjectionResult:
-        if self.halfspace_rows() is not None:
-            return super().project(metric, x)
-        return _project_ball(*self._ball_and_rest, metric, self._checked(metric, x))
+    project = ConvexSet.project
 
 
 class LinearPreimage(ConvexSet):
     """{x : K x in inner} for a square invertible K.
 
-    Projection changes variables to the inner space, where the metric
-    becomes K^{-T} P K^{-1}; margins and membership are reported in the
-    inner (image) space.
+    Projection reads the inner set member by member, rows A as A K and an
+    ellipsoid |M u - d| <= r as |M K x - d| <= r; margins and membership are
+    reported in the inner (image) space.
     """
 
     def __init__(self, K, inner: ConvexSet):
@@ -489,12 +497,12 @@ class LinearPreimage(ConvexSet):
         # the gradient of n.(K x) is K^T n
         return self.inner._active_normals(self.K @ x) @ self.K
 
-    def project(self, metric: Metric, x) -> ProjectionResult:
-        x = self._checked(metric, x)
-        if self.halfspace_rows() is not None:
-            return _project_rows(self, metric, x)
-        res = self.inner.project(Metric(self._Kinv.T @ metric.P @ self._Kinv), self.K @ x)
-        return ProjectionResult(self._Kinv @ res.point, res.iterations)
+    def _split(self):
+        curved, flat = self.inner._split()
+        return ([(M @ self.K, self._Kinv @ Minv, d, r) for M, Minv, d, r in curved],
+                [LinearPreimage(self.K, Intersection(flat))] if flat else [])
+
+    project = ConvexSet.project
 
 
 # ---------------------------------------------------------------------------
@@ -617,49 +625,52 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
                           "the set may be empty", point)
 
 
-def _project_ball(ball: Ball, rest: ConvexSet | None, metric: Metric, x) -> ProjectionResult:
-    """Exact projection onto ball ∩ rest, rest polyhedral or None (the whole space).
+def _project_curved(ellipsoid, rest: ConvexSet | None, metric: Metric, x) -> ProjectionResult:
+    """Exact projection onto E ∩ rest, E = {v : |M v - d| <= r} given as (M, M^{-1}, d, r),
+    rest polyhedral or None (the whole space); a ball is E with M = I.
 
-    For the ball's multiplier nu >= 0, v(nu) projects (P + nu I)^{-1} (P x + nu c)
-    onto rest in the metric P + nu I; |v(nu) - c| does not increase with nu
-    (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5), so one bracketed
-    root gives nu.  As nu grows v(nu) tends to p, the Euclidean projection of
-    c onto rest: the set is empty when |p - c| > r and the point p when = r.
-    False position with the Illinois rule (Dowell & Jarratt, BIT 11, 1971) finds
-    the root of 1/r - 1/|v(nu) - c|, nearly linear in nu (Hebden 1973; More &
+    With c = M^{-1} d, S = M^{-T} P M^{-1} and E's multiplier nu >= 0, v(nu) projects
+    c + M^{-1} y, (S + nu I) y = M^{-T} P (x - c), onto rest in the metric P + nu M^T M
+    (More, Optim. Methods Softw. 2, 1993); |M (v(nu) - c)| does not increase with nu
+    (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5), so one bracketed root
+    gives nu.  As nu grows v(nu) tends to p, the projection of c onto rest in the
+    metric M^T M: the set is empty when |M (p - c)| > r and the point p when = r.
+    False position with the Illinois rule (Dowell & Jarratt, BIT 11, 1971) finds the
+    root of 1/r - 1/|M (v(nu) - c)|, nearly linear in nu (Hebden 1973; More &
     Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).
     """
-    c, r, P = ball.center, ball.radius, metric.P
+    (M, Minv, d, r), P = ellipsoid, metric.P
+    c, W, S = Minv @ d, M.T @ M, Minv.T @ P @ Minv
     point = x if rest is None else rest.project(metric, x).point
-    excess = float((point - c) @ (point - c)) - r ** 2
-    if excess <= 0.0:
+    y = M @ (point - c)
+    if float(y @ y) - r ** 2 <= 0.0:
         return ProjectionResult(point)
-    if rest is None and metric.isotropic_scale is not None:  # a radial shrink
-        return ProjectionResult(c + (r / np.linalg.norm(x - c)) * (x - c))
+    if rest is None and np.array_equal(S, S[0, 0] * np.eye(x.size)):  # a radial shrink
+        return ProjectionResult(c + Minv @ ((r / np.linalg.norm(y)) * y))
     if rest is not None:
-        nearest = rest.project(Metric.identity(ball.dim), c).point
-        dist = float(np.linalg.norm(nearest - c))
+        nearest = rest.project(Metric(W), c).point
+        dist = float(np.linalg.norm(M @ (nearest - c)))
         if dist > r + MEMBERSHIP_TOL:
             raise ProjectionError("the ball misses the other members; the intersection is empty")
         if dist >= r:
             return ProjectionResult(nearest)
-    evals, evecs = np.linalg.eigh(P)  # one decomposition gives every (P + nu I)^{-1}
-    coef = evecs.T @ (P @ (x - c))
+    evals, evecs = np.linalg.eigh(S)  # one decomposition gives every (S + nu I)^{-1}
+    coef = evecs.T @ (rhs := Minv.T @ (P @ (x - c)))
 
-    def trial(nu):  # (1/r - 1/|v(nu) - c|, v(nu)); a v(nu) on the center reads as inside
-        v = c + evecs @ (coef / (evals + nu))
+    def trial(nu):  # (1/r - 1/|M (v(nu) - c)|, v(nu)); a v(nu) on the center reads as inside
+        v = c + Minv @ (evecs @ (coef / (evals + nu)))
         if rest is not None:
-            v = rest.project(Metric(P + nu * np.eye(ball.dim)), v).point
-        dist = math.sqrt(float((v - c) @ (v - c)))
+            v = rest.project(Metric(P + nu * W), v).point
+        dist = float(np.linalg.norm(M @ (v - c)))
         return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 
-    # with no rest, |v(nu) - c| <= |P (x - c)| / (lmin + nu) < r already at the first hi
-    hi = max(float(np.linalg.norm(P @ (x - c))) / r, float(evals[-1]))
+    # with no rest, |y| <= |M^{-T} P (x - c)| / (lmin + nu) < r already at the first hi
+    hi = max(float(np.linalg.norm(rhs)) / r, float(evals[-1]))
     while (high := trial(hi))[0] > 0.0:
         if rest is not None and hi * np.finfo(float).eps > evals[-1]:
-            return ProjectionResult(nearest)  # P + nu I rounds to nu I: p is the point
+            return ProjectionResult(nearest)  # S + nu I rounds to nu I: p is the point
         hi *= 2.0
-    g_lo, tol = 1.0 / r - 1.0 / float(np.linalg.norm(point - c)), 1e-13 * (1.0 + hi)
+    g_lo, tol = 1.0 / r - 1.0 / float(np.linalg.norm(y)), 1e-13 * (1.0 + hi)
     ends, last = [[0.0, g_lo, point], [hi, *high]], None  # (nu, g, v) outside, then inside
     for k in range(200):
         (lo, g_lo, _), (hi, g_hi, v_hi) = ends

@@ -60,8 +60,8 @@ class VIProblem:
 
     def value(self, eta) -> np.ndarray:
         out = np.asarray(self.operator(np.asarray(eta, dtype=float)), dtype=float)
-        if out.shape != (self.dim,):
-            raise ValueError("operator returned a vector of the wrong dimension")
+        if out.shape != (self.dim,) or not np.isfinite(out).all():
+            raise ValueError(f"operator value must be finite, of dimension {self.dim}; got {out}")
         return out
 
 

@@ -554,6 +554,17 @@ def test_certify_samples_a_ball_gamma_within_its_box(tmp_path):
     assert main(["certify", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("lower, code", [(0.4, EXIT_OK), (0.6, EXIT_CONFIG)])
+def test_a_certify_box_meets_a_ball_gamma_in_eta(tmp_path, capsys, lower, code):
+    # Gamma = {eta : 2 eta in [-1, 1] ∩ [-0.5, 2]} = [-0.25, 0.5], the
+    # preimage of a ball beside the box's rows, all in eta
+    cfg = ball_gamma_config()
+    cfg["controller"]["K"] = [[2.0]]
+    cfg["certify"]["box"] = {"lower": [lower], "upper": [1.0]}
+    assert main(["certify", "--config", write_config(tmp_path, cfg)]) == code
+    assert ("certify.box: box does not meet Gamma" in capsys.readouterr().err) == (code != EXIT_OK)
+
+
 def ball_gamma_sweep_config():
     """ball_gamma_config() with one sweep point that estimates (mu, L) and
     ends at a disturbance that drives the input onto the ball."""

@@ -53,6 +53,21 @@ def test_error_shape_checked():
         c.step(np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("gamma", ["lti-demo", "unbounded"])
+def test_a_non_finite_error_is_rejected(gamma):
+    # on a bounded Gamma a NaN error reached the projection, which blamed the
+    # set; on an unbounded one it left eta = NaN
+    from dpic import build_setup, preset_config
+
+    c = build_setup(preset_config("lti-demo")).controller if gamma == "lti-demo" else \
+        DPIController(np.eye(1), Box([-np.inf], [np.inf]), I1, 10.0, 15.0, 0.5, eta0=[0.0])
+    eta = c.eta.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="error must be finite"):
+            c.step([bad])
+    assert np.array_equal(c.eta, eta)
+
+
 # ---------------------------------------------------------------------------
 # forward invariance
 

@@ -100,12 +100,6 @@ def test_dimension_mismatch():
         m.inner([1.0], [1.0])
 
 
-def test_isotropic_scale():
-    assert Metric(3.0 * np.eye(2)).isotropic_scale == pytest.approx(3.0)
-    assert Metric([[1.0, 0.0], [0.0, 2.0]]).isotropic_scale is None
-    assert Metric.identity(3).isotropic_scale == pytest.approx(1.0)
-
-
 def test_flags():
     assert Metric.identity(2).is_identity
     assert Metric([[2.0, 0.0], [0.0, 1.0]]).is_diagonal

@@ -29,6 +29,7 @@ from dpic.sets import MEMBERSHIP_TOL, _contains_rows
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
 from lp_oracle import rows_support
 from membership_oracle import oracle_contains, oracle_margin
+from preimage_oracle import change_of_variables_project
 
 I2 = Metric.identity(2)
 
@@ -286,7 +287,7 @@ def test_a_cached_active_set_never_changes_a_projection_bit():
     cases = [(tank, setup.metric, tank, _vertex_edge_points(tank, setup.metric)),
              (poly, poly_metric, poly,
               [rng.uniform(1.5, 4.0) * rng.standard_normal(3) for _ in range(40)]),
-             (capped, Metric(P), capped._ball_and_rest[1],
+             (capped, Metric(P), capped._curved_and_rest[1],
               [ball.center + 4.0 * rng.standard_normal(2) for _ in range(15)])]
     tried = 0
     for s, metric, cache, points in cases:
@@ -440,6 +441,17 @@ def test_isotropic_metric_ball_is_radial():
     m = Metric(2.5 * np.eye(2))
     p = Ball([0.0, 0.0], 1.0).project(m, [3.0, 4.0]).point
     assert np.allclose(p, [0.6, 0.8], atol=1e-12)
+
+
+def test_a_round_ellipsoid_takes_the_radial_shrink():
+    # K = 2 R, R a rotation, and P = 4 I make S = K^{-T} P K^{-1} = I exactly:
+    # the preimage is a disc of radius 1/2 about c = K^{-1} d, reached with no root find
+    K = np.array([[0.0, -2.0], [2.0, 0.0]])
+    x, c = np.array([3.0, 4.0]), np.array([0.0, -0.5])
+    res = LinearPreimage(K, Ball([1.0, 0.0], 1.0)).project(Metric(4.0 * np.eye(2)), x)
+    assert res.iterations == 0
+    assert np.allclose(res.point, c + 0.5 * (x - c) / np.linalg.norm(x - c), rtol=0.0, atol=1e-15)
+    assert Ball([0.0, 0.0], 1.0).project(Metric(2.5 * np.eye(2)), x).iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -690,19 +702,23 @@ def test_ball_engine_matches_enumeration_on_polyhedron():
         assert np.allclose(direct, with_ball, atol=1e-8)
 
 
-def kkt_residuals(P, ball, A, b, x, v):
+def kkt_residuals(P, ball, A, b, x, v, K=None):
     """Worst feasibility, complementary slackness and stationarity of v as
-    the projection of x onto ball ∩ {A v <= b} in the P norm, each relative,
-    plus the multipliers (rows, then the ball's) that NNLS fits to them.
+    the projection of x onto {v : K v in ball} ∩ {A v <= b} in the P norm
+    (K = I by default), each relative, plus the multipliers (rows, then the
+    ball's) that NNLS fits to them.
 
-    Rows and the ball's outward normal are unit vectors, so every multiplier
-    and every slack reads on the scale of |P (x - v)| and of distances.
+    Rows and the ball's outward normal K^T (K v - c) are unit vectors, so
+    every multiplier and every slack reads on the scale of |P (x - v)| and
+    of distances.
     """
+    K = np.eye(v.size) if K is None else K
     norms = np.linalg.norm(A, axis=1)
     A, b = A / norms[:, None], b / norms
-    out = v - ball.center
+    out = K @ v - ball.center
     radial = np.linalg.norm(out)
-    normals = np.vstack([A, out / radial])
+    normal = K.T @ out
+    normals = np.vstack([A, normal / np.linalg.norm(normal)])
     slack = np.append(b - A @ v, ball.radius - radial)
     scale = 1.0 + np.max(np.abs(b)) + ball.radius
     active = slack <= 1e-9 * scale
@@ -800,12 +816,77 @@ def test_an_empty_ball_intersection_raises():
 
 def test_intersections_beyond_one_ball_fail_to_project_but_still_sample():
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    for s in (Intersection([Ball([0.0, 0.0], 1.0), Ball([0.5, 0.0], 1.0)]),
-              Intersection([LinearPreimage([[2.0, 0.0], [0.0, 1.0]], Ball([0.0, 0.0], 1.0)),
-                            box])):
-        assert len(sample_points(Intersection([s, box]), 5, rng=42)) == 5
-        with pytest.raises(ValueError, match="at most one non-polyhedral member"):
-            s.project(I2, [3.0, 2.0])
+    s = Intersection([Ball([0.0, 0.0], 1.0), Ball([0.5, 0.0], 1.0)])
+    assert len(sample_points(Intersection([s, box]), 5, rng=42)) == 5
+    with pytest.raises(ValueError, match="at most one non-polyhedral member"):
+        s.project(I2, [3.0, 2.0])
+
+
+def _ball_box_gains(rng, count):
+    """(K, ball, box, P, x): a ball and a box about its center in the input
+    space, a non-diagonal gain K with condition number below 30, a coupled
+    metric P, and a point x whose projection the ball mostly binds."""
+    cases = []
+    while len(cases) < count:
+        dim = int(rng.integers(2, 5))
+        K = rng.standard_normal((dim, dim))
+        if np.linalg.cond(K) > 30.0:
+            continue
+        ball = Ball(rng.standard_normal(dim), rng.uniform(0.5, 2.0))
+        box = Box(ball.center - ball.radius * rng.uniform(0.1, 1.2, dim),
+                  ball.center + ball.radius * rng.uniform(0.1, 1.2, dim))
+        u = ball.center + 4.0 * ball.radius * rng.standard_normal(dim)
+        cases.append((K, ball, box, random_spd(rng, dim), np.linalg.solve(K, u)))
+    return cases
+
+
+def test_a_balls_preimage_with_a_box_projects_as_the_change_of_variables_does():
+    # Gamma = {eta : K eta in ball ∩ box} projects in eta-space, one curved
+    # member and the box rows times K; the inner-space projection under
+    # K^{-T} P K^{-1}, mapped back, is the reference
+    ball_active = 0
+    for K, ball, box, P, x in _ball_box_gains(np.random.default_rng(61), 200):
+        gamma = LinearPreimage(K, Intersection([ball, box]))
+        v = gamma.project(Metric(P), x).point
+        oracle = change_of_variables_project(K, gamma.inner, Metric(P), x)
+        assert np.linalg.norm(v - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        A, b = box.halfspace_rows()
+        feasibility, slackness, stationarity, mult = kkt_residuals(P, ball, A @ K, b, x, v, K)
+        # the rows A K and their multipliers grow with K's condition number
+        assert max(feasibility, slackness, stationarity) <= 1e-12 * np.linalg.cond(K)
+        assert np.all(mult >= 0.0)
+        ball_active += mult[-1] > 0.0
+    assert ball_active > 120  # the ball binds in 142 of the 200
+
+
+def test_gamma_of_a_ball_meets_a_box_in_its_own_space():
+    # Intersection([gamma, box]) reads gamma member by member: the ball's
+    # preimage is the one curved member, and both boxes are rows in eta
+    rng = np.random.default_rng(62)
+    cases = []
+    for K, ball, box, P, x in _ball_box_gains(rng, 100):
+        member = LinearPreimage(K, Intersection([ball, box])).project(
+            Metric(np.eye(K.shape[0])), np.zeros(K.shape[0])).point
+        width = 0.5 * np.abs(np.linalg.solve(K, np.full(K.shape[0], ball.radius)))
+        eta_box = Box(member - width * rng.uniform(0.1, 1.0, member.size), member + width)
+        cases.append((K, ball, box, eta_box, P, x))
+    # the input that raised "at most one non-polyhedral member" before
+    cases.append((np.diag([2.0, 1.0]), Ball([0.0, 0.0], 1.0), Box([-np.inf] * 2, [np.inf] * 2),
+                  Box([-1.0, -1.0], [1.0, 1.0]), np.eye(2), np.array([3.0, 2.0])))
+    binds = np.zeros(2, dtype=int)  # the ball, a row of eta_box
+    for K, ball, box, eta_box, P, x in cases:
+        v = Intersection([LinearPreimage(K, Intersection([ball, box])), eta_box]).project(
+            Metric(P), x).point
+        inner = Intersection([ball, box, LinearPreimage(np.linalg.inv(K), eta_box)])
+        oracle = change_of_variables_project(K, inner, Metric(P), x)
+        assert np.linalg.norm(v - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        (A_in, b_in), (A_eta, b_eta) = box.halfspace_rows(), eta_box.halfspace_rows()
+        feasibility, slackness, stationarity, mult = kkt_residuals(
+            P, ball, np.vstack([A_in @ K, A_eta]), np.concatenate([b_in, b_eta]), x, v, K)
+        assert max(feasibility, slackness, stationarity) <= 1e-12 * np.linalg.cond(K)
+        assert np.all(mult >= 0.0)
+        binds += [mult[-1] > 0.0, (mult[b_in.size:-1] > 0.0).any()]
+    assert binds[0] > 25 and binds[1] > 70  # 34 and 82 of the 101
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +913,7 @@ def test_preimage_projection_polyhedral_path():
 
 
 def test_preimage_projection_ball_inner():
-    # non-polyhedral inner set exercises the change-of-variables path
+    # a ball's preimage is an ellipsoid, projected in the preimage's own space
     K = np.array([[1.0, 0.5], [0.0, 1.0]])
     s = LinearPreimage(K, Ball([0.0, 0.0], 1.0))
     eta = np.array([3.0, -2.0])
@@ -1098,6 +1179,22 @@ def test_support_of_a_set_without_rows_or_closed_form_is_not_implemented():
 
     with pytest.raises(NotImplementedError, match="Disc has no support function"):
         Disc().support([1.0, 0.0])
+
+
+def test_support_builds_the_sets_member_once(monkeypatch):
+    # the first support call projects the origin onto copies of the rows for
+    # a member and keeps it; the second makes every other projection again
+    import dpic.sets as sets_mod
+
+    calls = []
+    real = sets_mod._project_rows
+    monkeypatch.setattr(sets_mod, "_project_rows",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    s = Intersection([Box([0.0, 0.0], [45.0, 45.0]), Halfspace([1.0, 1.0], 85.0)])
+    first = s.support([1.0, 2.0])
+    made = len(calls)
+    assert s.support([1.0, 2.0]) == first
+    assert len(calls) == 2 * made - 1  # all but the origin's projection again
 
 
 def test_support_of_an_empty_row_set_raises():

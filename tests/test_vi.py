@@ -152,6 +152,21 @@ def test_clipped_step_at_upper_bound():
     assert fb_map(problem, params, np.array([0.5]))[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("gamma", ["lti-demo", "unbounded"])
+def test_a_non_finite_operator_value_is_rejected(gamma):
+    # the maps take F(eta) from value, which names the fault before any
+    # projection can blame the set or a NaN can pass an unbounded one
+    ctrl = build_setup(preset_config("lti-demo")).controller
+    constraint = ctrl.gamma if gamma == "lti-demo" else FREE
+    params = FBParams(alpha=0.5, damping=0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        problem = VIProblem(lambda eta, bad=bad: eta + bad, constraint, I1)
+        with pytest.raises(ValueError, match="operator value must be finite"):
+            problem.value(ctrl.eta)
+        with pytest.raises(ValueError, match="operator value must be finite"):
+            fb_damped_map(problem, params, ctrl.eta)
+
+
 def test_membership_precondition():
     problem = VIProblem(affine(np.eye(1)), UNIT, I1)
     params = FBParams(alpha=0.5, damping=0.5)
