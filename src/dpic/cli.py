@@ -109,11 +109,12 @@ def _write_trajectory(path: Path, record) -> None:
     cols = np.column_stack([record.k, record.t, *blocks.values(),
                             record.constraint_margin, record.vi_residual])
     # "%.17g" spells every double as format(v, _FLOAT_FMT) does; k is exact.
-    # Rows convert one at a time, so no list of the whole table is held.
+    # Blocks of 256 rows take one % each, so no list of the whole table is held.
     line = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\r\n"
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(line % tuple(row.tolist()) for row in cols)
+        for block in np.array_split(cols, range(256, len(cols), 256)):
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def cmd_simulate(args) -> int:

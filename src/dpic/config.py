@@ -209,7 +209,8 @@ def _build_schedule(spec, key: str, n_w: int) -> list[tuple[int, np.ndarray]]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(f"{key}[{i}]", "expected a [start_step, w] pair")
         start = _as_int(entry[0], f"{key}[{i}][0]", minimum=0)
-        w = _as_vector(entry[1], f"{key}[{i}][1]")
+        # a plant without a disturbance reads [], which _as_vector rejects
+        w = np.zeros(0) if n_w == 0 and entry[1] == [] else _as_vector(entry[1], f"{key}[{i}][1]")
         if w.shape != (n_w,):
             raise ConfigError(key, f"disturbance at step {start} must have dimension {n_w}")
         schedule.append((start, w))

@@ -54,16 +54,15 @@ def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
                              damping: np.ndarray) -> np.ndarray:
     """Next integrator states of G loops that share Gamma and the metric.
 
-    eta and e are (G, p); alpha = T_s / T_i and damping are (G,).  All rows
-    are tested against Gamma at once, and only the rows whose forward step
-    left Gamma are projected, one at a time.
+    eta and e are (G, p); alpha = T_s / T_i and damping are (G, 1) columns,
+    built once per run.  All rows are tested against Gamma at once, and only
+    the rows whose forward step left Gamma are projected, one at a time.
     """
-    target = eta - alpha[:, None] * e  # the forward step
-    if not (inside := _contains_rows(gamma, target)).all():
+    target = eta - alpha * e  # the forward step
+    if not all(inside := _contains_rows(gamma, target)):
         for i in (~inside).nonzero()[0]:
             target[i] = gamma.project(metric, target[i]).point
-    d = damping[:, None]
-    return (1.0 - d) * eta + d * target
+    return (1.0 - damping) * eta + damping * target
 
 
 class DPIController:
@@ -113,7 +112,7 @@ class DPIController:
         u = self.gain @ self.eta
         self.eta = _damped_projected_update(
             self.gamma, self.metric, self.eta[None], e[None],
-            np.array([self.alpha]), np.array([self.damping]))[0]
+            np.array([[self.alpha]]), np.array([[self.damping]]))[0]
         return u
 
 

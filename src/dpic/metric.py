@@ -47,7 +47,6 @@ class Metric:
         self.dim = int(P.shape[0])
         self._chol = chol  # lower triangular, P = chol @ chol.T
         self.is_diagonal = bool(np.all(P == np.diag(np.diag(P))))
-        self.is_identity = self.is_diagonal and bool(np.all(np.diag(P) == 1.0))
 
     @classmethod
     def identity(cls, dim: int) -> "Metric":

@@ -97,23 +97,22 @@ def _points(x, dim: int) -> np.ndarray:
     return x
 
 
-def _read_only(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    A.flags.writeable = False
-    b.flags.writeable = False
-    return A, b
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _contains_rows(set_: "ConvexSet", x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Membership of every row of a (G, dim) array.
+def _contains_rows(set_: "ConvexSet", x: np.ndarray) -> np.ndarray:
+    """Membership, to within MEMBERSHIP_TOL, of every row of a (G, dim) array.
 
     One test against the set's halfspace rows when it is polyhedral, else
     the set's own membership test; _apply rounds each row as if it were alone.
     """
     rows = set_.halfspace_rows()
     if rows is None:
-        return set_._membership(x, tol)[0]
-    A, b = rows
-    return (_apply(A, x) <= b + tol).all(axis=-1)
+        return set_._membership(x, MEMBERSHIP_TOL)[0]
+    return (_apply(rows[0], x) <= set_._upper).all(axis=-1)
 
 
 class ConvexSet:
@@ -253,6 +252,10 @@ class ConvexSet:
         Built once; the arrays are read-only.
         """
         return self._rows
+
+    @cached_property
+    def _upper(self) -> np.ndarray:  # b + MEMBERSHIP_TOL, read-only, for _contains_rows
+        return _read_only(self._rows[1] + MEMBERSHIP_TOL)[0]
 
     def _row_factors(self, metric: Metric):
         """What _project_rows needs of the halfspace rows under metric alone.
@@ -585,7 +588,7 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
     """
     A, b = set_.halfspace_rows()
     h = A @ x - b  # has the sign of A x - b, as a float difference does
-    if A.shape[0] == 0 or (h <= 0.0).all():
+    if all(h <= 0.0):  # True with no rows
         return ProjectionResult(x.copy())
     neg_whitened, Pinv_AT, gram, unit_A, unit_b, unit_abs_b, target = set_._row_factors(metric)
     x_norm = math.sqrt(x.dot(x)) or math.ulp(0.0)  # never 0, so no row reads 0 / 0

@@ -13,10 +13,11 @@ One loop serves both entry points: it advances G closed loops that share
 the plant, Gamma and the disturbance schedule in lockstep, one row each.
 simulate is its batch of one and gain_sweep its batch of one row per grid
 point.  Row by row the arithmetic is that of a batch of one, so a sweep row
-equals the solo run of its grid point bit for bit.  The loop advances only
-what feeds back; the constraint margin, the residual and the check that u
-stayed in C come from each row's record after the loop.  A row whose step
-maps (x, eta) to itself bit for bit has settled: every later step of its
+equals the solo run of its grid point bit for bit.  The loop stores only
+the state (x, eta); u, e, the constraint margin, the residual and the check
+that u stayed in C come from each row's record after the loop, where _apply
+and the plants round each row as if it were alone.  A row whose step maps
+(x, eta) to itself bit for bit has settled: every later step of its
 disturbance segment repeats that step, so the loop copies it there and the
 row leaves the batch until the next segment starts.
 """
@@ -171,24 +172,22 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     step; one that raises is retried row by row, and a row that fails alone
     stops while the others run on.  A row that settles (its step left x and
     eta unchanged, bit for bit) takes copies of that step up to the end of
-    the segment and rejoins at the next segment start.  Each row's margin,
-    residual and u-in-C check then come from its record; a row whose u left
-    C fails at the first such step, whatever it raised later.  Returns a
-    SimRecord (without segments) or a SimulationError per row.
+    the segment and rejoins at the next segment start.  Each row's u, e,
+    margin, residual and u-in-C check then come from its record of (x, eta),
+    read only up to a failure; a row whose u left C fails at the first such
+    step, whatever it raised later.  Returns a SimRecord (without segments)
+    or a SimulationError per row.
     """
     plant, base = scenario.plant, scenario.controller
     if not base.gamma.contains(base.eta, MEMBERSHIP_TOL):
         raise ValueError("controller state eta is not a member of Gamma")
-    # copies: the rows' parameters move with their rows
-    alpha, damping = np.array(alpha, dtype=float), np.array(damping, dtype=float)
-    G, H = len(alpha), scenario.horizon
-    m, p = base.gain.shape
+    # (G, 1) column copies, built once: the rows' parameters move with their rows
+    alpha, damping = (np.array(v, dtype=float)[:, None] for v in (alpha, damping))
+    G, H, K = len(alpha), scenario.horizon, base.gain
     W = _w_steps(scenario)
     # step k reads row k of the state and writes row k + 1
     xs = np.empty((G, H + 1, plant.n))
-    etas = np.empty((G, H + 1, p))
-    us = np.empty((G, H, m))
-    es = np.empty((G, H, p))
+    etas = np.empty((G, H + 1, K.shape[1]))
     xs[:, 0] = scenario.x0
     etas[:, 0] = base.eta
 
@@ -197,19 +196,17 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
         every row succeeds.  Returns the positions, counted from the slice
         start, of the rows it left where they were, bit for bit."""
         x_k, eta_k, w = xs[rows, k], etas[rows, k], W[k]
-        u = _apply(base.gain, eta_k)
+        u = _apply(K, eta_k)
         e = plant.output(x_k, u, w)
         # a non-finite state shows in e or in plant.step
-        if not np.isfinite(e).all():
+        if not all(np.isfinite(e).flat):
             raise NumericalError("state or error is not finite")
         eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
                                             alpha[rows], damping[rows])
-        x_next = plant.step(x_k, u, w)
-        us[rows, k], es[rows, k] = u, e
-        xs[rows, k + 1], etas[rows, k + 1] = x_next, eta_next
+        xs[rows, k + 1], etas[rows, k + 1] = plant.step(x_k, u, w), eta_next
         # bit patterns tell -0.0 from +0.0; eta rarely repeats, so it goes first
         same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
-        if not same.any():
+        if not any(same):
             return []
         same &= (xs[rows, k + 1].view(np.int64) == x_k.view(np.int64)).all(axis=-1)
         return np.flatnonzero(same).tolist()
@@ -222,7 +219,7 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     def swap(i: int, j: int) -> None:
         """Exchange the rows at positions i and j, records included."""
         if i != j:
-            for a in (xs, etas, us, es, alpha, damping, order):
+            for a in (xs, etas, alpha, damping, order):
                 a[[i, j]] = a[[j, i]]
 
     failed: dict[int, tuple[int, SimulationError]] = {}  # row: (its step, failure)
@@ -256,7 +253,6 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
                 # warm-started projection must keep it so).  w holds to the
                 # segment end, so up to there a settled row repeats step k.
                 for i in reversed(settled):  # from the last position down, as above
-                    us[i, k + 1:end], es[i, k + 1:end] = us[i, k], es[i, k]
                     xs[i, k + 2:end + 1], etas[i, k + 2:end + 1] = xs[i, k + 1], etas[i, k + 1]
                     n_live -= 1
                     swap(i, n_live)
@@ -266,7 +262,8 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     def outcome(g: int) -> SimRecord | SimulationError:
         steps, failure = failed.get(g, (H, None))
         i = position[g]
-        member, margin = base.constraint._membership(us[i, :steps], MEMBERSHIP_TOL)
+        u = _apply(K, etas[i, :steps])
+        member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
         if not member.all():
             return ConstraintViolationError(
                 f"step {np.argmin(member)}: projected controller emitted u outside C")
@@ -275,8 +272,8 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
         # eta_{k+1} - eta_k = damping * (Proj(eta_k - alpha e_k) - eta_k), so the
         # natural residual is the increment over damping, with no second projection
         residual = base.metric.norm(np.diff(etas[i], axis=0)) / damping[i]
-        return SimRecord(plant.T_s, np.arange(H), xs[i, :H], us[i], es[i],
-                         etas[i, :H], margin, residual)
+        return SimRecord(plant.T_s, np.arange(H), xs[i, :H], u,
+                         plant.output(xs[i, :H], u, W), etas[i, :H], margin, residual)
 
     return [outcome(g) for g in range(G)]
 

@@ -137,8 +137,8 @@ def _check_member(problem: VIProblem, eta) -> np.ndarray:
 def _update(problem: VIProblem, alpha: float, damping: float, eta: np.ndarray) -> np.ndarray:
     """The damped projected update of a member eta, as a batch of one."""
     return _damped_projected_update(problem.constraint, problem.metric, eta[None],
-                                    problem.value(eta)[None], np.array([alpha]),
-                                    np.array([damping]))[0]
+                                    problem.value(eta)[None], np.array([[alpha]]),
+                                    np.array([[damping]]))[0]
 
 
 def fb_map(problem: VIProblem, params: FBParams, eta) -> np.ndarray:

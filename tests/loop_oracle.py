@@ -5,7 +5,9 @@ input u = K eta, the error e, the u-in-C guard and the constraint margin
 from one membership call, the damped projected update, the natural residual
 from the state increment, and the plant step.  dpic.simulation._lockstep
 computes the margin, the residual and the guard from the record after the
-loop instead; its records must equal this one's bit for bit.
+loop instead; its records must equal this one's bit for bit.  A failing
+batched step is retried row by row; a caller may collect those retries,
+so that a shape error in the batched update cannot hide behind them.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from dpic.simulation import (
 )
 
 
-def oracle_lockstep(scenario, alpha, damping) -> list[SimRecord | SimulationError]:
+def oracle_lockstep(scenario, alpha, damping,
+                    retries: list | None = None) -> list[SimRecord | SimulationError]:
     """The scenario once per (alpha, damping) row, with the checks inside
-    each step; every row starts from the scenario's controller state."""
+    each step; every row starts from the scenario's controller state.  Each
+    step whose batch is retried row by row appends (step, exception) to
+    retries, if given."""
     plant, base = scenario.plant, scenario.controller
-    alpha, damping = np.array(alpha, dtype=float), np.array(damping, dtype=float)
+    alpha, damping = (np.array(v, dtype=float)[:, None] for v in (alpha, damping))
     G, H = len(alpha), scenario.horizon
     m, p = base.gain.shape
     xs = np.empty((G, H, plant.n))
@@ -53,7 +58,7 @@ def oracle_lockstep(scenario, alpha, damping) -> list[SimRecord | SimulationErro
                 f"step {k}: projected controller emitted u outside C")
         eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
                                             alpha[rows], damping[rows])
-        residual = base.metric.norm(eta_next - eta_k) / damping[rows]
+        residual = base.metric.norm(eta_next - eta_k) / damping[rows, 0]
         x_next = plant.step(x_k, u, w)
         xs[rows, k], us[rows, k], es[rows, k], etas[rows, k] = x_k, u, e, eta_k
         margins[rows, k], residuals[rows, k] = margin, residual
@@ -68,6 +73,8 @@ def oracle_lockstep(scenario, alpha, damping) -> list[SimRecord | SimulationErro
             if len(live) == 1:
                 failures[live[0]] = _step_failure(k, exc)
             else:
+                if retries is not None:
+                    retries.append((k, exc))
                 for g in live:
                     try:
                         advance(k, [g])

@@ -433,6 +433,27 @@ def test_an_lti_sweep_estimates_without_a_box(tmp_path):
     assert summary["certificates"] == {"mu": 1.0, "L": 1.0, "source": "exact"}
 
 
+def test_an_lti_plant_without_a_disturbance_runs_from_a_config(tmp_path, capsys):
+    # without B_w and D_w the plant has n_w = 0, and a schedule entry reads [k, []]
+    cfg = preset_config("lti-demo")
+    del cfg["plant"]["B_w"], cfg["plant"]["D_w"]
+    cfg["scenario"].update({"x0": [0.5], "schedule": [[0, []], [200, []]]})
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
+                         "schedule": [[0, []]]})
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == EXIT_OK
+    summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+    assert [seg["w"] for seg in summary["segments"]] == [[], []]
+    assert summary["converged"]
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    assert main(["certify", "--config", path]) == EXIT_OK
+    capsys.readouterr()
+    cfg["scenario"]["schedule"][1][1] = [1.0]
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    assert "disturbance at step 200 must have dimension 0" in capsys.readouterr().err
+
+
 def test_a_four_tank_sweep_estimate_needs_a_box(tmp_path, capsys):
     cfg = preset_config("four-tank")
     del cfg["sweep"]["box"]

@@ -198,7 +198,7 @@ def test_batched_update_equals_per_row_steps():
     E = np.array([[0.5, -0.2], [-20.0, -20.0], [3.0, 0.0]])  # row 1 leaves Gamma
     batched = _damped_projected_update(
         rows[0].gamma, I2, np.array([c.eta for c in rows]), E,
-        np.array([c.alpha for c in rows]), np.array([c.damping for c in rows]))
+        np.array([[c.alpha] for c in rows]), np.array([[c.damping] for c in rows]))
     assert not rows[1].gamma.contains(rows[1].eta - rows[1].alpha * E[1])
     for c, e in zip(rows, E):
         c.step(e)

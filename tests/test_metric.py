@@ -101,7 +101,7 @@ def test_dimension_mismatch():
 
 
 def test_flags():
-    assert Metric.identity(2).is_identity
+    assert Metric.identity(2).is_diagonal
     assert Metric([[2.0, 0.0], [0.0, 1.0]]).is_diagonal
     assert not Metric([[2.0, 0.5], [0.5, 1.0]]).is_diagonal
 

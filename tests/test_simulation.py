@@ -636,7 +636,10 @@ def test_four_tank_sweep_rows_equal_the_per_step_loop(monkeypatch):
     # (30, 0.1) never settle
     alpha = [s.controller.T_s / T_i for T_i in spec["T_i"] for _ in spec["lambda"]]
     damping = [damping for _ in spec["T_i"] for damping in spec["lambda"]]
-    references = oracle_lockstep(s, alpha, damping)
+    retries = []
+    references = oracle_lockstep(s, alpha, damping, retries)
+    # no row fails, so every oracle step runs as one batch
+    assert retries == []
     steps = _count_row_steps(monkeypatch, s.plant)
     rows = _lockstep(s, alpha, damping)
     assert steps[0] < len(alpha) * s.horizon / 2
