@@ -38,7 +38,6 @@ from .simulation import (
     simulate,
 )
 from .vi import (
-    FBParams,
     VIProblem,
     VISolution,
     contraction_constants,

@@ -34,7 +34,7 @@ from .simulation import (
     gain_sweep,
     simulate,
 )
-from .vi import FBParams, contraction_constants, exact_mu_L, low_gain_threshold, step_window
+from .vi import contraction_constants, exact_mu_L, low_gain_threshold, step_window
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -231,10 +231,10 @@ def cmd_certify(args) -> int:
     print("source: exact, from the plant's Jacobian")
     ok = mu > 0.0
     if ok:
-        params = FBParams.certified(mu, L)
-        c_fb, _ = contraction_constants(params)
+        alpha = mu / L ** 2  # the window's midpoint, where c_fb is least
+        c_fb, _ = contraction_constants(alpha, 0.5, mu, L)
         print(f"step window (0, {step_window(mu, L):.6g}); "
-              f"c_fb at alpha={params.alpha:.6g}: {c_fb:.6g}")
+              f"c_fb at alpha={alpha:.6g}: {c_fb:.6g}")
         print(f"T_i_star = {low_gain_threshold(plant.T_s, mu, L):.6g} s "
               f"(T_s = {plant.T_s:g} s, controller T_i = {ctrl.T_i:g} s)")
     else:

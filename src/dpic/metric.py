@@ -17,6 +17,13 @@ def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (M @ x[..., None])[..., 0]
 
 
+def _vec(x, dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"expected vector of dimension {dim}, got shape {x.shape}")
+    return x
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of x, each rounded exactly as np.linalg.norm(row)."""
     return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
@@ -52,14 +59,8 @@ class Metric:
     def identity(cls, dim: int) -> "Metric":
         return cls(np.eye(int(dim)))
 
-    def _vec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of dimension {self.dim}, got shape {x.shape}")
-        return x
-
     def inner(self, x, y) -> float:
-        return float(self._vec(x) @ self.P @ self._vec(y))
+        return float(_vec(x, self.dim) @ self.P @ _vec(y, self.dim))
 
     def norm(self, x):
         """|x|_P; for a (..., dim) array, the array of its row norms."""

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric import Metric, _apply, _row_norms
+from .metric import Metric, _apply, _row_norms, _vec
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -80,13 +80,6 @@ class ProjectionResult:
     point: np.ndarray
     iterations: int = 0
     residual: float = 0.0
-
-
-def _vec(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"expected vector of dimension {dim}, got shape {x.shape}")
-    return x
 
 
 def _points(x, dim: int) -> np.ndarray:
@@ -291,6 +284,8 @@ class Box(ConvexSet):
             raise ValueError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("box is empty: a lower bound exceeds its upper bound")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("box is empty: a lower bound of +inf or an upper bound of -inf")
         self.lower = lower
         self.upper = upper
         self.dim = int(lower.size)
@@ -333,6 +328,8 @@ class Halfspace(ConvexSet):
         self.a = a
         self._norms = np.array([norm])
         self.b = float(offset)
+        if not math.isfinite(self.b):
+            raise ValueError("halfspace offset must be finite")
         self.dim = int(a.size)
 
     @cached_property

@@ -68,7 +68,8 @@ class Scenario:
     """Plant, projected controller and a piecewise-constant disturbance schedule.
 
     schedule is a list of (start_step, w) pairs with strictly increasing
-    start steps, the first at step 0.
+    start steps, the first at step 0; each w holds from its start step up
+    to the next entry's, or to the horizon (segment_bounds()).
     """
 
     plant: PlantModel
@@ -95,14 +96,6 @@ class Scenario:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.plant.n,):
             raise ValueError("x0 does not match the plant state dimension")
-
-    def w_at(self, k: int) -> np.ndarray:
-        w = self.schedule[0][1]
-        for start, value in self.schedule:
-            if start > k:
-                break
-            w = value
-        return w
 
     def segment_bounds(self) -> list[tuple[int, int]]:
         """Half-open [start, end) step ranges, one per schedule entry."""
@@ -285,11 +278,11 @@ def simulate(scenario: Scenario) -> SimRecord:
     record = _lockstep(scenario, [ctrl.alpha], [ctrl.damping])[0]
     if isinstance(record, SimulationError):
         raise record
-    for start, end in scenario.segment_bounds():
+    for (start, end), (_, w) in zip(scenario.segment_bounds(), scenario.schedule):
         last = end - 1
         nc = normal_cone_residual(ctrl.gamma, ctrl.metric, record.eta[last], -record.e[last])
         record.segments.append(SegmentSummary(
-            start, end, scenario.w_at(start),
+            start, end, w,
             tracking_error=float(np.linalg.norm(record.e[last])),
             vi_residual=float(record.vi_residual[last]),
             normal_cone_residual=float(nc)))

@@ -8,10 +8,10 @@ for every v in Gamma.  The damped forward-backward map
 has the VI solutions as fixed points for any alpha > 0, and is a contraction
 with factor 1 - damping * (1 - c_fb), c_fb = sqrt(1 - 2 alpha mu + alpha^2 L^2),
 when F is mu-strongly monotone and L-Lipschitz in the P-metric and
-alpha < 2 mu / L^2.  exact_mu_L derives that pair from the operator's
-Jacobian; estimate_mu_L samples it.  The maps run the loop's own update on a
-batch of one, so a forward step within MEMBERSHIP_TOL of Gamma is kept, not
-projected, as in the loop.
+alpha < 2 mu / L^2, the window contraction_constants checks.  exact_mu_L
+derives that pair from the operator's Jacobian; estimate_mu_L samples it.
+The maps run the loop's own update on a batch of one, so a forward step
+within MEMBERSHIP_TOL of Gamma is kept, not projected, as in the loop.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .sets import MEMBERSHIP_TOL, Box, ConvexSet, sample_points
 
 __all__ = [
     "VIProblem",
-    "FBParams",
     "VISolution",
     "fb_map",
     "fb_damped_map",
@@ -75,56 +74,33 @@ def low_gain_threshold(T_s: float, mu: float, L: float) -> float:
     return T_s * L ** 2 / (2.0 * mu)
 
 
-@dataclass(frozen=True)
-class FBParams:
-    """Step size, damping and optional monotonicity/Lipschitz certificates.
-
-    When both mu and L are supplied the step size must lie in the certified
-    window (0, 2 mu / L^2).  damping = 1 recovers the undamped map; the
-    damped contraction bound 1 - damping (1 - c_fb) then collapses to c_fb.
-    """
-
-    alpha: float
-    damping: float
-    mu: float | None = None
-    L: float | None = None
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and np.isfinite(self.alpha)):
-            raise ValueError("step size alpha must be positive and finite")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if (self.mu is None) != (self.L is None):
-            raise ValueError("supply both certificates mu and L, or neither")
-        if self.mu is not None:
-            if not 0.0 < self.mu <= self.L * (1.0 + 1e-12):
-                raise ValueError("certificates must satisfy 0 < mu <= L")
-            window = step_window(self.mu, self.L)
-            if self.alpha >= window:
-                raise ValueError(
-                    f"alpha={self.alpha:g} outside the certified window (0, {window:g})")
-
-    @classmethod
-    def certified(cls, mu: float, L: float, damping: float = 0.5) -> "FBParams":
-        """Parameters at the contraction-optimal step alpha = mu / L^2."""
-        return cls(alpha=mu / L ** 2, damping=damping, mu=mu, L=L)
-
-
-def contraction_constants(params: FBParams) -> tuple[float, float]:
-    """(c_fb, c_dfb) certified by the (mu, L) pair carried in params."""
-    if params.mu is None:
-        raise ValueError("contraction constants need the certificates mu and L")
+def contraction_constants(alpha: float, damping: float, mu: float,
+                          L: float) -> tuple[float, float]:
+    """(c_fb, c_dfb = 1 - damping (1 - c_fb)) at a step alpha in the window
+    (0, 2 mu / L^2) of the certificates 0 < mu <= L; damping 1 gives c_dfb = c_fb."""
+    _check_step(alpha, damping)
+    if not 0.0 < mu <= L * (1.0 + 1e-12):
+        raise ValueError("certificates must satisfy 0 < mu <= L")
+    window = step_window(mu, L)
+    if alpha >= window:
+        raise ValueError(f"alpha={alpha:g} outside the certified window (0, {window:g})")
     # the radicand is >= (1 - alpha mu)^2 >= 0, and zero at the optimal step
     # when mu = L.  Its terms are O(1), so its rounding error is a few ulp of
     # the largest one; a radicand inside that error counts as zero, since its
     # square root would turn rounding noise into a c_fb of order 1e-8
-    terms = (1.0, 2.0 * params.alpha * params.mu, params.alpha ** 2 * params.L ** 2)
+    terms = (1.0, 2.0 * alpha * mu, alpha ** 2 * L ** 2)
     radicand = terms[0] - terms[1] + terms[2]
     if radicand <= 4.0 * np.finfo(float).eps * max(terms):
         radicand = 0.0
     c_fb = float(np.sqrt(radicand))
-    c_dfb = 1.0 - params.damping * (1.0 - c_fb)
-    return c_fb, c_dfb
+    return c_fb, 1.0 - damping * (1.0 - c_fb)
+
+
+def _check_step(alpha: float, damping: float) -> None:
+    if not (alpha > 0.0 and np.isfinite(alpha)):
+        raise ValueError("step size alpha must be positive and finite")
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
 
 
 def _check_member(problem: VIProblem, eta) -> np.ndarray:
@@ -136,25 +112,26 @@ def _check_member(problem: VIProblem, eta) -> np.ndarray:
 
 def _update(problem: VIProblem, alpha: float, damping: float, eta: np.ndarray) -> np.ndarray:
     """The damped projected update of a member eta, as a batch of one."""
+    _check_step(alpha, damping)
     return _damped_projected_update(problem.constraint, problem.metric, eta[None],
                                     problem.value(eta)[None], np.array([[alpha]]),
                                     np.array([[damping]]))[0]
 
 
-def fb_map(problem: VIProblem, params: FBParams, eta) -> np.ndarray:
+def fb_map(problem: VIProblem, alpha: float, eta) -> np.ndarray:
     """Projected forward step Proj(eta - alpha F(eta)): the update at damping 1."""
-    return _update(problem, params.alpha, 1.0, _check_member(problem, eta))
+    return _update(problem, alpha, 1.0, _check_member(problem, eta))
 
 
-def fb_damped_map(problem: VIProblem, params: FBParams, eta) -> np.ndarray:
+def fb_damped_map(problem: VIProblem, alpha: float, damping: float, eta) -> np.ndarray:
     """(1 - damping) eta + damping Proj(eta - alpha F(eta))."""
-    return _update(problem, params.alpha, params.damping, _check_member(problem, eta))
+    return _update(problem, alpha, damping, _check_member(problem, eta))
 
 
-def natural_residual(problem: VIProblem, params: FBParams, eta) -> float:
+def natural_residual(problem: VIProblem, alpha: float, eta) -> float:
     """Distance (in the metric) from eta to its projected forward step."""
     eta = np.asarray(eta, dtype=float)
-    return problem.metric.norm(eta - fb_map(problem, params, eta))
+    return problem.metric.norm(eta - fb_map(problem, alpha, eta))
 
 
 @dataclass
@@ -165,7 +142,7 @@ class VISolution:
     converged: bool = False
 
 
-def solve_vi(problem: VIProblem, params: FBParams, eta0, tol: float = 1e-10,
+def solve_vi(problem: VIProblem, alpha: float, damping: float, eta0, tol: float = 1e-10,
              max_iter: int = 100_000) -> VISolution:
     """Damped forward-backward iteration from eta0 until the natural
     residual drops below tol.  Returns the best iterate seen, flagged
@@ -174,9 +151,9 @@ def solve_vi(problem: VIProblem, params: FBParams, eta0, tol: float = 1e-10,
     residuals = []
     best_eta, best_res = eta, np.inf
     for it in range(1, max_iter + 1):
-        eta_next = _update(problem, params.alpha, params.damping, eta)
+        eta_next = _update(problem, alpha, damping, eta)
         # the increment is damping times eta's step to Proj(eta - alpha F(eta))
-        res = problem.metric.norm(eta_next - eta) / params.damping
+        res = problem.metric.norm(eta_next - eta) / damping
         residuals.append(res)
         if res < best_res:
             best_eta, best_res = eta, res

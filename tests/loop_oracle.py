@@ -47,7 +47,9 @@ def oracle_lockstep(scenario, alpha, damping,
     eta = np.tile(base.eta, (G, 1))
 
     def advance(k, rows):
-        x_k, eta_k, w = x[rows], eta[rows], scenario.w_at(k)
+        # the w of the last schedule entry that has started by step k
+        w = [v for start, v in scenario.schedule if start <= k][-1]
+        x_k, eta_k = x[rows], eta[rows]
         u = _apply(base.gain, eta_k)
         e = plant.output(x_k, u, w)
         if not np.isfinite(e).all():

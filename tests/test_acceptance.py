@@ -15,7 +15,6 @@ from dpic import (
     Box,
     ClassicalIntegralController,
     DPIController,
-    FBParams,
     Intersection,
     LTIPlant,
     Metric,
@@ -138,13 +137,13 @@ def test_forward_backward_contraction_bounds():
         mu = float(np.linalg.eigvalsh(S).min())
         L = float(np.linalg.norm(M, 2))
         damping = float(rng.uniform(0.05, 0.95))
-        params = FBParams.certified(mu, L, damping)
-        c_fb, c_dfb = contraction_constants(params)
+        alpha = mu / L ** 2
+        c_fb, c_dfb = contraction_constants(alpha, damping, mu, L)
 
         X = rng.uniform(-2.0, 2.0, size=(pairs, dim))
         Y = rng.uniform(-2.0, 2.0, size=(pairs, dim))
-        PhiX = np.clip(X - params.alpha * (X @ M.T + q), -2.0, 2.0)
-        PhiY = np.clip(Y - params.alpha * (Y @ M.T + q), -2.0, 2.0)
+        PhiX = np.clip(X - alpha * (X @ M.T + q), -2.0, 2.0)
+        PhiY = np.clip(Y - alpha * (Y @ M.T + q), -2.0, 2.0)
         dist = np.linalg.norm(X - Y, axis=1)
         keep = dist > 1e-9
         ratio = np.linalg.norm(PhiX - PhiY, axis=1)[keep] / dist[keep]
@@ -158,8 +157,8 @@ def test_forward_backward_contraction_bounds():
                             Box(-2.0 * np.ones(dim), 2.0 * np.ones(dim)),
                             Metric.identity(dim))
         for i in rng.integers(0, pairs, size=5):
-            assert np.allclose(fb_map(problem, params, X[i]), PhiX[i], atol=1e-12)
-            assert np.allclose(fb_damped_map(problem, params, X[i]),
+            assert np.allclose(fb_map(problem, alpha, X[i]), PhiX[i], atol=1e-12)
+            assert np.allclose(fb_damped_map(problem, alpha, damping, X[i]),
                                (1.0 - damping) * X[i] + damping * PhiX[i],
                                atol=1e-12)
     elapsed = time.perf_counter() - t0

@@ -315,6 +315,17 @@ def test_an_empty_constraint_exits_2(tmp_path, capsys, members):
     assert err.startswith("config error: constraint:"), err
 
 
+@pytest.mark.parametrize("bound", ["inf", "-inf"])
+def test_a_box_with_an_infinite_empty_side_exits_2(tmp_path, capsys, bound):
+    # lower <= upper holds, but the box is empty; it must not run unconstrained
+    cfg = preset_config("lti-demo")
+    cfg["constraint"] = {"type": "box", "lower": [bound], "upper": [bound]}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: constraint:") and "box is empty" in err, err
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -473,6 +484,16 @@ def test_certify_lti_demo(capsys):
     assert "mu = 1\nL = 1\nsource: exact, from the plant's Jacobian\n" in out
     assert "T_i_star = 0.5" in out
     assert "static loop gain test: ok" in out
+
+
+def test_certify_four_tank_output(capsys):
+    assert main(["certify", "--preset", "four-tank"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "mu = 0.101937\n"
+        "L = 0.188583\n"
+        "source: exact, from the plant's Jacobian\n"
+        "step window (0, 5.73265); c_fb at alpha=2.86633: 0.841318\n"
+        "T_i_star = 1.74439 s (T_s = 10 s, controller T_i = 15 s)\n")
 
 
 def test_certify_reports_exact_zero_contraction(capsys):

@@ -316,7 +316,7 @@ def test_degenerate_split_ratios_rejected():
     (FourTankPlant, {"split_ratios": (0.7, np.nan)}),
     (FourTankPlant, {"nominal_levels": (10.0, 10.0, np.nan, 5.38)}),
     (FourTankPlant, {"outlet_areas": (0.07, 0.07, np.nan, 0.07)}),
-    # 2 g h overflows: the calibrated outlet areas are 0 and the drift NaN
+    # 2 g h overflows: the calibrated outlet areas are 0, not positive
     (FourTankPlant, {"nominal_levels": (1e308,) * 4}),
     (LTIPlant, {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "T_s": np.nan}),
     (LTIPlant, {"A": [[np.nan]], "B": [[1.0]], "C": [[1.0]]}),

@@ -462,6 +462,26 @@ def test_empty_box_rejected():
         Box([1.0], [0.0])
 
 
+@pytest.mark.parametrize("lower, upper", [
+    ([np.inf], [np.inf]),
+    ([-np.inf], [-np.inf]),
+    ([0.0, np.inf], [1.0, np.inf]),
+])
+def test_a_box_with_an_infinite_empty_side_is_rejected(lower, upper):
+    # lower <= upper holds, but no finite row is left: membership would
+    # admit every point while the diagonal clamp sends points to +-inf
+    with pytest.raises(ValueError, match="box is empty"):
+        Box(lower, upper)
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_halfspace_offset_is_rejected(offset):
+    # a NaN offset puts every point outside, -inf is the empty set and +inf
+    # the whole space; Polyhedron rejects the same row
+    with pytest.raises(ValueError, match="halfspace offset must be finite"):
+        Halfspace([1.0, 0.0], offset)
+
+
 def test_nan_bounds_rejected():
     with pytest.raises(ValueError):
         Box([np.nan], [1.0])

@@ -24,7 +24,7 @@ from dpic import (
     simulate,
 )
 from dpic.sets import MEMBERSHIP_TOL
-from dpic.simulation import _lockstep
+from dpic.simulation import _lockstep, _w_steps
 from rate_oracle import linearized_loop_radius
 
 I1 = Metric.identity(1)
@@ -163,10 +163,12 @@ def test_segment_bookkeeping():
 def test_w_held_between_changes():
     s = scalar_scenario(horizon=10, schedule=[(0, np.array([0.5])),
                                               (4, np.array([0.7]))])
-    assert s.w_at(0)[0] == 0.5
-    assert s.w_at(3)[0] == 0.5
-    assert s.w_at(4)[0] == 0.7
-    assert s.w_at(9)[0] == 0.7
+    W = _w_steps(s)
+    assert W.shape == (10, 1)
+    assert W[0, 0] == 0.5
+    assert W[3, 0] == 0.5
+    assert W[4, 0] == 0.7
+    assert W[9, 0] == 0.7
 
 
 # ---------------------------------------------------------------------------

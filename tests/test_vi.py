@@ -4,7 +4,6 @@ import pytest
 from dpic import (
     Box,
     LTIPlant,
-    FBParams,
     FourTankPlant,
     Halfspace,
     Intersection,
@@ -45,53 +44,52 @@ def affine(M, c=None):
 # parameter validation
 
 def test_params_reject_bad_alpha():
+    problem = VIProblem(affine(np.eye(1)), FREE, I1)
+    for alpha in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            fb_map(problem, alpha, np.array([0.5]))
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            solve_vi(problem, alpha, 0.5, np.array([0.5]))
     with pytest.raises(ValueError):
-        FBParams(alpha=0.0, damping=0.5)
+        contraction_constants(0.0, 0.5, 1.0, 2.0)
     with pytest.raises(ValueError):
-        FBParams(alpha=-1.0, damping=0.5)
+        contraction_constants(-1.0, 0.5, 1.0, 2.0)
 
 
 def test_params_reject_bad_damping():
+    problem = VIProblem(affine(np.eye(1)), FREE, I1)
     for lam in (0.0, -0.1, 1.0001):
+        with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\]"):
+            fb_damped_map(problem, 0.25, lam, np.array([0.5]))
+        with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\]"):
+            solve_vi(problem, 0.25, lam, np.array([0.5]))
         with pytest.raises(ValueError):
-            FBParams(alpha=1.0, damping=lam)
-
-
-def test_params_require_both_certificates():
-    with pytest.raises(ValueError):
-        FBParams(alpha=1.0, damping=0.5, mu=1.0)
+            contraction_constants(0.25, lam, 1.0, 2.0)
 
 
 def test_params_reject_mu_above_L():
     with pytest.raises(ValueError):
-        FBParams(alpha=0.1, damping=0.5, mu=2.0, L=1.0)
+        contraction_constants(0.1, 0.5, 2.0, 1.0)
 
 
 def test_params_enforce_step_window():
     # window is (0, 2 mu / L^2) = (0, 0.5)
-    FBParams(alpha=0.499, damping=0.5, mu=1.0, L=2.0)
+    contraction_constants(0.499, 0.5, 1.0, 2.0)
     with pytest.raises(ValueError):
-        FBParams(alpha=0.5, damping=0.5, mu=1.0, L=2.0)
-
-
-def test_certified_uses_window_minimizer():
-    p = FBParams.certified(mu=1.0, L=2.0)
-    assert p.alpha == pytest.approx(0.25)
+        contraction_constants(0.5, 0.5, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
 # contraction constants
 
 def test_constants_at_optimal_step():
-    p = FBParams(alpha=1.0, damping=0.95, mu=1.0, L=1.0)
-    c_fb, c_dfb = contraction_constants(p)
+    c_fb, c_dfb = contraction_constants(1.0, 0.95, 1.0, 1.0)
     assert c_fb == pytest.approx(0.0, abs=1e-7)
     assert c_dfb == pytest.approx(0.05, abs=1e-7)
 
 
 def test_constants_quarter_step():
-    p = FBParams(alpha=0.25, damping=0.5, mu=1.0, L=2.0)
-    c_fb, _ = contraction_constants(p)
+    c_fb, _ = contraction_constants(0.25, 0.5, 1.0, 2.0)
     assert c_fb == pytest.approx(np.sqrt(0.75))
 
 
@@ -99,22 +97,16 @@ def test_constants_never_nan_when_mu_equals_L():
     # at alpha = mu / L^2 with mu = L the radicand is exactly zero in real
     # arithmetic but can round negative; the result must stay a real zero
     for s in (3.0, 7.0, 11.0, 0.3):
-        c_fb, c_dfb = contraction_constants(FBParams.certified(s, s, 0.5))
+        c_fb, c_dfb = contraction_constants(s / s ** 2, 0.5, s, s)
         assert np.isfinite(c_fb) and np.isfinite(c_dfb)
         assert c_fb == pytest.approx(0.0, abs=1e-7)
 
 
 def test_constants_approach_one_at_window_edge():
-    p = FBParams(alpha=0.5 * (1.0 - 1e-9), damping=0.5, mu=1.0, L=2.0)
-    c_fb, c_dfb = contraction_constants(p)
+    c_fb, c_dfb = contraction_constants(0.5 * (1.0 - 1e-9), 0.5, 1.0, 2.0)
     assert c_fb < 1.0
     assert c_fb > 1.0 - 1e-8
     assert 0.0 < c_dfb < 1.0
-
-
-def test_constants_require_certificates():
-    with pytest.raises(ValueError):
-        contraction_constants(FBParams(alpha=0.1, damping=0.5))
 
 
 def test_constants_in_unit_interval_over_random_params():
@@ -124,7 +116,7 @@ def test_constants_in_unit_interval_over_random_params():
         L = mu * rng.uniform(1.0, 5.0)
         alpha = rng.uniform(1e-6, 2.0 * mu / L ** 2 * (1.0 - 1e-9))
         lam = rng.uniform(1e-6, 1.0 - 1e-6)
-        c_fb, c_dfb = contraction_constants(FBParams(alpha, lam, mu=mu, L=L))
+        c_fb, c_dfb = contraction_constants(alpha, lam, mu, L)
         assert 0.0 <= c_fb < 1.0
         assert 0.0 < c_dfb < 1.0
 
@@ -134,22 +126,19 @@ def test_constants_in_unit_interval_over_random_params():
 
 def test_zero_operator_fixes_members():
     problem = VIProblem(affine(np.zeros((2, 2))), Box([0.0, 0.0], [1.0, 1.0]), I2)
-    params = FBParams(alpha=0.7, damping=0.5)
     eta = np.array([0.25, 1.0])
-    assert np.allclose(fb_map(problem, params, eta), eta, atol=1e-12)
-    assert natural_residual(problem, params, eta) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(fb_map(problem, 0.7, eta), eta, atol=1e-12)
+    assert natural_residual(problem, 0.7, eta) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unconstrained_gradient_step():
     problem = VIProblem(affine(np.eye(1)), FREE, I1)
-    params = FBParams(alpha=0.5, damping=0.5)
-    assert fb_map(problem, params, np.array([2.0]))[0] == pytest.approx(1.0)
+    assert fb_map(problem, 0.5, np.array([2.0]))[0] == pytest.approx(1.0)
 
 
 def test_clipped_step_at_upper_bound():
     problem = VIProblem(affine(np.eye(1), [-2.0]), UNIT, I1)
-    params = FBParams(alpha=1.0, damping=0.5)
-    assert fb_map(problem, params, np.array([0.5]))[0] == pytest.approx(1.0)
+    assert fb_map(problem, 1.0, np.array([0.5]))[0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("gamma", ["lti-demo", "unbounded"])
@@ -158,43 +147,38 @@ def test_a_non_finite_operator_value_is_rejected(gamma):
     # projection can blame the set or a NaN can pass an unbounded one
     ctrl = build_setup(preset_config("lti-demo")).controller
     constraint = ctrl.gamma if gamma == "lti-demo" else FREE
-    params = FBParams(alpha=0.5, damping=0.5)
     for bad in (np.nan, np.inf, -np.inf):
         problem = VIProblem(lambda eta, bad=bad: eta + bad, constraint, I1)
         with pytest.raises(ValueError, match="operator value must be finite"):
             problem.value(ctrl.eta)
         with pytest.raises(ValueError, match="operator value must be finite"):
-            fb_damped_map(problem, params, ctrl.eta)
+            fb_damped_map(problem, 0.5, 0.5, ctrl.eta)
 
 
 def test_membership_precondition():
     problem = VIProblem(affine(np.eye(1)), UNIT, I1)
-    params = FBParams(alpha=0.5, damping=0.5)
     with pytest.raises(ValueError):
-        fb_map(problem, params, np.array([2.0]))
+        fb_map(problem, 0.5, np.array([2.0]))
 
 
 def test_damped_map_midpoint():
     problem = VIProblem(affine(np.eye(1), [-2.0]), UNIT, I1)
-    params = FBParams(alpha=1.0, damping=0.5)
-    assert fb_damped_map(problem, params, np.array([0.0]))[0] == pytest.approx(0.5)
+    assert fb_damped_map(problem, 1.0, 0.5, np.array([0.0]))[0] == pytest.approx(0.5)
 
 
 def test_damped_map_at_full_damping_equals_fb():
     problem = VIProblem(affine(np.eye(1), [-2.0]), UNIT, I1)
-    params = FBParams(alpha=1.0, damping=1.0)
     eta = np.array([0.3])
-    assert fb_damped_map(problem, params, eta) == pytest.approx(fb_map(problem, params, eta))
+    assert fb_damped_map(problem, 1.0, 1.0, eta) == pytest.approx(fb_map(problem, 1.0, eta))
 
 
 def test_damped_map_stays_in_set():
     rng = np.random.default_rng(41)
     problem = VIProblem(affine(random_spd(rng, 2), [0.5, -0.5]),
                         Box([0.0, 0.0], [1.0, 1.0]), I2)
-    params = FBParams(alpha=0.2, damping=0.3)
     eta = np.array([0.9, 0.1])
     for _ in range(50):
-        eta = fb_damped_map(problem, params, eta)
+        eta = fb_damped_map(problem, 0.2, 0.3, eta)
         assert problem.constraint.contains(eta, 1e-9)
 
 
@@ -204,14 +188,14 @@ def test_damped_map_stays_in_set():
 def test_unconstrained_root():
     c = np.array([0.7, -1.3])
     problem = VIProblem(affine(np.eye(2), -c), Box([-np.inf, -np.inf], [np.inf, np.inf]), I2)
-    sol = solve_vi(problem, FBParams(alpha=0.8, damping=0.6), np.zeros(2))
+    sol = solve_vi(problem, 0.8, 0.6, np.zeros(2))
     assert sol.converged
     assert np.allclose(sol.eta, c, atol=1e-9)
 
 
 def test_active_upper_bound():
     problem = VIProblem(affine(np.eye(1), [-2.0]), UNIT, I1)
-    sol = solve_vi(problem, FBParams(alpha=0.9, damping=0.7), np.array([0.0]))
+    sol = solve_vi(problem, 0.9, 0.7, np.array([0.0]))
     assert sol.converged
     assert sol.eta[0] == pytest.approx(1.0, abs=1e-9)
     # VI sign check at the solution: F(1) = -1 and <F(1), eta - 1> >= 0 on [0,1]
@@ -226,8 +210,7 @@ def test_residual_decreases_monotonically():
         problem = VIProblem(affine(M, c), Box([-1.0] * 3, [1.0] * 3), Metric.identity(3))
         mu = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
         L = float(np.linalg.norm(M, 2))
-        params = FBParams.certified(mu, L, damping=0.5)
-        sol = solve_vi(problem, params, np.array([1.0, -1.0, 1.0]), tol=1e-12)
+        sol = solve_vi(problem, mu / L ** 2, 0.5, np.array([1.0, -1.0, 1.0]), tol=1e-12)
         res = sol.residuals
         above_floor = res > 1e-11
         diffs = np.diff(res[above_floor])
@@ -239,10 +222,10 @@ def test_residual_contracts_geometrically():
     M = random_spd(rng, 2) + 0.5 * np.eye(2)
     mu = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
     L = float(np.linalg.norm(M, 2))
-    params = FBParams.certified(mu, L, damping=0.4)
-    _, c_dfb = contraction_constants(params)
+    alpha = mu / L ** 2
+    _, c_dfb = contraction_constants(alpha, 0.4, mu, L)
     problem = VIProblem(affine(M, [0.3, -0.4]), Box([-1.0, -1.0], [1.0, 1.0]), I2)
-    sol = solve_vi(problem, params, np.array([1.0, 1.0]), tol=1e-12)
+    sol = solve_vi(problem, alpha, 0.4, np.array([1.0, 1.0]), tol=1e-12)
     res = sol.residuals
     for k in range(len(res) - 1):
         if res[k] < 1e-10:
@@ -258,12 +241,11 @@ def test_multistart_uniqueness():
     mu = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
     L = float(np.linalg.norm(M, 2))
     problem = VIProblem(affine(M, [0.5, 0.1]), Box([-2.0, -2.0], [0.5, 0.5]), I2)
-    params = FBParams.certified(mu, L, damping=0.5)
     tol = 1e-10
     solutions = []
     for _ in range(10):
         eta0 = rng.uniform(-2.0, 0.5, size=2)
-        sol = solve_vi(problem, params, eta0, tol=tol)
+        sol = solve_vi(problem, mu / L ** 2, 0.5, eta0, tol=tol)
         assert sol.converged
         solutions.append(sol.eta)
     base = solutions[0]
@@ -273,7 +255,7 @@ def test_multistart_uniqueness():
 
 def test_interior_solution_zeroes_operator():
     problem = VIProblem(affine(np.eye(2), [-0.3, -0.4]), Box([-1.0, -1.0], [1.0, 1.0]), I2)
-    sol = solve_vi(problem, FBParams.certified(1.0, 1.0, 0.5), np.zeros(2), tol=1e-11)
+    sol = solve_vi(problem, 1.0, 0.5, np.zeros(2), tol=1e-11)
     assert sol.converged
     margin = problem.constraint.margin(sol.eta)
     assert margin > 1e-6
@@ -285,8 +267,7 @@ def test_rotation_field_does_not_converge():
     # residual stalls and the solver must report failure with its best iterate
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     problem = VIProblem(affine(R), Box([-1.0, -1.0], [1.0, 1.0]), I2)
-    sol = solve_vi(problem, FBParams(alpha=1.0, damping=0.9), np.array([1.0, 1.0]),
-                   tol=1e-12, max_iter=500)
+    sol = solve_vi(problem, 1.0, 0.9, np.array([1.0, 1.0]), tol=1e-12, max_iter=500)
     assert not sol.converged
     assert sol.iterations == 500
     assert problem.constraint.contains(sol.eta, 1e-9)
@@ -306,8 +287,7 @@ def test_solution_against_grid_vi_oracle():
 
     mu, L = 100.0 / g, 190.0 / g
     problem = VIProblem(F, gamma, I2)
-    sol = solve_vi(problem, FBParams.certified(mu, L, 0.5), np.array([140.0, 140.0]),
-                   tol=1e-11)
+    sol = solve_vi(problem, mu / L ** 2, 0.5, np.array([140.0, 140.0]), tol=1e-11)
     assert sol.converged
 
     rows = gamma.halfspace_rows()
@@ -322,7 +302,7 @@ def test_solution_against_grid_vi_oracle():
 # ---------------------------------------------------------------------------
 # measured contraction against the certified constants
 
-def measured_ratios(problem, params, pairs, rng):
+def measured_ratios(problem, alpha, damping, pairs, rng):
     lo, hi = problem.constraint.bounding_box()
     ratios_fb, ratios_dfb = [], []
     for _ in range(pairs):
@@ -331,8 +311,9 @@ def measured_ratios(problem, params, pairs, rng):
         if np.linalg.norm(a - b) < 1e-9:
             continue
         dist = problem.metric.norm(a - b)
-        fa, fbv = fb_map(problem, params, a), fb_map(problem, params, b)
-        da, db = fb_damped_map(problem, params, a), fb_damped_map(problem, params, b)
+        fa, fbv = fb_map(problem, alpha, a), fb_map(problem, alpha, b)
+        da = fb_damped_map(problem, alpha, damping, a)
+        db = fb_damped_map(problem, alpha, damping, b)
         ratios_fb.append(problem.metric.norm(fa - fbv) / dist)
         ratios_dfb.append(problem.metric.norm(da - db) / dist)
     return max(ratios_fb), max(ratios_dfb)
@@ -347,9 +328,9 @@ def test_measured_contraction_identity_metric():
         L = float(np.linalg.norm(M, 2))
         problem = VIProblem(affine(M, rng.standard_normal(2)),
                             Box([-2.0, -2.0], [2.0, 2.0]), I2)
-        params = FBParams.certified(mu, L, damping=rng.uniform(0.2, 0.9))
-        c_fb, c_dfb = contraction_constants(params)
-        r_fb, r_dfb = measured_ratios(problem, params, 200, rng)
+        alpha, damping = mu / L ** 2, rng.uniform(0.2, 0.9)
+        c_fb, c_dfb = contraction_constants(alpha, damping, mu, L)
+        r_fb, r_dfb = measured_ratios(problem, alpha, damping, 200, rng)
         assert r_fb <= c_fb + 1e-9
         assert r_dfb <= c_dfb + 1e-9
 
@@ -365,8 +346,8 @@ def test_measured_contraction_weighted_metric():
     mu = float(np.linalg.eigvalsh((Mw + Mw.T) / 2.0)[0])
     L = float(np.linalg.norm(Mw, 2))
     problem = VIProblem(affine(M), Halfspace([1.0, 1.0], 1.0), metric)
-    params = FBParams.certified(mu, L, damping=0.5)
-    c_fb, c_dfb = contraction_constants(params)
+    alpha = mu / L ** 2
+    c_fb, c_dfb = contraction_constants(alpha, 0.5, mu, L)
     ratios_fb, ratios_dfb = [], []
     for _ in range(300):
         a = rng.uniform(-2.0, 2.0, size=2)
@@ -375,8 +356,8 @@ def test_measured_contraction_weighted_metric():
         b = problem.constraint.project(metric, b).point
         if metric.norm(a - b) < 1e-9:
             continue
-        fa, fbv = fb_map(problem, params, a), fb_map(problem, params, b)
-        da, db = fb_damped_map(problem, params, a), fb_damped_map(problem, params, b)
+        fa, fbv = fb_map(problem, alpha, a), fb_map(problem, alpha, b)
+        da, db = fb_damped_map(problem, alpha, 0.5, a), fb_damped_map(problem, alpha, 0.5, b)
         ratios_fb.append(metric.norm(fa - fbv) / metric.norm(a - b))
         ratios_dfb.append(metric.norm(da - db) / metric.norm(a - b))
     assert max(ratios_fb) <= c_fb + 1e-9
