@@ -150,7 +150,7 @@ class ConvexSet:
         return (Ax <= b + tol).all(axis=-1), ((b - Ax) / self._norms).min(axis=-1)
 
     def project(self, metric: Metric, x) -> ProjectionResult:
-        """Exact projection of x in the metric norm, by _project_rows or _project_curved."""
+        """Exact projection of a finite x in the metric norm, by _project_rows or _project_curved."""
         x = self._checked(metric, x)
         if self.halfspace_rows() is not None:
             return _project_rows(self, metric, x)
@@ -269,7 +269,10 @@ class ConvexSet:
     def _checked(self, metric: Metric, x) -> np.ndarray:
         if metric.dim != self.dim:
             raise ValueError("metric dimension does not match set dimension")
-        return _vec(x, self.dim)
+        x = _vec(x, self.dim)
+        if not all(map(math.isfinite, x.tolist())):
+            raise ValueError(f"point to project must be finite; got {x}")
+        return x
 
 
 class Box(ConvexSet):
@@ -602,9 +605,11 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
         except np.linalg.LinAlgError:
             pass
         else:
-            if miss.max() <= 1e-12 and lam.min() > WARM_MARGIN * lam.max():
+            # every entry is compared, so a NaN anywhere rejects, as ndarray max / min do
+            floor = WARM_MARGIN * max(lam := lam.tolist())
+            if all(m <= 1e-12 for m in miss.tolist()) and all(v > floor for v in lam):
                 miss[set_._active] = -np.inf
-                if miss.max() < -WARM_MARGIN:
+                if all(m < -WARM_MARGIN for m in miss.tolist()):
                     return ProjectionResult(point)
     point = None
     for _ in range(2):  # a near miss gets a second pass, from its polished point

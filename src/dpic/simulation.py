@@ -15,7 +15,8 @@ simulate is its batch of one and gain_sweep its batch of one row per grid
 point.  Row by row the arithmetic is that of a batch of one, so a sweep row
 equals the solo run of its grid point bit for bit.  The loop stores only
 the state (x, eta); u, e, the constraint margin, the residual and the check
-that u stayed in C come from each row's record after the loop, where _apply
+that u stayed in C come from each row's record after the loop, built only
+when the caller asks for it (so a sweep holds one row's at a time); _apply
 and the plants round each row as if it were alone.  A row whose step maps
 (x, eta) to itself bit for bit has settled: every later step of its
 disturbance segment repeats that step, so the loop copies it there and the
@@ -25,7 +26,7 @@ row leaves the batch until the next segment starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +94,11 @@ class Scenario:
         if starts[-1] >= self.horizon:
             raise ValueError("schedule entry starts beyond the horizon")
         self.schedule = [(int(k), np.asarray(w, dtype=float)) for k, w in self.schedule]
+        if any(w.shape != (self.plant.n_w,) for _, w in self.schedule):
+            raise ValueError(f"every disturbance w must have dimension {self.plant.n_w}")
+        if (shape := self.controller.gain.shape) != (self.plant.m, self.plant.p):
+            raise ValueError(f"gain must be {self.plant.m}x{self.plant.p} "
+                             f"(plant inputs x tracked errors), got {shape[0]}x{shape[1]}")
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.plant.n,):
             raise ValueError("x0 does not match the plant state dimension")
@@ -155,7 +161,7 @@ def _step_failure(k: int, exc: Exception) -> SimulationError:
 
 
 def _lockstep(scenario: Scenario, alpha: Sequence[float],
-              damping: Sequence[float]) -> list[SimRecord | SimulationError]:
+              damping: Sequence[float]) -> Iterator[SimRecord | SimulationError]:
     """Run the scenario once per (alpha, damping) row, all loops in lockstep.
 
     Every row runs the scenario's controller (its gain, Gamma, metric and C)
@@ -168,8 +174,9 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     the segment and rejoins at the next segment start.  Each row's u, e,
     margin, residual and u-in-C check then come from its record of (x, eta),
     read only up to a failure; a row whose u left C fails at the first such
-    step, whatever it raised later.  Returns a SimRecord (without segments)
-    or a SimulationError per row.
+    step, whatever it raised later.  The loop runs in full before the call
+    returns; the result yields, in row order, a SimRecord (without segments)
+    or a SimulationError per row, each built only when asked for.
     """
     plant, base = scenario.plant, scenario.controller
     if not base.gamma.contains(base.eta, MEMBERSHIP_TOL):
@@ -197,10 +204,10 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
         eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
                                             alpha[rows], damping[rows])
         xs[rows, k + 1], etas[rows, k + 1] = plant.step(x_k, u, w), eta_next
-        # bit patterns tell -0.0 from +0.0; eta rarely repeats, so it goes first
-        same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
-        if not any(same):
+        # bit patterns tell -0.0 from +0.0; eta rarely repeats, so its first column goes first
+        if not any((eta_next[:, 0].view(np.int64) == eta_k[:, 0].view(np.int64)).tolist()):
             return []
+        same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
         same &= (xs[rows, k + 1].view(np.int64) == x_k.view(np.int64)).all(axis=-1)
         return np.flatnonzero(same).tolist()
 
@@ -268,14 +275,14 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
         return SimRecord(plant.T_s, np.arange(H), xs[i, :H], u,
                          plant.output(xs[i, :H], u, W), etas[i, :H], margin, residual)
 
-    return [outcome(g) for g in range(G)]
+    return (outcome(g) for g in range(G))
 
 
 def simulate(scenario: Scenario) -> SimRecord:
     """Run the loop over the full horizon; deterministic for a fixed scenario.
     The controller is read, never advanced; its state must lie in Gamma."""
     ctrl = scenario.controller
-    record = _lockstep(scenario, [ctrl.alpha], [ctrl.damping])[0]
+    record, = _lockstep(scenario, [ctrl.alpha], [ctrl.damping])
     if isinstance(record, SimulationError):
         raise record
     for (start, end), (_, w) in zip(scenario.segment_bounds(), scenario.schedule):
@@ -384,11 +391,11 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
     alpha = [_checked_alpha(base.T_s, T_i, damping) for T_i, damping in grid]
     runs = _lockstep(scenario, alpha, [damping for _, damping in grid])
     points = []
+    # records are built one at a time, each dropped when the next takes its name
     for (T_i, damping), record in zip(grid, runs):
         if isinstance(record, SimulationError):
             points.append(SweepPoint(T_i, damping, False, np.nan, np.nan, str(record)))
             continue
-        # diagnostics one row at a time, so only one row's arrays are extra
         xi = change_of_coordinates(record, plant, scenario)
         converged = classify_convergence(record, xi, base.metric)
         rate = (fit_decay_rate(_settling(record, xi, base.metric), last_start)

@@ -316,6 +316,33 @@ def test_a_warm_polish_at_the_origin_divides_no_zero_by_zero():
     assert np.array_equal(poly.project(I2, [0.0, 0.0]).point, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("factor, entry", [(5, 2), (3, (0, 0))])
+def test_a_nan_in_the_warm_polish_rejects_the_cached_active_set(monkeypatch, factor, entry):
+    # a NaN offset b_2 / |a_2| puts a NaN into miss behind finite entries, and a
+    # NaN Gram entry makes the multiplier lam NaN: either sends the projection
+    # on to NNLS, although a bare builtin max or min would skip such a NaN
+    import dpic.sets as sets_mod
+
+    square = Polyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], np.ones(4))
+    solves, real = [], sets_mod._nnls
+
+    def nnls(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sets_mod, "_nnls", nnls)
+    square.project(I2, [3.0, 0.5])
+    assert square._active.tolist() == [0] and len(solves) == 1
+    assert np.array_equal(square.project(I2, [3.0, 0.2]).point, [1.0, 0.2])
+    assert len(solves) == 1  # the cached row was kept
+    factors = [np.array(f, copy=True) if i else f for i, f in enumerate(square._factors)]
+    factors[factor][entry] = np.nan
+    square._factors = tuple(factors)
+    with pytest.raises(ProjectionError):  # the cold polish reads the NaN too
+        square.project(I2, [3.0, 0.2])
+    assert len(solves) == 2
+
+
 def test_four_tank_simulate_mostly_reuses_the_last_active_set(monkeypatch):
     # 465 of the preset's steps project; all but a few keep the active set
     # of the projection before them and skip the NNLS solve
@@ -686,6 +713,23 @@ def test_projection_dimension_mismatch():
         Box([0.0, 0.0], [1.0, 1.0]).project(I2, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         Box([0.0], [1.0]).project(I2, [0.5])  # metric dim 2, set dim 1
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0], [0.5, -np.inf]])
+@pytest.mark.parametrize("make", [
+    lambda: Box([0.0, 0.0], [1.0, 1.0]),
+    lambda: Halfspace([1.0, 0.0], 1.0),
+    lambda: Ball([0.0, 0.0], 1.0),
+    lambda: Polyhedron([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    lambda: Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 1.0], 1.0)]),
+    lambda: LinearPreimage([[2.0, 0.0], [1.0, 1.0]], Box([0.0, 0.0], [1.0, 1.0])),
+], ids=["box", "halfspace", "ball", "polyhedron", "intersection", "preimage"])
+def test_every_set_rejects_a_non_finite_point(make, point):
+    # one answer for every class, under a diagonal and a coupled metric: no
+    # NaN point, no "empty set" and no RuntimeWarning (an error under pytest)
+    for metric in (I2, Metric([[2.0, 0.3], [0.3, 1.0]])):
+        with pytest.raises(ValueError, match="must be finite"):
+            make().project(metric, point)
 
 
 def test_disjoint_intersection_raises():

@@ -135,6 +135,19 @@ def test_scenario_requires_projected_controller():
                  horizon=10, x0=np.array([0.0]))
 
 
+@pytest.mark.parametrize("gain, w, message", [
+    (np.eye(2), [1.0], "gain must be"),  # two tracked errors for a plant with one
+    ([[1.0]], [1.0, 2.0], "dimension 1"),  # two disturbances for a plant with one
+])
+def test_scenario_rejects_a_gain_or_disturbance_that_does_not_fit_the_plant(gain, w, message):
+    # caught when the scenario is built, not as a numerical failure in the loop
+    plant = LTIPlant([[0.5]], [[1.0]], [[1.0]], B_w=[[1.0]], D_w=[[0.0]])
+    p = np.shape(gain)[1]
+    ctrl = DPIController(gain, Box([-1.0] * p, [1.0] * p), Metric.identity(p), 1.0, 5.0, 0.5)
+    with pytest.raises(ValueError, match=message):
+        Scenario(plant, ctrl, [(0, w)], 10, [0.0])
+
+
 # ---------------------------------------------------------------------------
 # schedule and segments
 
@@ -430,11 +443,39 @@ def test_lockstep_rows_equal_solo_runs():
                                              (150, np.array([18.0, 18.0]))])
     ctrls = [retuned(s.controller, T_i, damping)
              for T_i, damping in ((5.0, 0.95), (15.0, 0.5), (30.0, 0.1))]
-    rows = _lockstep(s, *gain_rows(ctrls))
+    rows = list(_lockstep(s, *gain_rows(ctrls)))  # read twice below
     assert min(np.min(r.constraint_margin) for r in rows) <= 1e-9  # saturated
     for ctrl, row in zip(ctrls, rows):
         # agreement is exact: each row takes the arithmetic of a batch of one
         assert_same_run(row, simulate(replace(s, controller=ctrl)))
+
+
+def test_lockstep_steps_every_row_before_its_records_are_read(monkeypatch):
+    # the loop runs when _lockstep is called; only the records wait for the reader
+    s = scalar_scenario(horizon=50)
+    steps = _count_row_steps(monkeypatch, s.plant)
+    rows = _lockstep(s, [0.5, 0.05], [0.5, 0.5])
+    stepped = steps[0]
+    assert 0 < stepped <= 2 * s.horizon
+    assert len(list(rows)) == 2
+    assert steps[0] == stepped
+
+
+def test_gain_sweep_diagnoses_one_record_at_a_time(monkeypatch):
+    import weakref
+
+    import dpic.simulation as simulation
+
+    seen, alive, real = [], [], simulation.classify_convergence
+
+    def classify(record, xi, metric):
+        seen.append(weakref.ref(record))
+        alive.append(sum(ref() is not None for ref in seen))
+        return real(record, xi, metric)
+
+    monkeypatch.setattr(simulation, "classify_convergence", classify)
+    gain_sweep(scalar_scenario(horizon=200), [2.0, 5.0, 20.0], [0.3, 0.9], mu=1.0, L=1.0)
+    assert alive == [1] * 6
 
 
 def test_failing_row_mid_batch_leaves_other_rows_as_solo_runs():
@@ -644,7 +685,7 @@ def test_four_tank_sweep_rows_equal_the_per_step_loop(monkeypatch):
     assert retries == []
     steps = _count_row_steps(monkeypatch, s.plant)
     rows = _lockstep(s, alpha, damping)
-    assert steps[0] < len(alpha) * s.horizon / 2
+    assert 0 < steps[0] < len(alpha) * s.horizon / 2  # counted before any row is read
     for row, reference in zip(rows, references):
         assert_same_run(row, reference)
 
