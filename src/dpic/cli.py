@@ -147,15 +147,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _certificate_box(setup: RunSetup, block: dict, key: str) -> Box | None:
-    """The box over which (mu, L) of a sweep or certify block hold.
-
-    A given box must match Gamma's dimension and meet Gamma, which one
-    projection onto Gamma ∩ box decides.  An LTI plant's Jacobian is
-    constant and needs no box; a four-tank one varies with eta and needs a
-    given box, since the corners of Gamma's bounding box may leave the pump
-    domain where Gamma does not.
-    """
+def _checked_box(setup: RunSetup, block: dict, key: str) -> Box | None:
+    """The block's box, if given, once it matches Gamma's dimension and
+    meets Gamma, which one projection onto Gamma ∩ box decides."""
     ctrl = setup.controller
     box = block.get("box")
     if box is not None:
@@ -165,19 +159,25 @@ def _certificate_box(setup: RunSetup, block: dict, key: str) -> Box | None:
             Intersection([ctrl.gamma, box]).project(ctrl.metric, ctrl.eta)
         except ProjectionError as exc:
             raise ConfigError(key, "box does not meet Gamma") from exc
-    if isinstance(setup.plant, LTIPlant):
-        return None
-    if box is None:
-        raise ConfigError(key, "the plant's Jacobian varies with eta; give a box "
-                               "inside the pump domain to certify over")
     return box
 
 
 def _exact_certificates(setup: RunSetup, block: dict, key: str) -> tuple[float, float]:
-    """(mu, L) of eta -> pi(K eta, w) from the plant's Jacobian, for any w."""
+    """(mu, L) of eta -> pi(K eta, w) from the plant's Jacobian, for any w.
+
+    An LTI plant's Jacobian is constant and needs no box; a four-tank one
+    varies with eta and needs a given box, since the corners of Gamma's
+    bounding box may leave the pump domain where Gamma does not.
+    """
     plant, K = setup.plant, setup.controller.gain
+    box = _checked_box(setup, block, key)
+    if isinstance(plant, LTIPlant):
+        box = None
+    elif box is None:
+        raise ConfigError(key, "the plant's Jacobian varies with eta; give a box "
+                               "inside the pump domain to certify over")
     return exact_mu_L(lambda eta: plant.pi_jacobian(_apply(K, eta)) @ K,
-                      setup.controller.metric, _certificate_box(setup, block, key))
+                      setup.controller.metric, box)
 
 
 def _write_sweep(path: Path, points) -> None:
@@ -195,10 +195,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep", "config has no sweep block")
     out = _out_dir(args)
     spec = setup.sweep
-    if spec["estimate"]:
+    if spec["exact"]:
         mu, L = _exact_certificates(setup, spec, "sweep.box")
         source = "exact"
     else:
+        _checked_box(setup, spec, "sweep.box")  # unused, but a box that does not fit is a fault
         mu, L, source = spec["mu"], spec["L"], "given"
     report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
     summary = {

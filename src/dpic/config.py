@@ -1,8 +1,10 @@
 """Run configuration: a JSON document mapped onto library objects.
 
 Top-level keys: plant, metric, constraint, controller, scenario, and the
-optional sweep / certify blocks plus a seed.  Validation errors carry the
-path of the offending key.
+optional sweep / certify blocks plus a seed.  This module only parses, and a
+value of the wrong JSON type or shape names its key.  The library object that
+takes a value checks every rule on it, once, and its ValueError becomes a
+ConfigError that names the block ("controller: damping must lie ...").
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import DPIController
+from .controller import DPIController, _checked_alpha
 from .metric import Metric
 from .plants import FourTankPlant, LTIPlant, PlantModel
 from .sets import (Ball, Box, ConvexSet, Halfspace, Intersection, LinearPreimage, Polyhedron,
                    ProjectionError)
 from .simulation import Scenario
+from .vi import _check_certificates
 
 __all__ = ["ConfigError", "RunSetup", "load_config", "build_setup"]
 
@@ -65,23 +68,16 @@ def _get(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
-def _as_float(value, key: str, positive: bool = False) -> float:
+def _as_float(value, key: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, f"expected a number, got {value!r}") from exc
-    if not np.isfinite(out):
-        raise ConfigError(key, "must be finite")
-    if positive and out <= 0.0:
-        raise ConfigError(key, f"must be positive, got {out:g}")
-    return out
 
 
-def _as_int(value, key: str, minimum: int | None = None) -> int:
+def _as_int(value, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(key, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be at least {minimum}, got {value}")
     return value
 
 
@@ -90,8 +86,8 @@ def _as_vector(value, key: str) -> np.ndarray:
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, "expected a list of numbers") from exc
-    if out.ndim != 1 or out.size == 0 or not np.all(np.isfinite(out)):
-        raise ConfigError(key, "expected a nonempty flat list of finite numbers")
+    if out.ndim != 1 or out.size == 0:
+        raise ConfigError(key, "expected a nonempty flat list of numbers")
     return out
 
 
@@ -102,8 +98,6 @@ def _as_matrix(value, key: str) -> np.ndarray:
         raise ConfigError(key, "expected a nested list of numbers") from exc
     if out.ndim != 2 or out.size == 0:
         raise ConfigError(key, "expected a nonempty matrix (list of rows)")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(key, "matrix entries must be finite")
     return out
 
 
@@ -140,14 +134,14 @@ def _build_set(spec, key: str) -> ConvexSet:
                              _as_float(_get(spec, "b", key), f"{key}.b"))
         if kind == "ball":
             return Ball(_as_vector(_get(spec, "center", key), f"{key}.center"),
-                        _as_float(_get(spec, "radius", key), f"{key}.radius", positive=True))
+                        _as_float(_get(spec, "radius", key), f"{key}.radius"))
         if kind == "polyhedron":
             return Polyhedron(_as_matrix(_get(spec, "A", key), f"{key}.A"),
                               _as_vector(_get(spec, "b", key), f"{key}.b"))
         if kind == "intersection":
             members = _get(spec, "sets", key)
-            if not isinstance(members, list) or not members:
-                raise ConfigError(f"{key}.sets", "expected a nonempty list of sets")
+            if not isinstance(members, list):
+                raise ConfigError(f"{key}.sets", "expected a list of sets")
             intersection = Intersection([_build_set(s, f"{key}.sets[{i}]")
                                          for i, s in enumerate(members)])
             intersection._curved_and_rest  # raises past one curved member, as projecting would
@@ -173,19 +167,19 @@ def _build_plant(spec, key: str = "plant") -> PlantModel:
                 D=None if "D" not in spec else _as_matrix(spec["D"], f"{key}.D"),
                 B_w=None if "B_w" not in spec else _as_matrix(spec["B_w"], f"{key}.B_w"),
                 D_w=None if "D_w" not in spec else _as_matrix(spec["D_w"], f"{key}.D_w"),
-                T_s=_as_float(spec.get("T_s", 1.0), f"{key}.T_s", positive=True))
+                T_s=_as_float(spec.get("T_s", 1.0), f"{key}.T_s"))
         if kind == "four_tank":
             kwargs = {}
             if "T_s" in spec:
-                kwargs["T_s"] = _as_float(spec["T_s"], f"{key}.T_s", positive=True)
+                kwargs["T_s"] = _as_float(spec["T_s"], f"{key}.T_s")
             if "substeps" in spec:
-                kwargs["substeps"] = _as_int(spec["substeps"], f"{key}.substeps", 1)
+                kwargs["substeps"] = _as_int(spec["substeps"], f"{key}.substeps")
             for name in ("tank_areas", "split_ratios", "nominal_levels",
                          "nominal_input", "outlet_areas"):
                 if name in spec:
                     kwargs[name] = _as_vector(spec[name], f"{key}.{name}")
             if "g" in spec:
-                kwargs["g"] = _as_float(spec["g"], f"{key}.g", positive=True)
+                kwargs["g"] = _as_float(spec["g"], f"{key}.g")
             return FourTankPlant(**kwargs)
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
@@ -201,25 +195,24 @@ def _build_metric(spec, dim: int, key: str = "metric") -> Metric:
         raise ConfigError(key, str(exc)) from exc
 
 
-def _build_schedule(spec, key: str, n_w: int) -> list[tuple[int, np.ndarray]]:
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError(key, "expected a nonempty list of [start_step, w] pairs")
+def _build_schedule(spec, key: str) -> list[tuple[int, np.ndarray]]:
+    if not isinstance(spec, list):
+        raise ConfigError(key, "expected a list of [start_step, w] pairs")
     schedule = []
     for i, entry in enumerate(spec):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(f"{key}[{i}]", "expected a [start_step, w] pair")
-        start = _as_int(entry[0], f"{key}[{i}][0]", minimum=0)
         # a plant without a disturbance reads [], which _as_vector rejects
-        w = np.zeros(0) if n_w == 0 and entry[1] == [] else _as_vector(entry[1], f"{key}[{i}][1]")
-        if w.shape != (n_w,):
-            raise ConfigError(key, f"disturbance at step {start} must have dimension {n_w}")
-        schedule.append((start, w))
+        w = np.zeros(0) if entry[1] == [] else _as_vector(entry[1], f"{key}[{i}][1]")
+        schedule.append((_as_int(entry[0], f"{key}[{i}][0]"), w))
     return schedule
 
 
 def build_setup(cfg: dict) -> RunSetup:
-    """Validate a parsed config document and construct the run objects."""
-    seed = _as_int(cfg.get("seed", 0), "seed", minimum=0)
+    """Parse a config document and construct the run objects."""
+    seed = _as_int(cfg.get("seed", 0), "seed")
+    if seed < 0:  # no library object takes the seed, which the summaries only echo
+        raise ConfigError("seed", f"must be at least 0, got {seed}")
     plant = _build_plant(_get(cfg, "plant", ""))
     constraint = _build_set(_get(cfg, "constraint", ""), "constraint")
 
@@ -227,22 +220,15 @@ def build_setup(cfg: dict) -> RunSetup:
     if not isinstance(ctrl_cfg, dict):
         raise ConfigError("controller", "expected a controller object")
     K = _as_matrix(_get(ctrl_cfg, "K", "controller"), "controller.K")
-    if K.shape != (plant.m, plant.p):
-        raise ConfigError("controller.K",
-                          f"gain must be {plant.m}x{plant.p} "
-                          f"(plant inputs x tracked errors), got {K.shape[0]}x{K.shape[1]}")
-    T_i = _as_float(_get(ctrl_cfg, "T_i", "controller"), "controller.T_i", positive=True)
+    T_i = _as_float(_get(ctrl_cfg, "T_i", "controller"), "controller.T_i")
     damping = _as_float(_get(ctrl_cfg, "lambda", "controller"), "controller.lambda")
-    if not 0.0 < damping < 1.0:
-        raise ConfigError("controller.lambda",
-                          f"must lie strictly between 0 and 1, got {damping:g}")
     metric = _build_metric(cfg.get("metric"), K.shape[1])
     eta0 = None if "eta0" not in ctrl_cfg else _as_vector(ctrl_cfg["eta0"], "controller.eta0")
     u0 = None if "u0" not in ctrl_cfg else _as_vector(ctrl_cfg["u0"], "controller.u0")
     try:
         controller = DPIController(K, constraint, metric, plant.T_s, T_i, damping,
                                    eta0=eta0, u0=u0)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:
         raise ConfigError("controller", str(exc)) from exc
     except ProjectionError as exc:  # the initial projection finds Gamma empty
         raise ConfigError("constraint", str(exc)) from exc
@@ -255,8 +241,8 @@ def build_setup(cfg: dict) -> RunSetup:
             plant=plant,
             controller=controller,
             schedule=_build_schedule(_get(scn_cfg, "schedule", "scenario"),
-                                     "scenario.schedule", plant.n_w),
-            horizon=_as_int(_get(scn_cfg, "horizon", "scenario"), "scenario.horizon", 1),
+                                     "scenario.schedule"),
+            horizon=_as_int(_get(scn_cfg, "horizon", "scenario"), "scenario.horizon"),
             x0=_as_vector(_get(scn_cfg, "x0", "scenario"), "scenario.x0"))
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from exc
@@ -276,9 +262,13 @@ def _optional_box(block: dict, key: str) -> dict:
     lower = _as_vector(_get(spec, "lower", key), f"{key}.lower")
     upper = _as_vector(_get(spec, "upper", key), f"{key}.upper")
     try:
-        return {"box": Box(lower, upper)}
+        box = Box(lower, upper)
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
+    # a Box may be unbounded; the corners (mu, L) are taken at may not
+    if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
+        raise ConfigError(key, "a certificate box must be bounded")
+    return {"box": box}
 
 
 def _reject_samples(spec: dict, key: str) -> None:
@@ -298,33 +288,33 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
     if not (isinstance(ti_raw, list) and ti_raw and isinstance(lam_raw, list) and lam_raw):
         raise ConfigError("sweep", "T_i and lambda must be nonempty lists")
     out = {
-        "T_i": [_as_float(v, "sweep.T_i", positive=True) for v in ti_raw],
+        "T_i": [_as_float(v, "sweep.T_i") for v in ti_raw],
         "lambda": [_as_float(v, "sweep.lambda") for v in lam_raw],
     }
-    for v in out["lambda"]:
-        if not 0.0 < v < 1.0:
-            raise ConfigError("sweep.lambda", f"values must lie in (0, 1), got {v:g}")
     mu = _get(spec, "mu", "sweep")
     L = _get(spec, "L", "sweep")
-    if (mu == "estimate") != (L == "estimate"):
-        raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'estimate'")
+    derived = ("exact", "estimate")  # "estimate" is the older name of the same pair
+    if (mu in derived) != (L in derived):
+        raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'exact'")
     out.update(_optional_box(spec, "sweep"))
-    if mu == "estimate":
-        out["estimate"] = True
-    else:
-        out["estimate"] = False
-        out["mu"] = _as_float(mu, "sweep.mu", positive=True)
-        out["L"] = _as_float(L, "sweep.L", positive=True)
-        if out["L"] < out["mu"]:
-            raise ConfigError("sweep.L", "L must be at least mu")
+    out["exact"] = mu in derived
+    if not out["exact"]:
+        out["mu"] = _as_float(mu, "sweep.mu")
+        out["L"] = _as_float(L, "sweep.L")
     if "horizon" in spec:
-        out["horizon"] = _as_int(spec["horizon"], "sweep.horizon", 1)
+        out["horizon"] = _as_int(spec["horizon"], "sweep.horizon")
     if "schedule" in spec:
-        out["schedule"] = _build_schedule(spec["schedule"], "sweep.schedule", scenario.plant.n_w)
+        out["schedule"] = _build_schedule(spec["schedule"], "sweep.schedule")
     try:
         out["scenario"] = replace(scenario,
                                   horizon=out.get("horizon", scenario.horizon),
                                   schedule=out.get("schedule", scenario.schedule))
+        # gain_sweep's own checks, so a bad grid or pair exits before any run
+        for T_i in out["T_i"]:
+            for damping in out["lambda"]:
+                _checked_alpha(scenario.controller.T_s, T_i, damping)
+        if not out["exact"]:
+            _check_certificates(out["mu"], out["L"])
     except ValueError as exc:
         raise ConfigError("sweep", str(exc)) from exc
     return out

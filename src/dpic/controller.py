@@ -25,13 +25,6 @@ from .sets import MEMBERSHIP_TOL, ConvexSet, LinearPreimage, _contains_rows
 __all__ = ["DPIController", "ClassicalIntegralController"]
 
 
-def _gain_matrix(gain) -> np.ndarray:
-    K = np.atleast_2d(np.asarray(gain, dtype=float))
-    if K.ndim != 2 or not np.all(np.isfinite(K)):
-        raise ValueError("gain must be a finite matrix")
-    return K
-
-
 def _alpha(T_s: float, T_i: float) -> float:
     """Integral step size alpha = T_s / T_i, once T_s and T_i pass their checks."""
     if not (T_s > 0.0 and np.isfinite(T_s)):
@@ -42,7 +35,8 @@ def _alpha(T_s: float, T_i: float) -> float:
 
 
 def _checked_alpha(T_s: float, T_i: float, damping: float) -> float:
-    """alpha of a damped projected loop, once T_s, T_i and damping pass their checks."""
+    """alpha of a damped projected loop, once T_s, T_i and damping pass their
+    checks; the paper's damping lies in (0, 1), the VI maps' in (0, 1]."""
     alpha = _alpha(T_s, T_i)
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie strictly in (0, 1)")
@@ -77,14 +71,11 @@ class DPIController:
     def __init__(self, gain, constraint: ConvexSet, metric: Metric,
                  T_s: float, T_i: float, damping: float,
                  eta0=None, u0=None):
-        K = _gain_matrix(gain)
-        if K.shape[0] != constraint.dim:
-            raise ValueError("gain output dimension does not match the constraint set")
         self.alpha = _checked_alpha(T_s, T_i, damping)
-        self.gain = K
+        self.gamma = LinearPreimage(gain, constraint)  # checks K against C
+        self.gain = K = self.gamma.K
         self.constraint = constraint
         self.metric = metric
-        self.gamma = LinearPreimage(K, constraint)
         if metric.dim != self.gamma.dim:
             raise ValueError("metric dimension does not match the integrator state")
         self.T_s = float(T_s)
@@ -92,6 +83,9 @@ class DPIController:
         self.damping = float(damping)
         if eta0 is not None and u0 is not None:
             raise ValueError("give eta0 or u0, not both")
+        for name, start in (("eta0", eta0), ("u0", u0)):
+            if start is not None and not np.isfinite(start).all():
+                raise ValueError(f"{name} must be finite")
         if eta0 is not None:
             eta = np.asarray(eta0, dtype=float)
             if not self.gamma.contains(eta, MEMBERSHIP_TOL):
@@ -120,7 +114,9 @@ class ClassicalIntegralController:
     """Unconstrained discrete integral law eta <- eta - alpha e, alpha = T_s / T_i."""
 
     def __init__(self, gain, T_s: float, T_i: float, eta0):
-        self.gain = _gain_matrix(gain)
+        self.gain = np.atleast_2d(np.asarray(gain, dtype=float))
+        if self.gain.ndim != 2 or not np.isfinite(self.gain).all():
+            raise ValueError("gain must be a finite matrix")
         self.alpha = _alpha(T_s, T_i)
         eta = np.asarray(eta0, dtype=float)
         if eta.shape != (self.gain.shape[1],):

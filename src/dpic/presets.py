@@ -58,8 +58,8 @@ def _four_tank_config() -> dict:
         "sweep": {
             "T_i": [2.0, 5.0, 10.0, 15.0, 30.0],
             "lambda": [0.1, 0.5, 0.95],
-            "mu": "estimate",
-            "L": "estimate",
+            "mu": "exact",
+            "L": "exact",
             "box": {"lower": [100.0, 100.0], "upper": [185.0, 185.0]},
             "horizon": 4000,
             "schedule": [[0, [10.0, 10.0]], [50, [13.0, 11.0]]],

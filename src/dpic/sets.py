@@ -470,13 +470,13 @@ class LinearPreimage(ConvexSet):
     def __init__(self, K, inner: ConvexSet):
         K = np.atleast_2d(np.asarray(K, dtype=float))
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("preimage map must be square (non-square maps are not supported)")
+            raise ValueError("map K must be square (non-square maps are not supported)")
         if K.shape[0] != inner.dim:
-            raise ValueError("preimage map does not match the inner set dimension")
+            raise ValueError("map K does not match the dimension of the set it maps into")
         if not np.all(np.isfinite(K)):
-            raise ValueError("preimage map must be finite")
+            raise ValueError("map K must be finite")
         if np.linalg.cond(K) > 1e12:
-            raise ValueError("preimage map is singular or near-singular")
+            raise ValueError("map K is singular or near-singular")
         self.K = K
         self.inner = inner
         self.dim = int(K.shape[1])

@@ -34,7 +34,7 @@ from .controller import DPIController, _checked_alpha, _damped_projected_update
 from .metric import Metric, _apply, _row_norms
 from .plants import NumericalError, PlantModel
 from .sets import MEMBERSHIP_TOL, normal_cone_residual
-from .vi import low_gain_threshold
+from .vi import _check_certificates, low_gain_threshold
 
 __all__ = [
     "SimulationError",
@@ -94,14 +94,19 @@ class Scenario:
         if starts[-1] >= self.horizon:
             raise ValueError("schedule entry starts beyond the horizon")
         self.schedule = [(int(k), np.asarray(w, dtype=float)) for k, w in self.schedule]
-        if any(w.shape != (self.plant.n_w,) for _, w in self.schedule):
-            raise ValueError(f"every disturbance w must have dimension {self.plant.n_w}")
+        for k, w in self.schedule:
+            if w.shape != (self.plant.n_w,):
+                raise ValueError(f"disturbance at step {k} must have dimension {self.plant.n_w}")
+            if not np.isfinite(w).all():
+                raise ValueError(f"disturbance at step {k} must be finite")
         if (shape := self.controller.gain.shape) != (self.plant.m, self.plant.p):
             raise ValueError(f"gain must be {self.plant.m}x{self.plant.p} "
                              f"(plant inputs x tracked errors), got {shape[0]}x{shape[1]}")
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.plant.n,):
             raise ValueError("x0 does not match the plant state dimension")
+        if not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be finite")
 
     def segment_bounds(self) -> list[tuple[int, int]]:
         """Half-open [start, end) step ranges, one per schedule entry."""
@@ -382,8 +387,7 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
     interior equilibrium it is the linearized loop's spectral radius.
     """
     base = scenario.controller
-    if not (mu > 0.0 and L >= mu):
-        raise ValueError("sweep certificates must satisfy 0 < mu <= L")
+    _check_certificates(mu, L)
     plant = scenario.plant
     last_start = scenario.schedule[-1][0]
     grid = [(float(T_i), float(damping))

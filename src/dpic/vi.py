@@ -79,8 +79,7 @@ def contraction_constants(alpha: float, damping: float, mu: float,
     """(c_fb, c_dfb = 1 - damping (1 - c_fb)) at a step alpha in the window
     (0, 2 mu / L^2) of the certificates 0 < mu <= L; damping 1 gives c_dfb = c_fb."""
     _check_step(alpha, damping)
-    if not 0.0 < mu <= L * (1.0 + 1e-12):
-        raise ValueError("certificates must satisfy 0 < mu <= L")
+    _check_certificates(mu, L)
     window = step_window(mu, L)
     if alpha >= window:
         raise ValueError(f"alpha={alpha:g} outside the certified window (0, {window:g})")
@@ -96,9 +95,18 @@ def contraction_constants(alpha: float, damping: float, mu: float,
     return c_fb, 1.0 - damping * (1.0 - c_fb)
 
 
+def _check_certificates(mu: float, L: float) -> None:
+    # exact_mu_L reads mu and L off one matrix by two routines, so mu may
+    # exceed L by rounding; L has a relative slack of 1e-12
+    if not 0.0 < mu <= L * (1.0 + 1e-12) < np.inf:
+        raise ValueError(f"certificates must satisfy 0 < mu <= L, got mu={mu:g}, L={L:g}")
+
+
 def _check_step(alpha: float, damping: float) -> None:
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ValueError("step size alpha must be positive and finite")
+    # damping 1 gives fb_map, the undamped map; the loop's damping lies in
+    # the paper's open interval (0, 1), which controller._checked_alpha checks
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
 

@@ -208,7 +208,7 @@ def test_invalid_lambda_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path,
                  "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "controller.lambda" in capsys.readouterr().err
+    assert "config error: controller: damping must lie strictly in (0, 1)" in capsys.readouterr().err
 
 
 def test_config_and_preset_are_exclusive(tmp_path, capsys):
@@ -286,6 +286,22 @@ def test_a_bad_certificate_box_exits_2(tmp_path, capsys, command, box):
     assert ("dimension" in err) == (len(box["lower"]) != 2)
 
 
+@pytest.mark.parametrize("box, rule", [
+    ({"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "box has dimension 2, Gamma 1"),
+    ({"lower": [5.0], "upper": [6.0]}, "box does not meet Gamma"),
+], ids=["2-entries", "disjoint"])
+def test_a_sweep_box_that_does_not_fit_exits_2_when_mu_and_L_are_given(tmp_path, capsys,
+                                                                       box, rule):
+    # the given pair leaves the box unused, but a box that does not fit Gamma
+    # is a fault of the config all the same, as it is when (mu, L) are derived
+    cfg = preset_config("lti-demo")
+    cfg["sweep"]["box"] = box
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: sweep.box: {rule}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("box", [{"lower": "junk"}, [0.0, 1.0], {"lower": [1.0], "upper": [0.0]}])
 def test_a_malformed_sweep_box_exits_2_when_mu_and_L_are_given(tmp_path, capsys, box):
     # the box is read whether or not the sweep takes (mu, L) from it
@@ -340,7 +356,16 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_config_vectors_exit_2(tmp_path, capsys, command, key, path, value):
     # json reads NaN, Infinity and -Infinity, and the string "inf" converts to
     # a float; on this unbounded Gamma a sweep box reaching to inf once
-    # surfaced as "certify.box: Gamma is unbounded"
+    # surfaced as "certify.box: Gamma is unbounded".  The object that takes
+    # a vector rejects it, and the message names its block
+    message = {
+        "scenario.x0": "scenario: x0 must be finite",
+        "scenario.schedule[1][1]": "scenario: disturbance at step 200 must be finite",
+        "controller.eta0": "controller: eta0 must be finite",
+        "controller.u0": "controller: u0 must be finite",
+        "sweep.box.upper": "sweep.box: a certificate box must be bounded",
+        "certify.box.lower": "certify.box: a certificate box must be bounded",
+    }[key]
     cfg = preset_config("lti-demo")
     cfg["constraint"] = {"type": "box", "lower": [-1.0], "upper": [None]}
     cfg["sweep"].update(mu="estimate", L="estimate", box={"lower": [-1.0], "upper": [1.0]})
@@ -353,7 +378,7 @@ def test_non_finite_config_vectors_exit_2(tmp_path, capsys, command, key, path, 
     target[path[-1]] = value
     extra = [] if command == "certify" else ["--out", str(tmp_path)]
     assert main([command, "--config", write_config(tmp_path, cfg)] + extra) == EXIT_CONFIG
-    assert f"{key}: expected a nonempty flat list of finite numbers" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +394,42 @@ def test_numerical_value_error_exit_3(tmp_path, capsys):
     assert main(["certify", "--config", path]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err and "nonnegative pump flows" in err
+
+
+def test_a_sweep_takes_a_derived_mu_an_ulp_above_L(tmp_path):
+    # with G K = c I the operator's Jacobian is c I, so mu = L = c in exact
+    # arithmetic; exact_mu_L reads mu and L off W (c I) W^{-1} by two
+    # routines, and under some metrics mu comes out an ulp above L.  certify
+    # accepted such a pair, and the sweep once rejected it as a numerical failure
+    from dpic.cli import _exact_certificates
+
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        c = rng.uniform(0.1, 1.0)
+        Q = rng.standard_normal((3, 3))
+        P = Q @ Q.T + 0.1 * np.eye(3)
+        cfg = {
+            # G = (I - 0.5 I)^{-1} = 2 I and K = (c / 2) I, both exact
+            "plant": {"type": "lti", "A": (0.5 * np.eye(3)).tolist(), "B": np.eye(3).tolist(),
+                      "C": np.eye(3).tolist(), "B_w": np.zeros((3, 3)).tolist(),
+                      "D_w": (-np.eye(3)).tolist()},
+            "metric": (0.5 * (P + P.T)).tolist(),
+            "constraint": {"type": "box", "lower": [-1.0] * 3, "upper": [1.0] * 3},
+            "controller": {"K": (0.5 * c * np.eye(3)).tolist(), "T_i": 5.0, "lambda": 0.5},
+            "scenario": {"horizon": 50, "x0": [0.0] * 3, "schedule": [[0, [0.01] * 3]]},
+            "sweep": {"T_i": [5.0], "lambda": [0.5], "mu": "exact", "L": "exact"},
+        }
+        setup = build_setup(cfg)
+        mu, L = _exact_certificates(setup, setup.sweep, "sweep.box")
+        if mu > L:
+            break
+    else:
+        pytest.fail("no metric put mu above L")
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", path]) == EXIT_OK
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert summary["certificates"] == {"mu": mu, "L": L, "source": "exact"}
 
 
 def test_certify_an_lti_plant_needs_no_box(tmp_path, capsys):
@@ -622,6 +683,21 @@ def test_sweep_estimates_and_projects_on_a_ball_gamma(tmp_path):
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
     rows = read_rows(tmp_path / "sweep.csv")
     assert rows[0]["converged"] == "true"
+
+
+def test_exact_and_estimate_name_the_same_sweep_certificates(tmp_path):
+    # "estimate" is the older name of "exact"; both derive the pair from the Jacobian
+    outputs = []
+    for word in ("exact", "estimate"):
+        cfg = ball_gamma_sweep_config()
+        cfg["sweep"].update(mu=word, L=word)
+        out = tmp_path / word
+        assert main(["sweep", "--config", write_config(tmp_path, cfg, f"{word}.json"),
+                     "--out", str(out)]) == EXIT_OK
+        outputs.append([(out / name).read_bytes()
+                        for name in ("sweep.csv", "sweep_summary.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["certificates"]["source"] == "exact"
 
 
 @pytest.mark.parametrize("second", [

@@ -72,14 +72,14 @@ def test_four_tank_preset_wiring():
     assert np.allclose(setup.controller.gain @ setup.plant.flow_gain, np.eye(2),
                        atol=1e-12)
     assert setup.scenario.schedule[0][0] == 0
-    assert setup.sweep["estimate"] is True
+    assert setup.sweep["exact"] is True
     assert isinstance(setup.sweep["box"], Box)
 
 
 def test_lti_demo_preset_wiring():
     setup = build_setup(preset_config("lti-demo"))
     assert isinstance(setup.plant, LTIPlant)
-    assert setup.sweep["estimate"] is False
+    assert setup.sweep["exact"] is False
     assert setup.sweep["mu"] == 1.0 and setup.sweep["L"] == 1.0
     assert len(setup.sweep["T_i"]) == 5 and len(setup.sweep["lambda"]) == 3
 
@@ -120,14 +120,14 @@ def test_load_config_non_object_root(tmp_path):
 def test_lambda_above_one_rejected():
     cfg = lti_base()
     cfg["controller"]["lambda"] = 1.5
-    with pytest.raises(ConfigError, match="controller.lambda"):
+    with pytest.raises(ConfigError, match=r"^controller: damping must lie strictly in \(0, 1\)"):
         build_setup(cfg)
 
 
 def test_lambda_zero_rejected():
     cfg = lti_base()
     cfg["controller"]["lambda"] = 0.0
-    with pytest.raises(ConfigError, match="controller.lambda"):
+    with pytest.raises(ConfigError, match=r"^controller: damping must lie strictly in \(0, 1\)"):
         build_setup(cfg)
 
 
@@ -141,7 +141,7 @@ def test_missing_controller_key_names_path():
 def test_negative_T_i_rejected():
     cfg = lti_base()
     cfg["controller"]["T_i"] = -2.0
-    with pytest.raises(ConfigError, match="controller.T_i.*positive"):
+    with pytest.raises(ConfigError, match="^controller: integral time T_i must be positive"):
         build_setup(cfg)
 
 
@@ -218,7 +218,7 @@ def test_crossed_box_bounds_rejected():
 def test_empty_intersection_list_rejected():
     cfg = lti_base()
     cfg["constraint"] = {"type": "intersection", "sets": []}
-    with pytest.raises(ConfigError, match="constraint.sets"):
+    with pytest.raises(ConfigError, match="^constraint: intersection needs at least one set"):
         build_setup(cfg)
 
 
@@ -265,7 +265,9 @@ def test_unknown_plant_type():
 def test_gain_shape_checked_against_plant():
     cfg = lti_base()
     cfg["plant"]["B"] = [[0.5, 0.5]]   # two inputs, scalar gain output
-    with pytest.raises(ConfigError, match="controller.K"):
+    # the scenario joins plant and controller, and owns the rule that they fit
+    with pytest.raises(ConfigError, match=r"^scenario: gain must be 2x1 \(plant inputs x "
+                                          r"tracked errors\), got 1x1"):
         build_setup(cfg)
 
 
@@ -293,7 +295,7 @@ def test_custom_metric_accepted():
 def test_schedule_w_dimension_mismatch():
     cfg = lti_base()
     cfg["scenario"]["schedule"] = [[0, [0.5, 0.5]]]
-    with pytest.raises(ConfigError, match="scenario.schedule.*dimension 1"):
+    with pytest.raises(ConfigError, match="^scenario: disturbance at step 0 must have dimension 1"):
         build_setup(cfg)
 
 
@@ -307,7 +309,7 @@ def test_schedule_entry_shape_rejected():
 def test_zero_horizon_rejected():
     cfg = lti_base()
     cfg["scenario"]["horizon"] = 0
-    with pytest.raises(ConfigError, match="scenario.horizon"):
+    with pytest.raises(ConfigError, match="^scenario: horizon must be at least 1"):
         build_setup(cfg)
 
 
@@ -338,7 +340,7 @@ def test_bool_is_not_an_integer():
 def test_sweep_lambda_out_of_range():
     cfg = lti_base()
     cfg["sweep"] = {"T_i": [2.0], "lambda": [1.0], "mu": 1.0, "L": 1.0}
-    with pytest.raises(ConfigError, match="sweep.lambda"):
+    with pytest.raises(ConfigError, match=r"^sweep: damping must lie strictly in \(0, 1\)"):
         build_setup(cfg)
 
 
@@ -352,7 +354,7 @@ def test_sweep_mixed_estimate_rejected():
 def test_sweep_L_below_mu_rejected():
     cfg = lti_base()
     cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": 2.0, "L": 1.0}
-    with pytest.raises(ConfigError, match="sweep.L"):
+    with pytest.raises(ConfigError, match="^sweep: certificates must satisfy 0 < mu <= L"):
         build_setup(cfg)
 
 
@@ -367,7 +369,7 @@ def test_sweep_schedule_dimension_checked():
     cfg = lti_base()
     cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": 1.0, "L": 1.0,
                     "schedule": [[0, [0.5, 0.5]]]}
-    with pytest.raises(ConfigError, match="sweep.schedule"):
+    with pytest.raises(ConfigError, match="^sweep: disturbance at step 0 must have dimension 1"):
         build_setup(cfg)
 
 

@@ -138,6 +138,7 @@ def test_scenario_requires_projected_controller():
 @pytest.mark.parametrize("gain, w, message", [
     (np.eye(2), [1.0], "gain must be"),  # two tracked errors for a plant with one
     ([[1.0]], [1.0, 2.0], "dimension 1"),  # two disturbances for a plant with one
+    ([[1.0]], [np.nan], "disturbance at step 0 must be finite"),  # a NaN disturbance
 ])
 def test_scenario_rejects_a_gain_or_disturbance_that_does_not_fit_the_plant(gain, w, message):
     # caught when the scenario is built, not as a numerical failure in the loop
@@ -214,24 +215,26 @@ def test_plant_failure_reports_step_index():
         simulate(s)
 
 
-def test_non_finite_initial_state_fails_step_0():
-    # the loop checks e, not x: a NaN state shows in e (the observed tank
-    # levels, or C x with a zero column) or in plant.step (an upper tank)
+def test_non_finite_initial_state_is_rejected_at_construction():
+    # the loop checks e, not x, so a NaN in an unobserved state (a zero
+    # column of C, an upper tank) would have surfaced only after step 0's
+    # plant update; the scenario rejects every non-finite x0 before any step
     lti = LTIPlant(A=[[0.5, 0.0], [0.0, 0.5]], B=[[0.5], [0.0]], C=[[1.0, 0.0]],
                    B_w=[[0.0], [0.0]], D_w=[[-1.0]], T_s=1.0)
     ctrl = DPIController([[1.0]], Box([-1.0], [1.0]), I1,
                          T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
     lti_scenario = Scenario(plant=lti, controller=ctrl, schedule=[(0, np.array([0.5]))],
-                            horizon=10, x0=np.array([0.0, np.nan]))
+                            horizon=10, x0=np.array([0.0, 0.0]))
     tank = tank_scenario(horizon=10)
-    scenarios = [lti_scenario, replace(lti_scenario, x0=np.array([np.nan, 0.0]))]
+    starts = [(lti_scenario, np.array([0.0, np.nan])), (lti_scenario, np.array([np.nan, 0.0])),
+              (lti_scenario, np.array([np.inf, 0.0]))]
     for level in (0, 2):
         x0 = tank.plant.h_nominal.copy()
         x0[level] = np.nan
-        scenarios.append(replace(tank, x0=x0))
-    for s in scenarios:
-        with pytest.raises(SimulationError, match=r"^step 0: "):
-            simulate(s)
+        starts.append((tank, x0))
+    for s, x0 in starts:
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            replace(s, x0=x0)
 
 
 # ---------------------------------------------------------------------------
