@@ -1,10 +1,14 @@
 """Run configuration: a JSON document mapped onto library objects.
 
 Top-level keys: plant, metric, constraint, controller, scenario, and the
-optional sweep / certify blocks plus a seed.  This module only parses, and a
-value of the wrong JSON type or shape names its key.  The library object that
-takes a value checks every rule on it, once, and its ValueError becomes a
-ConfigError that names the block ("controller: damping must lie ...").
+optional sweep / certify blocks plus a seed.  This module only parses: every
+number goes through _numbers (a JSON number, a nonempty flat list of them or
+a nonempty list of equally long such rows; no strings, booleans or null),
+every integer through _as_int, and the three boxes (constraint, sweep.box,
+certify.box) through _box.  A value of the wrong JSON type or shape names
+its key ("controller.T_i: expected a number, got '2.0'").  The library
+object that takes a value checks every rule on it, once, and its ValueError
+becomes a ConfigError that names the block ("controller: damping must lie ...").
 """
 
 from __future__ import annotations
@@ -62,17 +66,25 @@ class RunSetup:
     raw: dict
 
 
-def _get(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-    return cfg[key]
+_REQUIRED = object()
 
 
-def _as_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, f"expected a number, got {value!r}") from exc
+def _get(spec: dict, block: str, name: str, kind=None, default=_REQUIRED):
+    """spec[name], which errors name block.name (name alone at the top level).
+
+    kind None returns the value as given, int reads it by _as_int, and 0, 1
+    or 2 by _numbers with that many dimensions.  A key with a default may be
+    left out.
+    """
+    key = f"{block}.{name}" if block else name
+    if name not in spec:
+        if default is _REQUIRED:
+            raise ConfigError(key, "missing required key")
+        return default
+    value = spec[name]
+    if kind is None:
+        return value
+    return _as_int(value, key) if kind is int else _numbers(value, key, kind)
 
 
 def _as_int(value, key: str) -> int:
@@ -81,65 +93,70 @@ def _as_int(value, key: str) -> int:
     return value
 
 
-def _as_vector(value, key: str) -> np.ndarray:
+_SHAPES = ("a number", "a nonempty flat list of numbers",
+           "a nonempty matrix (a list of equally long rows of numbers)")
+
+
+def _is_numbers(value, ndim: int) -> bool:
+    if ndim == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, list) and bool(value) and all(_is_numbers(v, ndim - 1) for v in value)
+
+
+def _numbers(value, key: str, ndim: int):
+    """A JSON number (ndim 0), a nonempty flat list of them (1) or a nonempty
+    list of equally long such lists (2), as a float or a float array.
+    Strings, booleans and null are not numbers."""
+    if not _is_numbers(value, ndim) or (ndim == 2 and len({len(row) for row in value}) > 1):
+        raise ConfigError(key, f"expected {_SHAPES[ndim]}, got {value!r}")
     try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, "expected a list of numbers") from exc
-    if out.ndim != 1 or out.size == 0:
-        raise ConfigError(key, "expected a nonempty flat list of numbers")
-    return out
+        return float(value) if ndim == 0 else np.array(value, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(key, f"number out of range ({exc})") from exc
 
 
-def _as_matrix(value, key: str) -> np.ndarray:
+_INFINITIES = {"inf": np.inf, "+inf": np.inf, "-inf": -np.inf}
+
+
+def _box(spec, key: str, bounded: bool = False) -> Box:
+    """A {lower, upper} box: the constraint box, sweep.box or certify.box.
+
+    A bound is a number, null (unbounded) or "inf", "+inf", "-inf".  A
+    certificate box must be bounded: (mu, L) are taken at its corners.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(key, "expected an object with 'lower' and 'upper'")
+    bounds = []
+    for side, unbounded in (("lower", -np.inf), ("upper", np.inf)):
+        raw = _get(spec, key, side)
+        if isinstance(raw, list):
+            raw = [unbounded if v is None else _INFINITIES.get(v, v) if isinstance(v, str) else v
+                   for v in raw]
+        bounds.append(_numbers(raw, f"{key}.{side}", 1))
     try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, "expected a nested list of numbers") from exc
-    if out.ndim != 2 or out.size == 0:
-        raise ConfigError(key, "expected a nonempty matrix (list of rows)")
-    return out
-
-
-def _as_bound(value, key: str, side: str) -> float:
-    """Box bound: a number, null (unbounded), or the literals 'inf'/'-inf'."""
-    if value is None:
-        return -np.inf if side == "lower" else np.inf
-    if isinstance(value, str):
-        if value in ("inf", "+inf"):
-            return np.inf
-        if value == "-inf":
-            return -np.inf
-        raise ConfigError(key, f"unknown bound literal {value!r}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(key, f"expected a number, null or 'inf'/'-inf', got {value!r}")
+        box = Box(*bounds)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
+    if bounded and not np.isfinite(bounds).all():
+        raise ConfigError(key, "a certificate box must be bounded")
+    return box
 
 
 def _build_set(spec, key: str) -> ConvexSet:
     if not isinstance(spec, dict):
         raise ConfigError(key, "constraint sets are objects with a 'type' tag")
-    kind = _get(spec, "type", key)
+    kind = _get(spec, key, "type")
     try:
         if kind == "box":
-            raw_lower = _get(spec, "lower", key)
-            raw_upper = _get(spec, "upper", key)
-            if not isinstance(raw_lower, list) or not isinstance(raw_upper, list):
-                raise ConfigError(key, "box bounds must be lists")
-            lower = [_as_bound(v, f"{key}.lower", "lower") for v in raw_lower]
-            upper = [_as_bound(v, f"{key}.upper", "upper") for v in raw_upper]
-            return Box(lower, upper)
+            return _box(spec, key)
         if kind == "halfspace":
-            return Halfspace(_as_vector(_get(spec, "a", key), f"{key}.a"),
-                             _as_float(_get(spec, "b", key), f"{key}.b"))
+            return Halfspace(_get(spec, key, "a", 1), _get(spec, key, "b", 0))
         if kind == "ball":
-            return Ball(_as_vector(_get(spec, "center", key), f"{key}.center"),
-                        _as_float(_get(spec, "radius", key), f"{key}.radius"))
+            return Ball(_get(spec, key, "center", 1), _get(spec, key, "radius", 0))
         if kind == "polyhedron":
-            return Polyhedron(_as_matrix(_get(spec, "A", key), f"{key}.A"),
-                              _as_vector(_get(spec, "b", key), f"{key}.b"))
+            return Polyhedron(_get(spec, key, "A", 2), _get(spec, key, "b", 1))
         if kind == "intersection":
-            members = _get(spec, "sets", key)
+            members = _get(spec, key, "sets")
             if not isinstance(members, list):
                 raise ConfigError(f"{key}.sets", "expected a list of sets")
             intersection = Intersection([_build_set(s, f"{key}.sets[{i}]")
@@ -147,8 +164,8 @@ def _build_set(spec, key: str) -> ConvexSet:
             intersection._curved_and_rest  # raises past one curved member, as projecting would
             return intersection
         if kind == "linear_preimage":
-            return LinearPreimage(_as_matrix(_get(spec, "K", key), f"{key}.K"),
-                                  _build_set(_get(spec, "inner", key), f"{key}.inner"))
+            return LinearPreimage(_get(spec, key, "K", 2),
+                                  _build_set(_get(spec, key, "inner"), f"{key}.inner"))
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
     raise ConfigError(f"{key}.type", f"unknown set type {kind!r}")
@@ -157,30 +174,17 @@ def _build_set(spec, key: str) -> ConvexSet:
 def _build_plant(spec, key: str = "plant") -> PlantModel:
     if not isinstance(spec, dict):
         raise ConfigError(key, "expected a plant object")
-    kind = _get(spec, "type", key)
+    kind = _get(spec, key, "type")
     try:
         if kind == "lti":
-            return LTIPlant(
-                A=_as_matrix(_get(spec, "A", key), f"{key}.A"),
-                B=_as_matrix(_get(spec, "B", key), f"{key}.B"),
-                C=_as_matrix(_get(spec, "C", key), f"{key}.C"),
-                D=None if "D" not in spec else _as_matrix(spec["D"], f"{key}.D"),
-                B_w=None if "B_w" not in spec else _as_matrix(spec["B_w"], f"{key}.B_w"),
-                D_w=None if "D_w" not in spec else _as_matrix(spec["D_w"], f"{key}.D_w"),
-                T_s=_as_float(spec.get("T_s", 1.0), f"{key}.T_s"))
+            return LTIPlant(*(_get(spec, key, name, 2) for name in ("A", "B", "C")),
+                            *(_get(spec, key, name, 2, None) for name in ("D", "B_w", "D_w")),
+                            T_s=_get(spec, key, "T_s", 0, 1.0))
         if kind == "four_tank":
-            kwargs = {}
-            if "T_s" in spec:
-                kwargs["T_s"] = _as_float(spec["T_s"], f"{key}.T_s")
-            if "substeps" in spec:
-                kwargs["substeps"] = _as_int(spec["substeps"], f"{key}.substeps")
-            for name in ("tank_areas", "split_ratios", "nominal_levels",
-                         "nominal_input", "outlet_areas"):
-                if name in spec:
-                    kwargs[name] = _as_vector(spec[name], f"{key}.{name}")
-            if "g" in spec:
-                kwargs["g"] = _as_float(spec["g"], f"{key}.g")
-            return FourTankPlant(**kwargs)
+            fields = {"T_s": 0, "substeps": int, "tank_areas": 1, "split_ratios": 1,
+                      "nominal_levels": 1, "nominal_input": 1, "outlet_areas": 1, "g": 0}
+            return FourTankPlant(**{name: _get(spec, key, name, read)
+                                    for name, read in fields.items() if name in spec})
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
     raise ConfigError(f"{key}.type", f"unknown plant type {kind!r}")
@@ -190,7 +194,7 @@ def _build_metric(spec, dim: int, key: str = "metric") -> Metric:
     if spec is None or spec == "identity":
         return Metric.identity(dim)
     try:
-        return Metric(_as_matrix(spec, key))
+        return Metric(_numbers(spec, key, 2))
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
 
@@ -202,29 +206,29 @@ def _build_schedule(spec, key: str) -> list[tuple[int, np.ndarray]]:
     for i, entry in enumerate(spec):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(f"{key}[{i}]", "expected a [start_step, w] pair")
-        # a plant without a disturbance reads [], which _as_vector rejects
-        w = np.zeros(0) if entry[1] == [] else _as_vector(entry[1], f"{key}[{i}][1]")
+        # a plant without a disturbance reads [], which _numbers rejects
+        w = np.zeros(0) if entry[1] == [] else _numbers(entry[1], f"{key}[{i}][1]", 1)
         schedule.append((_as_int(entry[0], f"{key}[{i}][0]"), w))
     return schedule
 
 
 def build_setup(cfg: dict) -> RunSetup:
     """Parse a config document and construct the run objects."""
-    seed = _as_int(cfg.get("seed", 0), "seed")
+    seed = _get(cfg, "", "seed", int, 0)
     if seed < 0:  # no library object takes the seed, which the summaries only echo
         raise ConfigError("seed", f"must be at least 0, got {seed}")
-    plant = _build_plant(_get(cfg, "plant", ""))
-    constraint = _build_set(_get(cfg, "constraint", ""), "constraint")
+    plant = _build_plant(_get(cfg, "", "plant"))
+    constraint = _build_set(_get(cfg, "", "constraint"), "constraint")
 
-    ctrl_cfg = _get(cfg, "controller", "")
+    ctrl_cfg = _get(cfg, "", "controller")
     if not isinstance(ctrl_cfg, dict):
         raise ConfigError("controller", "expected a controller object")
-    K = _as_matrix(_get(ctrl_cfg, "K", "controller"), "controller.K")
-    T_i = _as_float(_get(ctrl_cfg, "T_i", "controller"), "controller.T_i")
-    damping = _as_float(_get(ctrl_cfg, "lambda", "controller"), "controller.lambda")
+    K = _get(ctrl_cfg, "controller", "K", 2)
+    T_i = _get(ctrl_cfg, "controller", "T_i", 0)
+    damping = _get(ctrl_cfg, "controller", "lambda", 0)
     metric = _build_metric(cfg.get("metric"), K.shape[1])
-    eta0 = None if "eta0" not in ctrl_cfg else _as_vector(ctrl_cfg["eta0"], "controller.eta0")
-    u0 = None if "u0" not in ctrl_cfg else _as_vector(ctrl_cfg["u0"], "controller.u0")
+    eta0 = _get(ctrl_cfg, "controller", "eta0", 1, None)
+    u0 = _get(ctrl_cfg, "controller", "u0", 1, None)
     try:
         controller = DPIController(K, constraint, metric, plant.T_s, T_i, damping,
                                    eta0=eta0, u0=u0)
@@ -233,17 +237,16 @@ def build_setup(cfg: dict) -> RunSetup:
     except ProjectionError as exc:  # the initial projection finds Gamma empty
         raise ConfigError("constraint", str(exc)) from exc
 
-    scn_cfg = _get(cfg, "scenario", "")
+    scn_cfg = _get(cfg, "", "scenario")
     if not isinstance(scn_cfg, dict):
         raise ConfigError("scenario", "expected a scenario object")
     try:
         scenario = Scenario(
             plant=plant,
             controller=controller,
-            schedule=_build_schedule(_get(scn_cfg, "schedule", "scenario"),
-                                     "scenario.schedule"),
-            horizon=_as_int(_get(scn_cfg, "horizon", "scenario"), "scenario.horizon"),
-            x0=_as_vector(_get(scn_cfg, "x0", "scenario"), "scenario.x0"))
+            schedule=_build_schedule(_get(scn_cfg, "scenario", "schedule"), "scenario.schedule"),
+            horizon=_get(scn_cfg, "scenario", "horizon", int),
+            x0=_get(scn_cfg, "scenario", "x0", 1))
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from exc
 
@@ -254,21 +257,7 @@ def build_setup(cfg: dict) -> RunSetup:
 
 
 def _optional_box(block: dict, key: str) -> dict:
-    if "box" not in block:
-        return {}
-    spec, key = block["box"], f"{key}.box"
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "expected an object with 'lower' and 'upper'")
-    lower = _as_vector(_get(spec, "lower", key), f"{key}.lower")
-    upper = _as_vector(_get(spec, "upper", key), f"{key}.upper")
-    try:
-        box = Box(lower, upper)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
-    # a Box may be unbounded; the corners (mu, L) are taken at may not
-    if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
-        raise ConfigError(key, "a certificate box must be bounded")
-    return {"box": box}
+    return {"box": _box(block["box"], f"{key}.box", bounded=True)} if "box" in block else {}
 
 
 def _reject_samples(spec: dict, key: str) -> None:
@@ -283,26 +272,16 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("sweep", "expected a sweep object")
     _reject_samples(spec, "sweep")
-    ti_raw = _get(spec, "T_i", "sweep")
-    lam_raw = _get(spec, "lambda", "sweep")
-    if not (isinstance(ti_raw, list) and ti_raw and isinstance(lam_raw, list) and lam_raw):
-        raise ConfigError("sweep", "T_i and lambda must be nonempty lists")
-    out = {
-        "T_i": [_as_float(v, "sweep.T_i") for v in ti_raw],
-        "lambda": [_as_float(v, "sweep.lambda") for v in lam_raw],
-    }
-    mu = _get(spec, "mu", "sweep")
-    L = _get(spec, "L", "sweep")
+    out = {name: _get(spec, "sweep", name, 1).tolist() for name in ("T_i", "lambda")}
     derived = ("exact", "estimate")  # "estimate" is the older name of the same pair
-    if (mu in derived) != (L in derived):
+    out["exact"] = _get(spec, "sweep", "mu") in derived
+    if (_get(spec, "sweep", "L") in derived) != out["exact"]:
         raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'exact'")
     out.update(_optional_box(spec, "sweep"))
-    out["exact"] = mu in derived
     if not out["exact"]:
-        out["mu"] = _as_float(mu, "sweep.mu")
-        out["L"] = _as_float(L, "sweep.L")
+        out["mu"], out["L"] = (_get(spec, "sweep", name, 0) for name in ("mu", "L"))
     if "horizon" in spec:
-        out["horizon"] = _as_int(spec["horizon"], "sweep.horizon")
+        out["horizon"] = _get(spec, "sweep", "horizon", int)
     if "schedule" in spec:
         out["schedule"] = _build_schedule(spec["schedule"], "sweep.schedule")
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .metric import Metric
-from .sets import MEMBERSHIP_TOL, ConvexSet, LinearPreimage, _contains_rows
+from .sets import ConvexSet, LinearPreimage, _contains_rows
 
 __all__ = ["DPIController", "ClassicalIntegralController"]
 
@@ -88,12 +88,12 @@ class DPIController:
                 raise ValueError(f"{name} must be finite")
         if eta0 is not None:
             eta = np.asarray(eta0, dtype=float)
-            if not self.gamma.contains(eta, MEMBERSHIP_TOL):
+            if not self.gamma.contains(eta):
                 raise ValueError("eta0 is not a member of Gamma")
         else:
             seed = np.zeros(self.gamma.dim) if u0 is None else \
                 np.linalg.solve(K, np.asarray(u0, dtype=float))
-            eta = seed if self.gamma.contains(seed, MEMBERSHIP_TOL) else \
+            eta = seed if self.gamma.contains(seed) else \
                 self.gamma.project(metric, seed).point
         self.eta = eta.copy()
 

@@ -18,9 +18,18 @@ def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _vec(x, dim: int) -> np.ndarray:
+    """One point of shape (dim,)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise ValueError(f"expected vector of dimension {dim}, got shape {x.shape}")
+    return x
+
+
+def _points(x, dim: int, name: str = "x") -> np.ndarray:
+    """One point of shape (dim,) or a batch of shape (..., dim), one point per row."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != dim:
+        raise ValueError(f"{name} must have shape (..., {dim}), got {x.shape}")
     return x
 
 
@@ -64,9 +73,7 @@ class Metric:
 
     def norm(self, x):
         """|x|_P; for a (..., dim) array, the array of its row norms."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 or x.shape[-1] != self.dim:
-            raise ValueError(f"expected vectors of dimension {self.dim}, got shape {x.shape}")
+        x = _points(x, self.dim)
         norms = _row_norms(_apply(self._chol.T, x))
         return float(norms) if x.ndim == 1 else norms
 

@@ -34,7 +34,7 @@ import numbers
 
 import numpy as np
 
-from .metric import Metric, _apply
+from .metric import _apply, _points
 
 __all__ = [
     "NumericalError",
@@ -89,12 +89,6 @@ class PlantModel(abc.ABC):
         """Steady-state error under constant input and disturbance."""
         return self.output(self.pi_x(u, w), u, w)
 
-    def _vec(self, x, dim: int, name: str) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 or x.shape[-1] != dim:
-            raise ValueError(f"{name} must have shape (..., {dim}), got {x.shape}")
-        return x
-
 
 class LTIPlant(PlantModel):
     """x <- A x + B u + B_w w,  e = C x + D u + D_w w, with A Schur stable."""
@@ -141,29 +135,29 @@ class LTIPlant(PlantModel):
     def _w(self, w) -> np.ndarray:
         if self.n_w == 0:
             return np.zeros(0)
-        return self._vec(w, self.n_w, "w")
+        return _points(w, self.n_w, "w")
 
     def step(self, x, u, w=None) -> np.ndarray:
-        x = self._vec(x, self.n, "x")
-        u = self._vec(u, self.m, "u")
+        x = _points(x, self.n)
+        u = _points(u, self.m, "u")
         out = _apply(self.A, x) + _apply(self.B, u) + _apply(self.B_w, self._w(w))
         if not np.isfinite(out).all():
             raise NumericalError("LTI state update is not finite")
         return out
 
     def output(self, x, u, w=None) -> np.ndarray:
-        x = self._vec(x, self.n, "x")
-        u = self._vec(u, self.m, "u")
+        x = _points(x, self.n)
+        u = _points(u, self.m, "u")
         return _apply(self.C, x) + _apply(self.D, u) + _apply(self.D_w, self._w(w))
 
     def pi_x(self, u, w=None) -> np.ndarray:
-        u = self._vec(u, self.m, "u")
+        u = _points(u, self.m, "u")
         rhs = _apply(self.B, u) + _apply(self.B_w, self._w(w))
         return np.linalg.solve(np.eye(self.n) - self.A, rhs[..., None])[..., 0]
 
     def pi_jacobian(self, u) -> np.ndarray:
         """The static gain, whatever u."""
-        u = self._vec(u, self.m, "u")
+        u = _points(u, self.m, "u")
         return np.broadcast_to(self.dc_gain(), u.shape[:-1] + (self.p, self.m))
 
     def dc_gain(self) -> np.ndarray:
@@ -294,8 +288,8 @@ class FourTankPlant(PlantModel):
                          [(1.0 - g1) / a[1], g2 / a[1]]])
 
     def step(self, x, u, w=None) -> np.ndarray:
-        h = self._vec(x, 4, "x")
-        u = self._vec(u, 2, "u")
+        h = _points(x, 4)
+        u = _points(u, 2, "u")
         if h.shape[:-1] != u.shape[:-1]:
             batch = np.broadcast_shapes(h.shape[:-1], u.shape[:-1])
             h, u = np.broadcast_to(h, batch + (4,)), np.broadcast_to(u, batch + (2,))
@@ -375,13 +369,13 @@ class FourTankPlant(PlantModel):
         return levels
 
     def output(self, x, u, w) -> np.ndarray:
-        h = self._vec(x, 4, "x")
-        r = self._vec(w, 2, "w")
+        h = _points(x, 4)
+        r = _points(w, 2, "w")
         return h[..., :2] - r
 
     def _flows(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(u, flow_gain u) once u passes the equilibrium map's domain check."""
-        u = self._vec(u, 2, "u")
+        u = _points(u, 2, "u")
         flows = _apply(self.flow_gain, u)
         if not np.isfinite(u).all() or np.any(u < -1e-9) or np.any(flows < -1e-9):
             raise ValueError("equilibrium map needs finite nonnegative pump flows")

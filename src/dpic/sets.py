@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric import Metric, _apply, _row_norms, _vec
+from .metric import Metric, _apply, _points, _row_norms, _vec
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -80,14 +80,6 @@ class ProjectionResult:
     point: np.ndarray
     iterations: int = 0
     residual: float = 0.0
-
-
-def _points(x, dim: int) -> np.ndarray:
-    """One point of shape (dim,) or a batch of shape (..., dim)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != dim:
-        raise ValueError(f"expected points of dimension {dim}, got shape {x.shape}")
-    return x
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

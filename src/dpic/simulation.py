@@ -148,7 +148,7 @@ class SimRecord:
         return self.k * self.T_s
 
 
-_STEP_ERRORS = (NumericalError, RuntimeError, ValueError)
+_STEP_ERRORS = (RuntimeError, ValueError)
 
 
 def _w_steps(scenario: Scenario) -> np.ndarray:
@@ -184,7 +184,7 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     or a SimulationError per row, each built only when asked for.
     """
     plant, base = scenario.plant, scenario.controller
-    if not base.gamma.contains(base.eta, MEMBERSHIP_TOL):
+    if not base.gamma.contains(base.eta):
         raise ValueError("controller state eta is not a member of Gamma")
     # (G, 1) column copies, built once: the rows' parameters move with their rows
     alpha, damping = (np.array(v, dtype=float)[:, None] for v in (alpha, damping))
@@ -317,9 +317,12 @@ def _settling(record: SimRecord, xi: np.ndarray, metric: Metric) -> np.ndarray:
 
 def classify_convergence(record: SimRecord, xi: np.ndarray, metric: Metric) -> bool:
     """Quiet-tail test: the settling sequence must stay below CONVERGENCE_TOL
-    over the trailing CONVERGENCE_WINDOW of the horizon (at least two steps)."""
+    over the trailing CONVERGENCE_WINDOW of the horizon, at least two steps
+    whose values take their eta increment, and at the last step, which has
+    none.  A run too short for that tail has not converged."""
     window = max(2, int(np.ceil(CONVERGENCE_WINDOW * len(xi))))
-    return bool(np.max(_settling(record, xi, metric)[-window:]) < CONVERGENCE_TOL)
+    s = _settling(record, xi, metric)
+    return len(s) > window and bool(np.max(s[-window - 1:]) < CONVERGENCE_TOL)
 
 
 def fit_decay_rate(sequence: np.ndarray, start: int) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .controller import _damped_projected_update
 from .metric import Metric
-from .sets import MEMBERSHIP_TOL, Box, ConvexSet, sample_points
+from .sets import Box, ConvexSet, sample_points
 
 __all__ = [
     "VIProblem",
@@ -113,7 +113,7 @@ def _check_step(alpha: float, damping: float) -> None:
 
 def _check_member(problem: VIProblem, eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
-    if not problem.constraint.contains(eta, MEMBERSHIP_TOL):
+    if not problem.constraint.contains(eta):
         raise ValueError("eta is not a member of the constraint set")
     return eta
 

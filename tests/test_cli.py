@@ -481,6 +481,21 @@ def test_sweep_lti_demo(tmp_path, capsys):
         assert float(row["decay_rate"]) == pytest.approx(rho, abs=1e-3), row
 
 
+def test_a_one_step_run_has_not_converged(tmp_path):
+    # one step leaves a vi residual of 0.25 and a tracking error of 0.5
+    cfg = preset_config("lti-demo")
+    cfg["scenario"].update(horizon=1, schedule=[[0, [0.5]]])
+    cfg["sweep"]["horizon"] = 1
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["final"]["vi_residual"] == 0.25 and summary["converged"] is False
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert summary["converged_points"] == 0 and summary["total_points"] == 15
+    assert all(row["decay_rate"] == "nan" for row in read_rows(tmp_path / "sweep.csv"))
+
+
 def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
     # the pair comes from the plant's Jacobian, which takes no w: a sweep
     # that ends at another w than the run schedule gets the same exact pair

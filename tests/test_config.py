@@ -17,6 +17,7 @@ from dpic import (
     preset_config,
     preset_names,
 )
+from dpic.cli import EXIT_CONFIG, EXIT_OK, main
 
 
 def lti_base() -> dict:
@@ -204,7 +205,57 @@ def test_null_box_bound_means_unbounded():
 def test_bad_bound_literal():
     cfg = lti_base()
     cfg["constraint"] = {"type": "box", "lower": ["low"], "upper": [1.0]}
-    with pytest.raises(ConfigError, match="unknown bound literal"):
+    with pytest.raises(ConfigError, match=r"^constraint.lower: expected a nonempty flat list "
+                                          r"of numbers, got \['low'\]"):
+        build_setup(cfg)
+
+
+_VECTOR = "expected a nonempty flat list of numbers"
+_MATRIX = "expected a nonempty matrix (a list of equally long rows of numbers)"
+
+
+@pytest.mark.parametrize("path, value, message", [
+    # strings, booleans and ragged rows are not numbers, wherever they stand
+    (("controller", "T_i"), "2.0", "controller.T_i: expected a number, got '2.0'"),
+    (("controller", "T_i"), True, "controller.T_i: expected a number, got True"),
+    (("scenario", "x0"), [True], f"scenario.x0: {_VECTOR}, got [True]"),
+    (("metric",), [["1"]], f"metric: {_MATRIX}, got [['1']]"),
+    (("constraint",), {"type": "halfspace", "a": [1.0], "b": "85"},
+     "constraint.b: expected a number, got '85'"),
+    (("sweep", "T_i"), ["2"], f"sweep.T_i: {_VECTOR}, got ['2']"),
+    (("certify", "box"), {"lower": ["0"], "upper": [1.0]},
+     f"certify.box.lower: {_VECTOR}, got ['0']"),
+    (("plant", "A"), [[0.5, 0.0], [0.5]], f"plant.A: {_MATRIX}, got [[0.5, 0.0], [0.5]]"),
+    # a box bound may be null or an infinite literal
+    (("constraint",), {"type": "box", "lower": [None], "upper": ["inf"]}, None),
+    (("constraint",), {"type": "box", "lower": ["-inf"], "upper": [None]}, None),
+    (("constraint",), {"type": "box", "lower": [-1.0], "upper": ["+inf"]}, None),
+], ids=["T_i-string", "T_i-bool", "x0-bool", "metric-string", "halfspace-b-string",
+        "sweep-T_i-string", "certify-box-string", "plant-A-ragged",
+        "box-null-inf", "box-minus-inf-null", "box-plus-inf"])
+def test_one_number_rule_for_every_config_value(tmp_path, capsys, path, value, message):
+    cfg = lti_base()
+    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": 1.0, "L": 1.0}
+    cfg["certify"] = {}
+    target = cfg
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    if message is None:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_an_integer_beyond_the_float_range_is_a_config_error():
+    # json reads 1 followed by 400 zeros as an int, which float() cannot hold
+    cfg = lti_base()
+    cfg["scenario"]["x0"] = [10 ** 400]
+    with pytest.raises(ConfigError, match=r"^scenario.x0: number out of range"):
         build_setup(cfg)
 
 

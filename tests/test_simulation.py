@@ -291,6 +291,17 @@ def test_classify_rejects_truncated_transient():
     assert not classify_convergence(record, xi, I1)
 
 
+def test_a_run_shorter_than_its_quiet_tail_has_not_converged():
+    # the loop starts at its equilibrium, so every settling value is 0; a
+    # quiet tail of two steps that each take their eta increment needs three rows
+    for horizon, converged in ((1, False), (2, False), (3, True), (30, True)):
+        s = scalar_scenario(horizon=horizon, schedule=[(0, np.array([0.0]))])
+        record = simulate(s)
+        xi = change_of_coordinates(record, s.plant, s)
+        assert not np.any(record.vi_residual) and not np.any(xi)
+        assert classify_convergence(record, xi, I1) is converged, horizon
+
+
 def test_fit_decay_rate_recovers_geometric_sequence():
     rate = 0.93
     seq = 5.0 * rate ** np.arange(60)
