@@ -24,7 +24,7 @@ from .config import ConfigError, RunSetup, build_setup, load_config
 from .metric import _apply
 from .plants import STATIC_GAIN_TOL, LTIPlant, _static_gain_margin, davison_check
 from .presets import PRESET_DESCRIPTIONS, preset_config, preset_names
-from .sets import Box, Intersection, ProjectionError
+from .sets import Intersection, ProjectionError
 from .simulation import change_of_coordinates, classify_convergence, gain_sweep, simulate
 from .vi import contraction_constants, exact_mu_L, low_gain_threshold, step_window
 
@@ -34,6 +34,7 @@ EXIT_NUMERICAL = 3
 EXIT_CERTIFICATION = 4
 
 _FLOAT_FMT = ".17g"  # full double precision round trip
+_NOT_MONOTONE = "monotonicity failed: mu <= 0"  # certify's verdict, which a sweep shares
 
 
 def _fmt(value: float) -> str:
@@ -139,11 +140,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _checked_box(setup: RunSetup, block: dict, key: str) -> Box | None:
-    """The block's box, if given, once it matches Gamma's dimension and
-    meets Gamma, which one projection onto Gamma ∩ box decides."""
-    ctrl = setup.controller
-    box = block.get("box")
+def _exact_certificates(setup: RunSetup) -> tuple[float, float]:
+    """(mu, L) of eta -> pi(K eta, w) from the plant's Jacobian, for any w,
+    which sweep and certify share.
+
+    A given certify.box must match Gamma's dimension and meet Gamma, which
+    one projection onto Gamma ∩ box decides.  An LTI plant's Jacobian is
+    constant and needs no box; a four-tank one varies with eta and needs
+    the box, since the corners of Gamma's bounding box may leave the pump
+    domain where Gamma does not.
+    """
+    plant, ctrl, box, key = setup.plant, setup.controller, setup.certify_box, "certify.box"
     if box is not None:
         if box.dim != ctrl.gamma.dim:
             raise ConfigError(key, f"box has dimension {box.dim}, Gamma {ctrl.gamma.dim}")
@@ -151,25 +158,13 @@ def _checked_box(setup: RunSetup, block: dict, key: str) -> Box | None:
             Intersection([ctrl.gamma, box]).project(ctrl.metric, ctrl.eta)
         except ProjectionError as exc:
             raise ConfigError(key, "box does not meet Gamma") from exc
-    return box
-
-
-def _exact_certificates(setup: RunSetup, block: dict, key: str) -> tuple[float, float]:
-    """(mu, L) of eta -> pi(K eta, w) from the plant's Jacobian, for any w.
-
-    An LTI plant's Jacobian is constant and needs no box; a four-tank one
-    varies with eta and needs a given box, since the corners of Gamma's
-    bounding box may leave the pump domain where Gamma does not.
-    """
-    plant, K = setup.plant, setup.controller.gain
-    box = _checked_box(setup, block, key)
     if isinstance(plant, LTIPlant):
         box = None
     elif box is None:
         raise ConfigError(key, "the plant's Jacobian varies with eta; give a box "
                                "inside the pump domain to certify over")
-    return exact_mu_L(lambda eta: plant.pi_jacobian(_apply(K, eta)) @ K,
-                      setup.controller.metric, box)
+    return exact_mu_L(lambda eta: plant.pi_jacobian(_apply(ctrl.gain, eta)) @ ctrl.gain,
+                      ctrl.metric, box)
 
 
 def _write_sweep(path: Path, points) -> None:
@@ -185,19 +180,17 @@ def cmd_sweep(args) -> int:
     setup = _load_setup(args)
     if setup.sweep is None:
         raise ConfigError("sweep", "config has no sweep block")
+    mu, L = _exact_certificates(setup)
+    if not mu > 0.0:  # no threshold to report, so no grid point runs
+        print(_NOT_MONOTONE, file=sys.stderr)
+        return EXIT_CERTIFICATION
     out = _out_dir(args)
     spec = setup.sweep
-    if spec["exact"]:
-        mu, L = _exact_certificates(setup, spec, "sweep.box")
-        source = "exact"
-    else:
-        _checked_box(setup, spec, "sweep.box")  # unused, but a box that does not fit is a fault
-        mu, L, source = spec["mu"], spec["L"], "given"
     report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
     summary = {
         "seed": setup.seed,
         "T_i_star": report.T_i_star,
-        "certificates": {"mu": mu, "L": L, "source": source},
+        "certificates": {"mu": mu, "L": L, "source": "exact"},
         "grid": {"T_i": spec["T_i"], "lambda": spec["lambda"]},
         "converged_points": sum(p.converged for p in report.points),
         "total_points": len(report.points),
@@ -216,7 +209,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     setup = _load_setup(args)
-    mu, L = _exact_certificates(setup, setup.certify or {}, "certify.box")
+    mu, L = _exact_certificates(setup)
     ctrl = setup.controller
     plant = setup.plant
     print(f"mu = {mu:.6g}")
@@ -231,7 +224,7 @@ def cmd_certify(args) -> int:
         print(f"T_i_star = {low_gain_threshold(plant.T_s, mu, L):.6g} s "
               f"(T_s = {plant.T_s:g} s, controller T_i = {ctrl.T_i:g} s)")
     else:
-        print("monotonicity failed: mu <= 0")
+        print(_NOT_MONOTONE)
     if isinstance(plant, LTIPlant):
         dav_ok, _ = davison_check(plant, ctrl.gain)
         verdict = "ok" if dav_ok else "FAILED"

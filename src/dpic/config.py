@@ -4,11 +4,13 @@ Top-level keys: plant, metric, constraint, controller, scenario, and the
 optional sweep / certify blocks plus a seed.  This module only parses: every
 number goes through _numbers (a JSON number, a nonempty flat list of them or
 a nonempty list of equally long such rows; no strings, booleans or null),
-every integer through _as_int, and the three boxes (constraint, sweep.box,
-certify.box) through _box.  A value of the wrong JSON type or shape names
-its key ("controller.T_i: expected a number, got '2.0'").  The library
-object that takes a value checks every rule on it, once, and its ValueError
-becomes a ConfigError that names the block ("controller: damping must lie ...").
+every integer through _as_int, and the two boxes (constraint, certify.box)
+through _box.  A value of the wrong JSON type or shape names its key
+("controller.T_i: expected a number, got '2.0'").  The library object that
+takes a value checks every rule on it, once, and its ValueError becomes a
+ConfigError that names the block ("controller: damping must lie ...").
+sweep and certify share one exact (mu, L) over certify.box, so sweep.mu,
+sweep.L, sweep.box and a samples key are config errors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .plants import FourTankPlant, LTIPlant, PlantModel
 from .sets import (Ball, Box, ConvexSet, Halfspace, Intersection, LinearPreimage, Polyhedron,
                    ProjectionError)
 from .simulation import Scenario
-from .vi import _check_certificates
 
 __all__ = ["ConfigError", "RunSetup", "load_config", "build_setup"]
 
@@ -61,7 +62,7 @@ class RunSetup:
     controller: DPIController
     scenario: Scenario
     sweep: dict | None
-    certify: dict | None
+    certify_box: Box | None
     seed: int
     raw: dict
 
@@ -119,7 +120,7 @@ _INFINITIES = {"inf": np.inf, "+inf": np.inf, "-inf": -np.inf}
 
 
 def _box(spec, key: str, bounded: bool = False) -> Box:
-    """A {lower, upper} box: the constraint box, sweep.box or certify.box.
+    """A {lower, upper} box: the constraint box or certify.box.
 
     A bound is a number, null (unbounded) or "inf", "+inf", "-inf".  A
     certificate box must be bounded: (mu, L) are taken at its corners.
@@ -251,56 +252,42 @@ def build_setup(cfg: dict) -> RunSetup:
         raise ConfigError("scenario", str(exc)) from exc
 
     sweep = _validate_sweep(cfg.get("sweep"), scenario) if "sweep" in cfg else None
-    certify = _validate_certify(cfg.get("certify")) if "certify" in cfg else None
+    certify_box = _validate_certify(cfg.get("certify")) if "certify" in cfg else None
     return RunSetup(plant, metric, constraint, controller, scenario,
-                    sweep, certify, seed, cfg)
+                    sweep, certify_box, seed, cfg)
 
 
-def _optional_box(block: dict, key: str) -> dict:
-    return {"box": _box(block["box"], f"{key}.box", bounded=True)} if "box" in block else {}
-
-
-def _reject_samples(spec: dict, key: str) -> None:
-    if "samples" in spec:
-        raise ConfigError(f"{key}.samples",
-                          "(mu, L) are exact and sample nothing; remove this key")
+def _reject_removed(spec: dict, block: str, names) -> None:
+    """Keys that once set (mu, L) another way fail loudly, never reread."""
+    for name in names:
+        if name in spec:
+            raise ConfigError(f"{block}.{name}", "(mu, L) are exact, from the plant's Jacobian "
+                              "over certify.box, and sweep and certify share them; remove this key")
 
 
 def _validate_sweep(spec, scenario: Scenario) -> dict:
-    """Sweep block; out["scenario"] is the run scenario with the sweep's
-    horizon and schedule overrides applied."""
+    """Sweep block: the T_i and lambda grid, and as "scenario" the run
+    scenario with the sweep's horizon and schedule overrides applied."""
     if not isinstance(spec, dict):
         raise ConfigError("sweep", "expected a sweep object")
-    _reject_samples(spec, "sweep")
+    _reject_removed(spec, "sweep", ("mu", "L", "box", "samples"))
     out = {name: _get(spec, "sweep", name, 1).tolist() for name in ("T_i", "lambda")}
-    derived = ("exact", "estimate")  # "estimate" is the older name of the same pair
-    out["exact"] = _get(spec, "sweep", "mu") in derived
-    if (_get(spec, "sweep", "L") in derived) != out["exact"]:
-        raise ConfigError("sweep.mu", "mu and L must both be numbers or both 'exact'")
-    out.update(_optional_box(spec, "sweep"))
-    if not out["exact"]:
-        out["mu"], out["L"] = (_get(spec, "sweep", name, 0) for name in ("mu", "L"))
-    if "horizon" in spec:
-        out["horizon"] = _get(spec, "sweep", "horizon", int)
-    if "schedule" in spec:
-        out["schedule"] = _build_schedule(spec["schedule"], "sweep.schedule")
+    horizon = _get(spec, "sweep", "horizon", int, scenario.horizon)
+    schedule = (_build_schedule(spec["schedule"], "sweep.schedule") if "schedule" in spec
+                else scenario.schedule)
     try:
-        out["scenario"] = replace(scenario,
-                                  horizon=out.get("horizon", scenario.horizon),
-                                  schedule=out.get("schedule", scenario.schedule))
-        # gain_sweep's own checks, so a bad grid or pair exits before any run
+        out["scenario"] = replace(scenario, horizon=horizon, schedule=schedule)
+        # gain_sweep's own checks, so a bad grid exits before any run
         for T_i in out["T_i"]:
             for damping in out["lambda"]:
                 _checked_alpha(scenario.controller.T_s, T_i, damping)
-        if not out["exact"]:
-            _check_certificates(out["mu"], out["L"])
     except ValueError as exc:
         raise ConfigError("sweep", str(exc)) from exc
     return out
 
 
-def _validate_certify(spec) -> dict:
+def _validate_certify(spec) -> Box | None:
     if not isinstance(spec, dict):
         raise ConfigError("certify", "expected a certify object")
-    _reject_samples(spec, "certify")
-    return _optional_box(spec, "certify")
+    _reject_removed(spec, "certify", ("samples",))
+    return _box(spec["box"], "certify.box", bounded=True) if "box" in spec else None

@@ -58,9 +58,6 @@ def _four_tank_config() -> dict:
         "sweep": {
             "T_i": [2.0, 5.0, 10.0, 15.0, 30.0],
             "lambda": [0.1, 0.5, 0.95],
-            "mu": "exact",
-            "L": "exact",
-            "box": {"lower": [100.0, 100.0], "upper": [185.0, 185.0]},
             "horizon": 4000,
             "schedule": [[0, [10.0, 10.0]], [50, [13.0, 11.0]]],
         },
@@ -93,8 +90,6 @@ def _lti_demo_config() -> dict:
         "sweep": {
             "T_i": [2.0, 5.0, 10.0, 15.0, 30.0],
             "lambda": [0.1, 0.5, 0.95],
-            "mu": 1.0,
-            "L": 1.0,
             "horizon": 4500,
             "schedule": [[0, [0.5]]],
         },

@@ -6,7 +6,6 @@ see the tally even when everything passes).
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,20 +59,18 @@ def tank_run():
 
 @pytest.fixture(scope="module")
 def tank_sweep():
-    """Four-tank gain sweep at the exact (mu, L) of the sweep box, timed, and
-    the threshold T_i* of the pair sampled in that box as the CLI once did."""
+    """Four-tank gain sweep at the exact (mu, L) of the certify box, timed,
+    and the threshold T_i* of the pair sampled in that box as the CLI once did."""
     setup = build_setup(preset_config("four-tank"))
     spec = setup.sweep
     ctrl = setup.controller
-    mu, L = _exact_certificates(setup, spec, "sweep.box")
+    mu, L = _exact_certificates(setup)
     w0 = setup.scenario.schedule[0][1]
-    region = Intersection([ctrl.gamma, spec["box"]])
+    region = Intersection([ctrl.gamma, setup.certify_box])
     mu_hat, L_hat = estimate_mu_L(lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w0),
                                   region, ctrl.metric, samples=2000, seed=setup.seed)
-    scenario = replace(setup.scenario, horizon=spec["horizon"],
-                       schedule=spec["schedule"])
     t0 = time.perf_counter()
-    report = gain_sweep(scenario, spec["T_i"], spec["lambda"], mu, L)
+    report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
     elapsed = time.perf_counter() - t0
     return report, elapsed, low_gain_threshold(setup.plant.T_s, mu_hat, L_hat)
 

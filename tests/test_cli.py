@@ -268,49 +268,39 @@ def test_a_four_tank_certify_needs_a_box(tmp_path, capsys, constraint):
     assert err.startswith("config error: certify.box: the plant's Jacobian varies"), err
 
 
-@pytest.mark.parametrize("command, box", [
-    ("certify", {"lower": [100.0, 100.0, 100.0], "upper": [185.0, 185.0, 185.0]}),
-    ("sweep", {"lower": [100.0], "upper": [185.0]}),
-    ("certify", {"lower": [500.0, 500.0], "upper": [600.0, 600.0]}),
-    ("sweep", {"lower": [500.0, 500.0], "upper": [600.0, 600.0]}),
-], ids=["certify-3-entries", "sweep-1-entry", "certify-disjoint", "sweep-disjoint"])
-def test_a_bad_certificate_box_exits_2(tmp_path, capsys, command, box):
-    # a box of the wrong dimension, or one that misses Gamma, is a fault of
-    # the config, found before any Jacobian is taken
-    cfg = preset_config("four-tank")
-    cfg[command]["box"] = box
-    extra = [] if command == "certify" else ["--out", str(tmp_path)]
+@pytest.mark.parametrize("preset, command, box", [
+    ("four-tank", "certify", {"lower": [100.0, 100.0, 100.0], "upper": [185.0, 185.0, 185.0]}),
+    ("four-tank", "sweep", {"lower": [100.0], "upper": [185.0]}),
+    ("four-tank", "certify", {"lower": [500.0, 500.0], "upper": [600.0, 600.0]}),
+    ("four-tank", "sweep", {"lower": [500.0, 500.0], "upper": [600.0, 600.0]}),
+    ("lti-demo", "sweep", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}),
+    ("lti-demo", "sweep", {"lower": [5.0], "upper": [6.0]}),
+], ids=["certify-3-entries", "sweep-1-entry", "certify-disjoint", "sweep-disjoint",
+        "lti-sweep-2-entries", "lti-sweep-disjoint"])
+def test_a_bad_certificate_box_exits_2(tmp_path, capsys, preset, command, box):
+    # a certify.box of the wrong dimension, or one that misses Gamma, is a
+    # fault of the config, found before any Jacobian is taken or any sweep
+    # point runs; so it is on an LTI plant, whose pair needs no box
+    cfg = preset_config(preset)
+    cfg["certify"]["box"] = box
+    extra = [] if command == "certify" else ["--out", str(tmp_path / "out")]
     assert main([command, "--config", write_config(tmp_path, cfg)] + extra) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {command}.box: "), err
-    assert ("dimension" in err) == (len(box["lower"]) != 2)
-
-
-@pytest.mark.parametrize("box, rule", [
-    ({"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "box has dimension 2, Gamma 1"),
-    ({"lower": [5.0], "upper": [6.0]}, "box does not meet Gamma"),
-], ids=["2-entries", "disjoint"])
-def test_a_sweep_box_that_does_not_fit_exits_2_when_mu_and_L_are_given(tmp_path, capsys,
-                                                                       box, rule):
-    # the given pair leaves the box unused, but a box that does not fit Gamma
-    # is a fault of the config all the same, as it is when (mu, L) are derived
-    cfg = preset_config("lti-demo")
-    cfg["sweep"]["box"] = box
-    assert main(["sweep", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: sweep.box: {rule}\n"
-    assert not (tmp_path / "sweep.csv").exists()
+    assert err.startswith("config error: certify.box: "), err
+    assert ("dimension" in err) == (len(box["lower"]) != len(cfg["controller"]["K"][0]))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("box", [{"lower": "junk"}, [0.0, 1.0], {"lower": [1.0], "upper": [0.0]}])
-def test_a_malformed_sweep_box_exits_2_when_mu_and_L_are_given(tmp_path, capsys, box):
-    # the box is read whether or not the sweep takes (mu, L) from it
+def test_a_malformed_certify_box_exits_2(tmp_path, capsys, box):
+    # the box is read and checked although an LTI plant's pair does not use it
     cfg = preset_config("lti-demo")
-    cfg["sweep"]["box"] = box
+    cfg["certify"]["box"] = box
     assert main(["sweep", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: sweep.box"), err
+    assert err.startswith("config error: certify.box"), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("members", [
@@ -350,25 +340,24 @@ NAN, INF = float("nan"), float("inf")
     ("simulate", "scenario.schedule[1][1]", ("scenario", "schedule", 1, 1), [INF]),
     ("simulate", "controller.eta0", ("controller", "eta0"), [-INF]),
     ("simulate", "controller.u0", ("controller", "u0"), [NAN]),
-    ("sweep", "sweep.box.upper", ("sweep", "box", "upper"), ["inf"]),
+    ("sweep", "certify.box.upper", ("certify", "box", "upper"), ["inf"]),
     ("certify", "certify.box.lower", ("certify", "box", "lower"), [-INF]),
 ])
 def test_non_finite_config_vectors_exit_2(tmp_path, capsys, command, key, path, value):
     # json reads NaN, Infinity and -Infinity, and the string "inf" converts to
-    # a float; on this unbounded Gamma a sweep box reaching to inf once
-    # surfaced as "certify.box: Gamma is unbounded".  The object that takes
+    # a float; on this unbounded Gamma a box reaching to inf once surfaced
+    # as "certify.box: Gamma is unbounded".  The object that takes
     # a vector rejects it, and the message names its block
     message = {
         "scenario.x0": "scenario: x0 must be finite",
         "scenario.schedule[1][1]": "scenario: disturbance at step 200 must be finite",
         "controller.eta0": "controller: eta0 must be finite",
         "controller.u0": "controller: u0 must be finite",
-        "sweep.box.upper": "sweep.box: a certificate box must be bounded",
+        "certify.box.upper": "certify.box: a certificate box must be bounded",
         "certify.box.lower": "certify.box: a certificate box must be bounded",
     }[key]
     cfg = preset_config("lti-demo")
     cfg["constraint"] = {"type": "box", "lower": [-1.0], "upper": [None]}
-    cfg["sweep"].update(mu="estimate", L="estimate", box={"lower": [-1.0], "upper": [1.0]})
     cfg["certify"]["box"] = {"lower": [-1.0], "upper": [1.0]}
     if key == "controller.eta0":
         del cfg["controller"]["u0"]
@@ -417,10 +406,10 @@ def test_a_sweep_takes_a_derived_mu_an_ulp_above_L(tmp_path):
             "constraint": {"type": "box", "lower": [-1.0] * 3, "upper": [1.0] * 3},
             "controller": {"K": (0.5 * c * np.eye(3)).tolist(), "T_i": 5.0, "lambda": 0.5},
             "scenario": {"horizon": 50, "x0": [0.0] * 3, "schedule": [[0, [0.01] * 3]]},
-            "sweep": {"T_i": [5.0], "lambda": [0.5], "mu": "exact", "L": "exact"},
+            "sweep": {"T_i": [5.0], "lambda": [0.5]},
         }
         setup = build_setup(cfg)
-        mu, L = _exact_certificates(setup, setup.sweep, "sweep.box")
+        mu, L = _exact_certificates(setup)
         if mu > L:
             break
     else:
@@ -468,7 +457,7 @@ def test_sweep_lti_demo(tmp_path, capsys):
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert summary["T_i_star"] == pytest.approx(0.5)  # T_s L^2 / (2 mu)
     assert summary["converged_points"] == 15
-    assert summary["certificates"] == {"mu": 1.0, "L": 1.0, "source": "given"}
+    assert summary["certificates"] == {"mu": 1.0, "L": 1.0, "source": "exact"}
     # every tested damping converged at every T_i on this easy plant
     assert all(v == pytest.approx(0.95)
                for v in summary["empirical_lambda_star"].values())
@@ -500,9 +489,9 @@ def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
     # the pair comes from the plant's Jacobian, which takes no w: a sweep
     # that ends at another w than the run schedule gets the same exact pair
     cfg = preset_config("lti-demo")
-    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
-                         "box": {"lower": [-1.0], "upper": [1.0]},
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5],
                          "horizon": 300, "schedule": [[0, [0.5]], [100, [0.8]]]})
+    cfg["certify"]["box"] = {"lower": [-1.0], "upper": [1.0]}
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
@@ -513,7 +502,7 @@ def test_sweep_estimates_certificates_at_the_final_sweep_disturbance(tmp_path):
 def test_an_lti_sweep_estimates_without_a_box(tmp_path):
     # an LTI Jacobian is constant, so the exact pair needs no box, as in certify
     cfg = preset_config("lti-demo")
-    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate"})
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5]})
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
@@ -525,8 +514,7 @@ def test_an_lti_plant_without_a_disturbance_runs_from_a_config(tmp_path, capsys)
     cfg = preset_config("lti-demo")
     del cfg["plant"]["B_w"], cfg["plant"]["D_w"]
     cfg["scenario"].update({"x0": [0.5], "schedule": [[0, []], [200, []]]})
-    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
-                         "schedule": [[0, []]]})
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "schedule": [[0, []]]})
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == EXIT_OK
     summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
@@ -543,12 +531,53 @@ def test_an_lti_plant_without_a_disturbance_runs_from_a_config(tmp_path, capsys)
 
 def test_a_four_tank_sweep_estimate_needs_a_box(tmp_path, capsys):
     cfg = preset_config("four-tank")
-    del cfg["sweep"]["box"]
+    del cfg["certify"]["box"]
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: sweep.box: the plant's Jacobian varies"), err
+    assert err.startswith("config error: certify.box: the plant's Jacobian varies"), err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_a_non_monotone_sweep_exits_4_as_certify_does(tmp_path, capsys):
+    # K = -1 integrates the error the wrong way, so mu = -1; the sweep shares
+    # certify's pair and its verdict, and runs no grid point
+    cfg = preset_config("lti-demo")
+    cfg["controller"]["K"] = [[-1.0]]
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", path]) == EXIT_CERTIFICATION
+    assert "monotonicity failed: mu <= 0\n" in capsys.readouterr().out
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CERTIFICATION
+    assert capsys.readouterr().err == "monotonicity failed: mu <= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def ci_ball_config():
+    """The ball ∩ box config that CI runs from the installed command."""
+    cfg = ball_gamma_config()
+    cfg["certify"]["box"] = {"lower": [-2.0], "upper": [0.5]}
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["four-tank", "lti-demo", "ci-ball"])
+def test_sweep_and_certify_share_one_pair(tmp_path, capsys, name):
+    from dpic.cli import _exact_certificates
+
+    cfg = ci_ball_config() if name == "ci-ball" else preset_config(name)
+    if name == "four-tank":
+        cfg["sweep"].update({"T_i": [30.0], "lambda": [0.5]})
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", path]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[:2]
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    setup = build_setup(cfg)
+    mu, L = _exact_certificates(setup)
+    assert summary["certificates"] == {"mu": mu, "L": L, "source": "exact"}
+    assert printed == [f"mu = {mu:.6g}", f"L = {L:.6g}"]
+    assert summary["T_i_star"] == setup.plant.T_s * L ** 2 / (2.0 * mu)
+    if name != "four-tank":  # lti-demo's plant: mu = L = 1, T_i* = 0.5 s
+        assert (mu, L, summary["T_i_star"]) == (1.0, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +713,11 @@ def test_a_certify_box_meets_a_ball_gamma_in_eta(tmp_path, capsys, lower, code):
 
 
 def ball_gamma_sweep_config():
-    """ball_gamma_config() with one sweep point that estimates (mu, L) and
-    ends at a disturbance that drives the input onto the ball."""
+    """ball_gamma_config() with a certify box and one sweep point that ends
+    at a disturbance that drives the input onto the ball."""
     cfg = ball_gamma_config()
-    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
-                         "box": {"lower": [-1.0], "upper": [1.0]},
+    cfg["certify"]["box"] = {"lower": [-1.0], "upper": [1.0]}
+    cfg["sweep"].update({"T_i": [5.0], "lambda": [0.5],
                          "horizon": 300, "schedule": [[0, [0.5]], [100, [2.0]]]})
     return cfg
 
@@ -698,21 +727,6 @@ def test_sweep_estimates_and_projects_on_a_ball_gamma(tmp_path):
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
     rows = read_rows(tmp_path / "sweep.csv")
     assert rows[0]["converged"] == "true"
-
-
-def test_exact_and_estimate_name_the_same_sweep_certificates(tmp_path):
-    # "estimate" is the older name of "exact"; both derive the pair from the Jacobian
-    outputs = []
-    for word in ("exact", "estimate"):
-        cfg = ball_gamma_sweep_config()
-        cfg["sweep"].update(mu=word, L=word)
-        out = tmp_path / word
-        assert main(["sweep", "--config", write_config(tmp_path, cfg, f"{word}.json"),
-                     "--out", str(out)]) == EXIT_OK
-        outputs.append([(out / name).read_bytes()
-                        for name in ("sweep.csv", "sweep_summary.json")])
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["certificates"]["source"] == "exact"
 
 
 @pytest.mark.parametrize("second", [

@@ -50,7 +50,8 @@ def test_preset_configs_build():
         setup = build_setup(preset_config(name))
         assert setup.scenario.horizon >= 1
         assert setup.controller.constraint is setup.constraint
-        assert setup.sweep is not None and setup.certify is not None
+        # the sweep block holds its grid and its scenario, no (mu, L) of its own
+        assert set(setup.sweep) == {"T_i", "lambda", "scenario"}
 
 
 def test_preset_config_returns_fresh_dict():
@@ -73,15 +74,13 @@ def test_four_tank_preset_wiring():
     assert np.allclose(setup.controller.gain @ setup.plant.flow_gain, np.eye(2),
                        atol=1e-12)
     assert setup.scenario.schedule[0][0] == 0
-    assert setup.sweep["exact"] is True
-    assert isinstance(setup.sweep["box"], Box)
+    assert isinstance(setup.certify_box, Box)
 
 
 def test_lti_demo_preset_wiring():
     setup = build_setup(preset_config("lti-demo"))
     assert isinstance(setup.plant, LTIPlant)
-    assert setup.sweep["exact"] is False
-    assert setup.sweep["mu"] == 1.0 and setup.sweep["L"] == 1.0
+    assert setup.certify_box is None  # an LTI plant's pair needs no box
     assert len(setup.sweep["T_i"]) == 5 and len(setup.sweep["lambda"]) == 3
 
 
@@ -235,7 +234,7 @@ _MATRIX = "expected a nonempty matrix (a list of equally long rows of numbers)"
         "box-null-inf", "box-minus-inf-null", "box-plus-inf"])
 def test_one_number_rule_for_every_config_value(tmp_path, capsys, path, value, message):
     cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": 1.0, "L": 1.0}
+    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5]}
     cfg["certify"] = {}
     target = cfg
     for part in path[:-1]:
@@ -390,66 +389,65 @@ def test_bool_is_not_an_integer():
 
 def test_sweep_lambda_out_of_range():
     cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0], "lambda": [1.0], "mu": 1.0, "L": 1.0}
+    cfg["sweep"] = {"T_i": [2.0], "lambda": [1.0]}
     with pytest.raises(ConfigError, match=r"^sweep: damping must lie strictly in \(0, 1\)"):
-        build_setup(cfg)
-
-
-def test_sweep_mixed_estimate_rejected():
-    cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": "estimate", "L": 1.0}
-    with pytest.raises(ConfigError, match="sweep.mu"):
-        build_setup(cfg)
-
-
-def test_sweep_L_below_mu_rejected():
-    cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": 2.0, "L": 1.0}
-    with pytest.raises(ConfigError, match="^sweep: certificates must satisfy 0 < mu <= L"):
         build_setup(cfg)
 
 
 def test_sweep_empty_grid_rejected():
     cfg = lti_base()
-    cfg["sweep"] = {"T_i": [], "lambda": [0.5], "mu": 1.0, "L": 1.0}
+    cfg["sweep"] = {"T_i": [], "lambda": [0.5]}
     with pytest.raises(ConfigError, match="sweep"):
         build_setup(cfg)
 
 
 def test_sweep_schedule_dimension_checked():
     cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": 1.0, "L": 1.0,
-                    "schedule": [[0, [0.5, 0.5]]]}
+    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "schedule": [[0, [0.5, 0.5]]]}
     with pytest.raises(ConfigError, match="^sweep: disturbance at step 0 must have dimension 1"):
         build_setup(cfg)
 
 
 def test_valid_sweep_block_carried_through():
     cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0, 5.0], "lambda": [0.5], "mu": 1.0, "L": 1.0,
-                    "horizon": 300, "schedule": [[0, [0.5]]]}
+    cfg["sweep"] = {"T_i": [2.0, 5.0], "lambda": [0.5],
+                    "horizon": 300, "schedule": [[0, [0.4]]]}
     setup = build_setup(cfg)
     assert setup.sweep["T_i"] == [2.0, 5.0]
-    assert setup.sweep["horizon"] == 300
+    assert setup.sweep["scenario"].horizon == 300
+    assert setup.sweep["scenario"].schedule[0][1].tolist() == [0.4]
+    assert setup.scenario.horizon == 50  # the run scenario keeps its own
 
 
-def test_samples_key_is_a_config_error():
-    # (mu, L) are exact, so a sample count would be read by nothing
+@pytest.mark.parametrize("block, name, value", [
+    ("sweep", "mu", 1.0), ("sweep", "mu", "exact"), ("sweep", "mu", "estimate"),
+    ("sweep", "L", 1.0), ("sweep", "L", "exact"), ("sweep", "L", "estimate"),
+    ("sweep", "box", {"lower": [-1.0], "upper": [1.0]}),
+    ("sweep", "samples", 2000), ("certify", "samples", 2000),
+], ids=["sweep.mu-number", "sweep.mu-exact", "sweep.mu-estimate", "sweep.L-number",
+        "sweep.L-exact", "sweep.L-estimate", "sweep.box", "sweep.samples", "certify.samples"])
+def test_removed_certificate_keys_are_config_errors(tmp_path, capsys, block, name, value):
+    # sweep and certify share one exact (mu, L) over certify.box; an old
+    # config that sets them another way fails, naming the key, and is
+    # never read as something else
     cfg = lti_base()
-    cfg["certify"] = {"samples": 2000}
-    with pytest.raises(ConfigError, match="certify.samples: .* sample nothing"):
-        build_setup(cfg)
-    cfg = lti_base()
-    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5], "mu": "estimate", "L": "estimate",
-                    "samples": 2000}
-    with pytest.raises(ConfigError, match="sweep.samples"):
-        build_setup(cfg)
+    cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5]}
+    cfg["certify"] = {}
+    cfg[block][name] = value
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: {block}.{name}: (mu, L) are exact, from the plant's "
+                   "Jacobian over certify.box, and sweep and certify share them; "
+                   "remove this key\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_without_optional_blocks():
     cfg = lti_base()
     setup = build_setup(cfg)
-    assert setup.sweep is None and setup.certify is None
+    assert setup.sweep is None and setup.certify_box is None
     assert setup.raw is cfg
 
 

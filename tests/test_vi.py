@@ -424,7 +424,7 @@ def test_estimate_equals_the_per_pair_loop_bit_for_bit():
     setup = build_setup(preset_config("four-tank"))
     ctrl = setup.controller
     w0 = setup.scenario.schedule[0][1]
-    region = Intersection([ctrl.gamma, setup.sweep["box"]])
+    region = Intersection([ctrl.gamma, setup.certify_box])
     tank = lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w0)  # noqa: E731
     rng = np.random.default_rng(51)
     M = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
@@ -466,13 +466,13 @@ def test_exact_pair_of_the_presets():
     # four-tank: K inverts the flow gain, so J = diag(eta) / g on the box
     # [100, 185]^2; lti-demo: J = dc_gain K = 1
     setup = build_setup(preset_config("four-tank"))
-    mu, L = _exact_certificates(setup, setup.certify, "certify.box")
+    mu, L = _exact_certificates(setup)
     g = setup.plant.g
     assert mu == pytest.approx(100.0 / g, rel=1e-12)
     assert L == pytest.approx(185.0 / g, rel=1e-12)
     assert low_gain_threshold(setup.plant.T_s, mu, L) == pytest.approx(1.74439, abs=5e-6)
     setup = build_setup(preset_config("lti-demo"))
-    assert _exact_certificates(setup, setup.certify, "certify.box") == (1.0, 1.0)
+    assert _exact_certificates(setup) == (1.0, 1.0)
 
 
 def test_sampled_pair_lies_inside_the_exact_one_on_tank_boxes():
