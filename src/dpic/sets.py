@@ -16,13 +16,10 @@ x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row.
 The normal-cone residual is one more NNLS, on the outward normals of the
 constraints tight at the point.
 
-Every set has one support function, support(c) = max over v in the set of
-c.v (Rockafellar, Convex Analysis, 1970, sec. 13), +inf along a direction in
-which the set is unbounded: a closed form for boxes and balls, the inner
-set's support for a linear preimage, otherwise the exact value of the linear
-program on the halfspace rows by the same NNLS, from a member the set keeps.
-An intersection with a non-polyhedral member takes the smallest member
-support, an upper bound.  The bounding box is read off the support function.
+Bounding boxes come by weak duality: exact along each axis of an ellipsoid,
+and on the joined halfspace rows one NNLS per side gives a bound that
+encloses the set (exact on boxes), or an infinite side where the rows are
+unbounded.
 
 Membership and margin of every polyhedral set come from one product with
 its cached halfspace rows and their row norms; a ball and a linear preimage
@@ -162,52 +159,6 @@ class ConvexSet:
             raise ValueError("an intersection projects with at most one non-polyhedral member")
         return (curved[0], Intersection(flat) if flat else None) if curved else None
 
-    def support(self, c) -> float:
-        """max over v in the set of c.v; +inf if the set is unbounded along c.
-
-        Exact on the halfspace rows unless a subclass has a closed form: u =
-        c/|c| is bounded iff one NNLS puts it in the rows' cone, and then w <-
-        Π(w + t u), t doubling from the projection v0 of the origin, solves the
-        linear program once t passes a finite threshold (Mangasarian & Meyer,
-        SIAM J. Control Optim. 17(6), 1979).  mu >= 0 with u = A_S^T mu on the
-        rows S active at w certifies it; the value is |c| (u.v0 + mu.(b - A v0)_S).
-        Until then w also steps along u - A_S^T mu to the next row, across an edge.
-        """
-        rows = self.halfspace_rows()
-        if rows is None:
-            raise NotImplementedError(f"{type(self).__name__} has no support function")
-        c = _vec(c, self.dim)
-        scale = float(np.linalg.norm(c))
-        if scale == 0.0:
-            return 0.0
-        A, b = rows
-        identity, u, v0 = Metric.identity(self.dim), c / scale, self._member
-        if _nnls(A.T, u)[1] > 0.0:
-            return np.inf
-        shifted, w, t = Polyhedron(A, b - A @ v0), np.zeros(self.dim), 1.0
-        for _ in range(64):
-            x, t = w + t * u, 2.0 * t
-            w = shifted.project(identity, x).point
-            S = shifted._active  # the rows of the last NNLS solve: stale if w is x
-            if S is not None and not np.array_equal(w, x):
-                mu, residual = _nnls(A[S].T, u)
-                if residual == 0.0:
-                    return scale * float(u @ v0 + mu @ shifted.b[S])
-                ascent = u - mu @ A[S]  # a_i.ascent <= 0 on S, and u.ascent > 0
-                rate = A @ ascent
-                rate[S] = 0.0
-                if (ahead := rate > 0.0).any():
-                    w = w + (np.maximum(shifted.b - A @ w, 0.0)[ahead] / rate[ahead]).min() * ascent
-        raise RuntimeError("support function found no optimal face in 64 doublings")
-
-    @cached_property
-    def _member(self) -> np.ndarray:
-        """A point, from a Polyhedron of copies of the rows; a Polyhedron keeps its own."""
-        try:
-            return Polyhedron(*self.halfspace_rows())._member
-        except ValueError:
-            raise ValueError("support function of an empty set requested") from None
-
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         """Outward normals, one per row, of the constraints tight at x: the
         halfspace rows whose normalized slack is within MEMBERSHIP_TOL."""
@@ -220,16 +171,34 @@ class ConvexSet:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned (lower, upper) enclosing the set; entries may be inf.
 
-        Tight, (-support(-e_i), support(e_i)), wherever the support is exact.
+        Each part of _split bounds it.  An ellipsoid {v : |M v - d| <= r}
+        spans (M^{-1} d)_i +- r |row i of M^{-1}| along axis i, exactly.  On
+        the joined halfspace rows (A, b), y >= 0 with A^T y = +-e_i, one
+        NNLS, gives +-v_i <= y.b by weak duality (Boyd & Vandenberghe,
+        Convex Optimization, 2004, sec. 5.2); a nonzero residual puts +-e_i
+        outside the rows' cone, and the rows are unbounded along it.  Exact
+        on boxes, enclosing elsewhere.  Raises ValueError if the rows are empty.
         """
         lower, upper = self._bbox
         return lower.copy(), upper.copy()
 
     @cached_property
     def _bbox(self):
-        units = np.eye(self.dim)
-        return (np.array([-self.support(-e) for e in units]),
-                np.array([self.support(e) for e in units]))
+        curved, flat = self._split()
+        top = np.full((2, self.dim), np.inf)  # max of v_i and of -v_i over the set
+        for M, Minv, d, r in curved:
+            for i, row in enumerate(Minv):
+                mid, reach = row @ d, r * np.linalg.norm(row)
+                top[:, i] = np.minimum(top[:, i], [mid + reach, reach - mid])
+        if flat:
+            A, b = Intersection(flat).halfspace_rows()
+            Polyhedron(A, b)  # rejects an empty set
+            for i, e in enumerate(np.eye(self.dim)):
+                for side, c in enumerate((e, -e)):
+                    y, residual = _nnls(A.T, c)
+                    if residual == 0.0:
+                        top[side, i] = min(top[side, i], y @ b)
+        return -top[1], top[0]
 
     def halfspace_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(A, b) with the set equal to {x : A x <= b}, or None if not polyhedral.
@@ -299,12 +268,6 @@ class Box(ConvexSet):
     def _norms(self):
         return np.ones(self._rows[1].size)
 
-    def support(self, c) -> float:
-        c = _vec(c, self.dim)
-        # only nonzero weights, so an infinite bound never meets a zero weight
-        up, down = c > 0.0, c < 0.0
-        return float(c[up] @ self.upper[up] + c[down] @ self.lower[down])
-
     def project(self, metric: Metric, x) -> ProjectionResult:
         if not metric.is_diagonal:
             return super().project(metric, x)
@@ -349,10 +312,6 @@ class Ball(ConvexSet):
     def _membership(self, x: np.ndarray, tol: float):
         dist = _row_norms(x - self.center)
         return dist <= self.radius + tol, self.radius - dist
-
-    def support(self, c) -> float:
-        c = _vec(c, self.dim)
-        return float(c @ self.center + self.radius * np.linalg.norm(c))
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         out = x - self.center
@@ -435,13 +394,6 @@ class Intersection(ConvexSet):
         return (np.logical_and.reduce([member for member, _ in parts]),
                 np.minimum.reduce([margin for _, margin in parts]))
 
-    def support(self, c) -> float:
-        """Exact when every member is polyhedral; otherwise the smallest
-        member support, an upper bound."""
-        if self.halfspace_rows() is not None:
-            return super().support(c)
-        return min(s.support(c) for s in self.sets)
-
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         return np.vstack([s._active_normals(x) for s in self.sets])
 
@@ -483,10 +435,6 @@ class LinearPreimage(ConvexSet):
         if part is None:
             return None
         return _read_only(part[0] @ self.K, part[1])
-
-    def support(self, c) -> float:
-        # max over K x in S of c.x is max over y in S of (K^{-T} c).y
-        return self.inner.support(self._Kinv.T @ _vec(c, self.dim))
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         # the gradient of n.(K x) is K^T n
@@ -685,11 +633,12 @@ def _project_curved(ellipsoid, rest: ConvexSet | None, metric: Metric, x) -> Pro
 # ---------------------------------------------------------------------------
 # sampling and normal-cone diagnostics
 
-def sample_points(set_: ConvexSet, count: int, rng=None, max_factor: int = 1000) -> np.ndarray:
-    """Uniform rejection samples from a bounded set.
+def sample_points(set_: ConvexSet, count: int, rng=None) -> np.ndarray:
+    """Uniform rejection samples from a bounded set, drawn in its bounding box.
 
     Raises ValueError for unbounded sets; intersect with a finite Box to
-    supply a bounded superset in that case.
+    supply a bounded superset in that case.  RuntimeError once 1000 * count
+    draws leave fewer than count points.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -709,7 +658,7 @@ def sample_points(set_: ConvexSet, count: int, rng=None, max_factor: int = 1000)
         draws = rng.uniform(lower, upper, size=(batch, set_.dim))
         points.extend(draws[_contains_rows(set_, draws)][:count - len(points)])
         attempts += batch
-        if attempts > max_factor * count:
+        if attempts > 1000 * count:
             raise RuntimeError("rejection sampling failed; the set may have negligible volume")
     return np.array(points)
 

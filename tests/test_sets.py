@@ -1022,12 +1022,13 @@ def test_sampling_unbounded_rejected():
 
 
 def test_sampling_negligible_volume():
-    # a sliver of width 1e-12 across a unit box defeats rejection sampling
+    # a sliver of width 1e-12 across a unit box defeats rejection sampling:
+    # 50 points get the budget of 1000 draws each, 50 000 in all
     A = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0],
                   [0.0, 1.0], [0.0, -1.0]])
     b = np.array([1e-12, 1e-12, 1.0, 0.0, 1.0, 0.0])
     with pytest.raises(RuntimeError):
-        sample_points(Polyhedron(A, b), 50, rng=0, max_factor=50)
+        sample_points(Polyhedron(A, b), 50, rng=0)
 
 
 def test_sampling_single_point_set_rejected():
@@ -1103,58 +1104,76 @@ def test_four_tank_infeasible_segments_bind_the_named_rows():
 
 
 # ---------------------------------------------------------------------------
-# support functions
+# bounding boxes by weak duality
 
-def test_box_support_skips_infinite_bounds_under_zero_weights():
+def _highs_box(A, b):
+    """The exact (lower, upper) of {v : A v <= b}, one HiGHS LP per side."""
+    units = np.eye(A.shape[1])
+    return (np.array([-rows_support(A, b, -e) for e in units]),
+            np.array([rows_support(A, b, e) for e in units]))
+
+
+def test_box_bounding_box_is_its_bounds_bit_for_bit():
+    # NNLS picks each bound's own row, so y.b is its offset: a lower bound l
+    # reads -(0.0 - l), which is -0.0 where l is 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert Box([0.0, -np.inf], [1.0, np.inf]).support([1.0, 0.0]) == 1.0
+        for box in (Box([0.0, -np.inf], [1.0, np.inf]), Box([-1.0, 0.5], [2.0, 3.0]),
+                    Box([-np.inf, 1e-300, -7.25], [-7.5, 1e300, np.inf]),
+                    Box([-np.inf] * 3, [np.inf] * 3)):
+            lo, hi = box.bounding_box()
+            assert same_bits(lo, -(0.0 - box.lower)) and same_bits(hi, box.upper)
 
 
-def test_support_matches_the_rows_linear_program():
-    # every closed form, delegation and the numpy engine agree with HiGHS on
-    # the set's rows
-    rng = np.random.default_rng(39)
+def test_bounding_box_encloses_the_rows_linear_programs():
+    # every polyhedral test set, and its preimage under a shear: the box holds
+    # HiGHS' exact one, and reads inf on the same sides
+    K = np.array([[2.0, 1.0], [0.5, 1.5]])
     for s in all_test_sets():
-        rows = s.halfspace_rows()
-        if rows is None:
-            continue
-        for _ in range(5):
-            c = rng.standard_normal(2)
-            assert s.support(c) == pytest.approx(rows_support(*rows, c), rel=1e-12, abs=1e-12)
+        for t in (s, LinearPreimage(K, s)):
+            rows = t.halfspace_rows()
+            if rows is None:
+                continue
+            lo, hi = t.bounding_box()
+            exact_lo, exact_hi = _highs_box(*rows)
+            assert np.array_equal(np.isinf(lo), np.isinf(exact_lo))
+            assert np.array_equal(np.isinf(hi), np.isinf(exact_hi))
+            finite = np.isfinite(exact_lo), np.isfinite(exact_hi)
+            assert (lo[finite[0]] <= exact_lo[finite[0]] + 1e-12).all()
+            assert (hi[finite[1]] >= exact_hi[finite[1]] - 1e-12).all()
 
 
-def test_support_of_a_tiny_direction_scales_the_unit_value():
-    # an objective of size 1e-12, on which HiGHS gives up unless the LP runs
-    # on the unit direction
+def test_bounding_box_encloses_highs_on_random_polytopes():
+    # unit normals, offsets in [0.5, 1.5]: bounded, and looser than the exact
+    # box only by the dual y that NNLS picks among those with A^T y = +-e_i
     rng = np.random.default_rng(40)
-    poly = _random_polytope(rng, 4, 20)
-    for _ in range(5):
-        c = rng.standard_normal(4)
-        c /= np.linalg.norm(c)
-        reference = 1e-12 * rows_support(poly.A, poly.b, c)
-        assert poly.support(1e-12 * c) == pytest.approx(reference, rel=1e-12)
-        assert rows_support(poly.A, poly.b, 1e-12 * c) == pytest.approx(reference, rel=1e-12)
-    assert poly.support(np.zeros(4)) == 0.0
+    for dim, rows in ((2, 6), (3, 12), (4, 20), (5, 40)):
+        for _ in range(5):
+            poly = _random_polytope(rng, dim, rows)
+            lo, hi = poly.bounding_box()
+            exact_lo, exact_hi = _highs_box(poly.A, poly.b)
+            assert (lo <= exact_lo + 1e-12).all() and (hi >= exact_hi - 1e-12).all()
+            assert np.prod(hi - lo) < 10.0 * np.prod(exact_hi - exact_lo)  # 1.01-6.3 here
 
 
-def test_support_along_a_near_recession_direction_is_infinite():
-    # the cone test reads a tilt of 1e-12 toward the direction of recession
-    # e_1 as the closed form does; a linear program within HiGHS' dual
-    # tolerance of about 1e-7 read 1.0 from the rows
+def test_bounding_box_of_rows_tilted_off_a_recession_direction_is_infinite():
+    # the rows of Box([-inf, 0], [1, inf]) turned by t: e_0 leans by t toward
+    # the direction of recession e_1 for t > 0 and away from it for t < 0; one
+    # NNLS reads a tilt of 1e-12 as it reads 1e-7, where a linear program
+    # within HiGHS' dual tolerance of about 1e-7 reads a bound
     box = Box([-np.inf, 0.0], [1.0, np.inf])
-    rows = Polyhedron(*box.halfspace_rows())
-    for tilt in (1e-8, 1e-12):
-        assert box.support([1.0, tilt]) == np.inf
-        assert rows.support([1.0, tilt]) == np.inf
-    assert rows.support([1.0, 0.0]) == 1.0
-    assert rows.support([1.0, -1e-12]) == 1.0
+    for tilt in (1e-7, 1e-12, 0.0, -1e-12):
+        Q = np.array([[np.cos(tilt), -np.sin(tilt)], [np.sin(tilt), np.cos(tilt)]])
+        for s in (LinearPreimage(Q, box), Polyhedron(box.halfspace_rows()[0] @ Q, [1.0, 0.0])):
+            lo, hi = s.bounding_box()
+            assert lo[0] == -np.inf and hi[1] == np.inf
+            assert hi[0] == np.inf if tilt > 0.0 else hi[0] == pytest.approx(1.0, abs=1e-11)
 
 
-def test_support_matches_highs_on_ill_scaled_far_polyhedra():
+def test_bounding_box_encloses_highs_on_ill_scaled_far_polyhedra():
     # 2-5 dimensions, up to 40 rows with norms 1e-3 to 1e3 around a member up
-    # to 1e5 from the origin, three directions of norm 1e-3 to 1e3 each; the
-    # unbounded verdicts agree, and the values to 1e-12 of |HiGHS| + |c| |center|
+    # to 1e5 from the origin: every side HiGHS finds unbounded reads inf, and
+    # every other side holds HiGHS' bound to 1e-12 of |HiGHS| + |center|
     rng = np.random.default_rng(41)
     infinite = finite = rejected = 0
     for _ in range(150):
@@ -1168,32 +1187,27 @@ def test_support_matches_highs_on_ill_scaled_far_polyhedra():
         A, b = norms[:, None] * g, norms * (g @ center + t)
         try:
             poly = Polyhedron(A, b)
-        except ValueError:
-            # nonempty by construction; from the far origin NNLS once found no
-            # point (draw 131 here, 16 rows of norms 2e-3 to 9e2 about 8e4
-            # away), and the retry from its polished point finds one
+        except ValueError:  # nonempty by construction
             rejected += 1
             continue
-        for _ in range(3):
-            c = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(dim)
-            try:
-                expected = rows_support(A, b, c)
-            except ValueError:  # HiGHS calls the set empty; the engine does not
-                break
-            got = poly.support(c)
-            if np.isinf(expected):
-                assert got == np.inf
-                infinite += 1
-            else:
-                bound = 1e-12 * (abs(expected) + np.linalg.norm(c) * np.linalg.norm(center))
-                assert abs(got - expected) <= bound, (got, expected)
-                finite += 1
-    assert finite > 200 and infinite > 50 and rejected == 0
+        try:
+            exact = _highs_box(A, b)
+        except ValueError:  # HiGHS calls the set empty; the engine does not
+            continue
+        box = poly.bounding_box()
+        for sign, got, expected in zip((-1.0, 1.0), box, exact):
+            bounded = np.isfinite(expected)
+            assert (got[~bounded] == expected[~bounded]).all()
+            got, expected = got[bounded], expected[bounded]
+            bound = 1e-12 * (np.abs(expected) + np.linalg.norm(center))
+            assert (sign * (got - expected) >= -bound).all(), (got, expected)
+            finite, infinite = finite + bounded.sum(), infinite + (~bounded).sum()
+    assert finite > 600 and infinite > 100 and rejected == 0
 
 
 def test_bounding_boxes_and_sampled_moduli_load_no_scipy():
-    # in a fresh interpreter that fails every scipy import: the support engine
-    # behind bounding_box, and with it sample_points and estimate_mu_L over a
+    # in a fresh interpreter that fails every scipy import: the NNLS behind
+    # bounding_box, and with it sample_points and estimate_mu_L over a
     # polytope, and the ball's root find under a coupled metric run on numpy alone
     script = textwrap.dedent("""
         import sys
@@ -1221,53 +1235,46 @@ def test_bounding_boxes_and_sampled_moduli_load_no_scipy():
 
 
 def test_linear_preimage_of_a_ball_has_an_exact_bounding_box():
-    K = np.array([[1.0, 0.5], [0.0, 1.0]])
-    lo, hi = LinearPreimage(K, Ball([0.0, 0.0], 1.0)).bounding_box()
-    # {x : |K x| <= 1} reaches +-|row_i(K^{-1})| along coordinate i
-    radii = np.linalg.norm(np.linalg.inv(K), axis=1)
-    assert np.allclose(hi, radii, rtol=1e-15, atol=0.0)
-    assert np.allclose(lo, -radii, rtol=1e-15, atol=0.0)
+    # {x : |K x - center| <= r} spans c.center +- r |c| along coordinate i,
+    # c = K^{-T} e_i the i-th row of K^{-1}: bit for bit, for the ball itself
+    # (K = I) and for its preimages
+    rng = np.random.default_rng(42)
+    for dim in (1, 2, 3, 5):
+        center, r = 10.0 * rng.standard_normal(dim), float(rng.uniform(0.1, 5.0))
+        ball = Ball(center, r)
+        for K in (None, rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)):
+            s = ball if K is None else LinearPreimage(K, ball)
+            Kinv = np.eye(dim) if K is None else np.linalg.inv(K)
+            lo, hi = s.bounding_box()
+            for i, e in enumerate(np.eye(dim)):
+                up, down = Kinv.T @ e, Kinv.T @ -e
+                assert same_bits(hi[i], up @ center + r * np.linalg.norm(up))
+                assert same_bits(lo[i], -(down @ center + r * np.linalg.norm(down)))
 
 
-def test_non_polyhedral_intersection_support_is_the_smallest_member_support():
+def test_non_polyhedral_intersection_bounding_box_meets_its_parts_boxes():
+    # the ball's exact box met with the box's own
     s = Intersection([Ball([0.0, 0.0], 1.0), Box([-2.0, -2.0], [0.5, 2.0])])
-    assert s.support([1.0, 0.0]) == 0.5
-    assert s.support([0.0, 1.0]) == 1.0
     lo, hi = s.bounding_box()
     assert np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [0.5, 1.0])
 
 
-def test_support_of_a_set_without_rows_or_closed_form_is_not_implemented():
+def test_bounding_box_of_a_set_without_rows_or_ellipsoid_is_not_implemented():
     class Disc(ConvexSet):
         dim = 2
 
-    with pytest.raises(NotImplementedError, match="Disc has no support function"):
-        Disc().support([1.0, 0.0])
+    with pytest.raises(NotImplementedError, match="Disc has no"):
+        Disc().bounding_box()
 
 
-def test_support_builds_the_sets_member_once(monkeypatch):
-    # the first support call projects the origin onto copies of the rows for
-    # a member and keeps it; the second makes every other projection again
-    import dpic.sets as sets_mod
-
-    calls = []
-    real = sets_mod._project_rows
-    monkeypatch.setattr(sets_mod, "_project_rows",
-                        lambda *args: calls.append(args[0]) or real(*args))
-    s = Intersection([Box([0.0, 0.0], [45.0, 45.0]), Halfspace([1.0, 1.0], 85.0)])
-    first = s.support([1.0, 2.0])
-    made = len(calls)
-    assert s.support([1.0, 2.0]) == first
-    assert len(calls) == 2 * made - 1  # all but the origin's projection again
-
-
-def test_support_of_an_empty_row_set_raises():
-    # two disjoint halfspaces: their intersection is built, it has no member
+def test_bounding_box_of_an_empty_row_set_raises():
+    # two disjoint halfspaces: their intersection is built, it has no member;
+    # one NNLS per side alone would read the crossed interval [1, -1]
     empty = Intersection([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
-    with pytest.raises(ValueError, match="empty set"):
-        empty.support([1.0, 0.0])
-    with pytest.raises(ValueError, match="empty set"):
+    with pytest.raises(ValueError, match="empty"):
         empty.bounding_box()
+    with pytest.raises(ValueError, match="empty"):
+        LinearPreimage(np.diag([2.0, 1.0]), empty).bounding_box()
 
 
 # ---------------------------------------------------------------------------
@@ -1399,7 +1406,7 @@ def test_the_whole_space_keeps_its_box_answers():
 
 
 def test_second_bounding_box_runs_no_lp(monkeypatch):
-    # the support engine's linear programs are NNLS solves; the box is cached
+    # the box takes one NNLS per side, and then it is cached
     import dpic.sets as sets_mod
 
     calls = []
@@ -1414,7 +1421,7 @@ def test_second_bounding_box_runs_no_lp(monkeypatch):
     for s in (input_polygon(), LinearPreimage(K, input_polygon())):
         calls.clear()
         lo, hi = s.bounding_box()
-        assert calls                      # the first call solves the LPs
+        assert calls                      # the first call solves the NNLS
         calls.clear()
         lo2, hi2 = s.bounding_box()
         assert not calls
