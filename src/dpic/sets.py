@@ -1,34 +1,31 @@
 """Convex constraint sets with projections in a weighted metric.
 
+Every set has one description, built on first use and cached: halfspace
+rows {v : A v <= b} with their Euclidean row norms, met with ellipsoids
+{v : |M v - d| <= r}.  A box, halfspace or polyhedron gives rows and a ball
+one ellipsoid with M = I; an intersection stacks its members' parts, and a
+linear preimage {x : K x in C} maps C's once, rows A K and ellipsoids M K.
+Membership and margin (one row product, then r - |M x - d| per ellipsoid),
+the normals of the tight constraints, the bounding box and the projection
+all read it.  A linear preimage alone answers membership and normals in its
+inner (image) space.
+
 Every projection is exact: boxes under diagonal metrics by a componentwise
-clamp, and any other polyhedral set (halfspace, box under a coupled metric,
-polyhedron, polyhedral intersection or preimage) as a least-distance program
-solved by a numpy Lawson-Hanson NNLS.  A set with one curved member, a ball
-or a linear preimage of one, beside any polyhedral ones projects in its own
-space by one root find for that member's multiplier, or by a radial shrink
-where the metric is round; no engine takes a second curved member.
+clamp, any other set of rows alone as a least-distance program solved by a
+numpy Lawson-Hanson NNLS, and one ellipsoid with rows by one root find for
+its multiplier, or by a radial shrink where the metric is round; no engine
+takes a second ellipsoid.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
 WARM_MARGIN to spare: the cached set is a hint, never a bit.  A point v for
 x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row.
 
-The normal-cone residual is one more NNLS, on the outward normals of the
-constraints tight at the point.
-
-Bounding boxes come by weak duality: exact along each axis of an ellipsoid,
-and on the joined halfspace rows one NNLS per side gives a bound that
-encloses the set (exact on boxes), or an infinite side where the rows are
-unbounded.
-
-Membership and margin of every polyhedral set come from one product with
-its cached halfspace rows and their row norms; a ball and a linear preimage
-answer in their own terms, the preimage in its inner (image) space, and an
-intersection holding either asks its members.
-
-Halfspace rows (read-only arrays) and bounding boxes are computed on first
-use and cached; the sets are immutable once built.  margin takes a
-(..., dim) array of points as well as a single point.
+The normal-cone residual is one more NNLS, on the tight normals.  Bounding
+boxes come exact along each axis of an ellipsoid and, by weak duality, one
+NNLS per side gives a bound enclosing the rows (exact on boxes).  The sets
+are immutable once built; margin takes a (..., dim) array of points as well
+as a single point.
 """
 
 from __future__ import annotations
@@ -101,10 +98,14 @@ class ConvexSet:
     """Base type: nonempty closed convex subset of R^dim."""
 
     dim: int
-    _rows = None  # a polyhedral subclass caches its read-only (A, b) here
-    _norms = None  # and their Euclidean norms, unless it measures otherwise
     _factors = None  # (metric, *_row_factors(metric)) of the last metric projected in
     _active = None  # row indices NNLS left active in the last projection it solved
+
+    @cached_property
+    def _parts(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """(ellipsoids [(M, M^{-1}, d, r)], A, b, row norms), read-only: the set is
+        {v : A v <= b} met with each {v : |M v - d| <= r}.  Every operation reads it."""
+        raise NotImplementedError(f"{type(self).__name__} has no description")
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         """Whether x satisfies every defining inequality to within tol."""
@@ -124,19 +125,23 @@ class ConvexSet:
     def _membership(self, x: np.ndarray, tol: float):
         """(member, margin) of a point or of each row of a (..., dim) array.
 
-        One product with the halfspace rows gives both: A x <= b + tol on
-        every row, and the least slack (b - A x) over the row norms.
+        One product with the rows gives A x <= b + tol on every row and the
+        least slack (b - A x) over the row norms; each ellipsoid then adds
+        |M x - d| <= r + tol and its slack r - |M x - d|.
         """
-        rows = self.halfspace_rows()
-        if rows is None:
-            raise NotImplementedError(f"{type(self).__name__} has no membership test")
-        A, b = rows
-        if not b.size:
+        ellipsoids, A, b, norms = self._parts
+        if not (b.size or ellipsoids):
             # the whole space, as a box with only infinite bounds reads it:
             # NaN is no member, and the margin is +inf at finite points only
             return ~np.any(np.isnan(x), axis=-1), np.min(np.inf - np.abs(x), axis=-1)
-        Ax = _apply(A, x)
-        return (Ax <= b + tol).all(axis=-1), ((b - Ax) / self._norms).min(axis=-1)
+        member, margin = True, np.inf
+        if b.size:
+            Ax = _apply(A, x)
+            member, margin = (Ax <= b + tol).all(axis=-1), ((b - Ax) / norms).min(axis=-1)
+        for M, _, d, r in ellipsoids:
+            dist = _row_norms(_apply(M, x) - d)
+            member, margin = member & (dist <= r + tol), np.minimum(margin, r - dist)
+        return member, margin
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         """Exact projection of a finite x in the metric norm, by _project_rows or _project_curved."""
@@ -145,59 +150,60 @@ class ConvexSet:
             return _project_rows(self, metric, x)
         return _project_curved(*self._curved_and_rest, metric, x)
 
-    def _split(self) -> tuple[list, list]:
-        """(ellipsoids (M, M^{-1}, d, r) = {v : |M v - d| <= r}, polyhedral sets) intersecting to it."""
-        if self.halfspace_rows() is None:
-            raise NotImplementedError(f"{type(self).__name__} has no projection")
-        return [], [self]
-
     @cached_property
     def _curved_and_rest(self):
-        """(the one curved member, the rest's Intersection or None), or None if polyhedral."""
-        curved, flat = self._split()
-        if len(curved) > 1:
+        """(the one ellipsoid, its rows' set or None), or None if polyhedral."""
+        ellipsoids, A, b, norms = self._parts
+        if len(ellipsoids) > 1:
             raise ValueError("an intersection projects with at most one non-polyhedral member")
-        return (curved[0], Intersection(flat) if flat else None) if curved else None
+        rest = ConvexSet()  # built with no member, so empty rows raise ProjectionError in project
+        rest.dim, rest._parts = self.dim, ([], A, b, norms)
+        return (ellipsoids[0], rest if b.size else None) if ellipsoids else None
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         """Outward normals, one per row, of the constraints tight at x: the
-        halfspace rows whose normalized slack is within MEMBERSHIP_TOL."""
-        rows = self.halfspace_rows()
-        if rows is None:
-            raise NotImplementedError(f"{type(self).__name__} has no normal cone")
-        A, b = rows
-        return A[(b - A @ x) / self._norms <= MEMBERSHIP_TOL]
+        rows whose normalized slack is within MEMBERSHIP_TOL, then M^T (M x - d)
+        of each ellipsoid whose slack is."""
+        ellipsoids, A, b, norms = self._parts
+        normals = [A[(b - A @ x) / norms <= MEMBERSHIP_TOL]]
+        for M, _, d, r in ellipsoids:
+            out = M @ x - d
+            if r - np.linalg.norm(out) <= MEMBERSHIP_TOL:
+                normals.append((M.T @ out)[None, :])
+        return np.vstack(normals)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned (lower, upper) enclosing the set; entries may be inf.
 
-        Each part of _split bounds it.  An ellipsoid {v : |M v - d| <= r}
-        spans (M^{-1} d)_i +- r |row i of M^{-1}| along axis i, exactly.  On
-        the joined halfspace rows (A, b), y >= 0 with A^T y = +-e_i, one
-        NNLS, gives +-v_i <= y.b by weak duality (Boyd & Vandenberghe,
-        Convex Optimization, 2004, sec. 5.2); a nonzero residual puts +-e_i
-        outside the rows' cone, and the rows are unbounded along it.  Exact
-        on boxes, enclosing elsewhere.  Raises ValueError if the rows are empty.
+        Each ellipsoid {v : |M v - d| <= r} spans (M^{-1} d)_i +- r |row i of
+        M^{-1}| along axis i, exactly.  On the rows (A, b), y >= 0 with
+        A^T y = +-e_i, one NNLS, gives +-v_i <= y.b by weak duality (Boyd &
+        Vandenberghe, Convex Optimization, 2004, sec. 5.2); a nonzero residual
+        puts +-e_i outside the rows' cone, and the rows are unbounded along
+        it.  Exact on boxes, enclosing elsewhere.  Raises ValueError if the
+        rows are empty, or if an ellipsoid's interval misses the others' by
+        more than MEMBERSHIP_TOL along an axis.
         """
         lower, upper = self._bbox
         return lower.copy(), upper.copy()
 
     @cached_property
     def _bbox(self):
-        curved, flat = self._split()
+        ellipsoids, A, b, _ = self._parts
         top = np.full((2, self.dim), np.inf)  # max of v_i and of -v_i over the set
-        for M, Minv, d, r in curved:
+        for M, Minv, d, r in ellipsoids:
             for i, row in enumerate(Minv):
                 mid, reach = row @ d, r * np.linalg.norm(row)
                 top[:, i] = np.minimum(top[:, i], [mid + reach, reach - mid])
-        if flat:
-            A, b = Intersection(flat).halfspace_rows()
+        if b.size:
             Polyhedron(A, b)  # rejects an empty set
             for i, e in enumerate(np.eye(self.dim)):
                 for side, c in enumerate((e, -e)):
                     y, residual = _nnls(A.T, c)
                     if residual == 0.0:
                         top[side, i] = min(top[side, i], y @ b)
+        if ellipsoids and np.any(top[0] + top[1] < -MEMBERSHIP_TOL):
+            raise ValueError("the set is empty: an ellipsoid misses its other constraints")
         return -top[1], top[0]
 
     def halfspace_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -205,11 +211,12 @@ class ConvexSet:
 
         Built once; the arrays are read-only.
         """
-        return self._rows
+        ellipsoids, A, b, _ = self._parts
+        return None if ellipsoids else (A, b)
 
     @cached_property
     def _upper(self) -> np.ndarray:  # b + MEMBERSHIP_TOL, read-only, for _contains_rows
-        return _read_only(self._rows[1] + MEMBERSHIP_TOL)[0]
+        return _read_only(self._parts[2] + MEMBERSHIP_TOL)[0]
 
     def _row_factors(self, metric: Metric):
         """What _project_rows needs of the halfspace rows under metric alone.
@@ -255,18 +262,14 @@ class Box(ConvexSet):
         self.dim = int(lower.size)
 
     @cached_property
-    def _rows(self):
+    def _parts(self):
         # e_0, -e_0, e_1, -e_1, ... over the finite bounds; 0.0 - v, not -v,
         # keeps zeros +0.0, as x - lower's slack is at x = +0.0 on a zero bound
         eye = np.eye(self.dim)
         rows = np.stack([eye, 0.0 - eye], axis=1).reshape(-1, self.dim)
         rhs = np.stack([self.upper, 0.0 - self.lower], axis=1).ravel()
         finite = np.isfinite(rhs)
-        return _read_only(rows[finite], rhs[finite])
-
-    @cached_property
-    def _norms(self):
-        return np.ones(self._rows[1].size)
+        return ([], *_read_only(rows[finite], rhs[finite], np.ones(np.count_nonzero(finite))))
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         if not metric.is_diagonal:
@@ -284,19 +287,15 @@ class Halfspace(ConvexSet):
         if not (np.all(np.isfinite(a)) and norm > 0.0):
             raise ValueError("halfspace normal must be a finite nonzero vector")
         self.a = a
-        self._norms = np.array([norm])
         self.b = float(offset)
         if not math.isfinite(self.b):
             raise ValueError("halfspace offset must be finite")
         self.dim = int(a.size)
-
-    @cached_property
-    def _rows(self):
-        return _read_only(self.a[None, :].copy(), np.array([self.b]))
+        self._parts = ([], *_read_only(a[None, :].copy(), np.array([self.b]), np.array([norm])))
 
 
 class Ball(ConvexSet):
-    """Euclidean ball {x : |x - center| <= radius}."""
+    """Euclidean ball {x : |x - center| <= radius}: one ellipsoid, M = I."""
 
     def __init__(self, center, radius):
         c = np.atleast_1d(np.asarray(center, dtype=float))
@@ -309,17 +308,11 @@ class Ball(ConvexSet):
         self.radius = r
         self.dim = int(c.size)
 
-    def _membership(self, x: np.ndarray, tol: float):
-        dist = _row_norms(x - self.center)
-        return dist <= self.radius + tol, self.radius - dist
-
-    def _active_normals(self, x: np.ndarray) -> np.ndarray:
-        out = x - self.center
-        tight = self.radius - np.linalg.norm(out) <= MEMBERSHIP_TOL
-        return out[None, :] if tight else np.empty((0, self.dim))
-
-    def _split(self):
-        return [(np.eye(self.dim), np.eye(self.dim), self.center, self.radius)], []
+    @cached_property
+    def _parts(self):
+        eye = np.eye(self.dim)
+        return ([(eye, eye, self.center, self.radius)],
+                *_read_only(np.empty((0, self.dim)), np.empty(0), np.empty(0)))
 
     project = ConvexSet.project  # in the class's own namespace, where per-class tracing looks
 
@@ -341,8 +334,8 @@ class Polyhedron(ConvexSet):
             raise ValueError("polyhedron has a zero row")
         self.A = A
         self.b = b
-        self._norms = norms
         self.dim = int(A.shape[1])
+        self._parts = ([], *_read_only(A.copy(), b.copy(), norms))
         try:
             self._member = _project_rows(self, Metric.identity(self.dim), np.zeros(self.dim)).point
         except ProjectionError as exc:
@@ -350,13 +343,10 @@ class Polyhedron(ConvexSet):
                 raise ValueError("polyhedron is empty") from None
             self._member = exc.point + Polyhedron(A, b - A @ exc.point, _shifted=True)._member
 
-    @cached_property
-    def _rows(self):
-        return _read_only(self.A.copy(), self.b.copy())
-
 
 class Intersection(ConvexSet):
-    """Intersection of convex sets of a common dimension."""
+    """Intersection of convex sets of a common dimension: its members' ellipsoids
+    and their rows stacked in order."""
 
     def __init__(self, sets):
         flat: list[ConvexSet] = []
@@ -374,31 +364,10 @@ class Intersection(ConvexSet):
         self.dim = flat[0].dim
 
     @cached_property
-    def _rows(self):
-        parts = [s.halfspace_rows() for s in self.sets]
-        if any(p is None for p in parts):
-            return None
-        return _read_only(np.vstack([A for A, _ in parts]),
-                          np.concatenate([b for _, b in parts]))
-
-    @cached_property
-    def _norms(self):
-        parts = [s._norms for s in self.sets]
-        return None if any(p is None for p in parts) else np.concatenate(parts)
-
-    def _membership(self, x: np.ndarray, tol: float):
-        if self._norms is not None:
-            return super()._membership(x, tol)
-        # a ball or a preimage member measures in its own terms
-        parts = [s._membership(x, tol) for s in self.sets]
-        return (np.logical_and.reduce([member for member, _ in parts]),
-                np.minimum.reduce([margin for _, margin in parts]))
-
-    def _active_normals(self, x: np.ndarray) -> np.ndarray:
-        return np.vstack([s._active_normals(x) for s in self.sets])
-
-    def _split(self):
-        return tuple(sum(parts, []) for parts in zip(*(s._split() for s in self.sets)))
+    def _parts(self):
+        ellipsoids, A, b, norms = zip(*(s._parts for s in self.sets))
+        return (sum(ellipsoids, []),
+                *_read_only(np.vstack(A), np.concatenate(b), np.concatenate(norms)))
 
     project = ConvexSet.project
 
@@ -406,9 +375,9 @@ class Intersection(ConvexSet):
 class LinearPreimage(ConvexSet):
     """{x : K x in inner} for a square invertible K.
 
-    Projection reads the inner set member by member, rows A as A K and an
-    ellipsoid |M u - d| <= r as |M K x - d| <= r; margins and membership are
-    reported in the inner (image) space.
+    Its description maps the inner one once: rows A as A K, with the inner
+    row norms, and an ellipsoid |M u - d| <= r as |M K x - d| <= r.  Alone,
+    it reports margins and membership in the inner (image) space.
     """
 
     def __init__(self, K, inner: ConvexSet):
@@ -426,24 +395,18 @@ class LinearPreimage(ConvexSet):
         self.dim = int(K.shape[1])
         self._Kinv = np.linalg.inv(K)
 
+    @cached_property
+    def _parts(self):
+        ellipsoids, A, b, norms = self.inner._parts
+        return ([(M @ self.K, self._Kinv @ Minv, d, r) for M, Minv, d, r in ellipsoids],
+                *_read_only(A @ self.K), b, norms)
+
     def _membership(self, x: np.ndarray, tol: float):
         return self.inner._membership(_apply(self.K, x), tol)
-
-    @cached_property
-    def _rows(self):
-        part = self.inner.halfspace_rows()
-        if part is None:
-            return None
-        return _read_only(part[0] @ self.K, part[1])
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         # the gradient of n.(K x) is K^T n
         return self.inner._active_normals(self.K @ x) @ self.K
-
-    def _split(self):
-        curved, flat = self.inner._split()
-        return ([(M @ self.K, self._Kinv @ Minv, d, r) for M, Minv, d, r in curved],
-                [LinearPreimage(self.K, Intersection(flat))] if flat else [])
 
     project = ConvexSet.project
 

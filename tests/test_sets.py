@@ -842,6 +842,17 @@ def test_a_tangent_set_projects_to_its_single_point(weights, member, point):
         p = s.project(Metric(weights), x).point
         assert np.allclose(p, point, atol=1e-12)
         assert s.contains(p, MEMBERSHIP_TOL)
+    lower, upper = s.bounding_box()  # the ball's box and the rows' meet
+    assert np.all(lower <= upper + MEMBERSHIP_TOL)
+
+
+def test_a_ball_beside_empty_rows_raises_projection_error():
+    # the rows alone, x_0 >= 1 and x_0 <= -1, have no member: projecting onto
+    # them inside the ball's root find finds that, as any empty row set does
+    s = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -1.0),
+                      Halfspace([-1.0, 0.0], -1.0)])
+    with pytest.raises(ProjectionError):
+        s.project(I2, [3.0, 2.0])
 
 
 def test_ball_intersection_meets_kkt_under_random_metrics():
@@ -919,6 +930,8 @@ def test_a_balls_preimage_with_a_box_projects_as_the_change_of_variables_does():
         # the rows A K and their multipliers grow with K's condition number
         assert max(feasibility, slackness, stationarity) <= 1e-12 * np.linalg.cond(K)
         assert np.all(mult >= 0.0)
+        # x - v lies in the normal cone at v: the ball's tight normal and the rows'
+        assert normal_cone_residual(gamma, Metric(P), v, x - v) <= 1e-12 * Metric(P).norm(x - v)
         ball_active += mult[-1] > 0.0
     assert ball_active > 120  # the ball binds in 142 of the 200
 
@@ -1265,6 +1278,18 @@ def test_bounding_box_of_a_set_without_rows_or_ellipsoid_is_not_implemented():
 
     with pytest.raises(NotImplementedError, match="Disc has no"):
         Disc().bounding_box()
+
+
+def test_bounding_box_of_a_ball_that_misses_its_rows_raises():
+    # the ball's interval [-1, 1] and the box's [2, 3] are disjoint on both
+    # axes: the set is empty, not a crossed box of zero width
+    s = Intersection([Ball([0.0, 0.0], 1.0), Box([2.0, 2.0], [3.0, 3.0])])
+    with pytest.raises(ValueError, match="empty"):
+        s.bounding_box()
+    with pytest.raises(ValueError, match="empty"):
+        sample_points(s, 10, rng=0)
+    with pytest.raises(ValueError, match="empty"):
+        LinearPreimage(np.diag([2.0, 1.0]), s).bounding_box()
 
 
 def test_bounding_box_of_an_empty_row_set_raises():
