@@ -184,12 +184,13 @@ def cmd_sweep(args) -> int:
     if not mu > 0.0:  # no threshold to report, so no grid point runs
         print(_NOT_MONOTONE, file=sys.stderr)
         return EXIT_CERTIFICATION
+    T_i_star = low_gain_threshold(setup.plant.T_s, mu, L)  # checks the pair before any run
     out = _out_dir(args)
     spec = setup.sweep
-    report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
+    report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"])
     summary = {
         "seed": setup.seed,
-        "T_i_star": report.T_i_star,
+        "T_i_star": T_i_star,
         "certificates": {"mu": mu, "L": L, "source": "exact"},
         "grid": {"T_i": spec["T_i"], "lambda": spec["lambda"]},
         "converged_points": sum(p.converged for p in report.points),
@@ -202,7 +203,7 @@ def cmd_sweep(args) -> int:
                      out / "sweep_summary.json", summary)
     print(f"wrote {out / 'sweep.csv'} ({len(report.points)} points) "
           f"and {out / 'sweep_summary.json'}")
-    print(f"T_i_star = {report.T_i_star:.6g} s; "
+    print(f"T_i_star = {T_i_star:.6g} s; "
           f"{summary['converged_points']}/{summary['total_points']} points converged")
     return EXIT_OK
 

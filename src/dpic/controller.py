@@ -8,10 +8,11 @@ input constraints at every step and the integrator cannot wind up:
     eta_{k+1} = (1 - damping) * eta_k
                 + damping * Proj_Gamma^P(eta_k - (T_s / T_i) * e_k)
 
-The projection is evaluated lazily: when the forward step already lies in
-Gamma the update reduces to the classical integral law with per-step gain
-damping * T_s / T_i, which ClassicalIntegralController steps for
-comparison.  _damped_projected_update, the one copy of the update, steps a
+The projection is evaluated lazily: Gamma's one membership test, on its
+own rows A K and ellipsoids M K to within MEMBERSHIP_TOL, decides whether
+the forward step already lies in Gamma.  Then the update reduces to the
+classical integral law with per-step gain damping * T_s / T_i, which
+ClassicalIntegralController steps for comparison.  _damped_projected_update, the one copy of the update, steps a
 batch of integrator states, each row with its own T_s / T_i and damping.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .metric import Metric
-from .sets import ConvexSet, LinearPreimage, _contains_rows
+from .sets import ConvexSet, LinearPreimage
 
 __all__ = ["DPIController", "ClassicalIntegralController"]
 
@@ -53,7 +54,7 @@ def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
     the rows whose forward step left Gamma are projected, one at a time.
     """
     target = eta - alpha * e  # the forward step
-    if not all(inside := _contains_rows(gamma, target)):
+    if not all(inside := gamma._contains(target)):
         for i in (~inside).nonzero()[0]:
             target[i] = gamma.project(metric, target[i]).point
     return (1.0 - damping) * eta + damping * target

@@ -5,10 +5,10 @@ rows {v : A v <= b} with their Euclidean row norms, met with ellipsoids
 {v : |M v - d| <= r}.  A box, halfspace or polyhedron gives rows and a ball
 one ellipsoid with M = I; an intersection stacks its members' parts, and a
 linear preimage {x : K x in C} maps C's once, rows A K and ellipsoids M K.
-Membership and margin (one row product, then r - |M x - d| per ellipsoid),
-the normals of the tight constraints, the bounding box and the projection
-all read it.  A linear preimage alone answers membership and normals in its
-inner (image) space.
+Membership to within MEMBERSHIP_TOL and margin (each one row product, then
+|M x - d| per ellipsoid), the normals of the tight constraints, the bounding
+box and the projection all read it, a linear preimage's included.  A point
+in a batch gets the answer it gets alone.
 
 Every projection is exact: boxes under diagonal metrics by a componentwise
 clamp, any other set of rows alone as a least-distance program solved by a
@@ -24,8 +24,8 @@ x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row.
 The normal-cone residual is one more NNLS, on the tight normals.  Bounding
 boxes come exact along each axis of an ellipsoid and, by weak duality, one
 NNLS per side gives a bound enclosing the rows (exact on boxes).  The sets
-are immutable once built; margin takes a (..., dim) array of points as well
-as a single point.
+are immutable once built; margin, and the membership test _contains that
+the loop runs, take a (..., dim) array of points as well as a single point.
 """
 
 from __future__ import annotations
@@ -82,18 +82,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _contains_rows(set_: "ConvexSet", x: np.ndarray) -> np.ndarray:
-    """Membership, to within MEMBERSHIP_TOL, of every row of a (G, dim) array.
-
-    One test against the set's halfspace rows when it is polyhedral, else
-    the set's own membership test; _apply rounds each row as if it were alone.
-    """
-    rows = set_.halfspace_rows()
-    if rows is None:
-        return set_._membership(x, MEMBERSHIP_TOL)[0]
-    return (_apply(rows[0], x) <= set_._upper).all(axis=-1)
-
-
 class ConvexSet:
     """Base type: nonempty closed convex subset of R^dim."""
 
@@ -107,41 +95,41 @@ class ConvexSet:
         {v : A v <= b} met with each {v : |M v - d| <= r}.  Every operation reads it."""
         raise NotImplementedError(f"{type(self).__name__} has no description")
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Whether x satisfies every defining inequality to within tol."""
-        return bool(self._membership(_vec(x, self.dim), tol)[0])
+    def contains(self, x) -> bool:
+        """Whether x satisfies every defining inequality to within MEMBERSHIP_TOL."""
+        return bool(self._contains(_vec(x, self.dim)))
+
+    def _contains(self, x: np.ndarray):
+        """Membership of a point, or of each row of a (..., dim) array: one
+        product with the rows gives A x <= b + MEMBERSHIP_TOL, then each
+        ellipsoid |M x - d| <= r + MEMBERSHIP_TOL.  _apply rounds each row as
+        if it were alone, so a row's answer is its point's."""
+        ellipsoids, A, b, _ = self._parts
+        if not (b.size or ellipsoids):  # the whole space: NaN is no member
+            return ~np.any(np.isnan(x), axis=-1)
+        member = (_apply(A, x) <= self._upper).all(axis=-1)
+        for M, _, d, r in ellipsoids:
+            member &= (_row_norms(_apply(M, x) - d) <= r + MEMBERSHIP_TOL)
+        return member
 
     def margin(self, x):
         """Smallest slack over the defining inequalities, negative outside.
 
         Linear rows are normalized by their Euclidean row norm so the value
-        reads as a distance-like margin to the nearest boundary.  For a
-        (..., dim) batch, the array of the rows' margins.
+        reads as a distance-like margin to the nearest boundary; an ellipsoid
+        gives r - |M x - d|.  For a (..., dim) batch, the array of the rows'
+        margins.  The whole space reads +inf at finite points and NaN
+        elsewhere, as a box with only infinite bounds does.
         """
         x = _points(x, self.dim)
-        margin = self._membership(x, MEMBERSHIP_TOL)[1]
-        return float(margin) if x.ndim == 1 else margin
-
-    def _membership(self, x: np.ndarray, tol: float):
-        """(member, margin) of a point or of each row of a (..., dim) array.
-
-        One product with the rows gives A x <= b + tol on every row and the
-        least slack (b - A x) over the row norms; each ellipsoid then adds
-        |M x - d| <= r + tol and its slack r - |M x - d|.
-        """
         ellipsoids, A, b, norms = self._parts
         if not (b.size or ellipsoids):
-            # the whole space, as a box with only infinite bounds reads it:
-            # NaN is no member, and the margin is +inf at finite points only
-            return ~np.any(np.isnan(x), axis=-1), np.min(np.inf - np.abs(x), axis=-1)
-        member, margin = True, np.inf
-        if b.size:
-            Ax = _apply(A, x)
-            member, margin = (Ax <= b + tol).all(axis=-1), ((b - Ax) / norms).min(axis=-1)
-        for M, _, d, r in ellipsoids:
-            dist = _row_norms(_apply(M, x) - d)
-            member, margin = member & (dist <= r + tol), np.minimum(margin, r - dist)
-        return member, margin
+            margin = np.min(np.inf - np.abs(x), axis=-1)
+        else:
+            margin = ((b - _apply(A, x)) / norms).min(axis=-1) if b.size else np.inf
+            for M, _, d, r in ellipsoids:
+                margin = np.minimum(margin, r - _row_norms(_apply(M, x) - d))
+        return float(margin) if x.ndim == 1 else margin
 
     def project(self, metric: Metric, x) -> ProjectionResult:
         """Exact projection of a finite x in the metric norm, by _project_rows or _project_curved."""
@@ -215,7 +203,7 @@ class ConvexSet:
         return None if ellipsoids else (A, b)
 
     @cached_property
-    def _upper(self) -> np.ndarray:  # b + MEMBERSHIP_TOL, read-only, for _contains_rows
+    def _upper(self) -> np.ndarray:  # b + MEMBERSHIP_TOL, read-only, for _contains
         return _read_only(self._parts[2] + MEMBERSHIP_TOL)[0]
 
     def _row_factors(self, metric: Metric):
@@ -376,8 +364,7 @@ class LinearPreimage(ConvexSet):
     """{x : K x in inner} for a square invertible K.
 
     Its description maps the inner one once: rows A as A K, with the inner
-    row norms, and an ellipsoid |M u - d| <= r as |M K x - d| <= r.  Alone,
-    it reports margins and membership in the inner (image) space.
+    row norms, and an ellipsoid |M u - d| <= r as |M K x - d| <= r.
     """
 
     def __init__(self, K, inner: ConvexSet):
@@ -400,13 +387,6 @@ class LinearPreimage(ConvexSet):
         ellipsoids, A, b, norms = self.inner._parts
         return ([(M @ self.K, self._Kinv @ Minv, d, r) for M, Minv, d, r in ellipsoids],
                 *_read_only(A @ self.K), b, norms)
-
-    def _membership(self, x: np.ndarray, tol: float):
-        return self.inner._membership(_apply(self.K, x), tol)
-
-    def _active_normals(self, x: np.ndarray) -> np.ndarray:
-        # the gradient of n.(K x) is K^T n
-        return self.inner._active_normals(self.K @ x) @ self.K
 
     project = ConvexSet.project
 
@@ -619,7 +599,7 @@ def sample_points(set_: ConvexSet, count: int, rng=None) -> np.ndarray:
     batch = max(4 * count, 64)
     while len(points) < count:
         draws = rng.uniform(lower, upper, size=(batch, set_.dim))
-        points.extend(draws[_contains_rows(set_, draws)][:count - len(points)])
+        points.extend(draws[set_._contains(draws)][:count - len(points)])
         attempts += batch
         if attempts > 1000 * count:
             raise RuntimeError("rejection sampling failed; the set may have negligible volume")

@@ -33,8 +33,7 @@ import numpy as np
 from .controller import DPIController, _checked_alpha, _damped_projected_update
 from .metric import Metric, _apply, _row_norms
 from .plants import NumericalError, PlantModel
-from .sets import MEMBERSHIP_TOL, normal_cone_residual
-from .vi import _check_certificates, low_gain_threshold
+from .sets import normal_cone_residual
 
 __all__ = [
     "SimulationError",
@@ -268,10 +267,13 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
         steps, failure = failed.get(g, (H, None))
         i = position[g]
         u = _apply(K, etas[i, :steps])
-        member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
-        if not member.all():
+        margin = base.constraint.margin(u)
+        # fl(b - A u) >= 0 exactly when A u <= b, so only a row whose margin
+        # is negative or NaN needs the membership test
+        unsure = np.flatnonzero(~(margin >= 0.0))
+        if not (member := base.constraint._contains(u[unsure])).all():
             return ConstraintViolationError(
-                f"step {np.argmin(member)}: projected controller emitted u outside C")
+                f"step {unsure[np.argmin(member)]}: projected controller emitted u outside C")
         if failure is not None:
             return failure
         # eta_{k+1} - eta_k = damping * (Proj(eta_k - alpha e_k) - eta_k), so the
@@ -354,16 +356,9 @@ class SweepPoint:
 
 @dataclass
 class StabilityReport:
-    """Gain sweep outcome plus the low-gain threshold T_i_star = T_s L^2 / (2 mu).
-
-    Grid points below the threshold carry no guarantee either way; the
-    sweep only reports what the trajectories did.
-    """
+    """Gain sweep outcome: what the trajectories did at each grid point."""
 
     points: list[SweepPoint]
-    T_i_star: float
-    mu: float
-    L: float
 
     def empirical_damping_star(self, T_i: float) -> float | None:
         """Largest tested damping at T_i below which every tested damping
@@ -379,19 +374,16 @@ class StabilityReport:
 
 
 def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
-               damping_values: Sequence[float], mu: float, L: float) -> StabilityReport:
+               damping_values: Sequence[float]) -> StabilityReport:
     """Rerun the scenario over a (T_i, damping) grid and classify each run.
 
     Every grid point starts from the controller's state, as simulate does,
     and is checked as DPIController checks its own T_i and damping.
-    mu and L certify the steady-state operator on the region the sweep
-    explores and set only the reported threshold.  decay_rate fits a converged
-    run's settling sequence over the last segment; for an LTI plant at an
-    interior equilibrium it is the linearized loop's spectral radius.
+    decay_rate fits a converged run's settling sequence over the last
+    segment; for an LTI plant at an interior equilibrium it is the
+    linearized loop's spectral radius.
     """
-    base = scenario.controller
-    _check_certificates(mu, L)
-    plant = scenario.plant
+    base, plant = scenario.controller, scenario.plant
     last_start = scenario.schedule[-1][0]
     grid = [(float(T_i), float(damping))
             for T_i in T_i_values for damping in damping_values]
@@ -409,5 +401,4 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
                 if converged else np.nan)
         points.append(SweepPoint(T_i, damping, converged, rate,
                                  float(record.vi_residual[-1])))
-    return StabilityReport(points, low_gain_threshold(plant.T_s, mu, L),
-                           float(mu), float(L))
+    return StabilityReport(points)

@@ -70,7 +70,9 @@ def step_window(mu: float, L: float) -> float:
 
 
 def low_gain_threshold(T_s: float, mu: float, L: float) -> float:
-    """Low-gain threshold T_i* = T_s L^2 / (2 mu) on the integral time."""
+    """Low-gain threshold T_i* = T_s L^2 / (2 mu) on the integral time, for
+    certificates 0 < mu <= L."""
+    _check_certificates(mu, L)
     return T_s * L ** 2 / (2.0 * mu)
 
 

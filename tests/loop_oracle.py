@@ -2,7 +2,7 @@
 
 Each step computes everything inside the step, as the loop once did: the
 input u = K eta, the error e, the u-in-C guard and the constraint margin
-from one membership call, the damped projected update, the natural residual
+of every row, the damped projected update, the natural residual
 from the state increment, and the plant step.  dpic.simulation._lockstep
 computes the margin, the residual and the guard from the record after the
 loop instead; its records must equal this one's bit for bit.  A failing
@@ -17,7 +17,6 @@ import numpy as np
 from dpic.controller import _damped_projected_update
 from dpic.metric import _apply
 from dpic.plants import NumericalError
-from dpic.sets import MEMBERSHIP_TOL
 from dpic.simulation import (
     _STEP_ERRORS,
     ConstraintViolationError,
@@ -54,7 +53,7 @@ def oracle_lockstep(scenario, alpha, damping,
         e = plant.output(x_k, u, w)
         if not np.isfinite(e).all():
             raise NumericalError("state or error is not finite")
-        member, margin = base.constraint._membership(u, MEMBERSHIP_TOL)
+        member, margin = base.constraint._contains(u), base.constraint.margin(u)
         if not member.all():
             raise ConstraintViolationError(
                 f"step {k}: projected controller emitted u outside C")

@@ -4,8 +4,9 @@ Each polyhedral set class once answered contains and margin with its own
 formula: a box compares against its bounds coordinate by coordinate, a
 halfspace and a polyhedron take their own row product, an intersection asks
 its members, a linear preimage maps into its inner set.  The library now
-answers every polyhedral set from its cached halfspace rows; these are the
-formulas it must agree with bit for bit.  The one exception is an
+answers every polyhedral set from its cached halfspace rows, a preimage from
+its rows A K; these are the formulas it must agree with bit for bit on the
+tests' sets.  The one exception is an
 intersection of general rows: a BLAS matrix-vector product may round a row
 of the stacked matrix other than the same row of its member alone, so there
 the agreement is to the error bound of the two dot products.
@@ -15,11 +16,13 @@ import numpy as np
 
 from dpic import Box, Halfspace, Intersection, LinearPreimage, Polyhedron
 from dpic.metric import _apply
+from dpic.sets import MEMBERSHIP_TOL
 
 
-def oracle_contains(s, x, tol=1e-9) -> bool:
-    """Membership of one point by the formula of the set's own class."""
-    x = np.asarray(x, dtype=float)
+def oracle_contains(s, x) -> bool:
+    """Membership, to within MEMBERSHIP_TOL, of one point by the formula of
+    the set's own class."""
+    x, tol = np.asarray(x, dtype=float), MEMBERSHIP_TOL
     if isinstance(s, Box):
         return bool(np.all(x >= s.lower - tol) and np.all(x <= s.upper + tol))
     if isinstance(s, Halfspace):
@@ -27,9 +30,9 @@ def oracle_contains(s, x, tol=1e-9) -> bool:
     if isinstance(s, Polyhedron):
         return bool(np.all(s.A @ x <= s.b + tol))
     if isinstance(s, Intersection):
-        return all(oracle_contains(m, x, tol) for m in s.sets)
+        return all(oracle_contains(m, x) for m in s.sets)
     if isinstance(s, LinearPreimage):
-        return oracle_contains(s.inner, s.K @ x, tol)
+        return oracle_contains(s.inner, s.K @ x)
     raise TypeError(f"no oracle for {type(s).__name__}")
 
 

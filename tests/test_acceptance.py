@@ -59,8 +59,8 @@ def tank_run():
 
 @pytest.fixture(scope="module")
 def tank_sweep():
-    """Four-tank gain sweep at the exact (mu, L) of the certify box, timed,
-    and the threshold T_i* of the pair sampled in that box as the CLI once did."""
+    """Four-tank gain sweep, timed, with the threshold T_i* of the exact (mu, L)
+    of the certify box and that of the pair sampled in that box as the CLI once did."""
     setup = build_setup(preset_config("four-tank"))
     spec = setup.sweep
     ctrl = setup.controller
@@ -70,9 +70,10 @@ def tank_sweep():
     mu_hat, L_hat = estimate_mu_L(lambda eta: setup.plant.pi(_apply(ctrl.gain, eta), w0),
                                   region, ctrl.metric, samples=2000, seed=setup.seed)
     t0 = time.perf_counter()
-    report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu, L)
+    report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"])
     elapsed = time.perf_counter() - t0
-    return report, elapsed, low_gain_threshold(setup.plant.T_s, mu_hat, L_hat)
+    return (report, elapsed, low_gain_threshold(setup.plant.T_s, mu, L),
+            low_gain_threshold(setup.plant.T_s, mu_hat, L_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_static_gain_certificate_consistency():
 # 6. low-gain threshold: slow-enough certified settings always converge
 
 def test_low_gain_threshold_sweep(tank_sweep):
-    report, elapsed, sampled_star = tank_sweep
+    report, elapsed, T_i_star, sampled_star = tank_sweep
 
     def certified(T_i_star):
         return [p for p in report.points
@@ -252,15 +253,15 @@ def test_low_gain_threshold_sweep(tank_sweep):
 
     # the sound threshold lies above the optimistic sampled one, and its
     # 1.5 T_i* cut keeps the same grid points
-    points = certified(report.T_i_star)
+    points = certified(T_i_star)
     bad = [p for p in points if not (p.converged and p.decay_rate < 1.0)]
     worst_rate = max((p.decay_rate for p in points), default=np.nan)
-    ok = (report.T_i_star == pytest.approx(1.74439, abs=5e-6)
-          and sampled_star < report.T_i_star
+    ok = (T_i_star == pytest.approx(1.74439, abs=5e-6)
+          and sampled_star < T_i_star
           and points == certified(sampled_star)
           and len(points) == 8 and not bad and elapsed < 60.0)
     _report("low-gain convergence threshold", ok,
-            f"T_i_star {report.T_i_star:.4g} s (sampled {sampled_star:.4g} s); "
+            f"T_i_star {T_i_star:.4g} s (sampled {sampled_star:.4g} s); "
             f"{len(points)} certified points, {len(bad)} failures, worst rate "
             f"{worst_rate:.4f}, {elapsed:.1f} s (60 s)")
 

@@ -24,7 +24,7 @@ from dpic import (
     sample_points,
 )
 from dpic.metric import _row_norms
-from dpic.sets import MEMBERSHIP_TOL, _contains_rows
+from dpic.sets import MEMBERSHIP_TOL
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
 from lp_oracle import rows_support
@@ -87,11 +87,13 @@ def test_projection_inside_is_identity():
 # membership and margin
 
 def test_box_boundary_membership():
-    assert Box([0.0, 0.0], [45.0, 45.0]).contains([45.0, 45.0], tol=0.0)
+    box = Box([0.0, 0.0], [45.0, 45.0])
+    assert box.contains([45.0, 45.0]) and box.margin([45.0, 45.0]) == 0.0
 
 
 def test_halfspace_strict_violation():
-    assert not Halfspace([1.0, 1.0], 85.0).contains([43.0, 43.0], tol=0.0)
+    half = Halfspace([1.0, 1.0], 85.0)
+    assert not half.contains([43.0, 43.0]) and half.margin([43.0, 43.0]) < 0.0
 
 
 def test_nominal_input_is_feasible():
@@ -134,7 +136,7 @@ def test_result_is_member():
             for _ in range(20):
                 x = 10.0 * rng.standard_normal(2)
                 res = s.project(m, x)
-                assert s.contains(res.point, 1e-9), (s, m.P, x)
+                assert s.contains(res.point), (s, m.P, x)
 
 
 def test_idempotence():
@@ -294,7 +296,7 @@ def test_a_cached_active_set_never_changes_a_projection_bit():
         rows = len(cache.halfspace_rows()[1])
         hints = [np.array(S) for k in (1, 2) for S in itertools.combinations(range(rows), k)]
         for x in points:
-            if s.contains(x, 0.0):
+            if s.margin(x) >= 0.0:  # in the set with no tolerance
                 continue
             cache._active = None
             cold = s.project(metric, x)
@@ -748,7 +750,7 @@ def test_ball_box_intersection():
     res = s.project(I2, [2.0, 1.5])
     assert res.iterations > 0
     assert res.residual < 1e-10
-    assert s.contains(res.point, 1e-9)
+    assert s.contains(res.point)
     # optimality over sampled members
     nus = sample_points(s, 300, rng=31)
     assert np.max((nus - res.point) @ (np.array([2.0, 1.5]) - res.point)) <= 1e-8
@@ -841,7 +843,7 @@ def test_a_tangent_set_projects_to_its_single_point(weights, member, point):
     for x in ([3.0, 2.0], [-4.0, -0.5], [0.0, 0.0]):
         p = s.project(Metric(weights), x).point
         assert np.allclose(p, point, atol=1e-12)
-        assert s.contains(p, MEMBERSHIP_TOL)
+        assert s.contains(p)
     lower, upper = s.bounding_box()  # the ball's box and the rows' meet
     assert np.all(lower <= upper + MEMBERSHIP_TOL)
 
@@ -880,7 +882,7 @@ def test_a_root_finding_trial_on_the_ball_center_reads_as_inside():
     c = np.array([1e16, 1e16])
     res = Ball(c, 1.0).project(Metric([[2.0, 0.3], [0.3, 1.0]]), c + [8.0, 4.0])
     assert res.iterations > 0
-    assert Ball(c, 1.0).contains(res.point, 0.0)
+    assert Ball(c, 1.0).margin(res.point) >= 0.0  # |v - c| <= 1 exactly
 
 
 def test_an_empty_ball_intersection_raises():
@@ -969,12 +971,15 @@ def test_gamma_of_a_ball_meets_a_box_in_its_own_space():
 # ---------------------------------------------------------------------------
 # preimage geometry
 
-def test_preimage_membership_is_image_membership():
+def test_preimage_membership_reads_its_own_rows():
+    # {eta : K eta in C} answers from its rows A K, over the inner row norms
     K = np.array([[2.0, 0.0], [0.0, 4.0]])
-    s = LinearPreimage(K, Box([0.0, 0.0], [4.0, 4.0]))
+    inner = Box([0.0, 0.0], [4.0, 4.0])
+    s = LinearPreimage(K, inner)
+    assert np.array_equal(s.halfspace_rows()[0], inner.halfspace_rows()[0] @ K)
     assert s.contains([2.0, 1.0])        # K eta = (4, 4) on the boundary
     assert not s.contains([2.1, 1.0])
-    assert s.margin([1.0, 0.5]) == pytest.approx(2.0)
+    assert s.margin([1.0, 0.5]) == pytest.approx(2.0)  # the margin of K eta in C
 
 
 def test_preimage_projection_polyhedral_path():
@@ -984,7 +989,7 @@ def test_preimage_projection_polyhedral_path():
     for _ in range(10):
         eta = rng.uniform(-10.0, 40.0, size=2)
         p = s.project(I2, eta).point
-        assert s.contains(p, 1e-9)
+        assert s.contains(p)
         nus = sample_points(s, 150, rng=33)
         assert np.max((nus - p) @ (eta - p)) <= 1e-8
 
@@ -1320,6 +1325,20 @@ def test_batched_margin_equals_per_point_margin():
         assert isinstance(s.margin(points[0]), float)
 
 
+def boundary_points(rng, s, offsets):
+    """Points at each offset t from every boundary of s: a.x = b + t on each
+    row (a, b), and |M x - d| = r + t on each ellipsoid, from random starts."""
+    ellipsoids, A, b, _ = s._parts
+    points = []
+    for a, b_i in zip(A, b):
+        x0 = rng.uniform(-4.0, 4.0, size=s.dim)
+        points += [x0 + (b_i + t - a @ x0) / (a @ a) * a for t in offsets]
+    for M, _, d, r in ellipsoids:
+        u = rng.standard_normal(s.dim)
+        points += [np.linalg.solve(M, d + (r + t) * u / np.linalg.norm(u)) for t in offsets]
+    return points
+
+
 def test_a_batch_row_keeps_its_solo_membership():
     # a (15, 2) x (2, 5) matrix product rounds about a third of its entries
     # other than the row's own matrix-vector product; place b_j with nextafter
@@ -1340,11 +1359,28 @@ def test_a_batch_row_keeps_its_solo_membership():
         if b[j] + MEMBERSHIP_TOL != solo[i, j]:
             continue  # no offset rounds onto the product; none in this draw
         poly = Polyhedron(A, b)
-        batch = _contains_rows(poly, X)
+        batch = poly._contains(X)
         assert batch[i], (i, j)
-        assert np.array_equal(batch, [_contains_rows(poly, x[None])[0] for x in X])
+        assert np.array_equal(batch, [poly.contains(x) for x in X])
         placed += 1
     assert placed >= 60
+    # the loop tests a batch of forward steps, contains one point: both must
+    # answer alike at 1e-9 of every boundary of a preimage, and at NaN, which
+    # the whole space once called a member in a batch and no member alone
+    K = np.array([[1.5, -0.4], [0.3, 0.8]])
+    inner = polyhedral_sets() + [Ball([1.0, 2.0], 5.0),
+                                 Intersection([Ball([1.0, 2.0], 5.0), Halfspace([1.0, 1.0], 4.0)])]
+    offsets = MEMBERSHIP_TOL * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    answers = []
+    for s in [LinearPreimage(K, c) for c in inner] + [Box([-np.inf], [np.inf])]:
+        X = np.vstack(boundary_points(rng, s, offsets)
+                      + [rng.uniform(-4.0, 4.0, size=(5, s.dim)), np.full(s.dim, np.nan),
+                         np.r_[0.0, np.full(s.dim - 1, np.nan)]])
+        batch = s._contains(X)
+        solo = [s.contains(x) for x in X]
+        assert np.array_equal(batch, solo), (s, X[batch != solo])
+        answers += solo
+    assert 0 < sum(answers) < len(answers)
 
 
 def same_bits(a, b) -> bool:
@@ -1387,8 +1423,7 @@ def test_membership_and_margin_match_the_class_formulas():
     for s in polyhedral_sets():
         points = probe_points(rng, s)
         for x in points:
-            for tol in (0.0, 1e-9):
-                assert s.contains(x, tol) is oracle_contains(s, x, tol), (s, x, tol)
+            assert s.contains(x) is oracle_contains(s, x), (s, x)
             assert same_bits(s.margin(x), oracle_margin(s, x)), (s, x)
         assert same_bits(s.margin(points), oracle_margin(s, points)), s
         assert same_bits(s.margin(points.reshape(7, 7, 2)),

@@ -23,8 +23,8 @@ from dpic import (
     gain_sweep,
     simulate,
 )
-from dpic.sets import MEMBERSHIP_TOL
 from dpic.simulation import _lockstep, _w_steps
+from dpic.vi import low_gain_threshold
 from rate_oracle import linearized_loop_radius
 
 I1 = Metric.identity(1)
@@ -35,7 +35,7 @@ def _measured_vi_residual(ctrl: DPIController, eta: np.ndarray, e: np.ndarray) -
     """Oracle for the logged residual: |eta - Proj_Gamma(eta - alpha e)|_P,
     computed with a projection of its own."""
     forward = eta - ctrl.alpha * e
-    if ctrl.gamma.contains(forward, MEMBERSHIP_TOL):
+    if ctrl.gamma.contains(forward):
         return ctrl.metric.norm(eta - forward)
     projected = ctrl.gamma.project(ctrl.metric, forward).point
     return ctrl.metric.norm(eta - projected)
@@ -195,7 +195,7 @@ def test_infeasible_initial_controller_state_rejected():
         simulate(s)
     # a sweep starts from the same state
     with pytest.raises(ValueError, match="not a member of Gamma"):
-        gain_sweep(s, [2.0], [0.5], mu=1.0, L=1.0)
+        gain_sweep(s, [2.0], [0.5])
 
 
 def test_plant_failure_reports_step_index():
@@ -322,8 +322,8 @@ def test_gain_sweep_scalar_plant():
     # horizon sized for the slowest setting (T_i=10, damping=0.3, dominant
     # closed-loop root ~0.968) to settle its residual below the bound
     s = scalar_scenario(horizon=700)
-    report = gain_sweep(s, [2.0, 10.0], [0.3, 0.8], mu=1.0, L=1.0)
-    assert report.T_i_star == pytest.approx(0.5)  # T_s L^2 / (2 mu)
+    report = gain_sweep(s, [2.0, 10.0], [0.3, 0.8])
+    assert low_gain_threshold(s.plant.T_s, 1.0, 1.0) == pytest.approx(0.5)  # T_s L^2 / (2 mu)
     assert len(report.points) == 4
     for p in report.points:
         assert p.converged, (p.T_i, p.damping, p.error)
@@ -350,7 +350,7 @@ def test_gain_sweep_marks_failures_and_continues():
                          T_s=1.0, T_i=2.0, damping=0.5, eta0=[0.0])
     s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
                  horizon=200, x0=np.array([0.0]))
-    report = gain_sweep(s, [0.05, 50.0], [0.9], mu=1.0, L=1.0)
+    report = gain_sweep(s, [0.05, 50.0], [0.9])
     fast, slow = report.points
     assert not fast.converged and fast.error is not None and "step" in fast.error
     assert slow.error is None
@@ -364,7 +364,7 @@ def test_gain_sweep_requires_projected_controller():
     with pytest.raises(ValueError, match="projected"):
         s = Scenario(plant=plant, controller=ctrl, schedule=[(0, np.array([0.5]))],
                      horizon=10, x0=np.array([0.0]))
-        gain_sweep(s, [2.0], [0.5], mu=1.0, L=1.0)
+        gain_sweep(s, [2.0], [0.5])
 
 
 @pytest.mark.parametrize("T_i, damping, message", [
@@ -374,8 +374,7 @@ def test_gain_sweep_requires_projected_controller():
     (2.0, np.nan, "damping")])
 def test_gain_sweep_rejects_bad_gains(T_i, damping, message):
     with pytest.raises(ValueError, match=message):
-        gain_sweep(scalar_scenario(horizon=10), [2.0, T_i], [0.5, damping],
-                   mu=1.0, L=1.0)
+        gain_sweep(scalar_scenario(horizon=10), [2.0, T_i], [0.5, damping])
 
 
 def test_a_sweep_starts_where_simulate_starts(monkeypatch):
@@ -393,7 +392,7 @@ def test_a_sweep_starts_where_simulate_starts(monkeypatch):
         return rows
 
     monkeypatch.setattr(simulation, "_lockstep", lockstep)
-    report = gain_sweep(s, [ctrl.T_i], [ctrl.damping], mu=1.0, L=1.0)
+    report = gain_sweep(s, [ctrl.T_i], [ctrl.damping])
     row, = rows
     assert_same_run(row, solo)
     assert report.points[0].final_vi_residual == row.vi_residual[-1]
@@ -410,7 +409,7 @@ def test_gain_sweep_builds_no_controller(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(DPIController, "__init__", init)
-    gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"], mu=1.0, L=1.0)
+    gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"])
     assert built == []
 
 
@@ -419,7 +418,7 @@ def test_empirical_damping_star():
            SweepPoint(5.0, 0.5, True, 0.9, 0.0),
            SweepPoint(5.0, 0.9, False, np.nan, 1.0),
            SweepPoint(9.0, 0.1, False, np.nan, 1.0)]
-    report = StabilityReport(pts, 0.5, 1.0, 1.0)
+    report = StabilityReport(pts)
     assert report.empirical_damping_star(5.0) == pytest.approx(0.5)
     assert report.empirical_damping_star(9.0) is None
 
@@ -488,7 +487,7 @@ def test_gain_sweep_diagnoses_one_record_at_a_time(monkeypatch):
         return real(record, xi, metric)
 
     monkeypatch.setattr(simulation, "classify_convergence", classify)
-    gain_sweep(scalar_scenario(horizon=200), [2.0, 5.0, 20.0], [0.3, 0.9], mu=1.0, L=1.0)
+    gain_sweep(scalar_scenario(horizon=200), [2.0, 5.0, 20.0], [0.3, 0.9])
     assert alive == [1] * 6
 
 
@@ -588,7 +587,7 @@ def test_state_gone_non_finite_in_one_row_ends_that_row_alone():
     assert str(fast) == str(solo_failure.value)
     assert_same_run(slow, simulate(replace(s, controller=ctrls[0])))
     assert_same_run(medium, simulate(replace(s, controller=ctrls[2])))
-    report = gain_sweep(s, [50.0, 0.05, 20.0], [0.9], mu=1.0, L=1.0)
+    report = gain_sweep(s, [50.0, 0.05, 20.0], [0.9])
     assert [p.error is None for p in report.points] == [True, False, True]
 
 
@@ -798,8 +797,8 @@ def test_polytope_lti_sweep_rates_match_the_linearized_loop():
     Mw = W @ s.plant.dc_gain() @ K @ np.linalg.inv(W)
     mu = float(np.min(np.linalg.eigvalsh(0.5 * (Mw + Mw.T))))
     L = float(np.linalg.norm(Mw, 2))
-    report = gain_sweep(s, [1.0, 2.0, 4.0], [0.25, 0.5, 0.75], mu=mu, L=L)
-    assert report.T_i_star < 1.0  # the whole grid is in the low-gain regime
+    report = gain_sweep(s, [1.0, 2.0, 4.0], [0.25, 0.5, 0.75])
+    assert low_gain_threshold(s.plant.T_s, mu, L) < 1.0  # the whole grid is in the low-gain regime
     for p in report.points:
         # the reference is feasible and no run leaves the interior of Gamma,
         # so each run is the linear loop and settles at its rate rho
