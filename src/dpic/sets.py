@@ -109,7 +109,7 @@ class ConvexSet:
             return ~np.any(np.isnan(x), axis=-1)
         member = (_apply(A, x) <= self._upper).all(axis=-1)
         for M, _, d, r in ellipsoids:
-            member &= (_row_norms(_apply(M, x) - d) <= r + MEMBERSHIP_TOL)
+            member &= _row_norms(_apply(M, x) - d) <= r + MEMBERSHIP_TOL
         return member
 
     def margin(self, x):
