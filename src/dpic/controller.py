@@ -8,12 +8,12 @@ input constraints at every step and the integrator cannot wind up:
     eta_{k+1} = (1 - damping) * eta_k
                 + damping * Proj_Gamma^P(eta_k - (T_s / T_i) * e_k)
 
-The projection is evaluated lazily: Gamma's one membership test, on its
-own rows A K and ellipsoids M K to within MEMBERSHIP_TOL, decides whether
-the forward step already lies in Gamma.  Then the update reduces to the
-classical integral law with per-step gain damping * T_s / T_i, which
-ClassicalIntegralController steps for comparison.  _damped_projected_update, the one copy of the update, steps a
-batch of integrator states, each row with its own T_s / T_i and damping.
+The projection is evaluated lazily: where the forward step passes Gamma's
+membership test (its rows A K and ellipsoids M K, to within MEMBERSHIP_TOL),
+the update is the classical integral law with per-step gain
+damping * T_s / T_i, which ClassicalIntegralController steps for comparison.
+_damped_projected_update, the one copy of the update, steps a batch of
+integrator states, each row with its own T_s / T_i and damping.
 """
 
 from __future__ import annotations
