@@ -4,13 +4,14 @@ Top-level keys: plant, metric, constraint, controller, scenario, and the
 optional sweep / certify blocks plus a seed.  This module only parses: every
 number goes through _numbers (a JSON number, a nonempty flat list of them or
 a nonempty list of equally long such rows; no strings, booleans or null),
-every integer through _as_int, and the two boxes (constraint, certify.box)
-through _box.  A value of the wrong JSON type or shape names its key
-("controller.T_i: expected a number, got '2.0'").  The library object that
-takes a value checks every rule on it, once, and its ValueError becomes a
-ConfigError that names the block ("controller: damping must lie ...").
-sweep and certify share one exact (mu, L) over certify.box, so sweep.mu,
-sweep.L, sweep.box and a samples key are config errors.
+every integer through _as_int, every block (each set and certify.box too)
+through _get's one check that it is a JSON object, and the two boxes
+(constraint, certify.box) through _box.  A value of the wrong JSON type or
+shape names its key ("controller.T_i: expected a number, got '2.0'").  The
+library object that takes a value checks every rule on it, once, and its
+ValueError becomes a ConfigError that names the block ("controller: damping
+must lie ...").  sweep and certify share one exact (mu, L) over certify.box,
+so sweep.mu, sweep.L, sweep.box and a samples key are config errors.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ _REQUIRED = object()
 def _get(spec: dict, block: str, name: str, kind=None, default=_REQUIRED):
     """spec[name], which errors name block.name (name alone at the top level).
 
-    kind None returns the value as given, int reads it by _as_int, and 0, 1
-    or 2 by _numbers with that many dimensions.  A key with a default may be
-    left out.
+    kind None returns the value as given, dict a JSON object (the one check
+    that a block is one), int reads it by _as_int, and 0, 1 or 2 by _numbers
+    with that many dimensions.  A key with a default may be left out.
     """
     key = f"{block}.{name}" if block else name
     if name not in spec:
@@ -83,7 +84,9 @@ def _get(spec: dict, block: str, name: str, kind=None, default=_REQUIRED):
             raise ConfigError(key, "missing required key")
         return default
     value = spec[name]
-    if kind is None:
+    if kind is dict and not isinstance(value, dict):
+        raise ConfigError(key, f"expected an object, got {value!r}")
+    if kind in (None, dict):
         return value
     return _as_int(value, key) if kind is int else _numbers(value, key, kind)
 
@@ -119,14 +122,12 @@ def _numbers(value, key: str, ndim: int):
 _INFINITIES = {"inf": np.inf, "+inf": np.inf, "-inf": -np.inf}
 
 
-def _box(spec, key: str, bounded: bool = False) -> Box:
+def _box(spec: dict, key: str, bounded: bool = False) -> Box:
     """A {lower, upper} box: the constraint box or certify.box.
 
     A bound is a number, null (unbounded) or "inf", "+inf", "-inf".  A
     certificate box must be bounded: (mu, L) are taken at its corners.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "expected an object with 'lower' and 'upper'")
     bounds = []
     for side, unbounded in (("lower", -np.inf), ("upper", np.inf)):
         raw = _get(spec, key, side)
@@ -143,9 +144,7 @@ def _box(spec, key: str, bounded: bool = False) -> Box:
     return box
 
 
-def _build_set(spec, key: str) -> ConvexSet:
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "constraint sets are objects with a 'type' tag")
+def _build_set(spec: dict, key: str) -> ConvexSet:
     kind = _get(spec, key, "type")
     try:
         if kind == "box":
@@ -160,21 +159,20 @@ def _build_set(spec, key: str) -> ConvexSet:
             members = _get(spec, key, "sets")
             if not isinstance(members, list):
                 raise ConfigError(f"{key}.sets", "expected a list of sets")
-            intersection = Intersection([_build_set(s, f"{key}.sets[{i}]")
-                                         for i, s in enumerate(members)])
+            named = {f"sets[{i}]": member for i, member in enumerate(members)}
+            intersection = Intersection([_build_set(_get(named, key, name, dict), f"{key}.{name}")
+                                         for name in named])
             intersection._curved_and_rest  # raises past one curved member, as projecting would
             return intersection
         if kind == "linear_preimage":
             return LinearPreimage(_get(spec, key, "K", 2),
-                                  _build_set(_get(spec, key, "inner"), f"{key}.inner"))
+                                  _build_set(_get(spec, key, "inner", dict), f"{key}.inner"))
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
     raise ConfigError(f"{key}.type", f"unknown set type {kind!r}")
 
 
-def _build_plant(spec, key: str = "plant") -> PlantModel:
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "expected a plant object")
+def _build_plant(spec: dict, key: str = "plant") -> PlantModel:
     kind = _get(spec, key, "type")
     try:
         if kind == "lti":
@@ -218,12 +216,10 @@ def build_setup(cfg: dict) -> RunSetup:
     seed = _get(cfg, "", "seed", int, 0)
     if seed < 0:  # no library object takes the seed, which the summaries only echo
         raise ConfigError("seed", f"must be at least 0, got {seed}")
-    plant = _build_plant(_get(cfg, "", "plant"))
-    constraint = _build_set(_get(cfg, "", "constraint"), "constraint")
+    plant = _build_plant(_get(cfg, "", "plant", dict))
+    constraint = _build_set(_get(cfg, "", "constraint", dict), "constraint")
 
-    ctrl_cfg = _get(cfg, "", "controller")
-    if not isinstance(ctrl_cfg, dict):
-        raise ConfigError("controller", "expected a controller object")
+    ctrl_cfg = _get(cfg, "", "controller", dict)
     K = _get(ctrl_cfg, "controller", "K", 2)
     T_i = _get(ctrl_cfg, "controller", "T_i", 0)
     damping = _get(ctrl_cfg, "controller", "lambda", 0)
@@ -238,9 +234,7 @@ def build_setup(cfg: dict) -> RunSetup:
     except ProjectionError as exc:  # the initial projection finds Gamma empty
         raise ConfigError("constraint", str(exc)) from exc
 
-    scn_cfg = _get(cfg, "", "scenario")
-    if not isinstance(scn_cfg, dict):
-        raise ConfigError("scenario", "expected a scenario object")
+    scn_cfg = _get(cfg, "", "scenario", dict)
     try:
         scenario = Scenario(
             plant=plant,
@@ -251,8 +245,8 @@ def build_setup(cfg: dict) -> RunSetup:
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from exc
 
-    sweep = _validate_sweep(cfg.get("sweep"), scenario) if "sweep" in cfg else None
-    certify_box = _validate_certify(cfg.get("certify")) if "certify" in cfg else None
+    sweep = _validate_sweep(_get(cfg, "", "sweep", dict), scenario) if "sweep" in cfg else None
+    certify_box = _validate_certify(_get(cfg, "", "certify", dict)) if "certify" in cfg else None
     return RunSetup(plant, metric, constraint, controller, scenario,
                     sweep, certify_box, seed, cfg)
 
@@ -265,11 +259,9 @@ def _reject_removed(spec: dict, block: str, names) -> None:
                               "over certify.box, and sweep and certify share them; remove this key")
 
 
-def _validate_sweep(spec, scenario: Scenario) -> dict:
+def _validate_sweep(spec: dict, scenario: Scenario) -> dict:
     """Sweep block: the T_i and lambda grid, and as "scenario" the run
     scenario with the sweep's horizon and schedule overrides applied."""
-    if not isinstance(spec, dict):
-        raise ConfigError("sweep", "expected a sweep object")
     _reject_removed(spec, "sweep", ("mu", "L", "box", "samples"))
     out = {name: _get(spec, "sweep", name, 1).tolist() for name in ("T_i", "lambda")}
     horizon = _get(spec, "sweep", "horizon", int, scenario.horizon)
@@ -286,8 +278,7 @@ def _validate_sweep(spec, scenario: Scenario) -> dict:
     return out
 
 
-def _validate_certify(spec) -> Box | None:
-    if not isinstance(spec, dict):
-        raise ConfigError("certify", "expected a certify object")
+def _validate_certify(spec: dict) -> Box | None:
     _reject_removed(spec, "certify", ("samples",))
-    return _box(spec["box"], "certify.box", bounded=True) if "box" in spec else None
+    return (_box(_get(spec, "certify", "box", dict), "certify.box", bounded=True)
+            if "box" in spec else None)

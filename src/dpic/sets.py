@@ -3,8 +3,9 @@
 Every set has one description, built on first use and cached: halfspace
 rows {v : A v <= b} with their Euclidean row norms, met with ellipsoids
 {v : |M v - d| <= r}.  A box, halfspace or polyhedron gives rows and a ball
-one ellipsoid with M = I; an intersection stacks its members' parts, and a
-linear preimage {x : K x in C} maps C's once, rows A K and ellipsoids M K.
+one ellipsoid with M = I; an intersection stacks its members' parts (a
+member intersection's own, so nesting changes no bit), and a linear preimage
+{x : K x in C} maps C's once, rows A K and ellipsoids M K.
 Membership to within MEMBERSHIP_TOL and margin (each one row product, then
 |M x - d| per ellipsoid), the normals of the tight constraints, the bounding
 box and the projection all read it, a linear preimage's included.  A point
@@ -23,7 +24,8 @@ x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row.
 
 The normal-cone residual is one more NNLS, on the tight normals.  Bounding
 boxes come exact along each axis of an ellipsoid and, by weak duality, one
-NNLS per side gives a bound enclosing the rows (exact on boxes).  The sets
+NNLS per side gives a bound enclosing the rows (exact on boxes); a side whose
+dual y misses A^T y = +-e_i by more than 1e-12 reads inf.  The sets
 are immutable once built; margin, and the membership test _contains that
 the loop runs, take a (..., dim) array of points as well as a single point.
 """
@@ -144,7 +146,7 @@ class ConvexSet:
         ellipsoids, A, b, norms = self._parts
         if len(ellipsoids) > 1:
             raise ValueError("an intersection projects with at most one non-polyhedral member")
-        rest = ConvexSet()  # built with no member, so empty rows raise ProjectionError in project
+        rest = ConvexSet()  # no member is sought: empty rows raise ProjectionError when projected
         rest.dim, rest._parts = self.dim, ([], A, b, norms)
         return (ellipsoids[0], rest if b.size else None) if ellipsoids else None
 
@@ -168,9 +170,13 @@ class ConvexSet:
         A^T y = +-e_i, one NNLS, gives +-v_i <= y.b by weak duality (Boyd &
         Vandenberghe, Convex Optimization, 2004, sec. 5.2); a nonzero residual
         puts +-e_i outside the rows' cone, and the rows are unbounded along
-        it.  Exact on boxes, enclosing elsewhere.  Raises ValueError if the
-        rows are empty, or if an ellipsoid's interval misses the others' by
-        more than MEMBERSHIP_TOL along an axis.
+        it.  NNLS reads 0 once its columns span the rows, and a y that misses
+        +-e_i by delta = |A^T y -+ e_i|_inf bounds +-v_i only to within
+        delta |v|_1, far off on a far set: y is kept where delta <= 1e-12, and
+        elsewhere that side reads inf too.  Exact on boxes, enclosing
+        elsewhere.  Raises ValueError if the rows are empty, or if an
+        ellipsoid's interval misses the others' by more than MEMBERSHIP_TOL
+        along an axis.
         """
         lower, upper = self._bbox
         return lower.copy(), upper.copy()
@@ -188,7 +194,7 @@ class ConvexSet:
             for i, e in enumerate(np.eye(self.dim)):
                 for side, c in enumerate((e, -e)):
                     y, residual = _nnls(A.T, c)
-                    if residual == 0.0:
+                    if residual == 0.0 and np.abs(A.T @ y - c).max() <= 1e-12:
                         top[side, i] = min(top[side, i], y @ b)
         if ellipsoids and np.any(top[0] + top[1] < -MEMBERSHIP_TOL):
             raise ValueError("the set is empty: an ellipsoid misses its other constraints")
@@ -334,22 +340,16 @@ class Polyhedron(ConvexSet):
 
 class Intersection(ConvexSet):
     """Intersection of convex sets of a common dimension: its members' ellipsoids
-    and their rows stacked in order."""
+    and their rows stacked in order.  A member intersection stacks its own
+    members' parts, so a nested intersection has the parts of its flat form."""
 
     def __init__(self, sets):
-        flat: list[ConvexSet] = []
-        for s in sets:
-            if isinstance(s, Intersection):
-                flat.extend(s.sets)
-            else:
-                flat.append(s)
-        if not flat:
+        self.sets = tuple(sets)
+        if not self.sets:
             raise ValueError("intersection needs at least one set")
-        dims = {s.dim for s in flat}
-        if len(dims) != 1:
+        if len({s.dim for s in self.sets}) != 1:
             raise ValueError("intersection components have mismatched dimensions")
-        self.sets = tuple(flat)
-        self.dim = flat[0].dim
+        self.dim = self.sets[0].dim
 
     @cached_property
     def _parts(self):
@@ -529,14 +529,14 @@ def _project_curved(ellipsoid, rest: ConvexSet | None, metric: Metric, x) -> Pro
     """
     (M, Minv, d, r), P = ellipsoid, metric.P
     c, W, S = Minv @ d, M.T @ M, Minv.T @ P @ Minv
-    point = x if rest is None else rest.project(metric, x).point
+    point = x if rest is None else _project_rows(rest, metric, x).point
     y = M @ (point - c)
     if float(y @ y) - r ** 2 <= 0.0:
         return ProjectionResult(point)
     if rest is None and np.array_equal(S, S[0, 0] * np.eye(x.size)):  # a radial shrink
         return ProjectionResult(c + Minv @ ((r / np.linalg.norm(y)) * y))
     if rest is not None:
-        nearest = rest.project(Metric(W), c).point
+        nearest = _project_rows(rest, Metric(W), c).point
         dist = float(np.linalg.norm(M @ (nearest - c)))
         if dist > r + MEMBERSHIP_TOL:
             raise ProjectionError("the ball misses the other members; the intersection is empty")
@@ -548,7 +548,7 @@ def _project_curved(ellipsoid, rest: ConvexSet | None, metric: Metric, x) -> Pro
     def trial(nu):  # (1/r - 1/|M (v(nu) - c)|, v(nu)); a v(nu) on the center reads as inside
         v = c + Minv @ (evecs @ (coef / (evals + nu)))
         if rest is not None:
-            v = rest.project(Metric(P + nu * W), v).point
+            v = _project_rows(rest, Metric(P + nu * W), v).point
         dist = float(np.linalg.norm(M @ (v - c)))
         return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 

@@ -235,16 +235,13 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
                 break
             try:
                 settled = advance(k, slice(0, n_live))
-            except _STEP_ERRORS as exc:
-                if n_live == 1:
-                    errors = {0: exc}
-                else:
-                    errors = {}
-                    for i in range(n_live):
-                        try:
-                            advance(k, slice(i, i + 1))
-                        except _STEP_ERRORS as row_exc:
-                            errors[i] = row_exc
+            except _STEP_ERRORS:
+                errors = {}
+                for i in range(n_live):
+                    try:
+                        advance(k, slice(i, i + 1))
+                    except _STEP_ERRORS as exc:
+                        errors[i] = exc
                 # from the last position down, so a swap moves no failing row
                 for i in sorted(errors, reverse=True):
                     failed[int(order[i])] = k, _step_failure(k, errors[i])

@@ -25,3 +25,10 @@ def rows_support(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     if res.status == 2:
         raise ValueError("support function of an empty set requested")
     raise ValueError(f"support LP failed with status {res.status}: {res.message}")
+
+
+def rows_maximizer(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """A point of {v : A v <= b} maximizing c.v, as HiGHS finds it, or None
+    where HiGHS returns none (an unbounded or empty set, or a failure)."""
+    res = linprog(-c, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    return res.x if res.status == 0 else None

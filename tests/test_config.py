@@ -211,6 +211,7 @@ def test_bad_bound_literal():
 
 _VECTOR = "expected a nonempty flat list of numbers"
 _MATRIX = "expected a nonempty matrix (a list of equally long rows of numbers)"
+_BOX = {"type": "box", "lower": [-1.0], "upper": [1.0]}
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -229,9 +230,28 @@ _MATRIX = "expected a nonempty matrix (a list of equally long rows of numbers)"
     (("constraint",), {"type": "box", "lower": [None], "upper": ["inf"]}, None),
     (("constraint",), {"type": "box", "lower": ["-inf"], "upper": [None]}, None),
     (("constraint",), {"type": "box", "lower": [-1.0], "upper": ["+inf"]}, None),
+    # a block is a JSON object, and a list of sets or of schedule entries a list
+    (("plant",), [1.0], "plant: expected an object, got [1.0]"),
+    (("constraint",), 2.0, "constraint: expected an object, got 2.0"),
+    (("constraint",), {"type": "intersection", "sets": [_BOX, [1.0]]},
+     "constraint.sets[1]: expected an object, got [1.0]"),
+    (("constraint",), {"type": "linear_preimage", "K": [[2.0]], "inner": 1},
+     "constraint.inner: expected an object, got 1"),
+    (("controller",), [[1.0]], "controller: expected an object, got [[1.0]]"),
+    (("scenario",), 50, "scenario: expected an object, got 50"),
+    (("sweep",), [2.0], "sweep: expected an object, got [2.0]"),
+    (("certify",), 1, "certify: expected an object, got 1"),
+    (("certify", "box"), [-1.0, 1.0], "certify.box: expected an object, got [-1.0, 1.0]"),
+    (("constraint",), {"type": "intersection", "sets": _BOX},
+     "constraint.sets: expected a list of sets"),
+    (("scenario", "schedule"), {"0": [0.5]},
+     "scenario.schedule: expected a list of [start_step, w] pairs"),
 ], ids=["T_i-string", "T_i-bool", "x0-bool", "metric-string", "halfspace-b-string",
         "sweep-T_i-string", "certify-box-string", "plant-A-ragged",
-        "box-null-inf", "box-minus-inf-null", "box-plus-inf"])
+        "box-null-inf", "box-minus-inf-null", "box-plus-inf",
+        "plant-list", "constraint-number", "intersection-member-list", "preimage-inner-number",
+        "controller-list", "scenario-number", "sweep-list", "certify-number", "certify-box-list",
+        "constraint-sets-object", "scenario-schedule-object"])
 def test_one_number_rule_for_every_config_value(tmp_path, capsys, path, value, message):
     cfg = lti_base()
     cfg["sweep"] = {"T_i": [2.0], "lambda": [0.5]}

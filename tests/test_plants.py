@@ -1,9 +1,11 @@
+import json
 import sys
 
 import numpy as np
 import pytest
 
-from dpic import FourTankPlant, LTIPlant, NumericalError, davison_check
+from dpic import FourTankPlant, LTIPlant, NumericalError, davison_check, preset_config
+from dpic.cli import EXIT_OK, main
 from tank_oracle import oracle_levels, oracle_step
 
 
@@ -423,6 +425,29 @@ def test_tank_batched_calls_match_per_row_calls():
     assert plant.step(H[0], U[:3], w).shape == (3, 4)
     # a leading batch axis of any depth
     assert plant.step(H.reshape(2, 3, 4), U.reshape(2, 3, 2), w).shape == (2, 3, 4)
+
+
+def test_the_calibrated_outlet_areas_given_back_build_the_same_tank(tmp_path):
+    # plant.outlet_areas in a config builds the tank from its areas: the
+    # calibrated ones give step and pi_x bit for bit, no nominal point, and
+    # the four-tank preset's trajectory byte for byte
+    calibrated = FourTankPlant()
+    tank = FourTankPlant(outlet_areas=calibrated.outlet_areas)
+    assert tank.h_nominal is None and tank.u_nominal is None
+    H, U = _mixed_tank_rows(np.random.default_rng(63), 200)
+    w = np.array([12.0, 9.0])
+    _assert_rows_match(tank.step(H, U, w), calibrated.step(H, U, w))
+    _assert_rows_match(tank.pi_x(U, w), calibrated.pi_x(U, w))
+    cfg = preset_config("four-tank")
+    cfg["plant"]["outlet_areas"] = calibrated.outlet_areas.tolist()
+    config = tmp_path / "areas.json"
+    config.write_text(json.dumps(cfg))
+    for name, source in (("preset", ["--preset", "four-tank"]),
+                         ("areas", ["--config", str(config)])):
+        assert main(["simulate", *source, "--out", str(tmp_path / name)]) == EXIT_OK
+    trajectory = "trajectory.csv"
+    assert (tmp_path / "areas" / trajectory).read_bytes() == \
+        (tmp_path / "preset" / trajectory).read_bytes()
 
 
 def test_tank_batched_step_rejects_any_nonfinite_row():

@@ -27,7 +27,7 @@ from dpic.metric import _row_norms
 from dpic.sets import MEMBERSHIP_TOL
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
-from lp_oracle import rows_support
+from lp_oracle import rows_maximizer, rows_support
 from membership_oracle import oracle_contains, oracle_margin
 from preimage_oracle import change_of_variables_project
 
@@ -899,6 +899,42 @@ def test_intersections_beyond_one_ball_fail_to_project_but_still_sample():
         s.project(I2, [3.0, 2.0])
 
 
+def test_a_nested_intersection_reads_as_its_flat_form_bit_for_bit():
+    # a member intersection stacks its own members' parts in order, so every
+    # nesting of the same members has the flat form's parts, and with them
+    # its membership, margin, bounding box and projections, bit for bit
+    box, half = Box([-1.0, -2.0], [2.0, 1.5]), Halfspace([1.0, 1.0], 1.0)
+    ball = Ball([0.5, -0.5], 2.0)
+    pre = LinearPreimage([[2.0, 0.0], [1.0, 1.0]], Box([-2.0, -2.0], [4.0, 4.0]))
+    cases = [
+        ((box, half, pre), [Intersection([Intersection([box, half]), pre]),
+                            Intersection([box, Intersection([Intersection([half]), pre])])]),
+        ((box, half, ball, pre), [Intersection([Intersection([box, half]),
+                                                Intersection([ball, pre])]),
+                                  Intersection([box, Intersection([half, Intersection([ball]),
+                                                                   pre])])]),
+    ]
+    rng = np.random.default_rng(43)
+    points = np.vstack([4.0 * rng.standard_normal((30, 2)), [[2.0, -1.0], [np.nan, 0.0]]])
+    metrics_ = [I2, Metric(random_spd(rng, 2)), Metric([[2.0, 0.3], [0.3, 1.0]])]
+    for members, nested in cases:
+        for s in nested:
+            flat = Intersection(members)
+            (ellipsoids, *rows), (flat_ellipsoids, *flat_rows) = s._parts, flat._parts
+            assert len(ellipsoids) == len(flat_ellipsoids)
+            for got, want in zip(ellipsoids, flat_ellipsoids):
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+            assert all(same_bits(g, w) for g, w in zip(rows, flat_rows))
+            assert np.array_equal(s._contains(points), flat._contains(points))
+            assert same_bits(s.margin(points), flat.margin(points))
+            assert all(same_bits(g, w) for g, w in zip(s.bounding_box(), flat.bounding_box()))
+            for metric in metrics_:
+                for x in points[:-1]:  # all but the NaN
+                    got, want = s.project(metric, x), flat.project(metric, x)
+                    assert same_bits(got.point, want.point)
+                    assert got.iterations == want.iterations
+
+
 def _ball_box_gains(rng, count):
     """(K, ball, box, P, x): a ball and a box about its center in the input
     space, a non-diagonal gain K with condition number below 30, a coupled
@@ -1221,6 +1257,36 @@ def test_bounding_box_encloses_highs_on_ill_scaled_far_polyhedra():
             assert (sign * (got - expected) >= -bound).all(), (got, expected)
             finite, infinite = finite + bounded.sum(), infinite + (~bounded).sum()
     assert finite > 600 and infinite > 100 and rejected == 0
+
+
+def test_bounding_box_sides_reach_highs_where_the_dual_misses_its_axis():
+    # NNLS reports residual 0 once its columns span the rows, so a dual y
+    # whose A^T y misses +-e_i by up to 1.6e-7 here would give y.b short of
+    # the side by that times |v|: on draw 20, 4757784087.8 where HiGHS finds
+    # 4757784849.6.  Every fourth draw shrinks column 0 by 1e-7, which puts
+    # the set far along axis 0.  On each side where HiGHS returns a point v*
+    # feasible to 1e-12, the box reaches HiGHS' value to within
+    # 1e-12 dim (|value| + |v*|_inf); a side whose dual misses reads inf
+    rng = np.random.default_rng(11)
+    sides = infinite = 0
+    for draw in range(100):
+        dim = int(rng.integers(2, 6))
+        rows = int(rng.integers(dim + 1, 3 * dim + 4))
+        A = rng.standard_normal((rows, dim))
+        b = rng.uniform(0.5, 2.0, rows)
+        if draw % 4 == 0:
+            A[:, 0] *= 1e-7
+        lower, upper = Polyhedron(A, b).bounding_box()
+        for i, e in enumerate(np.eye(dim)):
+            for c, side in ((e, upper[i]), (-e, -lower[i])):
+                v = rows_maximizer(A, b, c)
+                if v is None or not np.all(A @ v - b <= 1e-12 * (b + np.abs(A) @ np.abs(v))):
+                    continue
+                value = float(c @ v)
+                sides, infinite = sides + 1, infinite + (side == np.inf)
+                tol = 1e-12 * dim * (abs(value) + np.abs(v).max())
+                assert side >= value - tol, (draw, i, c[i], side, value)
+    assert sides >= 500 and infinite <= 60  # 544 and 45 with numpy 2.4 and scipy 1.17
 
 
 def test_bounding_boxes_and_sampled_moduli_load_no_scipy():
