@@ -42,7 +42,8 @@ RUNS = {
        for seed in (1, 2, 3, 7)},
     **{f"{cmd}-lti-demo-ball": (cmd, _config("lti-demo-ball"))
        for cmd in ("simulate", "sweep", "certify")},
-    "simulate-four-tank-ball": ("simulate", _config("four-tank-ball")),
+    **{f"simulate-{name}": ("simulate", _config(name))
+       for name in ("four-tank-ball", "lti-demo-disc", "four-tank-ellipse")},
 }
 
 
