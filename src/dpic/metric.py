@@ -62,7 +62,6 @@ class Metric:
         self.P = P
         self.dim = int(P.shape[0])
         self._chol = chol  # lower triangular, P = chol @ chol.T
-        self.is_diagonal = bool(np.all(P == np.diag(np.diag(P))))
 
     @classmethod
     def identity(cls, dim: int) -> "Metric":
@@ -86,4 +85,4 @@ class Metric:
         return np.linalg.solve(self.P, np.asarray(b, dtype=float))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Metric(dim={self.dim}, diagonal={self.is_diagonal})"
+        return f"Metric(dim={self.dim})"

@@ -11,11 +11,10 @@ Membership to within MEMBERSHIP_TOL and margin (each one row product, then
 box and the projection all read it, a linear preimage's included.  A point
 in a batch gets the answer it gets alone.
 
-Every projection is exact: boxes under diagonal metrics by a componentwise
-clamp, any other set of rows alone as a least-distance program solved by a
-numpy Lawson-Hanson NNLS, and one ellipsoid with rows by one root find for
-its multiplier, or by a radial shrink where the metric is round; no engine
-takes a second ellipsoid.
+Every projection is exact, by one of two engines: a set of rows alone by a
+least-distance program that a numpy Lawson-Hanson NNLS solves, and one
+ellipsoid with any rows by one root find for its multiplier, whose trials run
+the first engine on factors of one eigendecomposition; none takes two ellipsoids.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
@@ -70,8 +69,8 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Projected point; iterations counts the root finder's steps for a curved
-    member's multiplier (0 if none was needed), and residual is 0: every projection is exact."""
+    """Projected point; iterations counts the root find's steps for an ellipsoid's
+    multiplier (0 where none ran), and residual is 0: both engines are exact."""
 
     point: np.ndarray
     iterations: int = 0
@@ -137,7 +136,7 @@ class ConvexSet:
         """Exact projection of a finite x in the metric norm, by _project_rows or _project_curved."""
         x = self._checked(metric, x)
         if self.halfspace_rows() is not None:
-            return _project_rows(self, metric, x)
+            return _project_rows(self, self._row_factors(metric), x)
         return _project_curved(*self._curved_and_rest, metric, x)
 
     @cached_property
@@ -213,12 +212,12 @@ class ConvexSet:
         return _read_only(self._parts[2] + MEMBERSHIP_TOL)[0]
 
     def _row_factors(self, metric: Metric):
-        """What _project_rows needs of the halfspace rows under metric alone.
+        """The factors _project_rows takes of the halfspace rows in metric P = L L^T.
 
-        -L^{-1} A^T, P^{-1} A^T, the Gram matrix A P^{-1} A^T, the rows and b
-        and |b| over the row norms |a_i|, and the NNLS target (0, ..., 0, 1),
-        kept for the last metric used.  The entry holds that metric itself,
-        so another metric never reads it.
+        -L^{-1} A^T, L the Cholesky factor, P^{-1} A^T, the Gram matrix A P^{-1} A^T
+        (_project_curved forms these three in its own metrics), the rows and b and
+        |b| over the row norms |a_i|, and the NNLS target (0, ..., 0, 1), kept for the
+        last metric used; the entry holds that metric itself, so no other metric reads it.
         """
         if self._factors is None or self._factors[0] is not metric:
             A, b = self.halfspace_rows()
@@ -264,12 +263,6 @@ class Box(ConvexSet):
         rhs = np.stack([self.upper, 0.0 - self.lower], axis=1).ravel()
         finite = np.isfinite(rhs)
         return ([], *_read_only(rows[finite], rhs[finite], np.ones(np.count_nonzero(finite))))
-
-    def project(self, metric: Metric, x) -> ProjectionResult:
-        if not metric.is_diagonal:
-            return super().project(metric, x)
-        # weighted projection is separable under a diagonal metric
-        return ProjectionResult(np.clip(self._checked(metric, x), self.lower, self.upper))
 
 
 class Halfspace(ConvexSet):
@@ -331,7 +324,8 @@ class Polyhedron(ConvexSet):
         self.dim = int(A.shape[1])
         self._parts = ([], *_read_only(A.copy(), b.copy(), norms))
         try:
-            self._member = _project_rows(self, Metric.identity(self.dim), np.zeros(self.dim)).point
+            self._member = _project_rows(self, self._row_factors(Metric.identity(self.dim)),
+                                         np.zeros(self.dim)).point
         except ProjectionError as exc:
             if exc.point is None or _shifted:
                 raise ValueError("polyhedron is empty") from None
@@ -448,10 +442,11 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
     return u, 0.0 if len(S) == rows else float(np.linalg.norm(E @ u - f))
 
 
-def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionResult:
-    """Exact projection onto a set's halfspace rows {v : A v <= b} in the metric norm.
+def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionResult:
+    """Exact projection onto a set's halfspace rows {v : A v <= b} in the norm of a
+    metric P, given by the rows' factors in P (the tuple _row_factors returns).
 
-    With P = L L^T and z = L^T (v - x) this is the least-distance program
+    With P = L L^T, L any square root, and z = L^T (v - x) this is the least-distance program
     min |z| s.t. A L^{-T} z <= b - A x, which NNLS solves through its dual
     (Lawson & Hanson 1974, ch. 23); the point is the equality-constrained
     projection onto the rows NNLS leaves active.  It is kept if a_i.v - b_i
@@ -473,7 +468,7 @@ def _project_rows(set_: ConvexSet, metric: Metric, x: np.ndarray) -> ProjectionR
     h = A @ x - b  # has the sign of A x - b, as a float difference does
     if all(h <= 0.0):  # True with no rows
         return ProjectionResult(x.copy())
-    neg_whitened, Pinv_AT, gram, unit_A, unit_b, unit_abs_b, target = set_._row_factors(metric)
+    neg_whitened, Pinv_AT, gram, unit_A, unit_b, unit_abs_b, target = factors
     x_norm = math.sqrt(x.dot(x)) or math.ulp(0.0)  # never 0, so no row reads 0 / 0
 
     def polish(S):  # (point, multipliers, (A point - b) / s) of the projection onto rows S
@@ -517,38 +512,44 @@ def _project_curved(ellipsoid, rest: ConvexSet | None, metric: Metric, x) -> Pro
     """Exact projection onto E ∩ rest, E = {v : |M v - d| <= r} given as (M, M^{-1}, d, r),
     rest polyhedral or None (the whole space); a ball is E with M = I.
 
-    With c = M^{-1} d, S = M^{-T} P M^{-1} and E's multiplier nu >= 0, v(nu) projects
-    c + M^{-1} y, (S + nu I) y = M^{-T} P (x - c), onto rest in the metric P + nu M^T M
-    (More, Optim. Methods Softw. 2, 1993); |M (v(nu) - c)| does not increase with nu
-    (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5), so one bracketed root
-    gives nu.  As nu grows v(nu) tends to p, the projection of c onto rest in the
-    metric M^T M: the set is empty when |M (p - c)| > r and the point p when = r.
-    False position with the Illinois rule (Dowell & Jarratt, BIT 11, 1971) finds the
-    root of 1/r - 1/|M (v(nu) - c)|, nearly linear in nu (Hebden 1973; More &
-    Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).
+    With c = M^{-1} d, S = M^{-T} P M^{-1} = Q diag(lam) Q^T and E's multiplier nu >= 0,
+    v(nu) projects c + M^{-1} y, (S + nu I) y = M^{-T} P (x - c), onto rest in the metric
+    P + nu M^T M = L L^T, L = M^T Q diag(s)^{-1/2}, s = 1/(lam + nu) (More, Optim.
+    Methods Softw. 2, 1993): with B = Q^T M^{-T} A^T formed once, its row factors are
+    -s^{1/2} B, M^{-1} Q s B and B^T s B, s scaling B's rows.  |M (v(nu) - c)| does not
+    increase with nu (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5), so one
+    bracketed root gives nu.  As nu grows v(nu) tends to p, the projection of c onto
+    rest in the metric M^T M (s = 1): the set is empty when |M (p - c)| > r and the
+    point p when = r.  False position with the Illinois rule (Dowell & Jarratt, BIT 11,
+    1971) finds the root of 1/r - 1/|M (v(nu) - c)|, nearly linear in nu (Hebden 1973;
+    More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).
     """
     (M, Minv, d, r), P = ellipsoid, metric.P
-    c, W, S = Minv @ d, M.T @ M, Minv.T @ P @ Minv
-    point = x if rest is None else _project_rows(rest, metric, x).point
+    c = Minv @ d
+    point = x if rest is None else _project_rows(rest, rest._row_factors(metric), x).point
     y = M @ (point - c)
     if float(y @ y) - r ** 2 <= 0.0:
         return ProjectionResult(point)
-    if rest is None and np.array_equal(S, S[0, 0] * np.eye(x.size)):  # a radial shrink
-        return ProjectionResult(c + Minv @ ((r / np.linalg.norm(y)) * y))
+    evals, evecs = np.linalg.eigh(Minv.T @ P @ Minv)
+    coef = evecs.T @ (rhs := Minv.T @ (P @ (x - c)))
     if rest is not None:
-        nearest = _project_rows(rest, Metric(W), c).point
+        B, unit = evecs.T @ (Minv.T @ rest.halfspace_rows()[0].T), rest._row_factors(metric)[3:]
+
+        def rows(s):  # rest's row factors in P + nu M^T M, s = 1/(lam + nu)
+            sB = s[:, None] * B
+            return (-np.sqrt(s)[:, None] * B, Minv @ (evecs @ sB), B.T @ sB, *unit)
+
+        nearest = _project_rows(rest, rows(np.ones(x.size)), c).point
         dist = float(np.linalg.norm(M @ (nearest - c)))
         if dist > r + MEMBERSHIP_TOL:
             raise ProjectionError("the ball misses the other members; the intersection is empty")
         if dist >= r:
             return ProjectionResult(nearest)
-    evals, evecs = np.linalg.eigh(S)  # one decomposition gives every (S + nu I)^{-1}
-    coef = evecs.T @ (rhs := Minv.T @ (P @ (x - c)))
 
     def trial(nu):  # (1/r - 1/|M (v(nu) - c)|, v(nu)); a v(nu) on the center reads as inside
         v = c + Minv @ (evecs @ (coef / (evals + nu)))
         if rest is not None:
-            v = _project_rows(rest, Metric(P + nu * W), v).point
+            v = _project_rows(rest, rows(1.0 / (evals + nu)), v).point
         dist = float(np.linalg.norm(M @ (v - c)))
         return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 

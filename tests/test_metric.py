@@ -100,12 +100,6 @@ def test_dimension_mismatch():
         m.inner([1.0], [1.0])
 
 
-def test_flags():
-    assert Metric.identity(2).is_diagonal
-    assert Metric([[2.0, 0.0], [0.0, 1.0]]).is_diagonal
-    assert not Metric([[2.0, 0.5], [0.5, 1.0]]).is_diagonal
-
-
 def test_batched_norm_equals_per_row_norm():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 3))

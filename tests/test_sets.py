@@ -42,9 +42,22 @@ def input_polygon():
 # frozen projection values
 
 def test_box_clamp():
+    # under a diagonal metric the projection is separable: the componentwise
+    # clamp, here reached by the rows' engine, whose polish cancels x down to
+    # the point and so rounds on the scale of |x|
     res = Box([0.0, 0.0], [45.0, 45.0]).project(I2, [50.0, 10.0])
     assert np.allclose(res.point, [45.0, 10.0], atol=1e-12)
     assert res.iterations == 0
+    rng = np.random.default_rng(59)
+    for _ in range(2000):
+        dim = int(rng.integers(1, 6))
+        lower = rng.uniform(-3.0, 1.0, dim)
+        upper = lower + rng.uniform(0.1, 4.0, dim)
+        metric = Metric(np.diag(rng.uniform(0.01, 100.0, dim)))
+        x = rng.uniform(0.5, 8.0) * rng.standard_normal(dim)
+        clamp = np.clip(x, lower, upper)
+        point = Box(lower, upper).project(metric, x).point
+        assert np.max(np.abs(point - clamp)) <= 1e-14 * np.max(np.abs(x))
 
 
 def test_symmetric_halfspace():
@@ -472,15 +485,16 @@ def test_isotropic_metric_ball_is_radial():
     assert np.allclose(p, [0.6, 0.8], atol=1e-12)
 
 
-def test_a_round_ellipsoid_takes_the_radial_shrink():
+def test_a_round_ellipsoid_projects_radially():
     # K = 2 R, R a rotation, and P = 4 I make S = K^{-T} P K^{-1} = I exactly:
-    # the preimage is a disc of radius 1/2 about c = K^{-1} d, reached with no root find
+    # the preimage is a disc of radius 1/2 about c = K^{-1} d, and the root
+    # find's secular function is linear in nu, so it lands on the radial point
     K = np.array([[0.0, -2.0], [2.0, 0.0]])
     x, c = np.array([3.0, 4.0]), np.array([0.0, -0.5])
     res = LinearPreimage(K, Ball([1.0, 0.0], 1.0)).project(Metric(4.0 * np.eye(2)), x)
-    assert res.iterations == 0
     assert np.allclose(res.point, c + 0.5 * (x - c) / np.linalg.norm(x - c), rtol=0.0, atol=1e-15)
-    assert Ball([0.0, 0.0], 1.0).project(Metric(2.5 * np.eye(2)), x).iterations == 0
+    res = Ball([0.0, 0.0], 1.0).project(Metric(2.5 * np.eye(2)), x)
+    assert np.allclose(res.point, x / np.linalg.norm(x), rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +511,8 @@ def test_empty_box_rejected():
     ([0.0, np.inf], [1.0, np.inf]),
 ])
 def test_a_box_with_an_infinite_empty_side_is_rejected(lower, upper):
-    # lower <= upper holds, but no finite row is left: membership would
-    # admit every point while the diagonal clamp sends points to +-inf
+    # lower <= upper holds, but no finite row is left: membership and
+    # projection would treat an empty box as the whole space
     with pytest.raises(ValueError, match="box is empty"):
         Box(lower, upper)
 
@@ -874,6 +888,22 @@ def test_ball_intersection_meets_kkt_under_random_metrics():
         assert np.all(mult >= 0.0)  # the row multipliers and nu
         ball_active += mult[-1] > 0.0
     assert ball_active > 100  # the ball binds (nu > 0) in 124 of the 150
+
+
+def test_a_curved_projection_builds_no_metric_and_keeps_the_rows_factors(monkeypatch):
+    # every trial's row factors come from one eigendecomposition, so the rows
+    # keep the caller's metric's factors for the next projection
+    rng = np.random.default_rng(67)
+    metric = Metric(random_spd(rng, 4))
+    s = Intersection([Ball(np.zeros(4), 1.0), _random_polytope(rng, 4, 12)])
+    x = np.array([-1.8, -0.6, 4.9, 0.2])
+    built, init = [], Metric.__init__
+    monkeypatch.setattr(Metric, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    res = s.project(metric, x)
+    assert res.iterations > 0 and not built
+    rest = s._curved_and_rest[1]
+    assert rest._factors[0] is metric
+    assert rest.margin(res.point) <= MEMBERSHIP_TOL  # a row binds: the trials projected
 
 
 def test_a_root_finding_trial_on_the_ball_center_reads_as_inside():
