@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
     setup = _load_setup(args)
     out = _out_dir(args)
     record = simulate(setup.scenario)
-    xi = change_of_coordinates(record, setup.plant, setup.scenario)
+    xi = change_of_coordinates(record, setup.scenario)
     converged = classify_convergence(record, xi, setup.metric)
     summary = {
         "seed": setup.seed,

@@ -122,12 +122,9 @@ def _numbers(value, key: str, ndim: int):
 _INFINITIES = {"inf": np.inf, "+inf": np.inf, "-inf": -np.inf}
 
 
-def _box(spec: dict, key: str, bounded: bool = False) -> Box:
-    """A {lower, upper} box: the constraint box or certify.box.
-
-    A bound is a number, null (unbounded) or "inf", "+inf", "-inf".  A
-    certificate box must be bounded: (mu, L) are taken at its corners.
-    """
+def _box(spec: dict, key: str) -> Box:
+    """A {lower, upper} box, the constraint box or certify.box; a bound is a
+    number, null (unbounded) or "inf", "+inf", "-inf"."""
     bounds = []
     for side, unbounded in (("lower", -np.inf), ("upper", np.inf)):
         raw = _get(spec, key, side)
@@ -136,12 +133,9 @@ def _box(spec: dict, key: str, bounded: bool = False) -> Box:
                    for v in raw]
         bounds.append(_numbers(raw, f"{key}.{side}", 1))
     try:
-        box = Box(*bounds)
+        return Box(*bounds)
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
-    if bounded and not np.isfinite(bounds).all():
-        raise ConfigError(key, "a certificate box must be bounded")
-    return box
 
 
 def _build_set(spec: dict, key: str) -> ConvexSet:
@@ -162,7 +156,7 @@ def _build_set(spec: dict, key: str) -> ConvexSet:
             named = {f"sets[{i}]": member for i, member in enumerate(members)}
             intersection = Intersection([_build_set(_get(named, key, name, dict), f"{key}.{name}")
                                          for name in named])
-            intersection._curved_and_rest  # raises past one curved member, as projecting would
+            intersection._curved()  # raises past one curved member, as projecting would
             return intersection
         if kind == "linear_preimage":
             return LinearPreimage(_get(spec, key, "K", 2),
@@ -280,5 +274,7 @@ def _validate_sweep(spec: dict, scenario: Scenario) -> dict:
 
 def _validate_certify(spec: dict) -> Box | None:
     _reject_removed(spec, "certify", ("samples",))
-    return (_box(_get(spec, "certify", "box", dict), "certify.box", bounded=True)
-            if "box" in spec else None)
+    box = _box(_get(spec, "certify", "box", dict), "certify.box") if "box" in spec else None
+    if box is not None and not np.isfinite([box.lower, box.upper]).all():  # (mu, L) at corners
+        raise ConfigError("certify.box", "a certificate box must be bounded")
+    return box

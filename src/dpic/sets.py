@@ -11,10 +11,11 @@ Membership to within MEMBERSHIP_TOL and margin (each one row product, then
 box and the projection all read it, a linear preimage's included.  A point
 in a batch gets the answer it gets alone.
 
-Every projection is exact, by one of two engines: a set of rows alone by a
-least-distance program that a numpy Lawson-Hanson NNLS solves, and one
-ellipsoid with any rows by one root find for its multiplier, whose trials run
-the first engine on factors of one eigendecomposition; none takes two ellipsoids.
+Every projection is exact, by one of two engines that read the set's own rows
+and keep their factors and last active set on it: rows alone by a least-distance
+program that a numpy Lawson-Hanson NNLS solves, and one ellipsoid with any rows
+by one root find for its multiplier, whose trials run the first engine on
+factors of one eigendecomposition; none takes two ellipsoids.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
@@ -133,21 +134,22 @@ class ConvexSet:
         return float(margin) if x.ndim == 1 else margin
 
     def project(self, metric: Metric, x) -> ProjectionResult:
-        """Exact projection of a finite x in the metric norm, by _project_rows or _project_curved."""
-        x = self._checked(metric, x)
-        if self.halfspace_rows() is not None:
-            return _project_rows(self, self._row_factors(metric), x)
-        return _project_curved(*self._curved_and_rest, metric, x)
+        """Exact projection of a finite x in the metric norm: _project_rows with no
+        ellipsoid, _project_curved with one; both read the set's own rows."""
+        if metric.dim != self.dim:
+            raise ValueError("metric dimension does not match set dimension")
+        x = _vec(x, self.dim)
+        if not all(map(math.isfinite, x.tolist())):
+            raise ValueError(f"point to project must be finite; got {x}")
+        if self._curved():
+            return _project_curved(self, metric, x)
+        return _project_rows(self, self._row_factors(metric), x)
 
-    @cached_property
-    def _curved_and_rest(self):
-        """(the one ellipsoid, its rows' set or None), or None if polyhedral."""
-        ellipsoids, A, b, norms = self._parts
-        if len(ellipsoids) > 1:
+    def _curved(self) -> bool:
+        """Whether the set has an ellipsoid; ValueError past one, which no engine takes."""
+        if len(self._parts[0]) > 1:
             raise ValueError("an intersection projects with at most one non-polyhedral member")
-        rest = ConvexSet()  # no member is sought: empty rows raise ProjectionError when projected
-        rest.dim, rest._parts = self.dim, ([], A, b, norms)
-        return (ellipsoids[0], rest if b.size else None) if ellipsoids else None
+        return bool(self._parts[0])
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         """Outward normals, one per row, of the constraints tight at x: the
@@ -199,20 +201,12 @@ class ConvexSet:
             raise ValueError("the set is empty: an ellipsoid misses its other constraints")
         return -top[1], top[0]
 
-    def halfspace_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(A, b) with the set equal to {x : A x <= b}, or None if not polyhedral.
-
-        Built once; the arrays are read-only.
-        """
-        ellipsoids, A, b, _ = self._parts
-        return None if ellipsoids else (A, b)
-
     @cached_property
     def _upper(self) -> np.ndarray:  # b + MEMBERSHIP_TOL, read-only, for _contains
         return _read_only(self._parts[2] + MEMBERSHIP_TOL)[0]
 
     def _row_factors(self, metric: Metric):
-        """The factors _project_rows takes of the halfspace rows in metric P = L L^T.
+        """The factors _project_rows takes of the set's own rows in metric P = L L^T.
 
         -L^{-1} A^T, L the Cholesky factor, P^{-1} A^T, the Gram matrix A P^{-1} A^T
         (_project_curved forms these three in its own metrics), the rows and b and
@@ -220,20 +214,12 @@ class ConvexSet:
         last metric used; the entry holds that metric itself, so no other metric reads it.
         """
         if self._factors is None or self._factors[0] is not metric:
-            A, b = self.halfspace_rows()
+            _, A, b, _ = self._parts
             Pinv_AT, norms = metric.solve(A.T), np.linalg.norm(A, axis=1)
             self._factors = (metric, -np.linalg.solve(metric._chol, A.T), Pinv_AT,
                              A @ Pinv_AT, A / norms[:, None], b / norms, np.abs(b) / norms,
                              np.r_[np.zeros(self.dim), 1.0])
         return self._factors[1:]
-
-    def _checked(self, metric: Metric, x) -> np.ndarray:
-        if metric.dim != self.dim:
-            raise ValueError("metric dimension does not match set dimension")
-        x = _vec(x, self.dim)
-        if not all(map(math.isfinite, x.tolist())):
-            raise ValueError(f"point to project must be finite; got {x}")
-        return x
 
 
 class Box(ConvexSet):
@@ -443,7 +429,7 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionResult:
-    """Exact projection onto a set's halfspace rows {v : A v <= b} in the norm of a
+    """Exact projection onto the set's own rows {v : A v <= b} in the norm of a
     metric P, given by the rows' factors in P (the tuple _row_factors returns).
 
     With P = L L^T, L any square root, and z = L^T (v - x) this is the least-distance program
@@ -464,7 +450,7 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
     WARM_MARGIN s_i: then NNLS leaves the same rows active and the polish
     gives the same bits, so the cached set never changes a result.
     """
-    A, b = set_.halfspace_rows()
+    _, A, b, _ = set_._parts
     h = A @ x - b  # has the sign of A x - b, as a float difference does
     if all(h <= 0.0):  # True with no rows
         return ProjectionResult(x.copy())
@@ -508,38 +494,40 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
                           "the set may be empty", point)
 
 
-def _project_curved(ellipsoid, rest: ConvexSet | None, metric: Metric, x) -> ProjectionResult:
-    """Exact projection onto E ∩ rest, E = {v : |M v - d| <= r} given as (M, M^{-1}, d, r),
-    rest polyhedral or None (the whole space); a ball is E with M = I.
+def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
+    """Exact projection onto a set of one ellipsoid E = {v : |M v - d| <= r}, given as
+    (M, M^{-1}, d, r), and its own rows {v : A v <= b}, maybe none; a ball is E with M = I.
 
     With c = M^{-1} d, S = M^{-T} P M^{-1} = Q diag(lam) Q^T and E's multiplier nu >= 0,
-    v(nu) projects c + M^{-1} y, (S + nu I) y = M^{-T} P (x - c), onto rest in the metric
-    P + nu M^T M = L L^T, L = M^T Q diag(s)^{-1/2}, s = 1/(lam + nu) (More, Optim.
-    Methods Softw. 2, 1993): with B = Q^T M^{-T} A^T formed once, its row factors are
+    v(nu) projects c + M^{-1} y, (S + nu I) y = M^{-T} P (x - c), onto the rows in the
+    metric P + nu M^T M = L L^T, L = M^T Q diag(s)^{-1/2}, s = 1/(lam + nu) (More, Optim.
+    Methods Softw. 2, 1993): with B = Q^T M^{-T} A^T formed once, their row factors are
     -s^{1/2} B, M^{-1} Q s B and B^T s B, s scaling B's rows.  |M (v(nu) - c)| does not
     increase with nu (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5), so one
     bracketed root gives nu.  As nu grows v(nu) tends to p, the projection of c onto
-    rest in the metric M^T M (s = 1): the set is empty when |M (p - c)| > r and the
+    the rows in the metric M^T M (s = 1): the set is empty when |M (p - c)| > r and the
     point p when = r.  False position with the Illinois rule (Dowell & Jarratt, BIT 11,
     1971) finds the root of 1/r - 1/|M (v(nu) - c)|, nearly linear in nu (Hebden 1973;
-    More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).
+    More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).  Each A.size guard keeps
+    a lone ellipsoid from forming or projecting on empty rows.
     """
-    (M, Minv, d, r), P = ellipsoid, metric.P
-    c = Minv @ d
-    point = x if rest is None else _project_rows(rest, rest._row_factors(metric), x).point
+    ((M, Minv, d, r),), A, _, _ = set_._parts
+    c, P = Minv @ d, metric.P
+    point = _project_rows(set_, set_._row_factors(metric), x).point if A.size else x
     y = M @ (point - c)
     if float(y @ y) - r ** 2 <= 0.0:
         return ProjectionResult(point)
     evals, evecs = np.linalg.eigh(Minv.T @ P @ Minv)
     coef = evecs.T @ (rhs := Minv.T @ (P @ (x - c)))
-    if rest is not None:
-        B, unit = evecs.T @ (Minv.T @ rest.halfspace_rows()[0].T), rest._row_factors(metric)[3:]
+    nearest = c  # p, which is c itself with no rows
+    if A.size:
+        B, unit = evecs.T @ (Minv.T @ A.T), set_._row_factors(metric)[3:]
 
-        def rows(s):  # rest's row factors in P + nu M^T M, s = 1/(lam + nu)
+        def rows(s):  # the rows' factors in P + nu M^T M, s = 1/(lam + nu)
             sB = s[:, None] * B
             return (-np.sqrt(s)[:, None] * B, Minv @ (evecs @ sB), B.T @ sB, *unit)
 
-        nearest = _project_rows(rest, rows(np.ones(x.size)), c).point
+        nearest = _project_rows(set_, rows(np.ones(x.size)), c).point
         dist = float(np.linalg.norm(M @ (nearest - c)))
         if dist > r + MEMBERSHIP_TOL:
             raise ProjectionError("the ball misses the other members; the intersection is empty")
@@ -548,15 +536,15 @@ def _project_curved(ellipsoid, rest: ConvexSet | None, metric: Metric, x) -> Pro
 
     def trial(nu):  # (1/r - 1/|M (v(nu) - c)|, v(nu)); a v(nu) on the center reads as inside
         v = c + Minv @ (evecs @ (coef / (evals + nu)))
-        if rest is not None:
-            v = _project_rows(rest, rows(1.0 / (evals + nu)), v).point
+        if A.size:
+            v = _project_rows(set_, rows(1.0 / (evals + nu)), v).point
         dist = float(np.linalg.norm(M @ (v - c)))
         return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 
-    # with no rest, |y| <= |M^{-T} P (x - c)| / (lmin + nu) < r already at the first hi
+    # with no rows, |y| <= |M^{-T} P (x - c)| / (lmin + nu) < r already at the first hi
     hi = max(float(np.linalg.norm(rhs)) / r, float(evals[-1]))
     while (high := trial(hi))[0] > 0.0:
-        if rest is not None and hi * np.finfo(float).eps > evals[-1]:
+        if hi * np.finfo(float).eps > evals[-1]:
             return ProjectionResult(nearest)  # S + nu I rounds to nu I: p is the point
         hi *= 2.0
     g_lo, tol = 1.0 / r - 1.0 / float(np.linalg.norm(y)), 1e-13 * (1.0 + hi)

@@ -300,11 +300,10 @@ def simulate(scenario: Scenario) -> SimRecord:
     return record
 
 
-def change_of_coordinates(record: SimRecord, plant: PlantModel,
-                          scenario: Scenario) -> np.ndarray:
-    """Deviation xi_k = x_k - pi_x(u_k, w_k) of the state from the manifold
-    of equilibria indexed by the current input and disturbance."""
-    return record.x - plant.pi_x(record.u, _w_steps(scenario))
+def change_of_coordinates(record: SimRecord, scenario: Scenario) -> np.ndarray:
+    """Deviation xi_k = x_k - pi_x(u_k, w_k) of the state from the scenario plant's
+    manifold of equilibria indexed by the current input and disturbance."""
+    return record.x - scenario.plant.pi_x(record.u, _w_steps(scenario))
 
 
 def _settling(record: SimRecord, xi: np.ndarray, metric: Metric) -> np.ndarray:
@@ -380,7 +379,7 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
     segment; for an LTI plant at an interior equilibrium it is the
     linearized loop's spectral radius.
     """
-    base, plant = scenario.controller, scenario.plant
+    base = scenario.controller
     last_start = scenario.schedule[-1][0]
     grid = [(float(T_i), float(damping))
             for T_i in T_i_values for damping in damping_values]
@@ -392,7 +391,7 @@ def gain_sweep(scenario: Scenario, T_i_values: Sequence[float],
         if isinstance(record, SimulationError):
             points.append(SweepPoint(T_i, damping, False, np.nan, np.nan, str(record)))
             continue
-        xi = change_of_coordinates(record, plant, scenario)
+        xi = change_of_coordinates(record, scenario)
         converged = classify_convergence(record, xi, base.metric)
         rate = (fit_decay_rate(_settling(record, xi, base.metric), last_start)
                 if converged else np.nan)

@@ -319,7 +319,7 @@ def test_interior_equilibrium_exact_zeroing(tank_run):
     interior = 0
     worst_err = 0.0
     for setup, record in runs:
-        xi = change_of_coordinates(record, setup.plant, setup.scenario)
+        xi = change_of_coordinates(record, setup.scenario)
         if not classify_convergence(record, xi, setup.metric):
             continue
         depth = setup.controller.gamma.margin(record.eta[-1])

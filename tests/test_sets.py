@@ -266,7 +266,7 @@ def _vertex_edge_points(gamma, metric):
     eps (1 + |v|) along P^{-1} a_j moves x into the cone (eps > 0) or
     past it onto face i alone (eps < 0).
     """
-    A, b = gamma.halfspace_rows()
+    _, A, b, _ = gamma._parts
     normals = metric.solve(A.T).T
     scale = 1.0 + np.max(np.abs(b))
     points = []
@@ -298,23 +298,22 @@ def test_a_cached_active_set_never_changes_a_projection_bit():
     poly_metric = Metric(random_spd(rng, 3))
     P, ball, A, b, _ = ball_polygon_cases()[1]
     capped = Intersection([ball, Polyhedron(A, b)])
-    # (set, metric, the polyhedral set whose cache the projection reads, points)
-    cases = [(tank, setup.metric, tank, _vertex_edge_points(tank, setup.metric)),
-             (poly, poly_metric, poly,
+    # (set, metric, points): each set keeps its own rows' active set, the ball's too
+    cases = [(tank, setup.metric, _vertex_edge_points(tank, setup.metric)),
+             (poly, poly_metric,
               [rng.uniform(1.5, 4.0) * rng.standard_normal(3) for _ in range(40)]),
-             (capped, Metric(P), capped._curved_and_rest[1],
-              [ball.center + 4.0 * rng.standard_normal(2) for _ in range(15)])]
+             (capped, Metric(P), [ball.center + 4.0 * rng.standard_normal(2) for _ in range(15)])]
     tried = 0
-    for s, metric, cache, points in cases:
-        rows = len(cache.halfspace_rows()[1])
+    for s, metric, points in cases:
+        rows = len(s._parts[2])
         hints = [np.array(S) for k in (1, 2) for S in itertools.combinations(range(rows), k)]
         for x in points:
             if s.margin(x) >= 0.0:  # in the set with no tolerance
                 continue
-            cache._active = None
+            s._active = None
             cold = s.project(metric, x)
             for S in hints:
-                cache._active = S
+                s._active = S
                 warm = s.project(metric, x)
                 assert warm.point.tobytes() == cold.point.tobytes(), (x, S)
                 assert warm.iterations == cold.iterations
@@ -412,7 +411,7 @@ def test_numpy_nnls_matches_scipy_nnls(monkeypatch):
     rng = np.random.default_rng(71)
     counts = {"projected": 0, "empty": 0}
     for case, (s, metric, x) in enumerate(_ldp_cases(rng, 600)):
-        A, b = s.halfspace_rows()
+        _, A, b, _ = s._parts
         if (A @ x <= b).all():
             continue
         points = []
@@ -678,7 +677,7 @@ def test_the_member_is_the_origins_projection_wherever_that_is_found():
     empty = 0
     for seed in range(71, 91):
         for s, metric, x in _ldp_cases(np.random.default_rng(seed), 60):
-            A, b = s.halfspace_rows()
+            _, A, b, _ = s._parts
             try:
                 origin = s.project(Metric.identity(s.dim), np.zeros(s.dim)).point
             except ProjectionError:
@@ -895,15 +894,15 @@ def test_a_curved_projection_builds_no_metric_and_keeps_the_rows_factors(monkeyp
     # keep the caller's metric's factors for the next projection
     rng = np.random.default_rng(67)
     metric = Metric(random_spd(rng, 4))
-    s = Intersection([Ball(np.zeros(4), 1.0), _random_polytope(rng, 4, 12)])
+    poly = _random_polytope(rng, 4, 12)
+    s = Intersection([Ball(np.zeros(4), 1.0), poly])
     x = np.array([-1.8, -0.6, 4.9, 0.2])
     built, init = [], Metric.__init__
     monkeypatch.setattr(Metric, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     res = s.project(metric, x)
     assert res.iterations > 0 and not built
-    rest = s._curved_and_rest[1]
-    assert rest._factors[0] is metric
-    assert rest.margin(res.point) <= MEMBERSHIP_TOL  # a row binds: the trials projected
+    assert s._factors[0] is metric  # kept on the set itself
+    assert poly.margin(res.point) <= MEMBERSHIP_TOL  # a row binds: the trials projected
 
 
 def test_a_root_finding_trial_on_the_ball_center_reads_as_inside():
@@ -913,6 +912,24 @@ def test_a_root_finding_trial_on_the_ball_center_reads_as_inside():
     res = Ball(c, 1.0).project(Metric([[2.0, 0.3], [0.3, 1.0]]), c + [8.0, 4.0])
     assert res.iterations > 0
     assert Ball(c, 1.0).margin(res.point) >= 0.0  # |v - c| <= 1 exactly
+
+
+def test_a_ball_beside_the_whole_space_projects_as_the_ball_alone():
+    # a box with only infinite bounds has no rows, so the intersection is one
+    # ellipsoid with no rows, as the ball is: the same root find, bit for bit
+    rng = np.random.default_rng(83)
+    whole = Box([-np.inf] * 2, [np.inf] * 2)
+    found = 0
+    for _ in range(200):
+        ball = Ball(rng.standard_normal(2), rng.uniform(0.5, 2.0))
+        metric = Metric(random_spd(rng, 2))
+        x = ball.center + rng.uniform(0.0, 4.0) * rng.standard_normal(2)
+        alone = ball.project(metric, x)
+        res = Intersection([ball, whole]).project(metric, x)
+        assert res.point.tobytes() == alone.point.tobytes()
+        assert res.iterations == alone.iterations
+        found += alone.iterations > 0
+    assert found > 100
 
 
 def test_an_empty_ball_intersection_raises():
@@ -993,7 +1010,7 @@ def test_a_balls_preimage_with_a_box_projects_as_the_change_of_variables_does():
         v = gamma.project(Metric(P), x).point
         oracle = change_of_variables_project(K, gamma.inner, Metric(P), x)
         assert np.linalg.norm(v - oracle) <= 1e-12 * np.linalg.norm(oracle)
-        A, b = box.halfspace_rows()
+        _, A, b, _ = box._parts
         feasibility, slackness, stationarity, mult = kkt_residuals(P, ball, A @ K, b, x, v, K)
         # the rows A K and their multipliers grow with K's condition number
         assert max(feasibility, slackness, stationarity) <= 1e-12 * np.linalg.cond(K)
@@ -1025,7 +1042,7 @@ def test_gamma_of_a_ball_meets_a_box_in_its_own_space():
         inner = Intersection([ball, box, LinearPreimage(np.linalg.inv(K), eta_box)])
         oracle = change_of_variables_project(K, inner, Metric(P), x)
         assert np.linalg.norm(v - oracle) <= 1e-12 * np.linalg.norm(oracle)
-        (A_in, b_in), (A_eta, b_eta) = box.halfspace_rows(), eta_box.halfspace_rows()
+        (_, A_in, b_in, _), (_, A_eta, b_eta, _) = box._parts, eta_box._parts
         feasibility, slackness, stationarity, mult = kkt_residuals(
             P, ball, np.vstack([A_in @ K, A_eta]), np.concatenate([b_in, b_eta]), x, v, K)
         assert max(feasibility, slackness, stationarity) <= 1e-12 * np.linalg.cond(K)
@@ -1042,7 +1059,7 @@ def test_preimage_membership_reads_its_own_rows():
     K = np.array([[2.0, 0.0], [0.0, 4.0]])
     inner = Box([0.0, 0.0], [4.0, 4.0])
     s = LinearPreimage(K, inner)
-    assert np.array_equal(s.halfspace_rows()[0], inner.halfspace_rows()[0] @ K)
+    assert np.array_equal(s._parts[1], inner._parts[1] @ K)
     assert s.contains([2.0, 1.0])        # K eta = (4, 4) on the boundary
     assert not s.contains([2.1, 1.0])
     assert s.margin([1.0, 0.5]) == pytest.approx(2.0)  # the margin of K eta in C
@@ -1176,7 +1193,7 @@ def test_four_tank_infeasible_segments_bind_the_named_rows():
     setup = build_setup(preset_config("four-tank"))
     record = simulate(setup.scenario)
     gamma, metric = setup.controller.gamma, setup.metric
-    polygon_rows = gamma.inner.halfspace_rows()[0]
+    polygon_rows = gamma.inner._parts[1]
     for seg, row, multiplier in ((3, 0, 3.461), (4, 4, 4.488)):
         last = record.segments[seg].end - 1
         normals = gamma._active_normals(record.eta[last])
@@ -1215,11 +1232,11 @@ def test_bounding_box_encloses_the_rows_linear_programs():
     K = np.array([[2.0, 1.0], [0.5, 1.5]])
     for s in all_test_sets():
         for t in (s, LinearPreimage(K, s)):
-            rows = t.halfspace_rows()
-            if rows is None:
+            ellipsoids, A, b, _ = t._parts
+            if ellipsoids:
                 continue
             lo, hi = t.bounding_box()
-            exact_lo, exact_hi = _highs_box(*rows)
+            exact_lo, exact_hi = _highs_box(A, b)
             assert np.array_equal(np.isinf(lo), np.isinf(exact_lo))
             assert np.array_equal(np.isinf(hi), np.isinf(exact_hi))
             finite = np.isfinite(exact_lo), np.isfinite(exact_hi)
@@ -1248,7 +1265,7 @@ def test_bounding_box_of_rows_tilted_off_a_recession_direction_is_infinite():
     box = Box([-np.inf, 0.0], [1.0, np.inf])
     for tilt in (1e-7, 1e-12, 0.0, -1e-12):
         Q = np.array([[np.cos(tilt), -np.sin(tilt)], [np.sin(tilt), np.cos(tilt)]])
-        for s in (LinearPreimage(Q, box), Polyhedron(box.halfspace_rows()[0] @ Q, [1.0, 0.0])):
+        for s in (LinearPreimage(Q, box), Polyhedron(box._parts[1] @ Q, [1.0, 0.0])):
             lo, hi = s.bounding_box()
             assert lo[0] == -np.inf and hi[1] == np.inf
             assert hi[0] == np.inf if tilt > 0.0 else hi[0] == pytest.approx(1.0, abs=1e-11)
@@ -1538,7 +1555,7 @@ def test_stacked_rows_round_within_the_dot_product_bound():
                              for _ in range(3))]
         s = Intersection(members + [Halfspace(rng.standard_normal(2), 1.0),
                                     Box([-3.0, -2.0], [2.0, 3.0])])
-        A, b = s.halfspace_rows()
+        _, A, b, _ = s._parts
         norms = np.linalg.norm(A, axis=1)
         x = rng.uniform(-4.0, 4.0, size=(50, 2))
         bound = 2 * 3 * eps * np.max((np.abs(b) + np.abs(x) @ np.abs(A).T) / norms, axis=-1)
@@ -1591,9 +1608,11 @@ def test_cached_halfspace_rows_are_read_only():
     for s in (Box([0.0, 0.0], [45.0, 45.0]), Halfspace([1.0, 2.0], 85.0),
               Polyhedron(*polygon_rows()), input_polygon(),
               LinearPreimage(K, input_polygon())):
-        A, b = s.halfspace_rows()
-        assert s.halfspace_rows()[0] is A   # built once
+        _, A, b, norms = s._parts
+        assert s._parts[1] is A   # built once
         with pytest.raises(ValueError):
             A[0, 0] = 7.0
         with pytest.raises(ValueError):
             b[0] = 7.0
+        with pytest.raises(ValueError):
+            norms[0] = 7.0

@@ -243,7 +243,7 @@ def test_non_finite_initial_state_is_rejected_at_construction():
 def test_deviation_zero_at_equilibrium():
     s = tank_scenario(horizon=30)
     record = simulate(s)
-    xi = change_of_coordinates(record, s.plant, s)
+    xi = change_of_coordinates(record, s)
     assert np.max(np.abs(xi)) <= 1e-8
 
 
@@ -251,7 +251,7 @@ def test_lti_deviation_matches_direct_recursion():
     s = scalar_scenario(horizon=80, schedule=[(0, np.array([0.5])),
                                               (40, np.array([-0.3]))])
     record = simulate(s)
-    xi = change_of_coordinates(record, s.plant, s)
+    xi = change_of_coordinates(record, s)
     # xi_k = x_k - (I - A)^{-1} B u_k obeys xi_{k+1} = A xi_k + (I-A)^{-1} B (u_k - u_{k+1})
     A, B = 0.5, 0.5
     gain = B / (1.0 - A)
@@ -267,7 +267,7 @@ def test_deviation_spikes_then_decays():
     s = tank_scenario(horizon=250, schedule=[(0, np.array([10.0, 10.0])),
                                              (10, np.array([13.0, 11.0]))])
     record = simulate(s)
-    xi = change_of_coordinates(record, s.plant, s)
+    xi = change_of_coordinates(record, s)
     norms = np.linalg.norm(xi, axis=1)
     assert np.max(norms[:10]) <= 1e-8      # quiet before the change
     assert np.max(norms) > 1e-2            # excited by the step
@@ -280,14 +280,14 @@ def test_deviation_spikes_then_decays():
 def test_classify_converged_run():
     s = scalar_scenario(horizon=120)
     record = simulate(s)
-    xi = change_of_coordinates(record, s.plant, s)
+    xi = change_of_coordinates(record, s)
     assert classify_convergence(record, xi, I1)
 
 
 def test_classify_rejects_truncated_transient():
     s = scalar_scenario(horizon=6, T_i=40.0, damping=0.1)  # barely moved yet
     record = simulate(s)
-    xi = change_of_coordinates(record, s.plant, s)
+    xi = change_of_coordinates(record, s)
     assert not classify_convergence(record, xi, I1)
 
 
@@ -297,7 +297,7 @@ def test_a_run_shorter_than_its_quiet_tail_has_not_converged():
     for horizon, converged in ((1, False), (2, False), (3, True), (30, True)):
         s = scalar_scenario(horizon=horizon, schedule=[(0, np.array([0.0]))])
         record = simulate(s)
-        xi = change_of_coordinates(record, s.plant, s)
+        xi = change_of_coordinates(record, s)
         assert not np.any(record.vi_residual) and not np.any(xi)
         assert classify_convergence(record, xi, I1) is converged, horizon
 

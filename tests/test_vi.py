@@ -294,7 +294,7 @@ def test_solution_against_grid_vi_oracle():
     sol = solve_vi(problem, mu / L ** 2, 0.5, np.array([140.0, 140.0]), tol=1e-11)
     assert sol.converged
 
-    rows = gamma.halfspace_rows()
+    rows = gamma._parts[1:3]
     corners = np.array([[0.0, 0.0], [45.0, 0.0], [45.0, 40.0], [40.0, 45.0], [0.0, 45.0]])
     vertices = corners @ np.linalg.inv(K).T
     oracle = grid_vi_solve(F, rows, vertices, [100.0, 100.0], [185.0, 185.0])
