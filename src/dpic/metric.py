@@ -10,10 +10,17 @@ __all__ = ["Metric"]
 def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M @ x for x of shape (..., n), one row at a time.
 
-    Every row takes the same BLAS matrix-vector call as an unbatched M @ x,
-    so a batched result equals the unbatched one bit for bit (a matrix-matrix
-    product rounds differently).
+    A point takes M.dot(x) and a one-row batch M.dot(x[0]); a batch of more
+    rows takes the broadcast matmul of M with each row as a column.  Each
+    makes one BLAS matrix-vector call (gemv) per row on the same M and row,
+    so every row's bits are those of the point alone (a matrix-matrix
+    product would round differently); dot skips matmul's broadcast set-up,
+    which on the loop's few-element rows costs more than the product.
     """
+    if x.ndim == 1:
+        return M.dot(x)
+    if x.shape[:-1] == (1,):
+        return M.dot(x[0])[None]
     return (M @ x[..., None])[..., 0]
 
 

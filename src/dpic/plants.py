@@ -94,9 +94,11 @@ class LTIPlant(PlantModel):
     """x <- A x + B u + B_w w,  e = C x + D u + D_w w, with A Schur stable."""
 
     def __init__(self, A, B, C, D=None, B_w=None, D_w=None, T_s: float = 1.0):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        C = np.atleast_2d(np.asarray(C, dtype=float))
+        # copies in C or F order, which BLAS reads as they are: over a strided view,
+        # _apply's matmul for a batch would round otherwise than its dot for one point
+        A = np.atleast_2d(np.array(A, dtype=float))
+        B = np.atleast_2d(np.array(B, dtype=float))
+        C = np.atleast_2d(np.array(C, dtype=float))
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError("A must be square")
@@ -104,7 +106,7 @@ class LTIPlant(PlantModel):
             raise ValueError("B or C does not match the state dimension")
         m = B.shape[1]
         p = C.shape[0]
-        D = np.zeros((p, m)) if D is None else np.atleast_2d(np.asarray(D, dtype=float))
+        D = np.zeros((p, m)) if D is None else np.atleast_2d(np.array(D, dtype=float))
         if D.shape != (p, m):
             raise ValueError("D must have shape (p, m)")
         if (B_w is None) != (D_w is None):
@@ -114,8 +116,8 @@ class LTIPlant(PlantModel):
             B_w = np.zeros((n, 0))
             D_w = np.zeros((p, 0))
         else:
-            B_w = np.atleast_2d(np.asarray(B_w, dtype=float))
-            D_w = np.atleast_2d(np.asarray(D_w, dtype=float))
+            B_w = np.atleast_2d(np.array(B_w, dtype=float))
+            D_w = np.atleast_2d(np.array(D_w, dtype=float))
             n_w = B_w.shape[1]
             if B_w.shape != (n, n_w) or D_w.shape != (p, n_w):
                 raise ValueError("B_w or D_w shape mismatch")
@@ -141,7 +143,7 @@ class LTIPlant(PlantModel):
         x = _points(x, self.n)
         u = _points(u, self.m, "u")
         out = _apply(self.A, x) + _apply(self.B, u) + _apply(self.B_w, self._w(w))
-        if not np.isfinite(out).all():
+        if not all(np.isfinite(out).flat):
             raise NumericalError("LTI state update is not finite")
         return out
 

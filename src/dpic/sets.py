@@ -19,8 +19,10 @@ factors of one eigendecomposition; none takes two ellipsoids.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
-WARM_MARGIN to spare: the cached set is a hint, never a bit.  A point v for
-x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row.
+WARM_MARGIN to spare: the cached set is a hint, never a bit.  The set also
+keeps the Gram block and P^{-1} A^T columns its last polish cut, for as long
+as the same rows meet the same factors.  A point v for x is kept only if
+a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row, the norms by hypot.
 
 The normal-cone residual is one more NNLS, on the tight normals.  Bounding
 boxes come exact along each axis of an ellipsoid and, by weak duality, one
@@ -90,6 +92,10 @@ class ConvexSet:
     dim: int
     _factors = None  # (metric, *_row_factors(metric)) of the last metric projected in
     _active = None  # row indices NNLS left active in the last projection it solved
+    # (indices, Gram matrix, Gram block, P^{-1} A^T columns) of the last polish, kept
+    # while the same index array meets the same Gram matrix: a new NNLS set, an assigned
+    # _active, another metric and each curved-engine trial cut the blocks again
+    _blocks = None
 
     @cached_property
     def _parts(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
@@ -348,7 +354,7 @@ class LinearPreimage(ConvexSet):
     """
 
     def __init__(self, K, inner: ConvexSet):
-        K = np.atleast_2d(np.asarray(K, dtype=float))
+        K = np.atleast_2d(np.array(K, dtype=float))  # a copy BLAS reads as it is, as in LTIPlant
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("map K must be square (non-square maps are not supported)")
         if K.shape[0] != inner.dim:
@@ -448,20 +454,30 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
     only if its point passes the rule, every multiplier is above WARM_MARGIN
     times the largest and every other row is short of its bound by
     WARM_MARGIN s_i: then NNLS leaves the same rows active and the polish
-    gives the same bits, so the cached set never changes a result.
+    gives the same bits, so the cached set never changes a result.  The
+    polish reuses the blocks it cut last (set_._blocks) while its rows and
+    Gram matrix are the same objects, so a warm polish indexes nothing; the
+    products take ndarray.dot, the gemv that @ makes without its set-up.
     """
     _, A, b, _ = set_._parts
-    h = A @ x - b  # has the sign of A x - b, as a float difference does
+    h = A.dot(x) - b  # has the sign of A x - b, as a float difference does
     if all(h <= 0.0):  # True with no rows
         return ProjectionResult(x.copy())
     neg_whitened, Pinv_AT, gram, unit_A, unit_b, unit_abs_b, target = factors
-    x_norm = math.sqrt(x.dot(x)) or math.ulp(0.0)  # never 0, so no row reads 0 / 0
+    # hypot, not sqrt(x.x), which overflows past |x| ~ 1e154 and passes every row
+    x_norm = math.hypot(*x.tolist()) or math.ulp(0.0)  # never 0, so no row reads 0 / 0
 
     def polish(S):  # (point, multipliers, (A point - b) / s) of the projection onto rows S
-        r = h[S]  # one row divides by its Gram entry below, rounding as solve does
-        lam = r / gram[S[0], S[0]] if S.size == 1 else np.linalg.solve(gram[S[:, None], S], r)
-        v = x - Pinv_AT[:, S] @ lam
-        return v, lam, (unit_A @ v - unit_b) / (unit_abs_b + (x_norm + math.sqrt(v.dot(v))))
+        blocks = set_._blocks
+        if blocks is None or blocks[0] is not S or blocks[1] is not gram:
+            # one row divides by its Gram entry below, rounding as solve does
+            set_._blocks = blocks = (S, gram, gram[S[0], S[0]] if S.size == 1
+                                     else gram[S[:, None], S], Pinv_AT[:, S])
+        _, _, gram_S, Pinv_AT_S = blocks
+        lam = h[S] / gram_S if S.size == 1 else np.linalg.solve(gram_S, h[S])
+        v = x - Pinv_AT_S.dot(lam)
+        v_norm = math.hypot(*v.tolist())
+        return v, lam, (unit_A.dot(v) - unit_b) / (unit_abs_b + (x_norm + v_norm))
 
     if set_._active is not None:
         try:
@@ -489,7 +505,7 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
             return ProjectionResult(point)
         if not miss.max() <= 1e-8:
             break
-        x, h = point, A @ point - b
+        x, h = point, A.dot(point) - b
     raise ProjectionError("least-distance projection found no feasible point; "
                           "the set may be empty", point)
 

@@ -208,8 +208,9 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
         eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
                                             alpha[rows], damping[rows])
         xs[rows, k + 1], etas[rows, k + 1] = plant.step(x_k, u, w), eta_next
-        # bit patterns tell -0.0 from +0.0; eta rarely repeats, so its first column goes first
-        if not any((eta_next[:, 0].view(np.int64) == eta_k[:, 0].view(np.int64)).tolist()):
+        # bit patterns tell -0.0 from +0.0; eta rarely repeats, so its first column goes
+        # first, by value: eta is finite here, and a bit-equal pair is value-equal too
+        if not any((eta_next[:, 0] == eta_k[:, 0]).tolist()):
             return []
         same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
         same &= (xs[rows, k + 1].view(np.int64) == x_k.view(np.int64)).all(axis=-1)

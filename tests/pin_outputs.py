@@ -8,6 +8,8 @@ in output_digests.json are keyed by environment (environment_key).
     PYTHONPATH=src python tests/pin_outputs.py           # rewrite this environment's entry
     PYTHONPATH=src python tests/pin_outputs.py --status  # print "<key>: match|mismatch|no entry"
 
+A mismatch names each run whose exit code moved and each run/file whose bits did.
+
 A change that moves any bit reruns the first form and says in CHANGES.md
 which file moved and why.
 """
@@ -77,14 +79,31 @@ def load_digests() -> dict:
     return json.loads(DIGESTS.read_text()) if DIGESTS.is_file() else {}
 
 
+def moved(pinned: dict, results: dict) -> list[str]:
+    """Each run missing from either side, each exit code and each run/file whose
+    digest differs between the pinned entry and this environment's results."""
+    out = [f"{run}: not run" if run not in results else f"{run}: not pinned"
+           for run in sorted(pinned.keys() ^ results.keys())]
+    for run in sorted(pinned.keys() & results.keys()):
+        want, got = pinned[run], results[run]
+        if got["exit"] != want["exit"]:
+            out.append(f"{run}: exit {got['exit']}, pinned {want['exit']}")
+        out += [f"{run}/{name}" for name in sorted(want["sha256"].keys() | got["sha256"].keys())
+                if got["sha256"].get(name) != want["sha256"].get(name)]
+    return out
+
+
 def main(argv: list[str]) -> int:
     key = environment_key()
     with tempfile.TemporaryDirectory() as tmp:
         results = run_all(Path(tmp))
     digests = load_digests()
     if argv == ["--status"]:
-        status = "no entry" if key not in digests else \
-            "match" if digests[key] == results else "mismatch"
+        if key not in digests:
+            status = "no entry"
+        else:
+            changes = moved(digests[key], results)
+            status = f"mismatch: {', '.join(changes)}" if changes else "match"
         print(f"output digests ({key}): {status}")
         return 0
     if argv:

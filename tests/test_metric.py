@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dpic import Metric
+from dpic.metric import _apply
 
 from grid_oracle import random_spd
 
@@ -112,3 +115,22 @@ def test_batched_norm_equals_per_row_norm():
     assert m.norm(rows.reshape(2, 3, 3)).shape == (2, 3)
     with pytest.raises(ValueError):
         m.norm(np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed view"])
+def test_apply_rounds_a_point_a_one_row_batch_and_each_batch_row_alike(layout):
+    # a point takes M.dot(x), a one-row batch M.dot(x[0]) and a batch of more
+    # rows the broadcast matmul: each one gemv per row, so the bytes agree;
+    # Metric._chol.T is a transposed view
+    rng = np.random.default_rng(11)
+    for m, n in itertools.product((1, 2, 3, 4, 7, 20), (1, 2, 4, 20)):
+        N = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, n))
+        M = {"C": N, "F": np.asfortranarray(N),
+             "transposed view": np.ascontiguousarray(N.T).T}[layout]
+        X = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (5, n))
+        batch = _apply(M, X)
+        assert batch.shape == (5, m)
+        for i, x in enumerate(X):
+            point, one_row = _apply(M, x), _apply(M, X[i:i + 1])
+            assert point.shape == (m,) and one_row.shape == (1, m)
+            assert point.tobytes() == one_row[0].tobytes() == batch[i].tobytes(), (m, n, i)

@@ -357,6 +357,73 @@ def test_a_nan_in_the_warm_polish_rejects_the_cached_active_set(monkeypatch, fac
     assert len(solves) == 2
 
 
+def test_cached_blocks_never_outlive_their_rows_or_factors(monkeypatch):
+    # a warm polish reads the Gram block and P^{-1} A_S^T columns it kept from
+    # the last polish; a metric change, or a ball's root-find trial with its
+    # fresh factors, must cut them again: each projection gives the bytes of
+    # the cold one (_active = None) on a twin set
+    import dpic.sets as sets_mod
+
+    solves, real = [0], sets_mod._nnls
+
+    def nnls(*args):
+        solves[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sets_mod, "_nnls", nnls)
+    rng = np.random.default_rng(71)
+    metrics = [Metric(random_spd(rng, 3)) for _ in range(2)]
+    poly = _random_polytope(rng, 3, 8)
+    twin = Polyhedron(*poly._parts[1:3])
+    P, ball, A, b, _ = ball_polygon_cases()[1]
+    capped, capped_twin = (Intersection([ball, Polyhedron(A, b)]) for _ in range(2))
+    start, step = 3.0 * rng.standard_normal(3), 0.05 * rng.standard_normal(3)
+    warm_solves = projected = 0
+    for k in range(60):
+        # runs of three steps in one metric, then three in the other
+        x, metric = start + k * step, metrics[k // 3 % 2]
+        before = solves[0]
+        warm = poly.project(metric, x)
+        warm_solves += solves[0] - before
+        projected += poly.margin(x) < 0.0
+        twin._active = None
+        assert warm.point.tobytes() == twin.project(metric, x).point.tobytes(), k
+    assert warm_solves < projected // 2  # most steps kept the last active set
+    trials, metric = 0, Metric(P)
+    for k in range(40):
+        x = ball.center + [1.5, 2.5] + 0.02 * k * np.array([1.0, -0.3])
+        warm = capped.project(metric, x)
+        capped_twin._active = None
+        cold = capped_twin.project(metric, x)
+        assert warm.point.tobytes() == cold.point.tobytes(), k
+        assert warm.iterations == cold.iterations
+        trials += warm.iterations
+    assert trials > 40
+
+
+def test_far_points_project_within_the_rounding_rule_or_raise():
+    # |x| up to 1e170: x.x overflows past 1e154, and a scale s_i of inf would
+    # let every candidate pass; the norms are formed by hypot instead
+    rng = np.random.default_rng(3)
+    I3 = Metric.identity(3)
+    found = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(500):
+            A, b = rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8)
+            poly = Polyhedron(A, b)
+            x = rng.standard_normal(3) * 10.0 ** rng.uniform(150.0, 170.0)
+            try:
+                v = poly.project(I3, x).point
+            except ProjectionError:
+                continue
+            norms = np.linalg.norm(A, axis=1)
+            scale = np.abs(b) / norms + (np.hypot.reduce(x) + np.hypot.reduce(v))
+            assert np.all((A @ v - b) / norms <= 1e-12 * scale)
+            found += 1
+    assert found > 5
+
+
 def test_four_tank_simulate_mostly_reuses_the_last_active_set(monkeypatch):
     # 465 of the preset's steps project; all but a few keep the active set
     # of the projection before them and skip the NNLS solve

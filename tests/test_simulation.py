@@ -463,6 +463,24 @@ def test_lockstep_rows_equal_solo_runs():
         assert_same_run(row, simulate(replace(s, controller=ctrl)))
 
 
+def test_lockstep_rows_equal_solo_runs_on_matrices_given_as_strided_views():
+    # a solo run's products take ndarray.dot, which copies a strided matrix
+    # for BLAS, and a sweep's the broadcast matmul, which would loop over it
+    # without BLAS; the plant and the gain keep copies in BLAS's layout
+    def reversed_view(M):  # M's values, read with a negative row stride
+        return np.ascontiguousarray(M[::-1])[::-1]
+
+    s, K = polytope_lti_scenario(segment=60)
+    p, c = s.plant, s.controller
+    plant = LTIPlant(*(reversed_view(M) for M in (p.A, p.B, p.C, p.D, p.B_w, p.D_w)))
+    ctrl = DPIController(reversed_view(K), c.constraint, c.metric, c.T_s, 4.0, 0.5,
+                         eta0=c.eta)
+    s = replace(s, plant=plant, controller=ctrl)
+    ctrls = [retuned(ctrl, T_i, damping) for T_i, damping in ((4.0, 0.5), (8.0, 0.9))]
+    for ctrl, row in zip(ctrls, _lockstep(s, *gain_rows(ctrls))):
+        assert_same_run(row, simulate(replace(s, controller=ctrl)))
+
+
 def test_lockstep_steps_every_row_before_its_records_are_read(monkeypatch):
     # the loop runs when _lockstep is called; only the records wait for the reader
     s = scalar_scenario(horizon=50)
