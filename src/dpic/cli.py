@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,8 @@ from .metric import _apply
 from .plants import STATIC_GAIN_TOL, LTIPlant, _static_gain_margin, davison_check
 from .presets import PRESET_DESCRIPTIONS, preset_config, preset_names
 from .sets import Intersection, ProjectionError
-from .simulation import change_of_coordinates, classify_convergence, gain_sweep, simulate
+from .simulation import (_STEP_ERRORS, change_of_coordinates, classify_convergence, gain_sweep,
+                         simulate)
 from .vi import contraction_constants, exact_mu_L, low_gain_threshold, step_window
 
 EXIT_OK = 0
@@ -56,22 +56,6 @@ def _load_setup(args) -> RunSetup:
     return build_setup(cfg)
 
 
-@contextmanager
-def _writing_out():
-    """Report a fault in making --out or writing a file in it as a config error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot write the output: {exc}") from exc
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    with _writing_out():
-        out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _controller_echo(setup: RunSetup) -> dict:
     ctrl = setup.controller
     return {
@@ -84,15 +68,14 @@ def _controller_echo(setup: RunSetup) -> dict:
 
 
 def _write_artifacts(table: Path, write_table, summary_path: Path, summary: dict) -> None:
-    """Write the table, then the summary beside it.  A fault in either is a
-    config error, and a table written before the summary failed is removed."""
-    with _writing_out():
-        write_table(table)
-        try:
-            summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-        except OSError:
-            table.unlink(missing_ok=True)
-            raise
+    """Write the table, then the summary beside it; a table written before the
+    summary failed is removed."""
+    write_table(table)
+    try:
+        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    except OSError:
+        table.unlink(missing_ok=True)
+        raise
 
 
 def _write_trajectory(path: Path, record) -> None:
@@ -112,7 +95,8 @@ def _write_trajectory(path: Path, record) -> None:
 
 def cmd_simulate(args) -> int:
     setup = _load_setup(args)
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     record = simulate(setup.scenario)
     xi = change_of_coordinates(record, setup.scenario)
     converged = classify_convergence(record, xi, setup.metric)
@@ -185,7 +169,8 @@ def cmd_sweep(args) -> int:
         print(_NOT_MONOTONE, file=sys.stderr)
         return EXIT_CERTIFICATION
     T_i_star = low_gain_threshold(setup.plant.T_s, mu, L)  # checks the pair before any run
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     spec = setup.sweep
     report = gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"])
     summary = {
@@ -284,9 +269,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, ValueError) as exc:
-        # the config builders raise ConfigError, so a ValueError reaching this
-        # point comes from the numerics of the run
+    except OSError as exc:  # load_config reports its own, so this is making or writing --out
+        print(f"config error: --out: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except _STEP_ERRORS as exc:
+        # the config builders raise ConfigError, so what reaches this point
+        # comes from the numerics of the run
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

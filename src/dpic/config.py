@@ -8,8 +8,8 @@ every integer through _as_int, every block (each set and certify.box too)
 through _get's one check that it is a JSON object, and the two boxes
 (constraint, certify.box) through _box.  A value of the wrong JSON type or
 shape names its key ("controller.T_i: expected a number, got '2.0'").  The
-library object that takes a value checks every rule on it, once, and its
-ValueError becomes a ConfigError that names the block ("controller: damping
+library object that takes a value checks every rule on it, once, and _naming
+makes its ValueError a ConfigError that names the block ("controller: damping
 must lie ...").  sweep and certify share one exact (mu, L) over certify.box,
 so sweep.mu, sweep.L, sweep.box and a samples key are config errors.
 """
@@ -17,6 +17,7 @@ so sweep.mu, sweep.L, sweep.box and a samples key are config errors.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,6 +39,15 @@ class ConfigError(Exception):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+
+
+@contextmanager
+def _naming(key: str):
+    """Report a library object's ValueError as a ConfigError that names key's block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
 
 
 def load_config(path) -> dict:
@@ -132,15 +142,13 @@ def _box(spec: dict, key: str) -> Box:
             raw = [unbounded if v is None else _INFINITIES.get(v, v) if isinstance(v, str) else v
                    for v in raw]
         bounds.append(_numbers(raw, f"{key}.{side}", 1))
-    try:
+    with _naming(key):
         return Box(*bounds)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
 
 
 def _build_set(spec: dict, key: str) -> ConvexSet:
     kind = _get(spec, key, "type")
-    try:
+    with _naming(key):
         if kind == "box":
             return _box(spec, key)
         if kind == "halfspace":
@@ -154,21 +162,17 @@ def _build_set(spec: dict, key: str) -> ConvexSet:
             if not isinstance(members, list):
                 raise ConfigError(f"{key}.sets", "expected a list of sets")
             named = {f"sets[{i}]": member for i, member in enumerate(members)}
-            intersection = Intersection([_build_set(_get(named, key, name, dict), f"{key}.{name}")
-                                         for name in named])
-            intersection._curved()  # raises past one curved member, as projecting would
-            return intersection
+            return Intersection([_build_set(_get(named, key, name, dict), f"{key}.{name}")
+                                 for name in named])
         if kind == "linear_preimage":
             return LinearPreimage(_get(spec, key, "K", 2),
                                   _build_set(_get(spec, key, "inner", dict), f"{key}.inner"))
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
     raise ConfigError(f"{key}.type", f"unknown set type {kind!r}")
 
 
 def _build_plant(spec: dict, key: str = "plant") -> PlantModel:
     kind = _get(spec, key, "type")
-    try:
+    with _naming(key):
         if kind == "lti":
             return LTIPlant(*(_get(spec, key, name, 2) for name in ("A", "B", "C")),
                             *(_get(spec, key, name, 2, None) for name in ("D", "B_w", "D_w")),
@@ -178,18 +182,14 @@ def _build_plant(spec: dict, key: str = "plant") -> PlantModel:
                       "nominal_levels": 1, "nominal_input": 1, "outlet_areas": 1, "g": 0}
             return FourTankPlant(**{name: _get(spec, key, name, read)
                                     for name, read in fields.items() if name in spec})
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
     raise ConfigError(f"{key}.type", f"unknown plant type {kind!r}")
 
 
 def _build_metric(spec, dim: int, key: str = "metric") -> Metric:
     if spec is None or spec == "identity":
         return Metric.identity(dim)
-    try:
+    with _naming(key):
         return Metric(_numbers(spec, key, 2))
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
 
 
 def _build_schedule(spec, key: str) -> list[tuple[int, np.ndarray]]:
@@ -221,23 +221,20 @@ def build_setup(cfg: dict) -> RunSetup:
     eta0 = _get(ctrl_cfg, "controller", "eta0", 1, None)
     u0 = _get(ctrl_cfg, "controller", "u0", 1, None)
     try:
-        controller = DPIController(K, constraint, metric, plant.T_s, T_i, damping,
-                                   eta0=eta0, u0=u0)
-    except ValueError as exc:
-        raise ConfigError("controller", str(exc)) from exc
+        with _naming("controller"):
+            controller = DPIController(K, constraint, metric, plant.T_s, T_i, damping,
+                                       eta0=eta0, u0=u0)
     except ProjectionError as exc:  # the initial projection finds Gamma empty
         raise ConfigError("constraint", str(exc)) from exc
 
     scn_cfg = _get(cfg, "", "scenario", dict)
-    try:
+    with _naming("scenario"):
         scenario = Scenario(
             plant=plant,
             controller=controller,
             schedule=_build_schedule(_get(scn_cfg, "scenario", "schedule"), "scenario.schedule"),
             horizon=_get(scn_cfg, "scenario", "horizon", int),
             x0=_get(scn_cfg, "scenario", "x0", 1))
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc)) from exc
 
     sweep = _validate_sweep(_get(cfg, "", "sweep", dict), scenario) if "sweep" in cfg else None
     certify_box = _validate_certify(_get(cfg, "", "certify", dict)) if "certify" in cfg else None
@@ -261,14 +258,12 @@ def _validate_sweep(spec: dict, scenario: Scenario) -> dict:
     horizon = _get(spec, "sweep", "horizon", int, scenario.horizon)
     schedule = (_build_schedule(spec["schedule"], "sweep.schedule") if "schedule" in spec
                 else scenario.schedule)
-    try:
+    with _naming("sweep"):
         out["scenario"] = replace(scenario, horizon=horizon, schedule=schedule)
         # gain_sweep's own checks, so a bad grid exits before any run
         for T_i in out["T_i"]:
             for damping in out["lambda"]:
                 _checked_alpha(scenario.controller.T_s, T_i, damping)
-    except ValueError as exc:
-        raise ConfigError("sweep", str(exc)) from exc
     return out
 
 

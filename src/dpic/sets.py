@@ -15,7 +15,7 @@ Every projection is exact, by one of two engines that read the set's own rows
 and keep their factors and last active set on it: rows alone by a least-distance
 program that a numpy Lawson-Hanson NNLS solves, and one ellipsoid with any rows
 by one root find for its multiplier, whose trials run the first engine on
-factors of one eigendecomposition; none takes two ellipsoids.
+factors of one eigendecomposition; an intersection refuses a second ellipsoid.
 
 A polyhedral projection first tries the active set of the set's last NNLS
 solve, and keeps that point only where the KKT conditions hold with
@@ -147,15 +147,9 @@ class ConvexSet:
         x = _vec(x, self.dim)
         if not all(map(math.isfinite, x.tolist())):
             raise ValueError(f"point to project must be finite; got {x}")
-        if self._curved():
+        if self._parts[0]:
             return _project_curved(self, metric, x)
         return _project_rows(self, self._row_factors(metric), x)
-
-    def _curved(self) -> bool:
-        """Whether the set has an ellipsoid; ValueError past one, which no engine takes."""
-        if len(self._parts[0]) > 1:
-            raise ValueError("an intersection projects with at most one non-polyhedral member")
-        return bool(self._parts[0])
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         """Outward normals, one per row, of the constraints tight at x: the
@@ -325,9 +319,9 @@ class Polyhedron(ConvexSet):
 
 
 class Intersection(ConvexSet):
-    """Intersection of convex sets of a common dimension: its members' ellipsoids
-    and their rows stacked in order.  A member intersection stacks its own
-    members' parts, so a nested intersection has the parts of its flat form."""
+    """Intersection of convex sets of a common dimension: its members' ellipsoids,
+    one at most, and rows stacked in order.  A member intersection stacks its
+    own members' parts, so a nested intersection has the parts of its flat form."""
 
     def __init__(self, sets):
         self.sets = tuple(sets)
@@ -336,6 +330,8 @@ class Intersection(ConvexSet):
         if len({s.dim for s in self.sets}) != 1:
             raise ValueError("intersection components have mismatched dimensions")
         self.dim = self.sets[0].dim
+        if len(self._parts[0]) > 1:  # which no projection engine takes
+            raise ValueError("an intersection projects with at most one non-polyhedral member")
 
     @cached_property
     def _parts(self):

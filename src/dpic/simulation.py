@@ -81,6 +81,9 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.controller, DPIController):
             raise ValueError("the closed loop needs a damped projected integral controller")
+        if self.controller.T_s != self.plant.T_s:
+            raise ValueError(f"controller T_s = {self.controller.T_s:g} differs from "
+                             f"the plant's T_s = {self.plant.T_s:g}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if not self.schedule:
@@ -147,7 +150,8 @@ class SimRecord:
         return self.k * self.T_s
 
 
-_STEP_ERRORS = (RuntimeError, ValueError)
+# what a failed step raises, a float over- or underflow included; cli.main exits 3 on it
+_STEP_ERRORS = (RuntimeError, ValueError, ArithmeticError)
 
 
 def _w_steps(scenario: Scenario) -> np.ndarray:

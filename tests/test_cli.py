@@ -385,6 +385,20 @@ def test_numerical_value_error_exit_3(tmp_path, capsys):
     assert "numerical failure" in err and "nonnegative pump flows" in err
 
 
+@pytest.mark.parametrize("gain, commands", [
+    (1e160, ["sweep", "certify"]),  # L ** 2 overflows in T_i* and in certify's step size
+    (1e-200, ["certify"]),  # L ** 2 underflows to 0 under certify's mu / L ** 2
+])
+def test_a_certificate_that_over_or_underflows_exits_3(tmp_path, capsys, gain, commands):
+    cfg = preset_config("lti-demo")
+    cfg["controller"]["K"] = [[gain]]
+    path = write_config(tmp_path, cfg)
+    for command in commands:
+        out = ["--out", str(tmp_path / command)] if command == "sweep" else []
+        assert main([command, "--config", path, *out]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 def test_a_sweep_takes_a_derived_mu_an_ulp_above_L(tmp_path):
     # with G K = c I the operator's Jacobian is c I, so mu = L = c in exact
     # arithmetic; exact_mu_L reads mu and L off W (c I) W^{-1} by two

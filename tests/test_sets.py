@@ -1005,12 +1005,15 @@ def test_an_empty_ball_intersection_raises():
         s.project(Metric([[2.0, 0.3], [0.3, 1.0]]), [3.0, 2.0])
 
 
-def test_intersections_beyond_one_ball_fail_to_project_but_still_sample():
-    box = Box([-1.0, -1.0], [1.0, 1.0])
-    s = Intersection([Ball([0.0, 0.0], 1.0), Ball([0.5, 0.0], 1.0)])
-    assert len(sample_points(Intersection([s, box]), 5, rng=42)) == 5
-    with pytest.raises(ValueError, match="at most one non-polyhedral member"):
-        s.project(I2, [3.0, 2.0])
+def test_an_intersection_beyond_one_ball_is_refused_when_built():
+    # no engine projects onto two ellipsoids, so none is built; nested and
+    # mapped members count too
+    ball, box = Ball([0.0, 0.0], 1.0), Box([-1.0, -1.0], [1.0, 1.0])
+    for members in ([ball, Ball([0.5, 0.0], 1.0)],
+                    [Intersection([ball, box]), ball],
+                    [box, LinearPreimage([[2.0, 0.0], [1.0, 1.0]], ball), ball]):
+        with pytest.raises(ValueError, match="at most one non-polyhedral member"):
+            Intersection(members)
 
 
 def test_a_nested_intersection_reads_as_its_flat_form_bit_for_bit():

@@ -152,6 +152,15 @@ def test_scenario_rejects_a_gain_or_disturbance_that_does_not_fit_the_plant(gain
 # ---------------------------------------------------------------------------
 # schedule and segments
 
+def test_scenario_rejects_a_controller_sampled_at_another_period():
+    # alpha = T_s / T_i reads the controller's T_s and the time axis the plant's
+    s = scalar_scenario()
+    ctrl = DPIController([[1.0]], Box([-1.0], [1.0]), I1, T_s=5.0, T_i=2.0,
+                         damping=0.5, eta0=[0.0])
+    with pytest.raises(ValueError, match="controller T_s = 5 differs from the plant's T_s = 1"):
+        replace(s, controller=ctrl)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         scalar_scenario(schedule=[(5, np.array([0.5]))])  # first change not at 0
@@ -355,6 +364,24 @@ def test_gain_sweep_marks_failures_and_continues():
     assert not fast.converged and fast.error is not None and "step" in fast.error
     assert slow.error is None
     assert np.isnan(fast.decay_rate)
+
+
+def test_an_arithmetic_error_fails_its_step_and_only_its_own_sweep_row():
+    # a float over- or underflow that a plant raises is a failed step, which
+    # the loop retries row by row as it does a RuntimeError or ValueError
+    class Dividing(LTIPlant):
+        def step(self, x, u, w):
+            if np.any(x > 0.3):
+                raise ZeroDivisionError("float division by zero")
+            return super().step(x, u, w)
+
+    plant = Dividing(A=[[0.5]], B=[[0.5]], C=[[1.0]], B_w=[[0.0]], D_w=[[-1.0]], T_s=1.0)
+    s = replace(scalar_scenario(horizon=60), plant=plant)
+    with pytest.raises(SimulationError, match="^step 5: float division by zero"):
+        simulate(s)
+    fast, slow = gain_sweep(s, [2.0, 50.0], [0.5]).points
+    assert fast.error == "step 5: float division by zero" and not fast.converged
+    assert slow.error is None
 
 
 def test_gain_sweep_requires_projected_controller():
