@@ -45,19 +45,21 @@ def _checked_alpha(T_s: float, T_i: float, damping: float) -> float:
 
 
 def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
-                             e: np.ndarray, alpha: np.ndarray,
-                             damping: np.ndarray) -> np.ndarray:
+                             e: np.ndarray, alpha: np.ndarray, damping: np.ndarray,
+                             keep: np.ndarray | None = None) -> np.ndarray:
     """Next integrator states of G loops that share Gamma and the metric.
 
-    eta and e are (G, p); alpha = T_s / T_i and damping are (G, 1) columns,
-    built once per run.  All rows are tested against Gamma at once, and only
-    the rows whose forward step left Gamma are projected, one at a time.
+    eta and e are (G, p); alpha = T_s / T_i, damping and keep = 1 - damping
+    (formed here if not given) are (G, 1) columns or (G, p) blocks, built once
+    per run.  All rows are tested against Gamma at once, and only the rows
+    whose forward step left Gamma are projected, one at a time.
     """
     target = eta - alpha * e  # the forward step
-    if not all(inside := gamma._contains(target)):
-        for i in (~inside).nonzero()[0]:
-            target[i] = gamma.project(metric, target[i]).point
-    return (1.0 - damping) * eta + damping * target
+    if not all(inside := gamma._contains(target).tolist()):
+        for i, member in enumerate(inside):
+            if not member:
+                target[i] = gamma.project(metric, target[i]).point
+    return (1.0 - damping if keep is None else keep) * eta + damping * target
 
 
 class DPIController:

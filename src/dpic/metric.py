@@ -45,6 +45,17 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """_row_norms(x), but a finite row whose squares overflow, past about 1.3e154,
+    takes the norm of np.hypot, which scales, in place of inf, and with no warning."""
+    with np.errstate(over="ignore"):
+        norms = _row_norms(x)
+    if (over := np.isinf(norms)).any():
+        over &= np.isfinite(x).all(axis=-1)
+        norms[over] = np.hypot.reduce(x[over], axis=-1)
+    return norms
+
+
 class Metric:
     """Positive definite weight matrix with the inner product and norm it induces.
 
@@ -80,7 +91,7 @@ class Metric:
     def norm(self, x):
         """|x|_P; for a (..., dim) array, the array of its row norms."""
         x = _points(x, self.dim)
-        norms = _row_norms(_apply(self._chol.T, x))
+        norms = _norm(_apply(self._chol.T, x))
         return float(norms) if x.ndim == 1 else norms
 
     def whiten(self, x) -> np.ndarray:

@@ -295,8 +295,9 @@ class FourTankPlant(PlantModel):
         if h.shape[:-1] != u.shape[:-1]:
             batch = np.broadcast_shapes(h.shape[:-1], u.shape[:-1])
             h, u = np.broadcast_to(h, batch + (4,)), np.broadcast_to(u, batch + (2,))
-        levels = self._step_rows(h.reshape(-1, 4).tolist(), u.reshape(-1, 2).tolist())
-        return np.array(levels).reshape(h.shape)
+        H, U = (h, u) if h.ndim == 2 else (h.reshape(-1, 4), u.reshape(-1, 2))  # kernel rows
+        levels = np.array(self._step_rows(H.tolist(), U.tolist()))
+        return levels if levels.shape == h.shape else levels.reshape(h.shape)  # (0, 4) too
 
     def _step_rows(self, H: list[list[float]], U: list[list[float]]) -> list[list[float]]:
         """The RK4 substeps of step for each row of levels H and pump flows U.

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric import Metric, _apply, _points, _row_norms, _vec
+from .metric import Metric, _apply, _norm, _points, _row_norms, _vec
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -115,7 +115,10 @@ class ConvexSet:
         ellipsoids, A, b, _ = self._parts
         if not (b.size or ellipsoids):  # the whole space: NaN is no member
             return ~np.any(np.isnan(x), axis=-1)
-        member = (_apply(A, x) <= self._upper).all(axis=-1)
+        if x.shape[:-1] == (1,):  # the loop's one row, as a point: no broadcast, no reduction
+            member = np.array([all((_apply(A, x[0]) <= self._upper).tolist())])
+        else:
+            member = (_apply(A, x) <= self._upper).all(axis=-1)
         for M, _, d, r in ellipsoids:
             member &= _row_norms(_apply(M, x) - d) <= r + MEMBERSHIP_TOL
         return member
@@ -216,6 +219,8 @@ class ConvexSet:
         if self._factors is None or self._factors[0] is not metric:
             _, A, b, _ = self._parts
             Pinv_AT, norms = metric.solve(A.T), np.linalg.norm(A, axis=1)
+            over = np.isinf(norms)  # rows past about 1.3e154, whose squares overflow
+            norms[over] = np.hypot.reduce(A[over], axis=1)
             self._factors = (metric, -np.linalg.solve(metric._chol, A.T), Pinv_AT,
                              A @ Pinv_AT, A / norms[:, None], b / norms, np.abs(b) / norms,
                              np.r_[np.zeros(self.dim), 1.0])
@@ -390,19 +395,19 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
     """
     rows, cols = E.shape
     u, S, steps = np.zeros(cols), [], 0
-    floor = 10.0 * np.finfo(float).eps * float(np.linalg.norm(f))
+    floor = 10.0 * np.finfo(float).eps * float(_norm(f))
     while len(S) < min(rows, cols):
         r = f - E @ u
-        if S and np.linalg.norm(r) <= floor:
+        if S and _norm(r) <= floor:
             return u, 0.0
         w = E.T @ r
         w[S] = 0.0
         while True:
             j = int(np.argmax(w))
             if w[j] <= 0.0:
-                return u, float(np.linalg.norm(r))
+                return u, float(_norm(r))
             Q, R = np.linalg.qr(E[:, S + [j]])
-            inside = float(np.linalg.norm(R[:-1, -1]))
+            inside = float(_norm(R[:-1, -1]))
             if inside + 0.01 * abs(R[-1, -1]) > inside:
                 z = np.linalg.solve(R, Q.T @ f)
                 if z[-1] > 0.0:
@@ -427,7 +432,7 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
             z = np.linalg.solve(R, Q.T @ f)
         u[:] = 0.0
         u[S] = z
-    return u, 0.0 if len(S) == rows else float(np.linalg.norm(E @ u - f))
+    return u, 0.0 if len(S) == rows else float(_norm(E @ u - f))
 
 
 def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionResult:
@@ -482,10 +487,12 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
             pass
         else:
             # every entry is compared, so a NaN anywhere rejects, as ndarray max / min do
-            floor = WARM_MARGIN * max(lam := lam.tolist())
-            if all(m <= 1e-12 for m in miss.tolist()) and all(v > floor for v in lam):
-                miss[set_._active] = -np.inf
-                if all(m < -WARM_MARGIN for m in miss.tolist()):
+            lam, miss = lam.tolist(), miss.tolist()
+            floor = WARM_MARGIN * max(lam)
+            if all(m <= 1e-12 for m in miss) and all(v > floor for v in lam):
+                for i in set_._active.tolist():
+                    miss[i] = -math.inf
+                if all(m < -WARM_MARGIN for m in miss):
                     return ProjectionResult(point)
     point = None
     for _ in range(2):  # a near miss gets a second pass, from its polished point

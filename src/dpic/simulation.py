@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .controller import DPIController, _checked_alpha, _damped_projected_update
-from .metric import Metric, _apply, _row_norms
+from .metric import Metric, _apply, _norm
 from .plants import NumericalError, PlantModel
 from .sets import normal_cone_residual
 
@@ -189,28 +189,29 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     plant, base = scenario.plant, scenario.controller
     if not base.gamma.contains(base.eta):
         raise ValueError("controller state eta is not a member of Gamma")
-    # (G, 1) column copies, built once: the rows' parameters move with their rows
-    alpha, damping = (np.array(v, dtype=float)[:, None] for v in (alpha, damping))
     G, H, K = len(alpha), scenario.horizon, base.gain
-    W = _w_steps(scenario)
+    # (G, p) copies of each row's alpha, damping and 1 - damping, built once: they move
+    # with their rows, and the update's products of equal shapes take no broadcast
+    alpha, damping = np.array([alpha, damping], dtype=float)[..., None].repeat(K.shape[1], -1)
+    gains = alpha, damping, 1.0 - damping
     # step k reads row k of the state and writes row k + 1
     xs = np.empty((G, H + 1, plant.n))
     etas = np.empty((G, H + 1, K.shape[1]))
     xs[:, 0] = scenario.x0
     etas[:, 0] = base.eta
 
-    def advance(k: int, rows: slice) -> list[int]:
-        """Step k of the rows at the given positions; writes nothing unless
-        every row succeeds.  Returns the positions, counted from the slice
-        start, of the rows it left where they were, bit for bit."""
-        x_k, eta_k, w = xs[rows, k], etas[rows, k], W[k]
+    def advance(k: int, rows: slice, w: np.ndarray, row_gains: list) -> list[int]:
+        """Step k of the rows at the given positions, under w and with their
+        gains; writes nothing unless every row succeeds.  Returns the positions,
+        counted from the slice start, of the rows it left where they were, bit
+        for bit."""
+        x_k, eta_k = xs[rows, k], etas[rows, k]
         u = _apply(K, eta_k)
         e = plant.output(x_k, u, w)
         # a non-finite state shows in e or in plant.step
         if not all(np.isfinite(e).flat):
             raise NumericalError("state or error is not finite")
-        eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e,
-                                            alpha[rows], damping[rows])
+        eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e, *row_gains)
         xs[rows, k + 1], etas[rows, k + 1] = plant.step(x_k, u, w), eta_next
         # bit patterns tell -0.0 from +0.0; eta rarely repeats, so its first column goes
         # first, by value: eta is finite here, and a bit-equal pair is value-equal too
@@ -228,23 +229,26 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     def swap(i: int, j: int) -> None:
         """Exchange the rows at positions i and j, records included."""
         if i != j:
-            for a in (xs, etas, alpha, damping, order):
+            for a in (xs, etas, *gains, order):
                 a[[i, j]] = a[[j, i]]
 
     failed: dict[int, tuple[int, SimulationError]] = {}  # row: (its step, failure)
-    n_rows = G
-    for start, end in scenario.segment_bounds():
+    n_rows, live = G, slice(0, 0)
+    for (start, end), (_, w) in zip(scenario.segment_bounds(), scenario.schedule):
         n_live = n_rows  # settled rows rejoin
         for k in range(start, end):
             if not n_live:
                 break
+            if live.stop != n_live:  # views of the live block, cut as it shrinks or grows
+                live = slice(0, n_live)
+                live_gains = [a[live] for a in gains]
             try:
-                settled = advance(k, slice(0, n_live))
+                settled = advance(k, live, w, live_gains)
             except _STEP_ERRORS:
                 errors = {}
                 for i in range(n_live):
                     try:
-                        advance(k, slice(i, i + 1))
+                        advance(k, slice(i, i + 1), w, [a[i:i + 1] for a in gains])
                     except _STEP_ERRORS as exc:
                         errors[i] = exc
                 # from the last position down, so a swap moves no failing row
@@ -263,7 +267,7 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
                     n_live -= 1
                     swap(i, n_live)
 
-    position = np.argsort(order)
+    position, W = np.argsort(order), _w_steps(scenario)
 
     def outcome(g: int) -> SimRecord | SimulationError:
         steps, failure = failed.get(g, (H, None))
@@ -280,7 +284,7 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
             return failure
         # eta_{k+1} - eta_k = damping * (Proj(eta_k - alpha e_k) - eta_k), so the
         # natural residual is the increment over damping, with no second projection
-        residual = base.metric.norm(np.diff(etas[i], axis=0)) / damping[i]
+        residual = base.metric.norm(np.diff(etas[i], axis=0)) / damping[i, 0]
         return SimRecord(plant.T_s, np.arange(H), xs[i, :H], u,
                          plant.output(xs[i, :H], u, W), etas[i, :H], margin, residual)
 
@@ -299,7 +303,7 @@ def simulate(scenario: Scenario) -> SimRecord:
         nc = normal_cone_residual(ctrl.gamma, ctrl.metric, record.eta[last], -record.e[last])
         record.segments.append(SegmentSummary(
             start, end, w,
-            tracking_error=float(np.linalg.norm(record.e[last])),
+            tracking_error=float(_norm(record.e[last])),
             vi_residual=float(record.vi_residual[last]),
             normal_cone_residual=float(nc)))
     return record
@@ -313,7 +317,7 @@ def change_of_coordinates(record: SimRecord, scenario: Scenario) -> np.ndarray:
 
 def _settling(record: SimRecord, xi: np.ndarray, metric: Metric) -> np.ndarray:
     """s_k = |eta_{k+1} - eta_k|_P + |xi_k|; the last step takes |xi_k| alone."""
-    s = _row_norms(xi)
+    s = _norm(xi)
     s[:-1] += metric.norm(np.diff(record.eta, axis=0))
     return s
 

@@ -125,6 +125,20 @@ def test_simulate_on_an_unbounded_gamma(tmp_path):
         assert seg["normal_cone_residual"] == seg["tracking_error"]
 
 
+def test_a_huge_finite_error_keeps_the_summary_strict_json(tmp_path):
+    # |e| of 7.7e187 squares past the float range; its norms still read finite
+    cfg = preset_config("lti-demo")
+    cfg["scenario"]["x0"] = [1e308]
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary["final"]["tracking_error"] == 7.7451838296986366e+187
+
+
 def test_out_directory_created(tmp_path):
     nested = tmp_path / "a" / "b"
     assert main(["simulate", "--preset", "lti-demo",

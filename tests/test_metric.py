@@ -29,6 +29,10 @@ def test_norm_examples():
     assert Metric.identity(2).norm([0.0, 0.0]) == 0.0
     m = Metric([[4.0, 0.0], [0.0, 1.0]])
     assert m.norm([1.0, 1.0]) == pytest.approx(np.sqrt(5.0))
+    # past about 1.3e154 the squares overflow, yet a finite row keeps a finite
+    # norm, with no overflow warning, and the other rows keep their bits
+    norms = m.norm([[1.5e300, 4e300], [1.0, 1.0]])
+    assert norms.tolist() == [pytest.approx(5e300, rel=1e-15), m.norm([1.0, 1.0])]
 
 
 def test_cauchy_schwarz_and_triangle():

@@ -424,6 +424,18 @@ def test_far_points_project_within_the_rounding_rule_or_raise():
     assert found > 5
 
 
+def test_rows_past_the_range_of_their_squares_project_into_the_set_or_raise():
+    # |K| = 1e160: the rows of Gamma = {x : |1e160 x| <= 1} square to inf, and
+    # unit rows of 0 once let the polish keep 0.25; the Gram matrix still overflows
+    gamma = LinearPreimage([[1e160]], Box([-1.0], [1.0]))
+    with np.errstate(over="ignore"):
+        try:
+            point = gamma.project(Metric.identity(1), [0.25]).point
+        except ProjectionError:
+            return
+    assert gamma.contains(point)
+
+
 def test_four_tank_simulate_mostly_reuses_the_last_active_set(monkeypatch):
     # 465 of the preset's steps project; all but a few keep the active set
     # of the projection before them and skip the NNLS solve

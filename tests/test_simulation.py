@@ -785,8 +785,8 @@ def _pushing_update(monkeypatch, row, step, eta_out):
     real = simulation._damped_projected_update
     calls = []
 
-    def update(gamma, metric, eta, e, alpha, damping):
-        eta_next = real(gamma, metric, eta, e, alpha, damping)
+    def update(gamma, metric, eta, e, *gains):
+        eta_next = real(gamma, metric, eta, e, *gains)
         if len(calls) == step:
             eta_next[row] = eta_out
         calls.append(len(eta))
