@@ -533,8 +533,9 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
     ((M, Minv, d, r),), A, _, _ = set_._parts
     c, P = Minv @ d, metric.P
     point = _project_rows(set_, set_._row_factors(metric), x).point if A.size else x
-    y = M @ (point - c)
-    if float(y @ y) - r ** 2 <= 0.0:
+    # norms by _norm: a far point's squares overflow, and a bracket end of inf
+    # would put the first trial on the center, which reads as inside
+    if (y_norm := float(_norm(M @ (point - c)))) <= r:
         return ProjectionResult(point)
     evals, evecs = np.linalg.eigh(Minv.T @ P @ Minv)
     coef = evecs.T @ (rhs := Minv.T @ (P @ (x - c)))
@@ -561,12 +562,12 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
         return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 
     # with no rows, |y| <= |M^{-T} P (x - c)| / (lmin + nu) < r already at the first hi
-    hi = max(float(np.linalg.norm(rhs)) / r, float(evals[-1]))
+    hi = max(float(_norm(rhs)) / r, float(evals[-1]))
     while (high := trial(hi))[0] > 0.0:
         if hi * np.finfo(float).eps > evals[-1]:
             return ProjectionResult(nearest)  # S + nu I rounds to nu I: p is the point
         hi *= 2.0
-    g_lo, tol = 1.0 / r - 1.0 / float(np.linalg.norm(y)), 1e-13 * (1.0 + hi)
+    g_lo, tol = 1.0 / r - 1.0 / y_norm, 1e-13 * (1.0 + hi)
     ends, last = [[0.0, g_lo, point], [hi, *high]], None  # (nu, g, v) outside, then inside
     for k in range(200):
         (lo, g_lo, _), (hi, g_hi, v_hi) = ends

@@ -19,8 +19,8 @@ that u stayed in C come from each row's record after the loop, built only
 when the caller asks for it (so a sweep holds one row's at a time); _apply
 and the plants round each row as if it were alone.  A row whose step maps
 (x, eta) to itself bit for bit has settled: every later step of its
-disturbance segment repeats that step, so the loop copies it there and the
-row leaves the batch until the next segment starts.
+disturbance segment repeats that step, so the row leaves the batch until
+the next segment starts, and its record gets that stretch only when read.
 """
 
 from __future__ import annotations
@@ -178,101 +178,100 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     computes u = K eta and e, then the damped projected update and the plant
     step; one that raises is retried row by row, and a row that fails alone
     stops while the others run on.  A row that settles (its step left x and
-    eta unchanged, bit for bit) takes copies of that step up to the end of
-    the segment and rejoins at the next segment start.  Each row's u, e,
-    margin, residual and u-in-C check then come from its record of (x, eta),
-    read only up to a failure; a row whose u left C fails at the first such
-    step, whatever it raised later.  The loop runs in full before the call
-    returns; the result yields, in row order, a SimRecord (without segments)
-    or a SimulationError per row, each built only when asked for.
+    eta unchanged, bit for bit) writes only that state at the end of the
+    segment, where the next segment starts from it, and the loop notes the
+    stretch between; the row rejoins at the next segment start.  Each row's
+    record is expanded over its stretches, in its own copy, when it is read,
+    and its u, e, margin, residual and u-in-C check then come from its
+    record of (x, eta), read only up to a failure; a row whose u left C
+    fails at the first such step, whatever it raised later.  The loop runs
+    in full before the call returns; the result yields, in row order, a
+    SimRecord (without segments) or a SimulationError per row, each built
+    only when asked for.
     """
     plant, base = scenario.plant, scenario.controller
     if not base.gamma.contains(base.eta):
         raise ValueError("controller state eta is not a member of Gamma")
     G, H, K = len(alpha), scenario.horizon, base.gain
-    # (G, p) copies of each row's alpha, damping and 1 - damping, built once: they move
-    # with their rows, and the update's products of equal shapes take no broadcast
+    # (G, p) copies of each row's alpha, damping and 1 - damping, built once, so that
+    # the update's products of equal shapes take no broadcast
     alpha, damping = np.array([alpha, damping], dtype=float)[..., None].repeat(K.shape[1], -1)
     gains = alpha, damping, 1.0 - damping
-    # step k reads row k of the state and writes row k + 1
+    # Each row keeps its own index.  Step k reads the live rows' states, held
+    # compact between steps, and writes row k + 1 of their records; a settled
+    # stretch is never written here, so its memory need not be paged in.
     xs = np.empty((G, H + 1, plant.n))
     etas = np.empty((G, H + 1, K.shape[1]))
     xs[:, 0] = scenario.x0
     etas[:, 0] = base.eta
 
-    def advance(k: int, rows: slice, w: np.ndarray, row_gains: list) -> list[int]:
-        """Step k of the rows at the given positions, under w and with their
-        gains; writes nothing unless every row succeeds.  Returns the positions,
-        counted from the slice start, of the rows it left where they were, bit
-        for bit."""
-        x_k, eta_k = xs[rows, k], etas[rows, k]
+    def advance(k: int, rows, x_k: np.ndarray, eta_k: np.ndarray, w: np.ndarray,
+                row_gains: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Step k of the given rows from their states (x_k, eta_k), under w and
+        with their gains; writes nothing unless every row succeeds.  Returns the
+        new states and the positions, within x_k, of the rows it left where
+        they were, bit for bit."""
         u = _apply(K, eta_k)
         e = plant.output(x_k, u, w)
         # a non-finite state shows in e or in plant.step
         if not all(np.isfinite(e).flat):
             raise NumericalError("state or error is not finite")
         eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e, *row_gains)
-        xs[rows, k + 1], etas[rows, k + 1] = plant.step(x_k, u, w), eta_next
+        x_next = plant.step(x_k, u, w)
+        xs[rows, k + 1], etas[rows, k + 1] = x_next, eta_next
         # bit patterns tell -0.0 from +0.0; eta rarely repeats, so its first column goes
         # first, by value: eta is finite here, and a bit-equal pair is value-equal too
         if not any((eta_next[:, 0] == eta_k[:, 0]).tolist()):
-            return []
+            return x_next, eta_next, []
         same = (eta_next.view(np.int64) == eta_k.view(np.int64)).all(axis=-1)
-        same &= (xs[rows, k + 1].view(np.int64) == x_k.view(np.int64)).all(axis=-1)
-        return np.flatnonzero(same).tolist()
-
-    # Rows move between positions, so that the live ones always form the
-    # leading block [0, n_live) and each step reads and writes basic slices:
-    # then come the settled rows, up to n_rows, then the failed ones.
-    order = np.arange(G)  # the row at each position
-
-    def swap(i: int, j: int) -> None:
-        """Exchange the rows at positions i and j, records included."""
-        if i != j:
-            for a in (xs, etas, *gains, order):
-                a[[i, j]] = a[[j, i]]
+        same &= (x_next.view(np.int64) == x_k.view(np.int64)).all(axis=-1)
+        return x_next, eta_next, np.flatnonzero(same).tolist()
 
     failed: dict[int, tuple[int, SimulationError]] = {}  # row: (its step, failure)
-    n_rows, live = G, slice(0, 0)
+    # row: [(k, end)], each a stretch whose steps k + 1 to end - 1 repeat step k
+    stretches: dict[int, list[tuple[int, int]]] = {}
     for (start, end), (_, w) in zip(scenario.segment_bounds(), scenario.schedule):
-        n_live = n_rows  # settled rows rejoin
+        live = [g for g in range(G) if g not in failed]  # settled rows rejoin
+        x, eta, rows = xs[live, start], etas[live, start], None
         for k in range(start, end):
-            if not n_live:
+            if not live:
                 break
-            if live.stop != n_live:  # views of the live block, cut as it shrinks or grows
-                live = slice(0, n_live)
-                live_gains = [a[live] for a in gains]
+            if rows is None:  # the live set changed: a basic slice if its rows are consecutive
+                consecutive = live[-1] - live[0] < len(live)
+                rows = slice(live[0], live[-1] + 1) if consecutive else np.array(live)
+                row_gains = [a[rows] for a in gains]
             try:
-                settled = advance(k, live, w, live_gains)
+                x, eta, settled = advance(k, rows, x, eta, w, row_gains)
             except _STEP_ERRORS:
-                errors = {}
-                for i in range(n_live):
+                for i, g in enumerate(live):
                     try:
-                        advance(k, slice(i, i + 1), w, [a[i:i + 1] for a in gains])
+                        advance(k, slice(g, g + 1), x[i:i + 1], eta[i:i + 1], w,
+                                [a[g:g + 1] for a in gains])
                     except _STEP_ERRORS as exc:
-                        errors[i] = exc
-                # from the last position down, so a swap moves no failing row
-                for i in sorted(errors, reverse=True):
-                    failed[int(order[i])] = k, _step_failure(k, errors[i])
-                    n_live, n_rows = n_live - 1, n_rows - 1
-                    swap(i, n_live)
-                    swap(n_live, n_rows)
-            else:
-                # Step k is a pure function of (x_k, eta_k, w_k): plant.step,
-                # plant.output and the update keep no state between calls (a
-                # warm-started projection must keep it so).  w holds to the
-                # segment end, so up to there a settled row repeats step k.
-                for i in reversed(settled):  # from the last position down, as above
-                    xs[i, k + 2:end + 1], etas[i, k + 2:end + 1] = xs[i, k + 1], etas[i, k + 1]
-                    n_live -= 1
-                    swap(i, n_live)
+                        failed[g] = k, _step_failure(k, exc)
+                x, eta, settled, rows = xs[rows, k + 1], etas[rows, k + 1], [], None
+            # Step k is a pure function of (x_k, eta_k, w_k): plant.step,
+            # plant.output and the update keep no state between calls (a
+            # warm-started projection must keep it so).  w holds to the
+            # segment end, so up to there a settled row repeats step k.
+            for i in settled:
+                g, rows = live[i], None
+                xs[g, end], etas[g, end] = x[i], eta[i]  # where the next segment starts
+                stretches.setdefault(g, []).append((k + 1, end))
+            if rows is None:
+                keep = [i for i, g in enumerate(live) if i not in settled and g not in failed]
+                live, x, eta = [live[i] for i in keep], x[keep], eta[keep]
 
-    position, W = np.argsort(order), _w_steps(scenario)
+    W = _w_steps(scenario)
 
     def outcome(g: int) -> SimRecord | SimulationError:
         steps, failure = failed.get(g, (H, None))
-        i = position[g]
-        u = _apply(K, etas[i, :steps])
+        x, eta = xs[g], etas[g]
+        if g in stretches:  # expanded in the row's own copy, never in xs and etas
+            x, eta = x.copy(), eta.copy()
+            for k, end in stretches[g]:
+                x[k + 1:end], eta[k + 1:end] = x[k], eta[k]
+        u = _apply(K, eta[:steps])
         margin = base.constraint.margin(u)
         # fl(b - A u) >= 0 exactly when A u <= b, so only a row whose margin
         # is negative or NaN needs the membership test
@@ -284,9 +283,9 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
             return failure
         # eta_{k+1} - eta_k = damping * (Proj(eta_k - alpha e_k) - eta_k), so the
         # natural residual is the increment over damping, with no second projection
-        residual = base.metric.norm(np.diff(etas[i], axis=0)) / damping[i, 0]
-        return SimRecord(plant.T_s, np.arange(H), xs[i, :H], u,
-                         plant.output(xs[i, :H], u, W), etas[i, :H], margin, residual)
+        residual = base.metric.norm(np.diff(eta, axis=0)) / damping[g, 0]
+        return SimRecord(plant.T_s, np.arange(H), x[:H], u,
+                         plant.output(x[:H], u, W), eta[:H], margin, residual)
 
     return (outcome(g) for g in range(G))
 

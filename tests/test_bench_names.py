@@ -47,3 +47,25 @@ def test_a_four_tank_simulate_enters_each_traced_layer_once_per_step(monkeypatch
         monkeypatch.setattr(owner, attr, counted)
     simulate(scenario)
     assert counts == {"output": 884, "step": 883, "project": 465}
+
+
+def test_a_four_tank_sweep_steps_each_live_row_once_and_no_settled_one(monkeypatch):
+    # the preset's 15 grid points x 4000 steps: 3951 lockstep plant steps over
+    # 18,037 live rows (the other row-steps repeat a settled step and are
+    # never stepped again), one output per lockstep step and one more per
+    # point's record, and one projection per step that some row's forward
+    # step left Gamma
+    from dpic import FourTankPlant, LinearPreimage, build_setup, gain_sweep, preset_config
+
+    spec = build_setup(preset_config("four-tank")).sweep
+    counts = {}
+    for owner, attr in ((FourTankPlant, "step"), (FourTankPlant, "output"),
+                        (LinearPreimage, "project")):
+        def counted(*args, _real=vars(owner)[attr], _attr=attr):
+            counts[_attr] = counts.get(_attr, 0) + 1
+            if _attr == "step":
+                counts["rows"] = counts.get("rows", 0) + len(args[1])
+            return _real(*args)
+        monkeypatch.setattr(owner, attr, counted)
+    gain_sweep(spec["scenario"], spec["T_i"], spec["lambda"])
+    assert counts == {"output": 3966, "step": 3951, "rows": 18037, "project": 383}

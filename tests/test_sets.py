@@ -436,6 +436,17 @@ def test_rows_past_the_range_of_their_squares_project_into_the_set_or_raise():
     assert gamma.contains(point)
 
 
+def test_a_ball_projects_a_point_past_the_range_of_its_squares_onto_its_boundary():
+    # |x| = 1e160: the norm that brackets the ball's multiplier once read inf,
+    # the first trial landed on the center, and the projection returned it
+    ball = Ball([0.0, 0.0], 1.0)
+    for far in (1e150, 1e160, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = ball.project(Metric.identity(2), [far, 0.0]).point
+        np.testing.assert_allclose(point, [1.0, 0.0], rtol=0, atol=1e-12)
+
+
 def test_four_tank_simulate_mostly_reuses_the_last_active_set(monkeypatch):
     # 465 of the preset's steps project; all but a few keep the active set
     # of the projection before them and skip the NNLS solve
