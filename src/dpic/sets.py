@@ -22,7 +22,9 @@ solve, and keeps that point only where the KKT conditions hold with
 WARM_MARGIN to spare: the cached set is a hint, never a bit.  The set also
 keeps the Gram block and P^{-1} A^T columns its last polish cut, for as long
 as the same rows meet the same factors.  A point v for x is kept only if
-a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row, the norms by hypot.
+a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row, |x| and |v| by hypot.
+Other norms take metric._norm, finite where squares overflow; the per-step verdicts
+(_contains, curved trials) take _row_norms, as inf reads outside, skipping a 3 us guard.
 
 The normal-cone residual is one more NNLS, on the tight normals.  Bounding
 boxes come exact along each axis of an ellipsoid and, by weak duality, one
@@ -139,7 +141,7 @@ class ConvexSet:
         else:
             margin = ((b - _apply(A, x)) / norms).min(axis=-1) if b.size else np.inf
             for M, _, d, r in ellipsoids:
-                margin = np.minimum(margin, r - _row_norms(_apply(M, x) - d))
+                margin = np.minimum(margin, r - _norm(_apply(M, x) - d))
         return float(margin) if x.ndim == 1 else margin
 
     def project(self, metric: Metric, x) -> ProjectionResult:
@@ -162,7 +164,7 @@ class ConvexSet:
         normals = [A[(b - A @ x) / norms <= MEMBERSHIP_TOL]]
         for M, _, d, r in ellipsoids:
             out = M @ x - d
-            if r - np.linalg.norm(out) <= MEMBERSHIP_TOL:
+            if r - _norm(out) <= MEMBERSHIP_TOL:
                 normals.append((M.T @ out)[None, :])
         return np.vstack(normals)
 
@@ -191,7 +193,7 @@ class ConvexSet:
         top = np.full((2, self.dim), np.inf)  # max of v_i and of -v_i over the set
         for M, Minv, d, r in ellipsoids:
             for i, row in enumerate(Minv):
-                mid, reach = row @ d, r * np.linalg.norm(row)
+                mid, reach = row @ d, r * _norm(row)
                 top[:, i] = np.minimum(top[:, i], [mid + reach, reach - mid])
         if b.size:
             Polyhedron(A, b)  # rejects an empty set
@@ -218,9 +220,7 @@ class ConvexSet:
         """
         if self._factors is None or self._factors[0] is not metric:
             _, A, b, _ = self._parts
-            Pinv_AT, norms = metric.solve(A.T), np.linalg.norm(A, axis=1)
-            over = np.isinf(norms)  # rows past about 1.3e154, whose squares overflow
-            norms[over] = np.hypot.reduce(A[over], axis=1)
+            Pinv_AT, norms = metric.solve(A.T), _norm(A)
             self._factors = (metric, -np.linalg.solve(metric._chol, A.T), Pinv_AT,
                              A @ Pinv_AT, A / norms[:, None], b / norms, np.abs(b) / norms,
                              np.r_[np.zeros(self.dim), 1.0])
@@ -261,7 +261,7 @@ class Halfspace(ConvexSet):
 
     def __init__(self, normal, offset):
         a = np.atleast_1d(np.asarray(normal, dtype=float))
-        norm = np.linalg.norm(a) if a.ndim == 1 else 0.0
+        norm = _norm(a) if a.ndim == 1 else 0.0
         if not (np.all(np.isfinite(a)) and norm > 0.0):
             raise ValueError("halfspace normal must be a finite nonzero vector")
         self.a = a
@@ -307,7 +307,7 @@ class Polyhedron(ConvexSet):
             raise ValueError("polyhedron rows and offsets have mismatched shapes")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("polyhedron data must be finite")
-        norms = np.linalg.norm(A, axis=1)
+        norms = _norm(A)
         if np.any(norms == 0.0):
             raise ValueError("polyhedron has a zero row")
         self.A = A
@@ -533,8 +533,6 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
     ((M, Minv, d, r),), A, _, _ = set_._parts
     c, P = Minv @ d, metric.P
     point = _project_rows(set_, set_._row_factors(metric), x).point if A.size else x
-    # norms by _norm: a far point's squares overflow, and a bracket end of inf
-    # would put the first trial on the center, which reads as inside
     if (y_norm := float(_norm(M @ (point - c)))) <= r:
         return ProjectionResult(point)
     evals, evecs = np.linalg.eigh(Minv.T @ P @ Minv)
@@ -548,7 +546,7 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
             return (-np.sqrt(s)[:, None] * B, Minv @ (evecs @ sB), B.T @ sB, *unit)
 
         nearest = _project_rows(set_, rows(np.ones(x.size)), c).point
-        dist = float(np.linalg.norm(M @ (nearest - c)))
+        dist = float(_row_norms(M @ (nearest - c)))
         if dist > r + MEMBERSHIP_TOL:
             raise ProjectionError("the ball misses the other members; the intersection is empty")
         if dist >= r:
@@ -558,7 +556,7 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
         v = c + Minv @ (evecs @ (coef / (evals + nu)))
         if A.size:
             v = _project_rows(set_, rows(1.0 / (evals + nu)), v).point
-        dist = float(np.linalg.norm(M @ (v - c)))
+        dist = float(_row_norms(M @ (v - c)))
         return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 
     # with no rows, |y| <= |M^{-T} P (x - c)| / (lmin + nu) < r already at the first hi

@@ -161,8 +161,6 @@ def _w_steps(scenario: Scenario) -> np.ndarray:
 
 
 def _step_failure(k: int, exc: Exception) -> SimulationError:
-    if isinstance(exc, SimulationError):
-        return exc
     failure = SimulationError(f"step {k}: {exc}")
     failure.__cause__ = exc
     return failure

@@ -436,6 +436,24 @@ def test_rows_past_the_range_of_their_squares_project_into_the_set_or_raise():
     assert gamma.contains(point)
 
 
+def test_rows_past_the_range_of_their_squares_read_their_margin_and_normal_cone():
+    # {x : 1e160 x_0 <= 1e160} is {x : x_0 <= 1}: the origin is 1 inside and does not
+    # solve the VI along (1, 0); row norms whose squares read inf once gave 0 for both
+    halfspace = Halfspace([1e160, 0.0], 1e160)
+    with np.errstate(over="ignore"):  # the polyhedron's Gram matrix still overflows
+        polyhedron = Polyhedron([[1e160, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                                [1e160, 1.0, 1.0, 1.0])
+    for set_ in (halfspace, polyhedron):
+        assert set_.margin([0.0, 0.0]) == 1.0
+        assert normal_cone_residual(set_, I2, [0.0, 0.0], [1.0, 0.0]) == 1.0
+
+
+def test_an_ellipsoid_margin_past_the_range_of_its_squares_stays_finite():
+    ball = Ball([0.0, 0.0], 1.0)
+    assert ball.margin([1e200, 0.0]) == -1e200
+    np.testing.assert_array_equal(ball.margin([[1e200, 0.0], [0.5, 0.0]]), [-1e200, 0.5])
+
+
 def test_a_ball_projects_a_point_past_the_range_of_its_squares_onto_its_boundary():
     # |x| = 1e160: the norm that brackets the ball's multiplier once read inf,
     # the first trial landed on the center, and the projection returned it
