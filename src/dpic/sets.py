@@ -13,7 +13,7 @@ in a batch gets the answer it gets alone.
 
 Every projection is exact, by one of two engines that read the set's own rows
 and keep their factors and last active set on it: rows alone by a least-distance
-program that a numpy Lawson-Hanson NNLS solves, and one ellipsoid with any rows
+program whose scaled dual a numpy Lawson-Hanson NNLS solves, and one ellipsoid with any rows
 by one root find for its multiplier, whose trials run the first engine on
 factors of one eigendecomposition; an intersection refuses a second ellipsoid.
 
@@ -66,10 +66,6 @@ WARM_MARGIN = 1e-9
 
 class ProjectionError(RuntimeError):
     """Projection failed: the set is empty."""
-
-    def __init__(self, message: str, point: np.ndarray | None = None):
-        super().__init__(message)
-        self.point = point  # the least-distance engine's last polished point, if any
 
 
 @dataclass(frozen=True)
@@ -296,11 +292,10 @@ class Ball(ConvexSet):
 
 
 class Polyhedron(ConvexSet):
-    """{x : A x <= b}; construction keeps a member, the origin's projection, or rejects
-    an empty set.  Where that fails with a polished point p, as it may far from the
-    origin, the member is p plus the origin's projection onto the rows b - A p."""
+    """{x : A x <= b}; construction keeps a member, the origin's projection, and
+    rejects the set as empty exactly where that projection fails."""
 
-    def __init__(self, A, b, *, _shifted: bool = False):
+    def __init__(self, A, b):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
@@ -317,10 +312,8 @@ class Polyhedron(ConvexSet):
         try:
             self._member = _project_rows(self, self._row_factors(Metric.identity(self.dim)),
                                          np.zeros(self.dim)).point
-        except ProjectionError as exc:
-            if exc.point is None or _shifted:
-                raise ValueError("polyhedron is empty") from None
-            self._member = exc.point + Polyhedron(A, b - A @ exc.point, _shifted=True)._member
+        except ProjectionError:
+            raise ValueError("polyhedron is empty") from None
 
 
 class Intersection(ConvexSet):
@@ -440,9 +433,11 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
     metric P, given by the rows' factors in P (the tuple _row_factors returns).
 
     With P = L L^T, L any square root, and z = L^T (v - x) this is the least-distance program
-    min |z| s.t. A L^{-T} z <= b - A x, which NNLS solves through its dual
-    (Lawson & Hanson 1974, ch. 23); the point is the equality-constrained
-    projection onto the rows NNLS leaves active.  It is kept if a_i.v - b_i
+    min |z| s.t. G z >= h, G = -A L^{-T}, h = A x - b, which NNLS solves through its dual
+    (Lawson & Hanson 1974, ch. 23) with each row of G and h over the norm of G's row, then h
+    over its largest entry: a positive scaling of a constraint, then of z, which moves no
+    active row and keeps b from rounding away in an h that dwarfs G.  The point is the
+    equality-constrained projection onto the active rows, from the raw rows.  It is kept if a_i.v - b_i
     <= 1e-12 s_i on every row, s_i = |b_i| + |a_i| (|x| + |v|) (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): the polish
     cancels a far x down to a near v, so it rounds with |x| too.  Where
@@ -494,10 +489,11 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
                     miss[i] = -math.inf
                 if all(m < -WARM_MARGIN for m in miss):
                     return ProjectionResult(point)
-    point = None
+    norms = _norm(neg_whitened.T)  # of G's rows, which scale the dual
+    unit_G = neg_whitened / norms
     for _ in range(2):  # a near miss gets a second pass, from its polished point
-        # Lawson-Hanson form: min |z| s.t. G z >= h with G = -A L^{-T}, h = A x - b
-        u = _nnls(np.concatenate([neg_whitened, h[None, :]]), target)[0]
+        unit_h = h / norms
+        u = _nnls(np.concatenate([unit_G, (unit_h / unit_h.max())[None, :]]), target)[0]
         S = (u > 0.0).nonzero()[0]
         set_._active = S if S.size else None
         try:
@@ -510,7 +506,7 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
             break
         x, h = point, A.dot(point) - b
     raise ProjectionError("least-distance projection found no feasible point; "
-                          "the set may be empty", point)
+                          "the set may be empty")
 
 
 def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:

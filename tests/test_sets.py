@@ -27,9 +27,11 @@ from dpic.metric import _row_norms
 from dpic.sets import MEMBERSHIP_TOL
 
 from grid_oracle import enumerate_project, grid_project, polygon_rows, random_spd
+from kkt_oracle import nullspace_project
 from lp_oracle import rows_maximizer, rows_support
 from membership_oracle import oracle_contains, oracle_margin
 from preimage_oracle import change_of_variables_project
+from projection_stress import far_family, far_polyhedra
 
 I2 = Metric.identity(2)
 
@@ -424,6 +426,24 @@ def test_far_points_project_within_the_rounding_rule_or_raise():
     assert found > 5
 
 
+def test_far_points_project_onto_bounded_polytopes_as_the_kkt_oracle_does():
+    # the first 30 of far_family's bounded 8-row 3-D polytopes, ten directions
+    # each: on the unscaled dual, b was lost to rounding against A x and NNLS
+    # left active rows that were no face, so a point 1e5 away raised or landed
+    # on a wrong face.  The scaled dual finds the face.  The polish v = x - P^-1 A_S^T lam
+    # rounds with |x|, so v meets the null-space oracle only to about eps |x|
+    # times the face's conditioning: 4.7e-15 |x| (1 + |v|) at most here
+    I3, family = Metric.identity(3), far_family(30)
+    for far in (1e5, 1e6, 1e8):
+        for A, b, directions in family:
+            poly = Polyhedron(A, b)
+            for d in directions:
+                x = far * d / np.linalg.norm(d)
+                point = poly.project(I3, x).point
+                exact = nullspace_project(np.eye(3), A, b, x)
+                assert np.linalg.norm(point - exact) <= 1e-14 * far * (1.0 + np.linalg.norm(exact))
+
+
 def test_rows_past_the_range_of_their_squares_project_into_the_set_or_raise():
     # |K| = 1e160: the rows of Gamma = {x : |1e160 x| <= 1} square to inf, and
     # unit rows of 0 once let the polish keep 0.25; the Gram matrix still overflows
@@ -661,10 +681,10 @@ def test_a_far_empty_slab_is_rejected(gap):
 
 def test_a_near_miss_is_projected_again_from_its_polished_point(monkeypatch):
     # Chebyshev radius over 1 and rows of norm 5e-4 to 4e2; row 3 passes within
-    # 3e-7 of the origin's projection, about 1600 away.  Rounding leaves rows
-    # 1, 2 and 3 active instead of 1, 2 and 5, and that polish misses row 5
-    # by 9e-12 of its rounding scale.  A second NNLS, from the polished
-    # point, leaves rows 1, 2 and 5 active, whose projection is exact
+    # 3e-7 of the origin's projection, about 1600 away.  On the unscaled dual,
+    # rounding left rows 1, 2 and 3 active instead of 1, 2 and 5, and a second
+    # NNLS from the polished point was needed; the scaled dual finds rows 1, 2
+    # and 5 in one solve, and their projection is exact
     import dpic.sets as sets_mod
 
     A = np.array([
@@ -687,12 +707,33 @@ def test_a_near_miss_is_projected_again_from_its_polished_point(monkeypatch):
     nnls_engine = sets_mod._nnls
     monkeypatch.setattr(sets_mod, "_nnls", counted)
     poly = Polyhedron(A, b)  # whose emptiness test projects the origin
-    assert len(solves) == 2
+    assert len(solves) == 1
     assert poly._active.tolist() == [1, 2, 5]
     point = poly.project(Metric.identity(3), np.zeros(3)).point
     # the least-norm solution of rows 1, 2 and 5 held to equality, by SVD
     exact = np.linalg.lstsq(A[[1, 2, 5]], b[[1, 2, 5]], rcond=None)[0]
     assert np.max(np.abs(point - exact)) <= 1e-12 * np.linalg.norm(exact)
+
+    # a thin 2-D cone {A z <= 0}: draw 38 of the rows of
+    # test_bounding_box_sides_reach_highs_where_the_dual_misses_its_axis, column 0
+    # times 1e-3.  The first NNLS leaves rows 0 and 2 active, and their polish
+    # misses by under 1e-8 of its rounding scale; the second, from that point,
+    # leaves rows 3 and 4, the face
+    rng = np.random.default_rng(11)
+    for _ in range(39):
+        dim = int(rng.integers(2, 6))
+        rows = int(rng.integers(dim + 1, 3 * dim + 4))
+        A = rng.standard_normal((rows, dim))
+        rng.uniform(0.5, 2.0, rows)  # the offsets of that test's polytope
+    A[:, 0] *= 1e-3
+    cone = Polyhedron(A, np.zeros(rows))
+    x = np.array([-0.2236985966510682, 0.5351437739259405])
+    solves.clear()
+    point = cone.project(Metric.identity(2), x).point
+    assert len(solves) == 2
+    assert cone._active.tolist() == [3, 4]
+    exact = nullspace_project(np.eye(2), A, np.zeros(rows), x)
+    assert np.max(np.abs(point - exact)) <= 1e-15 * (1.0 + np.linalg.norm(x))
 
 
 def _chebyshev_radius(A, b):
@@ -746,10 +787,10 @@ def test_emptiness_verdicts_follow_the_chebyshev_radius():
 def test_far_emptiness_verdicts_follow_the_chebyshev_radius():
     # members up to 1e5 from the origin, 3-40 rows of norms 1e-3 to 1e3, and
     # half of the rows at distance r of either sign, 1e-16 to 1 times the
-    # set's size of 1e-2 to 1e3.  Far from the origin the least-distance
-    # dual's last row dwarfs the others, and the origin's projection failed
-    # on 7 of these nonempty sets, whose normalized radii reached 2.8e-7;
-    # the retry from its polished point keeps them, and no empty set
+    # set's size of 1e-2 to 1e3.  Far from the origin the last row of an
+    # unscaled least-distance dual dwarfed the others, and the origin's
+    # projection failed on 7 of these nonempty sets, whose normalized radii
+    # reached 2.8e-7; on the scaled dual it keeps them, and no empty set
     rng = np.random.default_rng(0)
     kept = rejected = 0
     for _ in range(1000):
@@ -779,9 +820,9 @@ def test_far_emptiness_verdicts_follow_the_chebyshev_radius():
 
 
 def test_the_member_is_the_origins_projection_wherever_that_is_found():
-    # the retry runs only where the origin's projection fails: on the rows of
-    # _ldp_cases seeds 71-90, a Polyhedron keeps that projection bit for bit
-    # and rejects exactly where it fails, and projects every point as the rows do
+    # on the rows of _ldp_cases seeds 71-90, a Polyhedron keeps the origin's
+    # projection bit for bit as its member, rejects exactly where that
+    # projection fails, and projects every point as the rows do
     empty = 0
     for seed in range(71, 91):
         for s, metric, x in _ldp_cases(np.random.default_rng(seed), 60):
@@ -797,6 +838,23 @@ def test_the_member_is_the_origins_projection_wherever_that_is_found():
             assert poly._member.tobytes() == origin.tobytes()
             assert poly.project(metric, x).point.tobytes() == s.project(metric, x).point.tobytes()
     assert empty > 100
+
+
+@pytest.mark.parametrize("far, empty", [
+    (1e9, False), (1e3, True), (1e5, True), (1e7, True), (1e9, True)])
+def test_a_polyhedron_keeps_its_verdict_far_from_the_origin(far, empty):
+    # the origin's projection decides: on the unscaled dual it failed on 37 of
+    # these nonempty sets at |c| = 1e9, and a retry from its polished point
+    # kept 4, 6, 5 and 1 of the empty slabs at 1e3 to 1e9, with a "member"
+    # outside a row; a kept member meets every row to the projection's rule
+    for A, b in far_polyhedra(far, empty):
+        if empty:
+            with pytest.raises(ValueError, match="empty"):
+                Polyhedron(A, b)
+            continue
+        member = Polyhedron(A, b)._member
+        norms = np.linalg.norm(A, axis=1)
+        assert np.all(A @ member - b <= 1e-12 * (np.abs(b) + norms * np.linalg.norm(member)))
 
 
 def test_a_far_projection_onto_ill_scaled_rows_is_found():
