@@ -46,19 +46,22 @@ def _checked_alpha(T_s: float, T_i: float, damping: float) -> float:
 
 def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
                              e: np.ndarray, alpha: np.ndarray, damping: np.ndarray,
-                             keep: np.ndarray | None = None) -> np.ndarray:
+                             keep: np.ndarray | None = None, warm=None) -> np.ndarray:
     """Next integrator states of G loops that share Gamma and the metric.
 
     eta and e are (G, p); alpha = T_s / T_i, damping and keep = 1 - damping
     (formed here if not given) are (G, 1) columns or (G, p) blocks, built once
     per run.  All rows are tested against Gamma at once, and only the rows
-    whose forward step left Gamma are projected, one at a time.
+    whose forward step left Gamma are projected, one at a time, each from the
+    warm start in its cell warm[i], a one-entry list, which it then updates.
     """
     target = eta - alpha * e  # the forward step
     if not all(inside := gamma._contains(target).tolist()):
         for i, member in enumerate(inside):
             if not member:
-                target[i] = gamma.project(metric, target[i]).point
+                cell = [None] if warm is None else warm[i]
+                result = gamma.project(metric, target[i], cell[0])
+                target[i], cell[0] = result.point, result.warm
     return (1.0 - damping if keep is None else keep) * eta + damping * target
 
 
@@ -98,7 +101,7 @@ class DPIController:
                 np.linalg.solve(K, np.asarray(u0, dtype=float))
             eta = seed if self.gamma.contains(seed) else \
                 self.gamma.project(metric, seed).point
-        self.eta = eta.copy()
+        self.eta, self._warm = eta.copy(), [None]  # the cell of step's warm start
 
     def step(self, e) -> np.ndarray:
         """Advance the integrator on error e; returns the input computed
@@ -109,7 +112,7 @@ class DPIController:
         u = self.gain @ self.eta
         self.eta = _damped_projected_update(
             self.gamma, self.metric, self.eta[None], e[None],
-            np.array([[self.alpha]]), np.array([[self.damping]]))[0]
+            np.array([[self.alpha]]), np.array([[self.damping]]), None, [self._warm])[0]
         return u
 
 

@@ -11,20 +11,18 @@ Membership to within MEMBERSHIP_TOL and margin (each one row product, then
 box and the projection all read it, a linear preimage's included.  A point
 in a batch gets the answer it gets alone.
 
-Every projection is exact, by one of two engines that read the set's own rows
-and keep their factors and last active set on it: rows alone by a least-distance
-program whose scaled dual a numpy Lawson-Hanson NNLS solves, and one ellipsoid with any rows
-by one root find for its multiplier, whose trials run the first engine on
-factors of one eigendecomposition; an intersection refuses a second ellipsoid.
-
-A polyhedral projection first tries the active set of the set's last NNLS
-solve, and keeps that point only where the KKT conditions hold with
-WARM_MARGIN to spare: the cached set is a hint, never a bit.  The set also
-keeps the Gram block and P^{-1} A^T columns its last polish cut, for as long
-as the same rows meet the same factors.  A point v for x is kept only if
-a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row, |x| and |v| by hypot.
-Other norms take metric._norm, finite where squares overflow; the per-step verdicts
-(_contains, curved trials) take _row_norms, as inf reads outside, skipping a 3 us guard.
+Every projection is exact, by one of two engines that read the set's own rows:
+rows alone by a least-distance program whose scaled dual a numpy Lawson-Hanson NNLS
+solves, and one ellipsoid with any rows by one root find for its multiplier, whose
+trials run the first engine on factors of one eigendecomposition; an intersection
+refuses a second ellipsoid.  A projection starts from the caller's warm start, the
+active rows of an earlier result with their blocks, and keeps that point only where
+the KKT conditions hold with WARM_MARGIN to spare: a hint, never a bit.  The set
+keeps nothing that picks a path, only its row factors in the last metric.  A point
+v for x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row,
+|x| and |v| by hypot.  Other norms take metric._norm, finite where squares overflow;
+the per-step verdicts (_contains, curved trials) take _row_norms, as inf reads
+outside, skipping a 3 us guard.
 
 The normal-cone residual is one more NNLS, on the tight normals.  Bounding
 boxes come exact along each axis of an ellipsoid and, by weak duality, one
@@ -37,7 +35,7 @@ the loop runs, take a (..., dim) array of points as well as a single point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +58,7 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
-# relative KKT margin a cached active set must clear to skip the NNLS solve
+# relative KKT margin a warm start must clear to skip the NNLS solve
 WARM_MARGIN = 1e-9
 
 
@@ -70,12 +68,13 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Projected point; iterations counts the root find's steps for an ellipsoid's
-    multiplier (0 where none ran), and residual is 0: both engines are exact."""
+    """Projected point, the root find's steps for an ellipsoid's multiplier (0 where none
+    ran), residual 0 (both engines are exact) and the warm start of the next projection."""
 
     point: np.ndarray
     iterations: int = 0
     residual: float = 0.0
+    warm: tuple | None = field(default=None, repr=False)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -89,11 +88,6 @@ class ConvexSet:
 
     dim: int
     _factors = None  # (metric, *_row_factors(metric)) of the last metric projected in
-    _active = None  # row indices NNLS left active in the last projection it solved
-    # (indices, Gram matrix, Gram block, P^{-1} A^T columns) of the last polish, kept
-    # while the same index array meets the same Gram matrix: a new NNLS set, an assigned
-    # _active, another metric and each curved-engine trial cut the blocks again
-    _blocks = None
 
     @cached_property
     def _parts(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
@@ -140,17 +134,17 @@ class ConvexSet:
                 margin = np.minimum(margin, r - _norm(_apply(M, x) - d))
         return float(margin) if x.ndim == 1 else margin
 
-    def project(self, metric: Metric, x) -> ProjectionResult:
-        """Exact projection of a finite x in the metric norm: _project_rows with no
-        ellipsoid, _project_curved with one; both read the set's own rows."""
+    def project(self, metric: Metric, x, warm=None) -> ProjectionResult:
+        """Exact projection of a finite x in the metric norm from warm, that of an earlier
+        result on this set: _project_rows with no ellipsoid, _project_curved with one."""
         if metric.dim != self.dim:
             raise ValueError("metric dimension does not match set dimension")
         x = _vec(x, self.dim)
         if not all(map(math.isfinite, x.tolist())):
             raise ValueError(f"point to project must be finite; got {x}")
         if self._parts[0]:
-            return _project_curved(self, metric, x)
-        return _project_rows(self, self._row_factors(metric), x)
+            return _project_curved(self, metric, x, warm)
+        return _project_rows(self, self._row_factors(metric), x, warm)
 
     def _active_normals(self, x: np.ndarray) -> np.ndarray:
         """Outward normals, one per row, of the constraints tight at x: the
@@ -428,7 +422,7 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
     return u, 0.0 if len(S) == rows else float(_norm(E @ u - f))
 
 
-def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionResult:
+def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray, warm=None) -> ProjectionResult:
     """Exact projection onto the set's own rows {v : A v <= b} in the norm of a
     metric P, given by the rows' factors in P (the tuple _row_factors returns).
 
@@ -445,39 +439,38 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
     under 1e-8 s_i is projected again from the point, under the same |x|;
     any other miss finds the set empty.
 
-    The active set of the last NNLS solve is tried first (a warm start, as in
-    online active-set QP: Ferreau, Bock & Diehl, IJRNC 18(8), 2008), and kept
-    only if its point passes the rule, every multiplier is above WARM_MARGIN
-    times the largest and every other row is short of its bound by
-    WARM_MARGIN s_i: then NNLS leaves the same rows active and the polish
-    gives the same bits, so the cached set never changes a result.  The
-    polish reuses the blocks it cut last (set_._blocks) while its rows and
-    Gram matrix are the same objects, so a warm polish indexes nothing; the
-    products take ndarray.dot, the gemv that @ makes without its set-up.
+    The warm start, (S, Gram matrix, Gram block, P^{-1} A_S^T) of the rows S an earlier
+    NNLS left active, is tried first (online active-set QP keeps one per trajectory:
+    Ferreau, Bock & Diehl, IJRNC 18(8), 2008), its blocks cut again for another Gram
+    matrix, and kept only if its point passes the rule, every multiplier is above WARM_MARGIN
+    times the largest and every other row is short of its bound by WARM_MARGIN s_i: then
+    NNLS leaves the same rows active and the polish gives the same bits.  The result carries
+    the warm start kept, or the last NNLS solve's; products take ndarray.dot, @'s gemv
+    without its set-up.
     """
     _, A, b, _ = set_._parts
     h = A.dot(x) - b  # has the sign of A x - b, as a float difference does
     if all(h <= 0.0):  # True with no rows
-        return ProjectionResult(x.copy())
+        return ProjectionResult(x.copy(), warm=warm)
     neg_whitened, Pinv_AT, gram, unit_A, unit_b, unit_abs_b, target = factors
     # hypot, not sqrt(x.x), which overflows past |x| ~ 1e154 and passes every row
     x_norm = math.hypot(*x.tolist()) or math.ulp(0.0)  # never 0, so no row reads 0 / 0
 
-    def polish(S):  # (point, multipliers, (A point - b) / s) of the projection onto rows S
-        blocks = set_._blocks
-        if blocks is None or blocks[0] is not S or blocks[1] is not gram:
-            # one row divides by its Gram entry below, rounding as solve does
-            set_._blocks = blocks = (S, gram, gram[S[0], S[0]] if S.size == 1
-                                     else gram[S[:, None], S], Pinv_AT[:, S])
-        _, _, gram_S, Pinv_AT_S = blocks
+    def cut(S):  # the warm start of rows S; one row divides by its Gram entry, as solve rounds
+        return S, gram, gram[S[0], S[0]] if S.size == 1 else gram[S[:, None], S], Pinv_AT[:, S]
+
+    def polish(blocks):  # (point, multipliers, (A point - b) / s) of the projection onto rows S
+        S, _, gram_S, Pinv_AT_S = blocks
         lam = h[S] / gram_S if S.size == 1 else np.linalg.solve(gram_S, h[S])
         v = x - Pinv_AT_S.dot(lam)
         v_norm = math.hypot(*v.tolist())
         return v, lam, (unit_A.dot(v) - unit_b) / (unit_abs_b + (x_norm + v_norm))
 
-    if set_._active is not None:
+    if warm is not None:
+        if warm[1] is not gram:
+            warm = cut(warm[0])
         try:
-            point, lam, miss = polish(set_._active)
+            point, lam, miss = polish(warm)
         except np.linalg.LinAlgError:
             pass
         else:
@@ -485,23 +478,22 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
             lam, miss = lam.tolist(), miss.tolist()
             floor = WARM_MARGIN * max(lam)
             if all(m <= 1e-12 for m in miss) and all(v > floor for v in lam):
-                for i in set_._active.tolist():
+                for i in warm[0].tolist():
                     miss[i] = -math.inf
                 if all(m < -WARM_MARGIN for m in miss):
-                    return ProjectionResult(point)
+                    return ProjectionResult(point, warm=warm)
     norms = _norm(neg_whitened.T)  # of G's rows, which scale the dual
     unit_G = neg_whitened / norms
     for _ in range(2):  # a near miss gets a second pass, from its polished point
         unit_h = h / norms
         u = _nnls(np.concatenate([unit_G, (unit_h / unit_h.max())[None, :]]), target)[0]
         S = (u > 0.0).nonzero()[0]
-        set_._active = S if S.size else None
         try:
-            point, _, miss = polish(S)
+            point, _, miss = polish(blocks := cut(S))
         except np.linalg.LinAlgError:
             break
         if miss.max() <= 1e-12:
-            return ProjectionResult(point)
+            return ProjectionResult(point, warm=blocks if S.size else None)
         if not miss.max() <= 1e-8:
             break
         x, h = point, A.dot(point) - b
@@ -509,7 +501,7 @@ def _project_rows(set_: ConvexSet, factors: tuple, x: np.ndarray) -> ProjectionR
                           "the set may be empty")
 
 
-def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
+def _project_curved(set_: ConvexSet, metric: Metric, x, warm=None) -> ProjectionResult:
     """Exact projection onto a set of one ellipsoid E = {v : |M v - d| <= r}, given as
     (M, M^{-1}, d, r), and its own rows {v : A v <= b}, maybe none; a ball is E with M = I.
 
@@ -528,9 +520,16 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
     """
     ((M, Minv, d, r),), A, _, _ = set_._parts
     c, P = Minv @ d, metric.P
-    point = _project_rows(set_, set_._row_factors(metric), x).point if A.size else x
+
+    def onto_rows(factors, v):  # the rows' projection of v from the last one's warm start
+        nonlocal warm
+        result = _project_rows(set_, factors, v, warm)
+        warm = result.warm
+        return result.point
+
+    point = onto_rows(set_._row_factors(metric), x) if A.size else x
     if (y_norm := float(_norm(M @ (point - c)))) <= r:
-        return ProjectionResult(point)
+        return ProjectionResult(point, warm=warm)
     evals, evecs = np.linalg.eigh(Minv.T @ P @ Minv)
     coef = evecs.T @ (rhs := Minv.T @ (P @ (x - c)))
     nearest = c  # p, which is c itself with no rows
@@ -541,17 +540,17 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
             sB = s[:, None] * B
             return (-np.sqrt(s)[:, None] * B, Minv @ (evecs @ sB), B.T @ sB, *unit)
 
-        nearest = _project_rows(set_, rows(np.ones(x.size)), c).point
+        nearest = onto_rows(rows(np.ones(x.size)), c)
         dist = float(_row_norms(M @ (nearest - c)))
         if dist > r + MEMBERSHIP_TOL:
             raise ProjectionError("the ball misses the other members; the intersection is empty")
         if dist >= r:
-            return ProjectionResult(nearest)
+            return ProjectionResult(nearest, warm=warm)
 
     def trial(nu):  # (1/r - 1/|M (v(nu) - c)|, v(nu)); a v(nu) on the center reads as inside
         v = c + Minv @ (evecs @ (coef / (evals + nu)))
         if A.size:
-            v = _project_rows(set_, rows(1.0 / (evals + nu)), v).point
+            v = onto_rows(rows(1.0 / (evals + nu)), v)
         dist = float(_row_norms(M @ (v - c)))
         return (1.0 / r - 1.0 / dist if dist > 0.0 else -1.0 / r), v
 
@@ -559,14 +558,14 @@ def _project_curved(set_: ConvexSet, metric: Metric, x) -> ProjectionResult:
     hi = max(float(_norm(rhs)) / r, float(evals[-1]))
     while (high := trial(hi))[0] > 0.0:
         if hi * np.finfo(float).eps > evals[-1]:
-            return ProjectionResult(nearest)  # S + nu I rounds to nu I: p is the point
+            return ProjectionResult(nearest, warm=warm)  # S + nu I rounds to nu I: p is the point
         hi *= 2.0
     g_lo, tol = 1.0 / r - 1.0 / y_norm, 1e-13 * (1.0 + hi)
     ends, last = [[0.0, g_lo, point], [hi, *high]], None  # (nu, g, v) outside, then inside
     for k in range(200):
         (lo, g_lo, _), (hi, g_hi, v_hi) = ends
         if g_hi == 0.0 or hi - lo <= tol:
-            return ProjectionResult(v_hi, iterations=k)
+            return ProjectionResult(v_hi, k, warm=warm)
         nu = hi - g_hi * (hi - lo) / (g_hi - g_lo)
         g, v = trial(nu)
         j = int(g <= 0.0)  # the end that nu replaces

@@ -9,22 +9,19 @@ The record stores one row per step; vi_residual is the measured natural
 residual |eta_k - Proj_Gamma^P(eta_k - alpha e_k)|_P, computable from the
 logged eta and e columns alone.
 
-One loop serves both entry points: it advances G closed loops that share
-the plant, Gamma and the disturbance schedule in lockstep, one row each.
-simulate is its batch of one and gain_sweep its batch of one row per grid
-point.  Row by row the arithmetic is that of a batch of one, so a sweep row
-equals the solo run of its grid point bit for bit.  The loop stores only
-the state (x, eta); u, e, the constraint margin, the residual and the check
-that u stayed in C come from each row's record after the loop, built only
-when the caller asks for it (so a sweep holds one row's at a time); _apply
-and the plants round each row as if it were alone.  A row whose step maps
-(x, eta) to itself bit for bit has settled: every later step of its
-disturbance segment repeats that step, so the row leaves the batch until
-the next segment starts, and its record gets that stretch only when read.
+One loop, _lockstep, serves both entry points: simulate is its batch of one and
+gain_sweep its batch of one row per grid point, all rows sharing the plant, Gamma
+and the disturbance schedule.  Each row rounds as a batch of one and carries its
+own warm start, so a sweep row equals the solo run of its grid point bit for bit
+and solves as many NNLS.  Besides the warm starts the loop stores only (x, eta);
+u, e, the constraint margin, the residual and the check that u stayed in C come
+from each row's record, built only when the caller asks for it (so a sweep holds
+one row's at a time).  A row that settles leaves the batch until the next segment.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -84,18 +81,21 @@ class Scenario:
         if self.controller.T_s != self.plant.T_s:
             raise ValueError(f"controller T_s = {self.controller.T_s:g} differs from "
                              f"the plant's T_s = {self.plant.T_s:g}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
         if not self.schedule:
             raise ValueError("schedule must not be empty")
-        starts = [int(k) for k, _ in self.schedule]
+        steps = [self.horizon, *(k for k, _ in self.schedule)]
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in steps):
+            raise ValueError(f"the horizon and start steps must be integers, got {steps}")
+        self.horizon, *starts = map(int, steps)
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
         if starts[0] != 0:
             raise ValueError("first schedule entry must start at step 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("schedule start steps must be strictly increasing")
         if starts[-1] >= self.horizon:
             raise ValueError("schedule entry starts beyond the horizon")
-        self.schedule = [(int(k), np.asarray(w, dtype=float)) for k, w in self.schedule]
+        self.schedule = [(k, np.asarray(w[1], dtype=float)) for k, w in zip(starts, self.schedule)]
         for k, w in self.schedule:
             if w.shape != (self.plant.n_w,):
                 raise ValueError(f"disturbance at step {k} must have dimension {self.plant.n_w}")
@@ -170,22 +170,20 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
               damping: Sequence[float]) -> Iterator[SimRecord | SimulationError]:
     """Run the scenario once per (alpha, damping) row, all loops in lockstep.
 
-    Every row runs the scenario's controller (its gain, Gamma, metric and C)
-    from its state eta, with its own alpha = T_s / T_i and damping; each
-    array holds one row per loop.  A step
-    computes u = K eta and e, then the damped projected update and the plant
-    step; one that raises is retried row by row, and a row that fails alone
-    stops while the others run on.  A row that settles (its step left x and
-    eta unchanged, bit for bit) writes only that state at the end of the
-    segment, where the next segment starts from it, and the loop notes the
-    stretch between; the row rejoins at the next segment start.  Each row's
-    record is expanded over its stretches, in its own copy, when it is read,
-    and its u, e, margin, residual and u-in-C check then come from its
-    record of (x, eta), read only up to a failure; a row whose u left C
-    fails at the first such step, whatever it raised later.  The loop runs
-    in full before the call returns; the result yields, in row order, a
-    SimRecord (without segments) or a SimulationError per row, each built
-    only when asked for.
+    Every row runs the scenario's controller (its gain, Gamma, metric and C) from its
+    state eta, with its own alpha = T_s / T_i and damping, and carries its own warm
+    start, none at first, beside its (x, eta) across segments.  A step computes
+    u = K eta and e, then the damped projected update and the plant step; one that
+    raises is retried row by row, and a row that fails alone stops while the others
+    run on.  A row that settles (its step left x and eta unchanged, bit for bit)
+    writes only that state at the end of the segment, where the next segment starts
+    from it, and the loop notes the stretch between; the row rejoins at the next
+    segment start.  Each row's record is expanded over its stretches, in its own
+    copy, when it is read, and its u, e, margin, residual and u-in-C check then come
+    from its record of (x, eta), read only up to a failure; a row whose u left C fails
+    at the first such step, whatever it raised later.  The loop runs in full before
+    the call returns; the result yields, in row order, a SimRecord (without segments)
+    or a SimulationError per row, each built only when asked for.
     """
     plant, base = scenario.plant, scenario.controller
     if not base.gamma.contains(base.eta):
@@ -204,17 +202,16 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     etas[:, 0] = base.eta
 
     def advance(k: int, rows, x_k: np.ndarray, eta_k: np.ndarray, w: np.ndarray,
-                row_gains: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Step k of the given rows from their states (x_k, eta_k), under w and
-        with their gains; writes nothing unless every row succeeds.  Returns the
-        new states and the positions, within x_k, of the rows it left where
-        they were, bit for bit."""
+                row_gains: list, warm: list) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Step k of the given rows from (x_k, eta_k) and their warm starts' cells, under w
+        and with their gains; writes xs and etas only if every row succeeds.  Returns the
+        new states and the positions, within x_k, of the rows it left as they were, bit for bit."""
         u = _apply(K, eta_k)
         e = plant.output(x_k, u, w)
         # a non-finite state shows in e or in plant.step
         if not all(np.isfinite(e).flat):
             raise NumericalError("state or error is not finite")
-        eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e, *row_gains)
+        eta_next = _damped_projected_update(base.gamma, base.metric, eta_k, e, *row_gains, warm)
         x_next = plant.step(x_k, u, w)
         xs[rows, k + 1], etas[rows, k + 1] = x_next, eta_next
         # bit patterns tell -0.0 from +0.0; eta rarely repeats, so its first column goes
@@ -228,6 +225,7 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
     failed: dict[int, tuple[int, SimulationError]] = {}  # row: (its step, failure)
     # row: [(k, end)], each a stretch whose steps k + 1 to end - 1 repeat step k
     stretches: dict[int, list[tuple[int, int]]] = {}
+    cells = [[None] for _ in range(G)]  # each row's warm start, kept across segments
     for (start, end), (_, w) in zip(scenario.segment_bounds(), scenario.schedule):
         live = [g for g in range(G) if g not in failed]  # settled rows rejoin
         x, eta, rows = xs[live, start], etas[live, start], None
@@ -237,21 +235,21 @@ def _lockstep(scenario: Scenario, alpha: Sequence[float],
             if rows is None:  # the live set changed: a basic slice if its rows are consecutive
                 consecutive = live[-1] - live[0] < len(live)
                 rows = slice(live[0], live[-1] + 1) if consecutive else np.array(live)
-                row_gains = [a[rows] for a in gains]
+                row_gains, warm = [a[rows] for a in gains], [cells[g] for g in live]
             try:
-                x, eta, settled = advance(k, rows, x, eta, w, row_gains)
+                x, eta, settled = advance(k, rows, x, eta, w, row_gains, warm)
             except _STEP_ERRORS:
                 for i, g in enumerate(live):
                     try:
                         advance(k, slice(g, g + 1), x[i:i + 1], eta[i:i + 1], w,
-                                [a[g:g + 1] for a in gains])
+                                [a[g:g + 1] for a in gains], [cells[g]])
                     except _STEP_ERRORS as exc:
                         failed[g] = k, _step_failure(k, exc)
                 x, eta, settled, rows = xs[rows, k + 1], etas[rows, k + 1], [], None
             # Step k is a pure function of (x_k, eta_k, w_k): plant.step,
-            # plant.output and the update keep no state between calls (a
-            # warm-started projection must keep it so).  w holds to the
-            # segment end, so up to there a settled row repeats step k.
+            # plant.output and the update keep no state between calls; each
+            # row's warm start is its own, and never moves a bit.  w holds to
+            # the segment end, so up to there a settled row repeats step k.
             for i in settled:
                 g, rows = live[i], None
                 xs[g, end], etas[g, end] = x[i], eta[i]  # where the next segment starts

@@ -120,12 +120,12 @@ def _check_member(problem: VIProblem, eta) -> np.ndarray:
     return eta
 
 
-def _update(problem: VIProblem, alpha: float, damping: float, eta: np.ndarray) -> np.ndarray:
-    """The damped projected update of a member eta, as a batch of one."""
+def _update(problem: VIProblem, alpha: float, damping: float, eta: np.ndarray, warm=None):
+    """The damped projected update of a member eta, as a batch of one; warm holds its cell."""
     _check_step(alpha, damping)
     return _damped_projected_update(problem.constraint, problem.metric, eta[None],
                                     problem.value(eta)[None], np.array([[alpha]]),
-                                    np.array([[damping]]))[0]
+                                    np.array([[damping]]), None, warm)[0]
 
 
 def fb_map(problem: VIProblem, alpha: float, eta) -> np.ndarray:
@@ -156,12 +156,12 @@ def solve_vi(problem: VIProblem, alpha: float, damping: float, eta0, tol: float 
              max_iter: int = 100_000) -> VISolution:
     """Damped forward-backward iteration from eta0 until the natural
     residual drops below tol.  Returns the best iterate seen, flagged
-    non-converged, if max_iter is exhausted."""
+    non-converged, if max_iter is exhausted; each projection is warm started."""
     eta = _check_member(problem, eta0).copy()
-    residuals = []
+    residuals, warm = [], [[None]]
     best_eta, best_res = eta, np.inf
     for it in range(1, max_iter + 1):
-        eta_next = _update(problem, alpha, damping, eta)
+        eta_next = _update(problem, alpha, damping, eta, warm)
         # the increment is damping times eta's step to Proj(eta - alpha F(eta))
         res = problem.metric.norm(eta_next - eta) / damping
         residuals.append(res)

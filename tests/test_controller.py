@@ -187,6 +187,26 @@ def test_classical_zero_error_fixed():
     assert c.eta[0] == pytest.approx(0.4)
 
 
+def test_step_carries_its_warm_start_from_step_to_step(monkeypatch):
+    # the forward steps leave the polygon across its total-flow face, then past
+    # its vertex (45, 40): one NNLS finds each, and the other 16 projections of
+    # the 18 keep the last warm
+    import dpic.sets as sets_mod
+
+    solves, real = [0], sets_mod._nnls
+
+    def nnls(*args):
+        solves[0] += 1
+        return real(*args)
+
+    box = Intersection([Box([0.0, 0.0], [45.0, 45.0]), Halfspace([1.0, 1.0], 85.0)])
+    c = make_dpi(constraint=box, eta0=[40.0, 40.0])
+    monkeypatch.setattr(sets_mod, "_nnls", nnls)
+    for _ in range(20):
+        c.step(np.array([-3.0, -2.0]))
+    assert c.eta.tolist() == [45.0, 40.0] and solves[0] == 2
+
+
 def test_batched_update_equals_per_row_steps():
     from dpic.controller import _damped_projected_update
 

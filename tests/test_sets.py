@@ -286,13 +286,21 @@ def _vertex_edge_points(gamma, metric):
     return points
 
 
-def test_a_cached_active_set_never_changes_a_projection_bit():
-    # the active set of the last NNLS solve is a hint: every 1- and 2-row
-    # cached set, the parallel box rows upper[0] / lower[0] among them, must
-    # give the cold projection byte for byte, also where a multiplier or a
-    # slack of the answer is within rounding of zero
+def test_a_cached_active_set_never_changes_a_projection_bit(monkeypatch):
+    # a warm start is a hint: every 1- and 2-row warm start, the parallel box
+    # rows upper[0] / lower[0] among them, must give the cold projection byte
+    # for byte, also where a multiplier or a slack of the answer is within
+    # rounding of zero; and a warm start that fits must skip the NNLS solve
+    import dpic.sets as sets_mod
     from dpic import build_setup, preset_config
 
+    solves, real = [0], sets_mod._nnls
+
+    def nnls(*args):
+        solves[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sets_mod, "_nnls", nnls)
     setup = build_setup(preset_config("four-tank"))
     tank = setup.controller.gamma
     rng = np.random.default_rng(57)
@@ -300,36 +308,41 @@ def test_a_cached_active_set_never_changes_a_projection_bit():
     poly_metric = Metric(random_spd(rng, 3))
     P, ball, A, b, _ = ball_polygon_cases()[1]
     capped = Intersection([ball, Polyhedron(A, b)])
-    # (set, metric, points): each set keeps its own rows' active set, the ball's too
+    # (set, metric, points): each warm start holds rows of the set's own rows
     cases = [(tank, setup.metric, _vertex_edge_points(tank, setup.metric)),
              (poly, poly_metric,
               [rng.uniform(1.5, 4.0) * rng.standard_normal(3) for _ in range(40)]),
              (capped, Metric(P), [ball.center + 4.0 * rng.standard_normal(2) for _ in range(15)])]
-    tried = 0
+    tried = kept = 0
     for s, metric, points in cases:
         rows = len(s._parts[2])
-        hints = [np.array(S) for k in (1, 2) for S in itertools.combinations(range(rows), k)]
+        # (rows, Gram matrix, ...): a Gram matrix that is not the metric's has the
+        # engine cut the warm start's blocks again from its rows
+        hints = [(np.array(S), None, None, None)
+                 for k in (1, 2) for S in itertools.combinations(range(rows), k)]
         for x in points:
             if s.margin(x) >= 0.0:  # in the set with no tolerance
                 continue
-            s._active = None
             cold = s.project(metric, x)
-            for S in hints:
-                s._active = S
-                warm = s.project(metric, x)
-                assert warm.point.tobytes() == cold.point.tobytes(), (x, S)
+            for hint in hints:
+                before = solves[0]
+                warm = s.project(metric, x, hint)
+                assert warm.point.tobytes() == cold.point.tobytes(), (x, hint[0])
                 assert warm.iterations == cold.iterations
+                kept += solves[0] == before
                 tried += 1
     assert tried > 3000
+    assert kept > 50  # 57 of them skip NNLS; none would if the warm start were ignored
 
 
 def test_a_warm_polish_at_the_origin_divides_no_zero_by_zero():
-    # the cached row x_0 <= 0 runs through the origin, and its polish from
+    # the warm row x_0 <= 0 runs through the origin, and its polish from
     # x = 0 is x itself: that row's rounding scale |b| + |a| (|x| + |v|) is 0
     poly = Polyhedron([[1.0, 0.0], [0.0, -1.0]], [0.0, -1.0])
-    assert np.array_equal(poly.project(I2, [1.0, 5.0]).point, [0.0, 5.0])
-    assert poly._active.tolist() == [0]
-    assert np.array_equal(poly.project(I2, [0.0, 0.0]).point, [0.0, 1.0])
+    first = poly.project(I2, [1.0, 5.0])
+    assert np.array_equal(first.point, [0.0, 5.0])
+    assert first.warm[0].tolist() == [0]
+    assert np.array_equal(poly.project(I2, [0.0, 0.0], first.warm).point, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("factor, entry", [(5, 2), (3, (0, 0))])
@@ -347,23 +360,24 @@ def test_a_nan_in_the_warm_polish_rejects_the_cached_active_set(monkeypatch, fac
         return real(*args)
 
     monkeypatch.setattr(sets_mod, "_nnls", nnls)
-    square.project(I2, [3.0, 0.5])
-    assert square._active.tolist() == [0] and len(solves) == 1
-    assert np.array_equal(square.project(I2, [3.0, 0.2]).point, [1.0, 0.2])
-    assert len(solves) == 1  # the cached row was kept
+    first = square.project(I2, [3.0, 0.5])
+    assert first.warm[0].tolist() == [0] and len(solves) == 1
+    assert np.array_equal(square.project(I2, [3.0, 0.2], first.warm).point, [1.0, 0.2])
+    assert len(solves) == 1  # the warm row was kept
+    # new factors for the same metric: the warm start's blocks are cut again from them
     factors = [np.array(f, copy=True) if i else f for i, f in enumerate(square._factors)]
     factors[factor][entry] = np.nan
     square._factors = tuple(factors)
     with pytest.raises(ProjectionError):  # the cold polish reads the NaN too
-        square.project(I2, [3.0, 0.2])
+        square.project(I2, [3.0, 0.2], first.warm)
     assert len(solves) == 2
 
 
 def test_cached_blocks_never_outlive_their_rows_or_factors(monkeypatch):
-    # a warm polish reads the Gram block and P^{-1} A_S^T columns it kept from
-    # the last polish; a metric change, or a ball's root-find trial with its
-    # fresh factors, must cut them again: each projection gives the bytes of
-    # the cold one (_active = None) on a twin set
+    # a warm polish reads the Gram block and P^{-1} A_S^T columns its warm start
+    # carries; a metric change, or a ball's root-find trial with its fresh
+    # factors, must cut them again: each projection from the last one's warm
+    # start gives the bytes of the cold one
     import dpic.sets as sets_mod
 
     solves, real = [0], sets_mod._nnls
@@ -376,31 +390,53 @@ def test_cached_blocks_never_outlive_their_rows_or_factors(monkeypatch):
     rng = np.random.default_rng(71)
     metrics = [Metric(random_spd(rng, 3)) for _ in range(2)]
     poly = _random_polytope(rng, 3, 8)
-    twin = Polyhedron(*poly._parts[1:3])
     P, ball, A, b, _ = ball_polygon_cases()[1]
-    capped, capped_twin = (Intersection([ball, Polyhedron(A, b)]) for _ in range(2))
+    capped = Intersection([ball, Polyhedron(A, b)])
     start, step = 3.0 * rng.standard_normal(3), 0.05 * rng.standard_normal(3)
     warm_solves = projected = 0
+    last = None
     for k in range(60):
         # runs of three steps in one metric, then three in the other
         x, metric = start + k * step, metrics[k // 3 % 2]
         before = solves[0]
-        warm = poly.project(metric, x)
+        warm = poly.project(metric, x, last)
         warm_solves += solves[0] - before
         projected += poly.margin(x) < 0.0
-        twin._active = None
-        assert warm.point.tobytes() == twin.project(metric, x).point.tobytes(), k
+        assert warm.point.tobytes() == poly.project(metric, x).point.tobytes(), k
+        last = warm.warm
     assert warm_solves < projected // 2  # most steps kept the last active set
-    trials, metric = 0, Metric(P)
+    trials, metric, last = 0, Metric(P), None
     for k in range(40):
         x = ball.center + [1.5, 2.5] + 0.02 * k * np.array([1.0, -0.3])
-        warm = capped.project(metric, x)
-        capped_twin._active = None
-        cold = capped_twin.project(metric, x)
+        warm = capped.project(metric, x, last)
+        cold = capped.project(metric, x)
         assert warm.point.tobytes() == cold.point.tobytes(), k
         assert warm.iterations == cold.iterations
-        trials += warm.iterations
+        trials, last = trials + warm.iterations, warm.warm
     assert trials > 40
+
+
+def test_a_projection_leaves_its_set_as_it_found_it():
+    # the warm start travels in the result, and no projection writes the set:
+    # the second projection in one metric leaves vars() as the first left it
+    from dpic import build_setup, preset_config
+
+    setup = build_setup(preset_config("four-tank"))
+    P, ball, A, b, _ = ball_polygon_cases()[1]
+    rng = np.random.default_rng(5)
+    cases = [(Box([0.0, 0.0], [1.0, 1.0]), I2, [[3.0, -2.0], [0.5, 4.0]]),
+             (_random_polytope(rng, 3, 8), Metric(random_spd(rng, 3)),
+              [[4.0, -3.0, 2.5], [-3.5, 2.0, 4.0]]),
+             (Intersection([ball, Polyhedron(A, b)]), Metric(P),
+              [ball.center + [1.5, 2.5], ball.center + [-2.0, 1.0]]),
+             (setup.controller.gamma, setup.metric, [[400.0, -30.0], [-5.0, 90.0]])]
+    for s, metric, (x, y) in cases:
+        assert not (s.contains(x) or s.contains(y))
+        first = s.project(metric, x)
+        after_first = dict(vars(s))
+        s.project(metric, y, first.warm)
+        assert vars(s).keys() == after_first.keys()
+        assert all(vars(s)[name] is value for name, value in after_first.items()), s
 
 
 def test_far_points_project_within_the_rounding_rule_or_raise():
@@ -545,7 +581,6 @@ def test_numpy_nnls_matches_scipy_nnls(monkeypatch):
         points = []
         for solver in (engine, nnls):
             monkeypatch.setattr(sets_mod, "_nnls", solver)
-            s._active = None
             try:
                 points.append(s.project(metric, x).point.tobytes())
             except ProjectionError:
@@ -708,8 +743,9 @@ def test_a_near_miss_is_projected_again_from_its_polished_point(monkeypatch):
     monkeypatch.setattr(sets_mod, "_nnls", counted)
     poly = Polyhedron(A, b)  # whose emptiness test projects the origin
     assert len(solves) == 1
-    assert poly._active.tolist() == [1, 2, 5]
-    point = poly.project(Metric.identity(3), np.zeros(3)).point
+    result = poly.project(Metric.identity(3), np.zeros(3))
+    assert len(solves) == 2 and result.warm[0].tolist() == [1, 2, 5]
+    point = result.point
     # the least-norm solution of rows 1, 2 and 5 held to equality, by SVD
     exact = np.linalg.lstsq(A[[1, 2, 5]], b[[1, 2, 5]], rcond=None)[0]
     assert np.max(np.abs(point - exact)) <= 1e-12 * np.linalg.norm(exact)
@@ -729,9 +765,10 @@ def test_a_near_miss_is_projected_again_from_its_polished_point(monkeypatch):
     cone = Polyhedron(A, np.zeros(rows))
     x = np.array([-0.2236985966510682, 0.5351437739259405])
     solves.clear()
-    point = cone.project(Metric.identity(2), x).point
+    result = cone.project(Metric.identity(2), x)
+    point = result.point
     assert len(solves) == 2
-    assert cone._active.tolist() == [3, 4]
+    assert result.warm[0].tolist() == [3, 4]
     exact = nullspace_project(np.eye(2), A, np.zeros(rows), x)
     assert np.max(np.abs(point - exact)) <= 1e-15 * (1.0 + np.linalg.norm(x))
 

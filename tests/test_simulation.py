@@ -171,6 +171,25 @@ def test_schedule_validation():
                                               (10, np.array([1.0]))])
 
 
+@pytest.mark.parametrize("horizon, start", [(400.7, 200), (400, 200.9), (400, 200.0),
+                                            (True, 0), (400, True), (400, np.True_),
+                                            (np.inf, 200), (400, np.nan), ("400", 200)])
+def test_a_scenario_takes_only_integer_steps(horizon, start):
+    # a fraction once truncated to its step and True read as step 1; a float
+    # horizon was kept, and simulate then failed on it with a bare TypeError.
+    # As in a config, whose _as_int rejects them, a float is no step
+    schedule = [(0, np.array([0.5])), (start, np.array([1.0]))] if start else None
+    with pytest.raises(ValueError, match="start steps must be integers"):
+        scalar_scenario(horizon=horizon, schedule=schedule)
+
+
+def test_a_scenario_keeps_numpy_integer_steps_as_ints():
+    s = scalar_scenario(horizon=np.int64(30), schedule=[(0, np.array([0.5])),
+                                                         (np.int32(10), np.array([1.0]))])
+    assert [type(k) for k, _ in s.schedule] == [int, int] and type(s.horizon) is int
+    assert [(seg.start, seg.end) for seg in simulate(s).segments] == [(0, 10), (10, 30)]
+
+
 def test_segment_bookkeeping():
     s = scalar_scenario(horizon=30, schedule=[(0, np.array([0.5])),
                                               (10, np.array([0.2])),
@@ -423,6 +442,36 @@ def test_a_sweep_starts_where_simulate_starts(monkeypatch):
     row, = rows
     assert_same_run(row, solo)
     assert report.points[0].final_vi_residual == row.vi_residual[-1]
+
+
+def test_a_sweep_makes_the_nnls_solves_of_its_solo_runs(monkeypatch):
+    # every row of this grid binds the box's upper face after step 200; each row
+    # carries its own warm start, so a row's projections solve as many NNLS in
+    # the sweep as in its solo run, whichever row projected before it
+    import dpic.sets as sets_mod
+    from dpic import build_setup, preset_config
+
+    cfg = preset_config("lti-demo")
+    cfg["sweep"]["schedule"] = [[0, [0.5]], [200, [2.0]]]
+    solves, real = [0], sets_mod._nnls
+
+    def nnls(*args):
+        solves[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sets_mod, "_nnls", nnls)
+
+    def sweep(T_i, damping):  # the NNLS solves of a sweep on a freshly built setup
+        spec = build_setup(cfg).sweep
+        before = solves[0]
+        report = gain_sweep(spec["scenario"], T_i, damping)
+        assert not any(p.error for p in report.points)
+        return solves[0] - before
+
+    T_i, damping = cfg["sweep"]["T_i"], cfg["sweep"]["lambda"]
+    alone = [sweep([t], [d]) for t in T_i for d in damping]
+    assert min(alone) >= 1  # every row projects onto the face
+    assert sweep(T_i, damping) == sum(alone)
 
 
 def test_gain_sweep_builds_no_controller(monkeypatch):

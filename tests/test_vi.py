@@ -206,6 +206,27 @@ def test_active_upper_bound():
     assert all((eta - 1.0) * (-1.0) >= 0.0 for eta in (0.0, 0.5, 1.0))
 
 
+def test_solve_vi_carries_its_warm_start_from_step_to_step(monkeypatch):
+    # the solution binds the face x_0 <= 1 of a polyhedron under a full metric:
+    # one NNLS finds that face, and every later projection keeps it warm
+    import dpic
+    import dpic.sets as sets_mod
+
+    solves, real = [0], sets_mod._nnls
+
+    def nnls(*args):
+        solves[0] += 1
+        return real(*args)
+
+    square = dpic.Polyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], np.ones(4))
+    metric = Metric([[2.0, 0.5], [0.5, 1.0]])
+    problem = VIProblem(affine(np.eye(2), [-3.0, 0.2]), square, metric)
+    monkeypatch.setattr(sets_mod, "_nnls", nnls)
+    sol = solve_vi(problem, 0.5, 0.5, np.zeros(2), tol=1e-12)
+    assert sol.converged and sol.eta[0] == 1.0 and sol.iterations > 20
+    assert solves[0] == 1
+
+
 def test_residual_decreases_monotonically():
     rng = np.random.default_rng(42)
     for _ in range(10):
