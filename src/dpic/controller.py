@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metric import Metric
+from .metric import Metric, _vec
 from .sets import ConvexSet, LinearPreimage
 
 __all__ = ["DPIController", "ClassicalIntegralController"]
@@ -42,6 +42,14 @@ def _checked_alpha(T_s: float, T_i: float, damping: float) -> float:
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie strictly in (0, 1)")
     return alpha
+
+
+def _checked_error(e, size: int) -> np.ndarray:
+    """A controller's error input, once it is finite and of the integrator's size."""
+    e = np.asarray(e, dtype=float)
+    if e.shape != (size,) or not np.isfinite(e).all():
+        raise ValueError(f"error must be finite, of shape ({size},); got {e}")
+    return e
 
 
 def _damped_projected_update(gamma: ConvexSet, metric: Metric, eta: np.ndarray,
@@ -98,7 +106,7 @@ class DPIController:
                 raise ValueError("eta0 is not a member of Gamma")
         else:
             seed = np.zeros(self.gamma.dim) if u0 is None else \
-                np.linalg.solve(K, np.asarray(u0, dtype=float))
+                np.linalg.solve(K, _vec(u0, K.shape[0]))
             eta = seed if self.gamma.contains(seed) else \
                 self.gamma.project(metric, seed).point
         self.eta, self._warm = eta.copy(), [None]  # the cell of step's warm start
@@ -106,9 +114,7 @@ class DPIController:
     def step(self, e) -> np.ndarray:
         """Advance the integrator on error e; returns the input computed
         from the state before the update."""
-        e = np.asarray(e, dtype=float)
-        if e.shape != (self.eta.size,) or not np.isfinite(e).all():
-            raise ValueError(f"error must be finite, of shape ({self.eta.size},); got {e}")
+        e = _checked_error(e, self.eta.size)
         u = self.gain @ self.eta
         self.eta = _damped_projected_update(
             self.gamma, self.metric, self.eta[None], e[None],
@@ -130,7 +136,7 @@ class ClassicalIntegralController:
         self.eta = eta.copy()
 
     def step(self, e) -> np.ndarray:
-        e = np.asarray(e, dtype=float)
+        e = _checked_error(e, self.eta.size)
         u = self.gain @ self.eta
         self.eta = self.eta - self.alpha * e
         return u

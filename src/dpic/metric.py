@@ -46,13 +46,14 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    """_row_norms(x), but a finite row whose squares overflow, past about 1.3e154,
-    takes the norm of np.hypot, which scales, in place of inf, and with no warning."""
+    """_row_norms(x), but a finite nonzero row whose squares overflow, past about 1.3e154,
+    or underflow, below about 1.5e-154 (the root of the smallest normal double), takes
+    the norm of np.hypot, which scales, in place of inf (with no warning) or of 0."""
     with np.errstate(over="ignore"):
         norms = _row_norms(x)
-    if (over := np.isinf(norms)).any():
-        over &= np.isfinite(x).all(axis=-1)
-        norms[over] = np.hypot.reduce(x[over], axis=-1)
+    if (scaled := ~(norms >= 1.5e-154) | np.isinf(norms)).any():
+        scaled &= np.isfinite(x).all(axis=-1) & x.any(axis=-1)
+        norms[scaled] = np.hypot.reduce(x[scaled], axis=-1)
     return norms
 
 

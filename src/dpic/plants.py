@@ -50,7 +50,7 @@ STATIC_GAIN_TOL = 1e-12
 
 
 def _positive(values, count: int, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)  # a copy: the caller's array may change
     if values.shape != (count,) or not np.all((values > 0.0) & (values < np.inf)):
         raise ValueError(f"{name} must be {count} finite positive values")
     return values
@@ -238,7 +238,7 @@ class FourTankPlant(PlantModel):
                  nominal_input=(32.64, 32.64),
                  outlet_areas=None):
         areas = _positive(tank_areas, 4, "tank_areas")
-        gammas = np.asarray(split_ratios, dtype=float)
+        gammas = np.array(split_ratios, dtype=float)
         if gammas.shape != (2,) or not np.all((gammas > 0.0) & (gammas < 1.0)):
             raise ValueError("split_ratios must be two values in (0, 1)")
         if abs(gammas.sum() - 1.0) < 1e-9:
@@ -259,8 +259,8 @@ class FourTankPlant(PlantModel):
                 (1.0 - g2) * u_nom[1] / v[2],
                 (1.0 - g1) * u_nom[0] / v[3],
             ], 4, "calibrated outlet_areas")
-            self.h_nominal = h_nom.copy()
-            self.u_nominal = u_nom.copy()
+            self.h_nominal = h_nom
+            self.u_nominal = u_nom
         else:
             outlet = _positive(outlet_areas, 4, "outlet_areas")
             self.h_nominal = None

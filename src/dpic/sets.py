@@ -1,15 +1,15 @@
 """Convex constraint sets with projections in a weighted metric.
 
-Every set has one description, built on first use and cached: halfspace
-rows {v : A v <= b} with their Euclidean row norms, met with ellipsoids
-{v : |M v - d| <= r}.  A box, halfspace or polyhedron gives rows and a ball
-one ellipsoid with M = I; an intersection stacks its members' parts (a
+Every set is built whole: its constructor copies its inputs into one read-only
+description, halfspace rows {v : A v <= b} with their Euclidean row norms, met
+with ellipsoids {v : |M v - d| <= r}.  A box, halfspace or polyhedron gives rows
+and a ball one ellipsoid with M = I; an intersection stacks its members' parts (a
 member intersection's own, so nesting changes no bit), and a linear preimage
-{x : K x in C} maps C's once, rows A K and ellipsoids M K.
-Membership to within MEMBERSHIP_TOL and margin (each one row product, then
-|M x - d| per ellipsoid), the normals of the tight constraints, the bounding
-box and the projection all read it, a linear preimage's included.  A point
-in a batch gets the answer it gets alone.
+{x : K x in C} maps C's once, rows A K and ellipsoids M K.  Membership to within
+MEMBERSHIP_TOL and margin (each one row product, then |M x - d| per ellipsoid),
+the normals of the tight constraints, the bounding box and the projection all
+read it, a linear preimage's included.  A point in a batch gets the answer it
+gets alone.
 
 Every projection is exact, by one of two engines that read the set's own rows:
 rows alone by a least-distance program whose scaled dual a numpy Lawson-Hanson NNLS
@@ -17,19 +17,19 @@ solves, and one ellipsoid with any rows by one root find for its multiplier, who
 trials run the first engine on factors of one eigendecomposition; an intersection
 refuses a second ellipsoid.  A projection starts from the caller's warm start, the
 active rows of an earlier result with their blocks, and keeps that point only where
-the KKT conditions hold with WARM_MARGIN to spare: a hint, never a bit.  The set
-keeps nothing that picks a path, only its row factors in the last metric.  A point
-v for x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| + |v|)) on each row,
-|x| and |v| by hypot.  Other norms take metric._norm, finite where squares overflow;
-the per-step verdicts (_contains, curved trials) take _row_norms, as inf reads
-outside, skipping a 3 us guard.
+the KKT conditions hold with WARM_MARGIN to spare: a hint, never a bit.  Once built,
+a set adds two memos that pick no path: _factors, its row factors in the last metric,
+and _bbox.  A point v for x is kept only if a_i.v - b_i <= 1e-12 (|b_i| + |a_i| (|x| +
+|v|)) on each row, |x| and |v| by hypot.  Other norms take metric._norm, finite where
+squares overflow or underflow; the per-step verdicts (_contains, curved trials) take
+_row_norms, as inf reads outside, skipping a 3 us guard.
 
 The normal-cone residual is one more NNLS, on the tight normals.  Bounding
 boxes come exact along each axis of an ellipsoid and, by weak duality, one
 NNLS per side gives a bound enclosing the rows (exact on boxes); a side whose
-dual y misses A^T y = +-e_i by more than 1e-12 reads inf.  The sets
-are immutable once built; margin, and the membership test _contains that
-the loop runs, take a (..., dim) array of points as well as a single point.
+dual y misses A^T y = +-e_i by more than 1e-12 reads inf.  Margin, and the
+membership test _contains that the loop runs, take a (..., dim) array of points
+as well as a single point.
 """
 
 from __future__ import annotations
@@ -77,10 +77,12 @@ class ProjectionResult:
     warm: tuple | None = field(default=None, repr=False)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    """Read-only float copies of arrays, in C order."""
+    copies = tuple(np.array(a, dtype=float, order="C") for a in arrays)
+    for a in copies:
         a.flags.writeable = False
-    return arrays
+    return copies
 
 
 class ConvexSet:
@@ -90,10 +92,17 @@ class ConvexSet:
     _factors = None  # (metric, *_row_factors(metric)) of the last metric projected in
 
     @cached_property
-    def _parts(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """(ellipsoids [(M, M^{-1}, d, r)], A, b, row norms), read-only: the set is
-        {v : A v <= b} met with each {v : |M v - d| <= r}.  Every operation reads it."""
+    def _parts(self) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+        """(ellipsoids ((M, M^{-1}, d, r), ...), A, b, row norms), fixed by _describe: the
+        set is {v : A v <= b} met with each {v : |M v - d| <= r}.  Every operation reads it."""
         raise NotImplementedError(f"{type(self).__name__} has no description")
+
+    def _describe(self, ellipsoids, A, b, norms) -> None:
+        """Fix _parts from read-only copies of its parts, and beside it _upper, the
+        b + MEMBERSHIP_TOL that _contains reads."""
+        self._parts = (tuple(_read_only(M, Minv, d) + (r,) for M, Minv, d, r in ellipsoids),
+                       *_read_only(A, b, norms))
+        self._upper = _read_only(self._parts[2] + MEMBERSHIP_TOL)[0]
 
     def contains(self, x) -> bool:
         """Whether x satisfies every defining inequality to within MEMBERSHIP_TOL."""
@@ -196,10 +205,6 @@ class ConvexSet:
             raise ValueError("the set is empty: an ellipsoid misses its other constraints")
         return -top[1], top[0]
 
-    @cached_property
-    def _upper(self) -> np.ndarray:  # b + MEMBERSHIP_TOL, read-only, for _contains
-        return _read_only(self._parts[2] + MEMBERSHIP_TOL)[0]
-
     def _row_factors(self, metric: Metric):
         """The factors _project_rows takes of the set's own rows in metric P = L L^T.
 
@@ -231,19 +236,15 @@ class Box(ConvexSet):
             raise ValueError("box is empty: a lower bound exceeds its upper bound")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("box is empty: a lower bound of +inf or an upper bound of -inf")
-        self.lower = lower
-        self.upper = upper
+        self.lower, self.upper = _read_only(lower, upper)
         self.dim = int(lower.size)
-
-    @cached_property
-    def _parts(self):
         # e_0, -e_0, e_1, -e_1, ... over the finite bounds; 0.0 - v, not -v,
         # keeps zeros +0.0, as x - lower's slack is at x = +0.0 on a zero bound
         eye = np.eye(self.dim)
         rows = np.stack([eye, 0.0 - eye], axis=1).reshape(-1, self.dim)
         rhs = np.stack([self.upper, 0.0 - self.lower], axis=1).ravel()
         finite = np.isfinite(rhs)
-        return ([], *_read_only(rows[finite], rhs[finite], np.ones(np.count_nonzero(finite))))
+        self._describe((), rows[finite], rhs[finite], np.ones(np.count_nonzero(finite)))
 
 
 class Halfspace(ConvexSet):
@@ -254,12 +255,12 @@ class Halfspace(ConvexSet):
         norm = _norm(a) if a.ndim == 1 else 0.0
         if not (np.all(np.isfinite(a)) and norm > 0.0):
             raise ValueError("halfspace normal must be a finite nonzero vector")
-        self.a = a
         self.b = float(offset)
         if not math.isfinite(self.b):
             raise ValueError("halfspace offset must be finite")
+        (self.a,) = _read_only(a)
         self.dim = int(a.size)
-        self._parts = ([], *_read_only(a[None, :].copy(), np.array([self.b]), np.array([norm])))
+        self._describe((), a[None, :], [self.b], [norm])
 
 
 class Ball(ConvexSet):
@@ -272,22 +273,18 @@ class Ball(ConvexSet):
             raise ValueError("ball center must be a finite vector")
         if not (r > 0.0 and np.isfinite(r)):
             raise ValueError("ball radius must be positive and finite")
-        self.center = c
+        (self.center,) = _read_only(c)
         self.radius = r
         self.dim = int(c.size)
-
-    @cached_property
-    def _parts(self):
         eye = np.eye(self.dim)
-        return ([(eye, eye, self.center, self.radius)],
-                *_read_only(np.empty((0, self.dim)), np.empty(0), np.empty(0)))
+        self._describe([(eye, eye, c, r)], np.empty((0, self.dim)), [], [])
 
     project = ConvexSet.project  # in the class's own namespace, where per-class tracing looks
 
 
 class Polyhedron(ConvexSet):
-    """{x : A x <= b}; construction keeps a member, the origin's projection, and
-    rejects the set as empty exactly where that projection fails."""
+    """{x : A x <= b}; construction rejects the set as empty exactly where the
+    origin's projection fails."""
 
     def __init__(self, A, b):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -299,13 +296,11 @@ class Polyhedron(ConvexSet):
         norms = _norm(A)
         if np.any(norms == 0.0):
             raise ValueError("polyhedron has a zero row")
-        self.A = A
-        self.b = b
+        self.A, self.b = _read_only(A, b)
         self.dim = int(A.shape[1])
-        self._parts = ([], *_read_only(A.copy(), b.copy(), norms))
+        self._describe((), A, b, norms)
         try:
-            self._member = _project_rows(self, self._row_factors(Metric.identity(self.dim)),
-                                         np.zeros(self.dim)).point
+            _project_rows(self, self._row_factors(Metric.identity(self.dim)), np.zeros(self.dim))
         except ProjectionError:
             raise ValueError("polyhedron is empty") from None
 
@@ -322,14 +317,10 @@ class Intersection(ConvexSet):
         if len({s.dim for s in self.sets}) != 1:
             raise ValueError("intersection components have mismatched dimensions")
         self.dim = self.sets[0].dim
-        if len(self._parts[0]) > 1:  # which no projection engine takes
-            raise ValueError("an intersection projects with at most one non-polyhedral member")
-
-    @cached_property
-    def _parts(self):
         ellipsoids, A, b, norms = zip(*(s._parts for s in self.sets))
-        return (sum(ellipsoids, []),
-                *_read_only(np.vstack(A), np.concatenate(b), np.concatenate(norms)))
+        if len(ellipsoids := sum(ellipsoids, ())) > 1:  # which no projection engine takes
+            raise ValueError("an intersection projects with at most one non-polyhedral member")
+        self._describe(ellipsoids, np.vstack(A), np.concatenate(b), np.concatenate(norms))
 
     project = ConvexSet.project
 
@@ -351,16 +342,11 @@ class LinearPreimage(ConvexSet):
             raise ValueError("map K must be finite")
         if np.linalg.cond(K) > 1e12:
             raise ValueError("map K is singular or near-singular")
-        self.K = K
-        self.inner = inner
-        self.dim = int(K.shape[1])
-        self._Kinv = np.linalg.inv(K)
-
-    @cached_property
-    def _parts(self):
-        ellipsoids, A, b, norms = self.inner._parts
-        return ([(M @ self.K, self._Kinv @ Minv, d, r) for M, Minv, d, r in ellipsoids],
-                *_read_only(A @ self.K), b, norms)
+        K.flags.writeable = False
+        self.K, self.inner, self.dim = K, inner, int(K.shape[1])
+        ellipsoids, A, b, norms = inner._parts
+        self._describe([(M @ K, np.linalg.inv(K) @ Minv, d, r) for M, Minv, d, r in ellipsoids],
+                       A @ K, b, norms)
 
     project = ConvexSet.project
 

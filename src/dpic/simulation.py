@@ -95,7 +95,7 @@ class Scenario:
             raise ValueError("schedule start steps must be strictly increasing")
         if starts[-1] >= self.horizon:
             raise ValueError("schedule entry starts beyond the horizon")
-        self.schedule = [(k, np.asarray(w[1], dtype=float)) for k, w in zip(starts, self.schedule)]
+        self.schedule = [(k, np.array(w[1], dtype=float)) for k, w in zip(starts, self.schedule)]
         for k, w in self.schedule:
             if w.shape != (self.plant.n_w,):
                 raise ValueError(f"disturbance at step {k} must have dimension {self.plant.n_w}")
@@ -104,7 +104,7 @@ class Scenario:
         if (shape := self.controller.gain.shape) != (self.plant.m, self.plant.p):
             raise ValueError(f"gain must be {self.plant.m}x{self.plant.p} "
                              f"(plant inputs x tracked errors), got {shape[0]}x{shape[1]}")
-        self.x0 = np.asarray(self.x0, dtype=float)
+        self.x0 = np.array(self.x0, dtype=float)
         if self.x0.shape != (self.plant.n,):
             raise ValueError("x0 does not match the plant state dimension")
         if not np.isfinite(self.x0).all():

@@ -189,6 +189,8 @@ def exact_mu_L(jacobian, metric: Metric, box: Box | None = None) -> tuple[float,
     """
     if box is None:
         points = np.zeros((1, metric.dim))
+    elif box.dim != metric.dim:
+        raise ValueError(f"box has dimension {box.dim}, the metric {metric.dim}")
     else:
         points = np.array(list(itertools.product(*zip(box.lower, box.upper))))
     J = np.asarray(jacobian(points), dtype=float)

@@ -19,6 +19,7 @@ from dpic import (
     VIProblem,
     davison_check,
     estimate_mu_L,
+    exact_mu_L,
     sample_points,
 )
 
@@ -46,6 +47,16 @@ CASES = {
     "classical-gain-not-finite": (
         lambda: ClassicalIntegralController([[np.nan]], 1.0, 10.0, [0.0]),
         ValueError, "gain must be a finite matrix"),
+    "controller-u0-dim": (
+        lambda: DPIController(np.eye(2), Box([-1.0, -1.0], [1.0, 1.0]), Metric.identity(2),
+                              T_s=1.0, T_i=10.0, damping=0.5, u0=[0.0, 0.0, 0.0]),
+        ValueError, r"expected vector of dimension 2, got shape \(3,\)"),
+    "classical-error-dim": (
+        lambda: ClassicalIntegralController([[1.0]], 1.0, 1.0, [0.0]).step([1.0, 2.0]),
+        ValueError, r"error must be finite, of shape \(1,\)"),
+    "classical-error-not-finite": (
+        lambda: ClassicalIntegralController([[1.0]], 1.0, 1.0, [0.0]).step([np.nan]),
+        ValueError, r"error must be finite, of shape \(1,\)"),
     "classical-eta0-dim": (
         lambda: ClassicalIntegralController(np.eye(2), 1.0, 10.0, [0.0]),
         ValueError, "eta0 does not match the gain input dimension"),
@@ -94,6 +105,10 @@ CASES = {
     "vi-dims": (
         lambda: VIProblem(lambda eta: eta, Box([0.0], [1.0]), Metric.identity(2)),
         ValueError, "dimensions differ"),
+    "mu-L-box-dim": (
+        lambda: exact_mu_L(lambda eta: np.broadcast_to(np.eye(2), (len(eta), 2, 2)),
+                           Metric.identity(2), Box([0.0], [1.0])),
+        ValueError, "box has dimension 1, the metric 2"),
     "mu-L-no-pairs": (
         lambda: estimate_mu_L(lambda eta: eta, Box([0.0], [1e-14]), Metric.identity(1),
                               samples=4),

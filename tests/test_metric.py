@@ -33,6 +33,12 @@ def test_norm_examples():
     # norm, with no overflow warning, and the other rows keep their bits
     norms = m.norm([[1.5e300, 4e300], [1.0, 1.0]])
     assert norms.tolist() == [pytest.approx(5e300, rel=1e-15), m.norm([1.0, 1.0])]
+    # below about 1.5e-154 they underflow, and a nonzero row still reads its norm,
+    # where it once read 0; a zero row reads 0 and a NaN row NaN
+    assert Metric.identity(2).norm([1e-170, 1e-170]) == pytest.approx(np.sqrt(2.0) * 1e-170)
+    norms = m.norm([[1.5e-170, 4e-170], [0.0, 0.0], [np.nan, 1.0]])
+    assert norms[0] == pytest.approx(5e-170, rel=1e-15)
+    assert norms[1] == 0.0 and np.isnan(norms[2])
 
 
 def test_cauchy_schwarz_and_triangle():

@@ -157,6 +157,27 @@ def test_nominal_point_is_fixed():
     assert np.max(np.abs(h1 - tank.h_nominal)) <= 1e-6
 
 
+def test_a_four_tank_plant_keeps_copies_of_its_arrays():
+    # an edit of the arrays a plant was built from moves none of its answers:
+    # flow_gain, pi_x and pi_jacobian read the split ratios and outlet areas
+    # as step does, from the plant's own copies
+    calibrated = {"tank_areas": np.full(4, 28.0), "split_ratios": np.array([0.7, 0.7]),
+                  "nominal_levels": np.array([10.0, 10.0, 5.38, 5.38]),
+                  "nominal_input": np.array([32.64, 32.64])}
+    given = {"outlet_areas": np.array([0.07, 0.08, 0.05, 0.06])}
+    for arrays in (calibrated, given):
+        plant, twin = FourTankPlant(**arrays), FourTankPlant(**{k: v.copy() for k, v in arrays.items()})
+        for a in arrays.values():
+            a[0] = 0.4
+        u, h = np.array([30.0, 35.0]), np.array([9.0, 11.0, 5.0, 6.0])
+        assert np.array_equal(plant.flow_gain, twin.flow_gain)
+        assert np.array_equal(plant.pi_x(u, [10.0, 10.0]), twin.pi_x(u, [10.0, 10.0]))
+        assert np.array_equal(plant.pi_jacobian(u), twin.pi_jacobian(u))
+        assert np.array_equal(plant.step(h, u), twin.step(h, u))
+        for name in ("tank_areas", "split_ratios", "outlet_areas", "h_nominal", "u_nominal"):
+            assert np.array_equal(getattr(plant, name), getattr(twin, name))
+
+
 def test_drainage_strictly_decreases_levels():
     tank = FourTankPlant()
     h0 = np.array([8.0, 7.0, 3.0, 4.0])

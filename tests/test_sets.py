@@ -439,6 +439,60 @@ def test_a_projection_leaves_its_set_as_it_found_it():
         assert all(vars(s)[name] is value for name, value in after_first.items()), s
 
 
+def _six_sets(lower, upper, normal, center, A, b, K):
+    """One set of each class, built from the given arrays."""
+    return [Box(lower, upper), Halfspace(normal, 0.5), Ball(center, 1.0), Polyhedron(A, b),
+            Intersection([Ball(center, 1.0), Box(lower, upper), Polyhedron(A, b)]),
+            LinearPreimage(K, Intersection([Box(lower, upper), Halfspace(normal, 0.5)]))]
+
+
+def test_a_set_is_built_from_copies_of_its_arrays():
+    # a caller's later edit of the arrays a set was built from reaches none of
+    # its answers: each set answers as its twin built from copies does, and
+    # the set's own public arrays are read-only
+    arrays = [np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([1.0, 2.0]),
+              np.array([0.0, 0.0]), np.array([[1.0, 0.5], [-0.5, 1.0], [-1.0, -1.0]]),
+              np.array([1.0, 1.0, 1.0]), np.array([[2.0, 1.0], [0.0, 1.0]])]
+    built = _six_sets(*arrays)
+    twins = _six_sets(*(a.copy() for a in arrays))
+    for a in arrays:
+        a[0] = 5.0
+    metric = Metric([[2.0, 0.3], [0.3, 1.0]])
+    points = [[9.0, 0.0], [5.0, 0.0], [0.25, -0.5], [-3.0, 4.0]]
+    public = {Box: ("lower", "upper"), Halfspace: ("a",), Ball: ("center",),
+              Polyhedron: ("A", "b"), Intersection: (), LinearPreimage: ("K",)}
+    for s, twin in zip(built, twins):
+        for x in points:
+            assert s.contains(x) == twin.contains(x), (s, x)
+            assert s.margin(x) == twin.margin(x), (s, x)
+            for m in (I2, metric):
+                assert s.project(m, x).point.tobytes() == twin.project(m, x).point.tobytes()
+        for name in public[type(s)]:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(s, name)[0] = 7.0
+
+
+def test_a_set_holds_what_it_was_built_with_and_two_memos():
+    # once built, a set adds only _factors, its row factors in the last metric,
+    # and _bbox after bounding_box; every other attribute stays the same object
+    metric = Metric([[2.0, 0.3], [0.3, 1.0]])
+    sets = _six_sets([-1.0, -1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 0.0],
+                     [[1.0, 0.5], [-0.5, 1.0], [-1.0, -1.0]], [1.0, 1.0, 1.0],
+                     [[2.0, 1.0], [0.0, 1.0]])
+    for s in sets:
+        built = dict(vars(s))
+        for x in ([9.0, 3.0], [0.1, 0.2]):
+            s.contains(x)
+            s.margin(x)
+            point = s.project(metric, x).point
+            normal_cone_residual(s, metric, point, np.subtract(x, point))
+        used = dict(vars(s))
+        assert used.keys() - built.keys() <= {"_factors"}, s
+        assert all(used[name] is value for name, value in built.items() if name != "_factors")
+        s.bounding_box()
+        assert vars(s).keys() - used.keys() == {"_bbox"}, s
+
+
 def test_far_points_project_within_the_rounding_rule_or_raise():
     # |x| up to 1e170: x.x overflows past 1e154, and a scale s_i of inf would
     # let every candidate pass; the norms are formed by hypot instead
@@ -494,12 +548,15 @@ def test_rows_past_the_range_of_their_squares_project_into_the_set_or_raise():
 
 def test_rows_past_the_range_of_their_squares_read_their_margin_and_normal_cone():
     # {x : 1e160 x_0 <= 1e160} is {x : x_0 <= 1}: the origin is 1 inside and does not
-    # solve the VI along (1, 0); row norms whose squares read inf once gave 0 for both
-    halfspace = Halfspace([1e160, 0.0], 1e160)
-    with np.errstate(over="ignore"):  # the polyhedron's Gram matrix still overflows
-        polyhedron = Polyhedron([[1e160, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-                                [1e160, 1.0, 1.0, 1.0])
-    for set_ in (halfspace, polyhedron):
+    # solve the VI along (1, 0); row norms whose squares read inf once gave 0 for both.
+    # At 1e-200 the squares underflow, and the sets were rejected: a row norm read 0
+    sets = []
+    for scale in (1e160, 1e-200):
+        sets.append(Halfspace([scale, 0.0], scale))
+        with np.errstate(over="ignore"):  # the polyhedron's Gram matrix still overflows
+            sets.append(Polyhedron([[scale, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                                   [scale, 1.0, 1.0, 1.0]))
+    for set_ in sets:
         assert set_.margin([0.0, 0.0]) == 1.0
         assert normal_cone_residual(set_, I2, [0.0, 0.0], [1.0, 0.0]) == 1.0
 
@@ -851,15 +908,16 @@ def test_far_emptiness_verdicts_follow_the_chebyshev_radius():
             rejected += 1
         else:
             assert rho > 0.0, rho
-            assert (A @ poly._member - b <= MEMBERSHIP_TOL * (1.0 + np.abs(b))).all()
+            member = poly.project(Metric.identity(dim), np.zeros(dim)).point
+            assert (A @ member - b <= MEMBERSHIP_TOL * (1.0 + np.abs(b))).all()
             kept += 1
     assert kept > 400 and rejected > 150
 
 
 def test_the_member_is_the_origins_projection_wherever_that_is_found():
-    # on the rows of _ldp_cases seeds 71-90, a Polyhedron keeps the origin's
-    # projection bit for bit as its member, rejects exactly where that
-    # projection fails, and projects every point as the rows do
+    # on the rows of _ldp_cases seeds 71-90, a Polyhedron's member, the
+    # origin's projection, is the rows' bit for bit; it rejects exactly where
+    # that projection fails, and projects every point as the rows do
     empty = 0
     for seed in range(71, 91):
         for s, metric, x in _ldp_cases(np.random.default_rng(seed), 60):
@@ -872,7 +930,8 @@ def test_the_member_is_the_origins_projection_wherever_that_is_found():
                 empty += 1
                 continue
             poly = Polyhedron(A, b)
-            assert poly._member.tobytes() == origin.tobytes()
+            member = poly.project(Metric.identity(s.dim), np.zeros(s.dim)).point
+            assert member.tobytes() == origin.tobytes()
             assert poly.project(metric, x).point.tobytes() == s.project(metric, x).point.tobytes()
     assert empty > 100
 
@@ -889,7 +948,8 @@ def test_a_polyhedron_keeps_its_verdict_far_from_the_origin(far, empty):
             with pytest.raises(ValueError, match="empty"):
                 Polyhedron(A, b)
             continue
-        member = Polyhedron(A, b)._member
+        poly = Polyhedron(A, b)
+        member = poly.project(Metric.identity(poly.dim), np.zeros(poly.dim)).point
         norms = np.linalg.norm(A, axis=1)
         assert np.all(A @ member - b <= 1e-12 * (np.abs(b) + norms * np.linalg.norm(member)))
 

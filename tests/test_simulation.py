@@ -96,6 +96,18 @@ def test_controller_state_not_mutated_by_simulate():
     assert np.array_equal(s.controller.eta, before)
 
 
+def test_a_scenario_keeps_copies_of_its_start_and_disturbances():
+    # edits of x0 and w after construction reach no run: their first states
+    # stay [0, 0, 0.0625], where the caller's arrays gave [7, 3.5, 1.5]
+    x0, w = np.array([0.0]), np.array([0.5])
+    s = replace(scalar_scenario(horizon=20), schedule=[(0, w)], x0=x0)
+    before = simulate(s).x
+    x0[0], w[0] = 7.0, 3.0
+    after = simulate(s).x
+    assert np.array_equal(after, before)
+    assert after[:3, 0].tolist() == [0.0, 0.0, 0.0625]
+
+
 def test_scalar_tracking_feasible_reference():
     record = simulate(scalar_scenario(horizon=100))
     assert abs(record.e[-1, 0]) <= 1e-9
